@@ -1,0 +1,106 @@
+"""Golden SHA-256 digests of seeded outputs at master seed 42.
+
+A performance change must leave every simulated array and every exported
+CSV below bit-for-bit unchanged.  A mismatch names the artifacts that
+moved; a change that moves one on purpose says why in CHANGES.md.
+
+Print the current digests with ``python tests/test_golden.py`` (run with
+``src`` on ``PYTHONPATH``).
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from conftest import make_config
+from gridwatch.cli import main
+from gridwatch.config import loads_config
+from gridwatch.harness import case_config, derive_trial_seed, simulate_window, with_months
+
+SEED = 42
+GOLDEN = Path(__file__).with_name("golden_seed42.json")
+ARRAYS = ("usage", "reports", "actual_total", "reported_total", "leakage",
+          "sampled_ids", "sampled_reports")
+# The 12-month window with a fixed-offset attacker, the low-report filter and
+# a tariff above the elasticity level, so that the usage draw takes 2-D
+# per-period upper bounds.
+WINDOW_CONFIG = """[attackers]
+25 = fixed_offset 0.6 subtract
+
+[detection]
+low_report_quantile = 0.25
+
+[billing]
+elasticity_factor = 0.8
+elasticity_level = 0.5
+
+[experiment]
+months = 12
+master_seed = 42
+"""
+TABLE_CONFIG = """[attackers]
+25 = multiplicative 0.1
+
+[experiment]
+repetitions = 2
+master_seed = 42
+"""
+
+
+def _array_digest(array: np.ndarray) -> str:
+    h = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+    h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def _window_digests(name, config):
+    window = simulate_window(
+        config, np.random.default_rng(derive_trial_seed(SEED, 0)), keep_matrices=True
+    )
+    return {f"{name}/{attr}": _array_digest(getattr(window, attr)) for attr in ARRAYS}
+
+
+def _cli_digests(tmp_dir: Path):
+    runs = (
+        (WINDOW_CONFIG, "simulate", "records.csv"),
+        (WINDOW_CONFIG, "detect", "detection.csv"),
+        (WINDOW_CONFIG, "bill", "bills.csv"),
+        (TABLE_CONFIG, "table1", "table1.csv"),
+    )
+    out = {}
+    for text, command, filename in runs:
+        config = tmp_dir / f"{command}.cfg"
+        config.write_text(text)
+        code = main([command, "--config", str(config), "--out-dir", str(tmp_dir)])
+        assert code == 0, command
+        out[filename] = hashlib.sha256((tmp_dir / filename).read_bytes()).hexdigest()
+    return out
+
+
+def current_digests(tmp_dir: Path) -> dict[str, str]:
+    base = dataclasses.replace(make_config(attackers=""), master_seed=SEED)
+    digests = {}
+    for case in ("I", "II", "III"):
+        scenario = case_config(base, case, 25)
+        for months in (1, 12):
+            digests.update(_window_digests(f"case{case}-{months}m", with_months(scenario, months)))
+    digests.update(_window_digests("elasticity-12m", loads_config(WINDOW_CONFIG)))
+    digests.update(_cli_digests(tmp_dir))
+    return digests
+
+
+def test_seeded_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    got = current_digests(tmp_path)
+    moved = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    assert not moved, f"digests changed: {moved}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(current_digests(Path(tmp)), indent=2, sort_keys=True))
