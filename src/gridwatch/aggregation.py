@@ -3,8 +3,8 @@
 Each period the aggregator sums all reports, computes the leakage
 (actual regional total minus reported total) and keeps one uniformly
 sampled consumer's ``(id, report)`` pair.  The sampled pairs and the
-leakage values accumulate into one paired series per consumer, which is
-what the detector consumes.
+leakage values accumulate into one paired series per consumer, which the
+detector's low-report filter path reads.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import configparser
 import dataclasses
 import io
 import json
-import time
 from pathlib import Path
 
 from . import __version__
@@ -295,10 +294,3 @@ class RunManifest:
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
     Path(path).write_text(manifest.to_json(), encoding="utf-8")
-
-
-def timed(fn):
-    """Run fn(), returning (result, elapsed_seconds)."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start

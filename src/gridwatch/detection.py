@@ -7,6 +7,11 @@ its correlation concentrates around zero; a consumer scaling its reports
 down (up) drives the correlation toward +1 (-1).  Classification is a
 symmetric threshold on the correlation; the random-offset attack is
 instead found by taking the most negative correlation in the region.
+
+`correlate` computes every consumer's correlation at once from the
+whole-window arrays; `pearson` is the scalar form, used by the
+low-report filter path and kept as the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +41,10 @@ class Label(str, enum.Enum):
 def pearson(x, y) -> float | None:
     """Pearson correlation of two equal-length vectors, or None when undefined.
 
-    Undefined means fewer than 2 points or zero variance on either side.
-    The result is clamped into [-1, 1]; rounding overshoot never exceeds
-    1e-9 before clamping.
+    Undefined means fewer than 2 points, zero variance on either side, or
+    a non-finite centred sum or result (the inputs overflowed).  The
+    result is clamped into [-1, 1]; rounding overshoot never exceeds 1e-9
+    before clamping.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -47,14 +54,42 @@ def pearson(x, y) -> float | None:
         )
     if x.shape[0] < 2:
         return None
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = math.sqrt(float(xc @ xc))
-    ny = math.sqrt(float(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+        if not 0.0 < den < math.inf:
+            return None
+        r = float(xc @ yc) / den
+    if not math.isfinite(r):
         return None
-    r = float(xc @ yc) / (nx * ny)
     return max(-1.0, min(1.0, r))
+
+
+def correlate(
+    positions: np.ndarray, x: np.ndarray, y: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of ``x`` against ``y`` within every group at once.
+
+    ``positions[t]`` in ``0..n-1`` assigns pair ``t`` to a group.  Returns
+    ``(counts, corr)``, both of length ``n``: the pairs per group and their
+    correlation, NaN where `pearson` would return None.  Each group's means
+    come from one `np.bincount` pass and the centred sums from a second
+    (the two-pass form), so results agree with `pearson` on the same pairs
+    up to summation order.
+    """
+    counts = np.bincount(positions, minlength=n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = x - (np.bincount(positions, x, n) / counts)[positions]
+        dy = y - (np.bincount(positions, y, n) / counts)[positions]
+        den = np.sqrt(np.bincount(positions, dx * dx, n)) * np.sqrt(
+            np.bincount(positions, dy * dy, n)
+        )
+        corr = np.bincount(positions, dx * dy, n) / den
+    # An empty, single-sample or constant group has den == 0, so its
+    # quotient is already NaN or infinite.
+    defined = np.isfinite(den) & np.isfinite(corr)
+    return counts, np.where(defined, np.clip(corr, -1.0, 1.0), np.nan)
 
 
 def classify(corr: float | None, th: float = DEFAULT_THRESHOLD) -> Label:
@@ -130,52 +165,61 @@ class DetectionReport:
         return {v.consumer_id: v.corr for v in self.verdicts if v.corr is not None}
 
 
+def low_report_correlations(
+    series: SampleSeries, counts: np.ndarray, q: float, min_samples: int
+) -> np.ndarray:
+    """Each consumer's correlation over its low-report pairs only (NaN: undefined).
+
+    ``series`` is keyed by group position, as `correlate` counts them;
+    groups with fewer than ``min_samples`` pairs are left undefined.
+    """
+    corr = np.full(len(counts), np.nan)
+    for pos in np.flatnonzero(counts >= min_samples):
+        r = pearson(*low_report_filter(*series.pairs(int(pos)), q))
+        if r is not None:
+            corr[pos] = r
+    return corr
+
+
 def detect_region(
-    series: SampleSeries,
+    consumer_ids: Sequence[int],
+    counts: np.ndarray,
+    corr: np.ndarray,
     th: float = DEFAULT_THRESHOLD,
     min_samples: int = DEFAULT_MIN_SAMPLES,
-    low_report_quantile: float | None = None,
 ) -> DetectionReport:
-    """Correlate every consumer's sampled reports against leakage and classify.
+    """Classify every consumer from its sample count and correlation.
 
+    ``consumer_ids``, ``counts`` and ``corr`` are indexed by position, as
+    `correlate` returns them; NaN marks an undefined correlation.
     Consumers with fewer than ``min_samples`` observations are reported as
-    INSUFFICIENT_DATA.  When ``low_report_quantile`` is set, each
-    consumer's series is first reduced to its low-report pairs (fixed-offset
-    attack mode).
+    INSUFFICIENT_DATA.  Verdicts are ordered by consumer id.
     """
     if min_samples < 2:
         raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
     verdicts = []
-    for cid in series.consumer_ids:
-        count = series.count(cid)
-        if count < min_samples:
-            verdicts.append(
-                ConsumerVerdict(cid, count, None, Label.INSUFFICIENT_DATA)
-            )
-            continue
-        r, l = series.pairs(cid)
-        if low_report_quantile is not None:
-            r, l = low_report_filter(r, l, low_report_quantile)
-        corr = pearson(r, l)
-        verdicts.append(ConsumerVerdict(cid, count, corr, classify(corr, th)))
+    for pos in sorted(range(len(consumer_ids)), key=consumer_ids.__getitem__):
+        count = int(counts[pos])
+        value = float(corr[pos])
+        r = None if count < min_samples or math.isnan(value) else value
+        verdicts.append(ConsumerVerdict(consumer_ids[pos], count, r, classify(r, th)))
     return DetectionReport(tuple(verdicts))
 
 
 def most_negative(
-    series: SampleSeries, min_samples: int = DEFAULT_MIN_SAMPLES
+    consumer_ids: Sequence[int],
+    counts: np.ndarray,
+    corr: np.ndarray,
+    min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> int:
-    """Id of the consumer with the lowest defined correlation (ties: lowest id)."""
-    best_id = None
-    best = math.inf
-    for cid in series.consumer_ids:
-        if series.count(cid) < min_samples:
-            continue
-        corr = pearson(*series.pairs(cid))
-        if corr is not None and corr < best:
-            best = corr
-            best_id = cid
-    if best_id is None:
+    """Id of the consumer with the lowest defined correlation (ties: lowest id).
+
+    Arguments are indexed by position, as for `detect_region`.
+    """
+    eligible = (counts >= min_samples) & ~np.isnan(corr)
+    if not eligible.any():
         raise InputError(
             f"no consumer has a defined correlation with >= {min_samples} samples"
         )
-    return best_id
+    best = corr[eligible].min()
+    return int(np.asarray(consumer_ids)[eligible & (corr == best)].min())

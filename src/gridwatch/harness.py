@@ -1,12 +1,12 @@
 """Scenario orchestration: seeded end-to-end trials and Monte-Carlo estimates.
 
 A trial generates every consumer's usage and reports for the whole
-measurement window, aggregates period by period, accumulates the sampled
-(report, leakage) pairs, runs the configured detector, and scores the
-result against the known attacker set.  Trials are deterministic given
-their seed; Monte-Carlo repetitions use seeds derived injectively from
-``(master_seed, trial_index)`` so they can run in any order or in
-parallel without changing the result.
+measurement window as one set of arrays, correlates every consumer's
+sampled reports with the leakage in one pass, runs the configured
+detector, and scores the result against the known attacker set.  Trials
+are deterministic given their seed; Monte-Carlo repetitions use seeds
+derived injectively from ``(master_seed, trial_index)`` so they can run
+in any order or in parallel without changing the result.
 """
 
 from __future__ import annotations
@@ -14,17 +14,20 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .aggregation import PeriodRecord, SampleSeries, series_from_arrays
+from .aggregation import PeriodRecord, series_from_arrays
 from .billing import BillingLedger, BillStatement, TariffSchedule, accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
     DEFAULT_THRESHOLD,
     DetectionReport,
+    correlate,
     detect_region,
+    low_report_correlations,
     most_negative,
 )
 from .errors import ConfigurationError
@@ -103,16 +106,31 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 
 @dataclass(frozen=True)
 class WindowData:
-    """Whole-window simulation arrays (one entry per period)."""
+    """Whole-window simulation arrays (one row or entry per period).
+
+    ``sampled_pos`` holds the sampled consumer's position in
+    ``region.consumers``.  The regional totals and the sampled ids are
+    computed on first access: a Monte-Carlo trial never reads them.
+    """
 
     region: RegionConfig
-    actual_total: np.ndarray
-    reported_total: np.ndarray
+    usage: np.ndarray
     leakage: np.ndarray
-    sampled_ids: np.ndarray
+    sampled_pos: np.ndarray
     sampled_reports: np.ndarray
-    usage: np.ndarray | None = None
     reports: np.ndarray | None = None
+
+    @cached_property
+    def actual_total(self) -> np.ndarray:
+        return self.usage.sum(axis=1)
+
+    @cached_property
+    def reported_total(self) -> np.ndarray:
+        return self.actual_total - self.leakage
+
+    @cached_property
+    def sampled_ids(self) -> np.ndarray:
+        return np.array(self.region.consumer_ids)[self.sampled_pos]
 
     def to_records(self) -> list[PeriodRecord]:
         return [
@@ -127,14 +145,6 @@ class WindowData:
             for t in range(self.actual_total.shape[0])
         ]
 
-    def to_series(self) -> SampleSeries:
-        return series_from_arrays(
-            self.sampled_ids,
-            self.sampled_reports,
-            self.leakage,
-            self.region.consumer_ids,
-        )
-
 
 def simulate_window(
     config: ScenarioConfig,
@@ -145,7 +155,8 @@ def simulate_window(
 
     Draw order is fixed: the usage matrix first (period-major), then each
     misreporting consumer's random offsets in consumer order, then the
-    per-period sampled indices.
+    per-period sampled indices.  ``keep_matrices`` also keeps the full
+    reports matrix, which billing reads.
     """
     region = config.region
     consumers = region.consumers
@@ -161,7 +172,11 @@ def simulate_window(
         scale = np.where(rates > config.elasticity_level, config.elasticity_factor, 1.0)
         highs = np.maximum(highs[None, :] * scale[:, None], lows[None, :] + 1e-12)
 
-    usage = rng.uniform(lows, highs, size=(periods, n))
+    # Bit for bit what rng.uniform(lows, highs, size=(periods, n)) draws,
+    # without its broadcast temporaries.
+    usage = rng.random((periods, n))
+    usage *= highs - lows
+    usage += lows
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
@@ -172,16 +187,11 @@ def simulate_window(
         dishonest[pos] = reported
         leakage = leakage + (usage[:, pos] - reported)
 
-    actual_total = usage.sum(axis=1)
-    reported_total = actual_total - leakage
-
     sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = usage[np.arange(periods), sampled_pos].copy()
+    sampled_reports = usage[np.arange(periods), sampled_pos]
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
-    ids = np.array(region.consumer_ids)
-    sampled_ids = ids[sampled_pos]
 
     reports = None
     if keep_matrices:
@@ -191,12 +201,10 @@ def simulate_window(
 
     return WindowData(
         region=region,
-        actual_total=actual_total,
-        reported_total=reported_total,
+        usage=usage,
         leakage=leakage,
-        sampled_ids=sampled_ids,
+        sampled_pos=sampled_pos,
         sampled_reports=sampled_reports,
-        usage=usage if keep_matrices else None,
         reports=reports,
     )
 
@@ -229,22 +237,36 @@ def run_trial(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence,
 ) -> TrialOutcome:
-    """One fully deterministic end-to-end trial."""
+    """One fully deterministic end-to-end trial.
+
+    Every consumer's correlation comes from one `correlate` pass over the
+    window.  With ``low_report_quantile`` set, the threshold verdicts use
+    each consumer's low-report pairs instead; most-negative selection
+    always uses the unfiltered correlations.
+    """
     if isinstance(trial_seed, int):
         trial_seed = np.random.SeedSequence([trial_seed])
     rng = np.random.default_rng(trial_seed)
     window = simulate_window(config, rng)
-    series = window.to_series()
+    ids = config.region.consumer_ids
+    counts, corr = correlate(
+        window.sampled_pos, window.sampled_reports, window.leakage, len(ids)
+    )
+    classified = corr
+    if config.low_report_quantile is not None:
+        series = series_from_arrays(
+            window.sampled_pos, window.sampled_reports, window.leakage, range(len(ids))
+        )
+        classified = low_report_correlations(
+            series, counts, config.low_report_quantile, config.min_samples
+        )
     report = detect_region(
-        series,
-        th=config.th,
-        min_samples=config.min_samples,
-        low_report_quantile=config.low_report_quantile,
+        ids, counts, classified, th=config.th, min_samples=config.min_samples
     )
     true_malicious = frozenset(config.attacker_ids)
     selected = None
     if config.mode == MOST_NEGATIVE_MODE:
-        selected = most_negative(series, config.min_samples)
+        selected = most_negative(ids, counts, corr, config.min_samples)
         detected = frozenset({selected})
     else:
         detected = frozenset(report.malicious_ids)

@@ -8,6 +8,7 @@ model and are clipped at zero so reports stay physical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Union
 
@@ -37,8 +38,7 @@ class Multiplicative:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        _check_positive_finite("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class FixedOffset:
     direction: Direction = "subtract"
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigurationError(f"eta must be > 0, got {self.eta}")
+        _check_positive_finite("eta", self.eta)
         _check_direction(self.direction)
 
 
@@ -66,12 +65,16 @@ class RandomOffset:
     direction: Direction = "subtract"
 
     def __post_init__(self):
-        if not self.theta_max > 0:
-            raise ConfigurationError(f"theta_max must be > 0, got {self.theta_max}")
+        _check_positive_finite("theta_max", self.theta_max)
         _check_direction(self.direction)
 
 
 BehaviorModel = Union[Benign, Multiplicative, FixedOffset, RandomOffset]
+
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_direction(direction: str) -> None:

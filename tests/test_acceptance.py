@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from gridwatch.aggregation import aggregate_period
 from gridwatch.billing import BillingLedger, accrue, issue_bills
 from gridwatch.csvio import export_outcomes
 from gridwatch.detection import pearson

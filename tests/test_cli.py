@@ -110,6 +110,16 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "200" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["multiplicative inf", "fixed_offset inf", "random_offset nan"])
+    def test_non_finite_attacker_is_one_error_line(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[attackers]\n25 = {spec}\n")
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gridwatch: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "detection.csv").exists()
+
     def test_simulate_is_reproducible_byte_for_byte(self, tmp_path):
         cfg = self.write_tiny(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

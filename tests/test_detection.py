@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.aggregation import SampleSeries
+from gridwatch.aggregation import series_from_arrays
 from gridwatch.detection import (
     Label,
     classify,
+    correlate,
     detect_region,
+    low_report_correlations,
     low_report_filter,
     most_negative,
     pearson,
@@ -27,13 +31,21 @@ def oracle_pearson(x, y):
     return cov / np.sqrt(vx * vy)
 
 
-def series_of(pairs_by_id):
-    series = SampleSeries.empty(pairs_by_id)
-    for cid, (r, l) in pairs_by_id.items():
-        series.reports[cid] = list(r)
-        series.leakages[cid] = list(l)
-        series.total_periods += len(r)
-    return series
+def arrays_of(pairs_by_id):
+    """Consumer ids and the (position, report, leakage) arrays of their pairs."""
+    ids = list(pairs_by_id)
+    pos, x, y = [], [], []
+    for p, (r, l) in enumerate(pairs_by_id.values()):
+        pos += [p] * len(r)
+        x += list(r)
+        y += list(l)
+    return ids, np.array(pos, dtype=np.int64), np.array(x, dtype=float), np.array(y, dtype=float)
+
+
+def correlations_of(pairs_by_id):
+    """(ids, counts, corr) as run_trial hands them to the detectors."""
+    ids, pos, x, y = arrays_of(pairs_by_id)
+    return (ids, *correlate(pos, x, y, len(ids)))
 
 
 class TestPearson:
@@ -63,6 +75,14 @@ class TestPearson:
         assert pearson([1.0], [2.0]) is None
         assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
         assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+
+    def test_overflow_is_undefined_not_a_correlation(self):
+        # perfectly anti-correlated, but the centred sums overflow to inf;
+        # clamping the NaN quotient used to report +1.0
+        assert pearson([0, 1e200, 2e200], [2e200, 1e200, 0]) is None
+        # only x overflows: the quotient is a finite 0.0, still no evidence
+        assert pearson([0, 1e200, 2e200], [0.0, 1.0, 2.0]) is None
+        assert pearson([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]) is None
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
@@ -138,29 +158,98 @@ class TestClassify:
             classify(0.2, th=th)
 
 
+# Grid values (multiples of 1/8 up to 64): group sums are exact in any order,
+# so a constant group centres to exactly zero in both forms and the only
+# difference left is the summation order of the centred products.
+grid_values = st.integers(-512, 512).map(lambda k: k / 8.0)
+
+
+@st.composite
+def grouped_pairs(draw):
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(0, 60))
+    pos = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+    x = draw(st.lists(grid_values, min_size=size, max_size=size))
+    y = draw(st.lists(grid_values, min_size=size, max_size=size))
+    # one group with a constant report and one with a constant leakage
+    constant_x, constant_y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    x = [x[0] if x and p == constant_x else v for p, v in zip(pos, x)]
+    y = [y[0] if y and p == constant_y else v for p, v in zip(pos, y)]
+    return n, np.array(pos, dtype=np.int64), np.array(x), np.array(y)
+
+
+class TestCorrelate:
+    @given(grouped_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pearson_per_group(self, case):
+        n, pos, x, y = case
+        counts, corr = correlate(pos, x, y, n)
+        assert list(counts) == [int(np.sum(pos == g)) for g in range(n)]
+        for g in range(n):
+            want = pearson(x[pos == g], y[pos == g])
+            if want is None:
+                assert math.isnan(corr[g]), g
+            else:
+                assert abs(corr[g] - want) <= 1e-12, g
+
+    def test_every_undefined_kind(self):
+        pos = np.array([1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6])
+        x = np.array([1.0, 1.0, 2.0, 1.0, 2.0, 3.0, 0.0, 1e200, 2e200, 1.0, 2.0, 3.0,
+                      0.0, 1e200, 2e200])
+        y = np.array([1.0, 1.0, 2.0, 5.0, 5.0, 5.0, 2e200, 1e200, 0.0, 3.0, 2.0, 1.0,
+                      0.0, 1.0, 2.0])
+        counts, corr = correlate(pos, x, y, 7)
+        assert list(counts) == [0, 1, 2, 3, 3, 3, 3]
+        # empty, single sample, constant leakage and overflow (of both sides,
+        # or of one side only) are undefined
+        assert [math.isnan(c) for c in corr] == [True, True, False, True, True, False, True]
+        assert corr[2] == pytest.approx(1.0, abs=1e-12)
+        assert corr[5] == pytest.approx(-1.0, abs=1e-12)
+
+
 class TestDetectRegion:
     def test_min_samples_gate(self):
-        series = series_of({0: ([1.0, 2.0], [1.0, 2.0]), 1: ([1, 2, 3, 2, 1], [3, 1, 2, 2, 3])})
-        report = detect_region(series, th=0.5, min_samples=5)
+        data = {0: ([1.0, 2.0], [1.0, 2.0]), 1: ([1, 2, 3, 2, 1], [3, 1, 2, 2, 3])}
+        report = detect_region(*correlations_of(data), th=0.5, min_samples=5)
         assert report.verdict(0).label == Label.INSUFFICIENT_DATA
         assert report.verdict(0).corr is None
+        assert report.verdict(0).sample_count == 2
         assert report.verdict(1).corr is not None
 
     def test_constant_leakage_is_not_evidence(self):
-        series = series_of({0: ([1, 2, 3, 4, 5], [2, 2, 2, 2, 2])})
-        report = detect_region(series, min_samples=5)
+        data = {0: ([1, 2, 3, 4, 5], [2, 2, 2, 2, 2])}
+        report = detect_region(*correlations_of(data), min_samples=5)
         assert report.verdict(0).label == Label.INSUFFICIENT_DATA
 
     def test_perfect_underreporter_flagged(self, rng):
         c = rng.uniform(0.5, 1.5, 30)
-        series = series_of({0: (0.1 * c, 0.9 * c), 1: (rng.uniform(0.5, 1.5, 30), rng.normal(size=30))})
-        report = detect_region(series, th=0.5, min_samples=5)
+        data = {0: (0.1 * c, 0.9 * c), 1: (rng.uniform(0.5, 1.5, 30), rng.normal(size=30))}
+        report = detect_region(*correlations_of(data), th=0.5, min_samples=5)
         assert report.verdict(0).label == Label.MALICIOUS_UNDER
         assert report.verdict(0).corr == pytest.approx(1.0, abs=1e-9)
 
+    def test_verdicts_in_id_order(self):
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        report = detect_region(*correlations_of({7: (x, x), 3: (x, x), 5: (x, x)}))
+        assert [v.consumer_id for v in report] == [3, 5, 7]
+
     def test_min_samples_domain(self):
         with pytest.raises(ConfigurationError):
-            detect_region(series_of({}), min_samples=1)
+            detect_region(*correlations_of({}), min_samples=1)
+
+    def test_low_report_path_matches_scalar_loop(self, rng):
+        data = {
+            cid: (np.maximum(rng.uniform(0.5, 1.5, 40) - 0.6, 0.0), rng.normal(size=40))
+            for cid in range(4)
+        }
+        data[4] = ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # below min_samples
+        ids, pos, x, y = arrays_of(data)
+        counts, _ = correlate(pos, x, y, len(ids))
+        series = series_from_arrays(pos, x, y, range(len(ids)))
+        corr = low_report_correlations(series, counts, 0.25, 5)
+        for p, (r, l) in enumerate(data.values()):
+            want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else None
+            assert (math.isnan(corr[p]) if want is None else corr[p] == want)
 
 
 class TestMostNegative:
@@ -170,19 +259,28 @@ class TestMostNegative:
             2: ([1, 2, 3, 4, 5], [1, 2.2, 2.8, 4, 5]),  # positive
             3: ([1, 2, 3, 4, 5], [2, 1, 3, 5, 4]),       # mild
         }
-        series = series_of(data)
-        assert most_negative(series, min_samples=5) == 1
+        assert most_negative(*correlations_of(data), min_samples=5) == 1
 
     def test_tie_break_is_lowest_id(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
         y = [5.0, 4.0, 3.0, 2.0, 1.0]
-        series = series_of({4: (x, y), 2: (x, y)})
-        assert most_negative(series, min_samples=5) == 2
+        assert most_negative(*correlations_of({4: (x, y), 2: (x, y)}), min_samples=5) == 2
+
+    @given(ids=st.lists(st.integers(0, 1000), min_size=2, max_size=12, unique=True),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ties_go_to_lowest_id_in_any_order(self, ids, data):
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        tied = data.draw(st.sets(st.sampled_from(ids), min_size=2))
+        pairs = {
+            cid: (x, [5.0, 4.0, 3.0, 2.0, 1.0] if cid in tied else [1.0, 3.0, 2.0, 5.0, 4.0])
+            for cid in ids
+        }
+        assert most_negative(*correlations_of(pairs), min_samples=5) == min(tied)
 
     def test_no_qualified_consumer(self):
-        series = series_of({0: ([1.0], [1.0])})
         with pytest.raises(InputError):
-            most_negative(series, min_samples=5)
+            most_negative(*correlations_of({0: ([1.0], [1.0])}), min_samples=5)
 
 
 class TestLowReportFilter:

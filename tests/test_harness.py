@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, tiny_config
+from gridwatch.billing import TariffSchedule
 from gridwatch.detection import Label
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import (
@@ -77,6 +78,30 @@ class TestSimulateWindow:
         cfg = tiny_config(attackers="0 = fixed_offset 5.0 subtract\n1 = random_offset 5.0 subtract")
         window = simulate_window(cfg, np.random.default_rng(2), keep_matrices=True)
         assert np.all(window.reports >= 0.0)
+
+    @pytest.mark.parametrize("elastic", [False, True])
+    def test_usage_draw_matches_uniform_bit_for_bit(self, elastic):
+        # per-consumer bounds; with elasticity, per-period 2-D upper bounds
+        base = tiny_config(periods_per_day=24)
+        consumers = tuple(
+            dataclasses.replace(c, usage_min=0.1 * i, usage_max=1.0 + 0.5 * i)
+            for i, c in enumerate(base.region.consumers)
+        )
+        cfg = dataclasses.replace(base, region=dataclasses.replace(base.region, consumers=consumers))
+        lows = np.array([c.usage_min for c in consumers])
+        highs = np.array([c.usage_max for c in consumers])
+        periods = cfg.region.total_periods
+        if elastic:
+            rates = np.arange(periods) % 3 * 0.5
+            cfg = dataclasses.replace(
+                cfg, tariff=TariffSchedule.from_vector(rates, periods),
+                elasticity_factor=0.3, elasticity_level=0.7,
+            )
+            scale = np.where(rates > 0.7, 0.3, 1.0)
+            highs = np.maximum(highs[None, :] * scale[:, None], lows[None, :] + 1e-12)
+        window = simulate_window(cfg, np.random.default_rng(9))
+        expected = np.random.default_rng(9).uniform(lows, highs, size=(periods, len(consumers)))
+        assert window.usage.tobytes() == expected.tobytes()
 
     def test_elasticity_hook_caps_usage(self):
         base = tiny_config(extra="[billing]\ntariff = 2.0\n")

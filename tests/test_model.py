@@ -124,6 +124,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Multiplicative(0.0)
 
+    @pytest.mark.parametrize("model", [Multiplicative, FixedOffset, RandomOffset])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_attack_parameter_must_be_finite_and_positive(self, model, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            model(value)
+
     def test_alpha_one_is_behaviorally_benign(self):
         assert is_benign(Multiplicative(1.0))
         assert not is_benign(Multiplicative(0.999))
