@@ -42,9 +42,10 @@ def pearson(x, y) -> float | None:
     """Pearson correlation of two equal-length vectors, or None when undefined.
 
     Undefined means fewer than 2 points, zero variance on either side, or
-    a non-finite centred sum or result (the inputs overflowed).  The
-    result is clamped into [-1, 1]; rounding overshoot never exceeds 1e-9
-    before clamping.
+    a non-finite centred sum of squares (the inputs overflowed or hold
+    NaN); with both sums finite, the cross sum is finite too.  The result
+    is clamped into [-1, 1]; rounding overshoot never exceeds 1e-9 before
+    clamping.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -61,8 +62,6 @@ def pearson(x, y) -> float | None:
         if not 0.0 < den < math.inf:
             return None
         r = float(xc @ yc) / den
-    if not math.isfinite(r):
-        return None
     return max(-1.0, min(1.0, r))
 
 
