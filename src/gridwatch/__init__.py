@@ -3,15 +3,8 @@ detection, privacy-preserving aggregation, and aggregator-side billing."""
 
 __version__ = "0.1.0"
 
-from .aggregation import (
-    PeriodRecord,
-    SampleSeries,
-    accumulate_samples,
-    aggregate_period,
-)
 from .billing import (
     BillStatement,
-    BillingLedger,
     TariffSchedule,
     accrue,
     issue_bills,
@@ -25,7 +18,7 @@ from .detection import (
     most_negative,
     pearson,
 )
-from .errors import ConfigurationError, GridwatchError, InputError, StateError
+from .errors import ConfigurationError, GridwatchError, InputError
 from .harness import (
     ProbabilityEstimate,
     ScenarioConfig,
@@ -45,17 +38,11 @@ from .model import (
     RandomOffset,
     RegionConfig,
     apply_behavior,
-    draw_usage,
 )
 
 __all__ = [
     "__version__",
-    "PeriodRecord",
-    "SampleSeries",
-    "accumulate_samples",
-    "aggregate_period",
     "BillStatement",
-    "BillingLedger",
     "TariffSchedule",
     "accrue",
     "issue_bills",
@@ -69,7 +56,6 @@ __all__ = [
     "ConfigurationError",
     "GridwatchError",
     "InputError",
-    "StateError",
     "ProbabilityEstimate",
     "ScenarioConfig",
     "TrialOutcome",
@@ -86,5 +72,4 @@ __all__ = [
     "RandomOffset",
     "RegionConfig",
     "apply_behavior",
-    "draw_usage",
 ]

@@ -1,8 +1,8 @@
-"""Aggregator-side billing: per-period cost accrual from reports and tariffs.
+"""Aggregator-side billing: monthly costs from reports and tariffs.
 
 Bills are computed from reported values only; the billing path never sees
-ground-truth usage.  A window covers a fixed span of periods (default one
-30-day month) and issuing bills resets the ledger for the next window.
+ground-truth usage.  Each bill covers one month, a fixed span of periods,
+and a window must be a whole number of months.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, StateError
+from .errors import ConfigurationError, InputError
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class TariffSchedule:
                 "tariff must be either a flat rate or a per-period vector"
             )
         values = (self.flat_rate,) if self.rates is None else self.rates
-        if any(v < 0 for v in values):
-            raise ConfigurationError("tariff values must be >= 0")
+        if not all(0.0 <= v < np.inf for v in values):
+            raise ConfigurationError("tariff values must be finite and >= 0")
 
     @classmethod
     def flat(cls, rate: float) -> "TariffSchedule":
@@ -46,10 +46,15 @@ class TariffSchedule:
             )
         return cls(rates=rates)
 
-    def rate_at(self, period_index: int) -> float:
-        if self.flat_rate is not None:
-            return self.flat_rate
-        return self.rates[period_index]
+    def per_period(self, periods: int) -> np.ndarray:
+        """The rate of every period of a ``periods``-period window."""
+        if self.rates is None:
+            return np.full(periods, self.flat_rate, dtype=float)
+        if len(self.rates) != periods:
+            raise InputError(
+                f"tariff vector covers {len(self.rates)} periods, not {periods}"
+            )
+        return np.array(self.rates)
 
 
 @dataclass(frozen=True)
@@ -60,76 +65,30 @@ class BillStatement:
     amount: float
 
 
-class BillingLedger:
-    """Accumulates per-consumer cost over one billing window.
+def accrue(reports: np.ndarray, rates: np.ndarray, month_len: int) -> np.ndarray:
+    """Each consumer's cost in each month: a ``(months, consumers)`` matrix.
 
-    ``window_start`` .. ``window_end`` is a half-open period range.  Every
-    period in the window must be accrued exactly once before bills issue.
+    ``reports`` is ``(periods, consumers)`` and ``rates`` has one entry per
+    period.  Each month's sum runs period by period for every consumer, so
+    a cost is the float a running per-period total reaches (``einsum`` or
+    ``matmul`` may reorder the sum); a month at a time, so that no
+    temporary is as large as ``reports``.
     """
-
-    def __init__(self, consumer_ids: Sequence[int], window_start: int, window_end: int):
-        if window_end <= window_start:
-            raise ConfigurationError(
-                f"empty billing window [{window_start}, {window_end})"
-            )
-        self.consumer_ids = list(consumer_ids)
-        self.window_start = window_start
-        self.window_end = window_end
-        self._costs = np.zeros(len(self.consumer_ids))
-        self._accrued: set[int] = set()
-
-    @property
-    def window_length(self) -> int:
-        return self.window_end - self.window_start
-
-    def cost_of(self, consumer_id: int) -> float:
-        return float(self._costs[self.consumer_ids.index(consumer_id)])
-
-
-def accrue(
-    ledger: BillingLedger,
-    period_index: int,
-    reports: Sequence[float],
-    tariff_at: float,
-) -> BillingLedger:
-    """Add ``tariff_at * report`` to every consumer's accumulated cost."""
-    if not ledger.window_start <= period_index < ledger.window_end:
+    periods, n = reports.shape
+    if rates.shape != (periods,):
+        raise InputError(f"{periods} periods of reports but rates of shape {rates.shape}")
+    if month_len < 1 or periods % month_len:
         raise InputError(
-            f"period {period_index} outside billing window "
-            f"[{ledger.window_start}, {ledger.window_end})"
+            f"{periods} periods are not a whole number of {month_len}-period months"
         )
-    if period_index in ledger._accrued:
-        raise InputError(f"period {period_index} already accrued")
-    reports = np.asarray(reports, dtype=float)
-    if reports.shape != (len(ledger.consumer_ids),):
-        raise InputError(
-            f"expected {len(ledger.consumer_ids)} reports, got {reports.shape}"
-        )
-    if tariff_at < 0:
-        raise InputError(f"tariff must be >= 0, got {tariff_at}")
-    ledger._costs += tariff_at * reports
-    ledger._accrued.add(period_index)
-    return ledger
+    months = zip(rates.reshape(-1, month_len, 1), reports.reshape(-1, month_len, n))
+    return np.array([(r * x).sum(axis=0) for r, x in months])
 
 
-def issue_bills(ledger: BillingLedger) -> list[BillStatement]:
-    """Emit one statement per consumer and reset the ledger for the next window.
-
-    A partially accrued window is a state error; an untouched ledger may be
-    flushed and yields all-zero bills.
-    """
-    if 0 < len(ledger._accrued) != ledger.window_length:
-        raise StateError(
-            f"window incomplete: {len(ledger._accrued)} of "
-            f"{ledger.window_length} periods accrued"
-        )
-    bills = [
-        BillStatement(cid, ledger.window_start, ledger.window_end, float(cost))
-        for cid, cost in zip(ledger.consumer_ids, ledger._costs)
+def issue_bills(costs: np.ndarray, consumer_ids: Sequence[int], month_len: int) -> list[BillStatement]:
+    """One statement per consumer per month, month by month in consumer order."""
+    return [
+        BillStatement(cid, m * month_len, (m + 1) * month_len, amount)
+        for m, month in enumerate(costs.tolist())
+        for cid, amount in zip(consumer_ids, month)
     ]
-    span = ledger.window_length
-    ledger.window_start = ledger.window_end
-    ledger.window_end += span
-    ledger._costs = np.zeros(len(ledger.consumer_ids))
-    ledger._accrued = set()
-    return bills

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, csvio, harness
 from .config import RunManifest, dumps_config, load_config, write_manifest
-from .errors import GridwatchError
+from .errors import ConfigurationError, GridwatchError
 from .harness import (
     ScenarioConfig,
     concentration_experiment,
@@ -61,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     config = load_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -74,10 +76,9 @@ def _load(args) -> ScenarioConfig:
 
 def _single_attacker_id(config: ScenarioConfig) -> int:
     attackers = sorted(config.attacker_ids)
-    if len(attackers) == 1:
-        return attackers[0]
-    ids = config.region.consumer_ids
-    return 25 if 25 in ids else ids[0]
+    if len(attackers) != 1:
+        raise ConfigurationError(f"table1 needs exactly one attacker, got {len(attackers)}")
+    return attackers[0]
 
 
 def _cmd_simulate(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
@@ -153,10 +154,7 @@ def main(argv=None) -> int:
         )
         manifest_path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
         write_manifest(manifest, manifest_path)
-    except GridwatchError as exc:
-        print(f"gridwatch: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GridwatchError, OSError) as exc:
         print(f"gridwatch: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,9 +1,10 @@
 """Deterministic CSV emission for records, detection reports, bills and tables.
 
 All files are UTF-8 with a header row and '\n' line endings; floats are
-written in shortest round-trip form and rows are sorted (period index or
-consumer id ascending), so a fixed (config, seed) pair re-creates each
-file byte for byte.
+written in shortest round-trip form; records keep the period order they
+come in, and per-consumer rows are sorted by consumer id (within each
+window or duration), so a fixed (config, seed) pair re-creates each file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .aggregation import PeriodRecord
 from .billing import BillStatement
 from .detection import DetectionReport
 from .errors import GridwatchError
@@ -48,16 +48,9 @@ def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     return path
 
 
-def export_records(records: Iterable[PeriodRecord], path: str | Path) -> Path:
-    rows = sorted(records, key=lambda r: r.period_index)
-    return _write_rows(
-        path,
-        RECORDS_HEADER,
-        (
-            (r.period_index, r.actual_total, r.reported_total, r.leakage, r.sampled_id, r.sampled_report)
-            for r in rows
-        ),
-    )
+def export_records(rows: Iterable[Sequence], path: str | Path) -> Path:
+    """Write per-period rows, in the order given, under `RECORDS_HEADER`."""
+    return _write_rows(path, RECORDS_HEADER, rows)
 
 
 def export_detection(report: DetectionReport, path: str | Path) -> Path:

@@ -11,7 +11,7 @@ instead found by taking the most negative correlation in the region.
 `correlate` computes every consumer's correlation at once from the
 whole-window arrays; `pearson` is the scalar form, used by the
 low-report filter path and kept as the reference the kernel is tested
-against.
+against.  Both treat a series whose spread is rounding noise as constant.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import SampleSeries
 from .errors import ConfigurationError, InputError
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_SAMPLES = 5
 DEFAULT_LOW_REPORT_QUANTILE = 0.25
+_EPS = np.finfo(float).eps
 
 
 class Label(str, enum.Enum):
@@ -38,14 +38,23 @@ class Label(str, enum.Enum):
     INSUFFICIENT_DATA = "insufficient_data"
 
 
+def _has_spread(ss, m, mean):
+    """Whether ``m`` values with mean ``mean`` and centred sum of squares ``ss`` vary.
+
+    Rounding leaves a constant series (0.1, 0.1, 0.1) a spread of at most
+    ``(m·ε)²`` times its sum of squares ``ss + m·mean²``; that, or a
+    non-finite ``ss`` (overflow, NaN input), is no spread.  Elementwise.
+    """
+    return ((m * _EPS) ** 2 * (ss + m * mean * mean) < ss) & (ss < np.inf)
+
+
 def pearson(x, y) -> float | None:
     """Pearson correlation of two equal-length vectors, or None when undefined.
 
-    Undefined means fewer than 2 points, zero variance on either side, or
-    a non-finite centred sum of squares (the inputs overflowed or hold
-    NaN); with both sums finite, the cross sum is finite too.  The result
-    is clamped into [-1, 1]; rounding overshoot never exceeds 1e-9 before
-    clamping.
+    Undefined means fewer than 2 points or no spread on either side (see
+    `_has_spread`); with both centred sums of squares finite, the cross
+    sum is finite too.  The result is clamped into [-1, 1]; rounding
+    overshoot never exceeds 1e-9 before clamping.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -53,13 +62,15 @@ def pearson(x, y) -> float | None:
         raise InputError(
             f"pearson needs two equal-length vectors, got shapes {x.shape} and {y.shape}"
         )
-    if x.shape[0] < 2:
+    m = x.shape[0]
+    if m < 2:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = x - x.mean()
-        yc = y - y.mean()
-        den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
-        if not 0.0 < den < math.inf:
+        mx, my = x.mean(), y.mean()
+        xc, yc = x - mx, y - my
+        sxx, syy = float(xc @ xc), float(yc @ yc)
+        den = math.sqrt(sxx) * math.sqrt(syy)  # 0 if the product underflows
+        if not (den > 0 and _has_spread(sxx, m, mx) and _has_spread(syy, m, my)):
             return None
         r = float(xc @ yc) / den
     return max(-1.0, min(1.0, r))
@@ -79,15 +90,17 @@ def correlate(
     """
     counts = np.bincount(positions, minlength=n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dx = x - (np.bincount(positions, x, n) / counts)[positions]
-        dy = y - (np.bincount(positions, y, n) / counts)[positions]
-        den = np.sqrt(np.bincount(positions, dx * dx, n)) * np.sqrt(
-            np.bincount(positions, dy * dy, n)
+        mx = np.bincount(positions, x, n) / counts
+        my = np.bincount(positions, y, n) / counts
+        dx = x - mx[positions]
+        dy = y - my[positions]
+        sxx = np.bincount(positions, dx * dx, n)
+        syy = np.bincount(positions, dy * dy, n)
+        corr = np.bincount(positions, dx * dy, n) / (np.sqrt(sxx) * np.sqrt(syy))
+        # An empty group has a NaN mean, so it has no spread either.
+        defined = (
+            _has_spread(sxx, counts, mx) & _has_spread(syy, counts, my) & np.isfinite(corr)
         )
-        corr = np.bincount(positions, dx * dy, n) / den
-    # An empty, single-sample or constant group has den == 0, so its
-    # quotient is already NaN or infinite.
-    defined = np.isfinite(den) & np.isfinite(corr)
     return counts, np.where(defined, np.clip(corr, -1.0, 1.0), np.nan)
 
 
@@ -159,22 +172,28 @@ class DetectionReport:
             if v.label in (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER)
         }
 
-    def correlations(self) -> dict[int, float]:
-        """Defined correlations only, keyed by consumer id."""
-        return {v.consumer_id: v.corr for v in self.verdicts if v.corr is not None}
+
+def series_from_arrays(
+    positions: np.ndarray, reports: np.ndarray, leakages: np.ndarray, n: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each of the ``n`` groups' ``(reports, leakages)`` pairs, in period order.
+
+    ``positions`` assigns pairs to groups as for `correlate`.
+    """
+    order = np.argsort(positions, kind="stable")
+    ends = np.cumsum(np.bincount(positions, minlength=n))
+    return [(reports[g], leakages[g]) for g in np.split(order, ends[:-1])]
 
 
-def low_report_correlations(
-    series: SampleSeries, counts: np.ndarray, q: float, min_samples: int
-) -> np.ndarray:
-    """Each consumer's correlation over its low-report pairs only (NaN: undefined).
+def low_report_correlations(series, counts: np.ndarray, q: float, min_samples: int) -> np.ndarray:
+    """Each group's correlation over its low-report pairs only (NaN: undefined).
 
-    ``series`` is keyed by group position, as `correlate` counts them;
-    groups with fewer than ``min_samples`` pairs are left undefined.
+    ``series`` comes from `series_from_arrays`; groups with fewer than
+    ``min_samples`` pairs are left undefined.
     """
     corr = np.full(len(counts), np.nan)
     for pos in np.flatnonzero(counts >= min_samples):
-        r = pearson(*low_report_filter(*series.pairs(int(pos)), q))
+        r = pearson(*low_report_filter(*series[pos], q))
         if r is not None:
             corr[pos] = r
     return corr

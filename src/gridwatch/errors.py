@@ -11,7 +11,3 @@ class ConfigurationError(GridwatchError):
 
 class InputError(GridwatchError):
     """Runtime input to an operation is malformed."""
-
-
-class StateError(GridwatchError):
-    """An operation was invoked in an invalid state."""

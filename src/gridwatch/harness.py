@@ -15,12 +15,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregation import PeriodRecord, series_from_arrays
-from .billing import BillingLedger, BillStatement, TariffSchedule, accrue, issue_bills
+from .billing import BillStatement, TariffSchedule, accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
     DEFAULT_THRESHOLD,
@@ -29,6 +28,7 @@ from .detection import (
     detect_region,
     low_report_correlations,
     most_negative,
+    series_from_arrays,
 )
 from .errors import ConfigurationError
 from .model import (
@@ -82,8 +82,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "elasticity_factor and elasticity_level must be set together"
             )
-        if self.elasticity_factor is not None and self.elasticity_factor <= 0:
-            raise ConfigurationError("elasticity_factor must be > 0")
+        if self.elasticity_factor is not None and not (
+            0 < self.elasticity_factor < math.inf and math.isfinite(self.elasticity_level)
+        ):
+            raise ConfigurationError("elasticity factor and level must be finite, the factor > 0")
 
     @property
     def attacker_ids(self) -> set[int]:
@@ -93,10 +95,7 @@ class ScenarioConfig:
 def with_months(config: ScenarioConfig, months: int) -> ScenarioConfig:
     """Same scenario over a different measurement duration."""
     region = replace(config.region, num_days=DAYS_PER_MONTH * months)
-    tariff = config.tariff
-    if tariff.rates is not None:
-        tariff = TariffSchedule.from_vector(tariff.rates, region.total_periods)
-    return replace(config, region=region, months=months, tariff=tariff)
+    return replace(config, region=region, months=months)
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -132,18 +131,17 @@ class WindowData:
     def sampled_ids(self) -> np.ndarray:
         return np.array(self.region.consumer_ids)[self.sampled_pos]
 
-    def to_records(self) -> list[PeriodRecord]:
-        return [
-            PeriodRecord(
-                period_index=t,
-                actual_total=float(self.actual_total[t]),
-                reported_total=float(self.reported_total[t]),
-                leakage=float(self.leakage[t]),
-                sampled_id=int(self.sampled_ids[t]),
-                sampled_report=float(self.sampled_reports[t]),
-            )
-            for t in range(self.actual_total.shape[0])
-        ]
+    def to_records(self) -> Iterator[tuple]:
+        """Lazy rows ``(period, actual_total, reported_total, leakage,
+        sampled_id, sampled_report)`` in period order, one per period."""
+        return zip(
+            range(self.leakage.shape[0]),
+            self.actual_total.tolist(),
+            self.reported_total.tolist(),
+            self.leakage.tolist(),
+            self.sampled_ids.tolist(),
+            self.sampled_reports.tolist(),
+        )
 
 
 def simulate_window(
@@ -165,17 +163,18 @@ def simulate_window(
     lows = np.array([c.usage_min for c in consumers])
     highs = np.array([c.usage_max for c in consumers])
 
-    if config.elasticity_factor is not None:
-        rates = np.array(
-            [config.tariff.rate_at(t) for t in range(periods)]
-        )
-        scale = np.where(rates > config.elasticity_level, config.elasticity_factor, 1.0)
-        highs = np.maximum(highs[None, :] * scale[:, None], lows[None, :] + 1e-12)
-
     # Bit for bit what rng.uniform(lows, highs, size=(periods, n)) draws,
-    # without its broadcast temporaries.
+    # without its broadcast temporaries or a (periods, n) bounds matrix:
+    # elasticity scales usage_max (never below usage_min) in the periods
+    # whose rate is above the level, so there are two rows of bounds.
     usage = rng.random((periods, n))
-    usage *= highs - lows
+    if config.elasticity_factor is None:
+        usage *= highs - lows
+    else:
+        above = (config.tariff.per_period(periods) > config.elasticity_level)[:, None]
+        for factor, rows in ((config.elasticity_factor, above), (1.0, ~above)):
+            span = np.maximum(highs * factor, lows + 1e-12) - lows
+            np.multiply(usage, span, out=usage, where=rows)
     usage += lows
 
     leakage = np.zeros(periods)
@@ -183,7 +182,7 @@ def simulate_window(
     for pos, profile in enumerate(consumers):
         if is_benign(profile.behavior):
             continue
-        reported = np.asarray(apply_behavior(profile.behavior, usage[:, pos], rng))
+        reported = apply_behavior(profile.behavior, usage[:, pos], rng)
         dishonest[pos] = reported
         leakage = leakage + (usage[:, pos] - reported)
 
@@ -255,7 +254,7 @@ def run_trial(
     classified = corr
     if config.low_report_quantile is not None:
         series = series_from_arrays(
-            window.sampled_pos, window.sampled_reports, window.leakage, range(len(ids))
+            window.sampled_pos, window.sampled_reports, window.leakage, len(ids)
         )
         classified = low_report_correlations(
             series, counts, config.low_report_quantile, config.min_samples
@@ -342,13 +341,9 @@ def run_billing(
     window = simulate_window(config, rng, keep_matrices=True)
     region = config.region
     month_len = DAYS_PER_MONTH * region.periods_per_day
-    ledger = BillingLedger(region.consumer_ids, 0, month_len)
-    bills: list[BillStatement] = []
-    for t in range(region.total_periods):
-        accrue(ledger, t, window.reports[t], config.tariff.rate_at(t))
-        if t + 1 == ledger.window_end:
-            bills.extend(issue_bills(ledger))
-    return window, bills
+    rates = config.tariff.per_period(region.total_periods)
+    costs = accrue(window.reports, rates, month_len)
+    return window, issue_bills(costs, region.consumer_ids, month_len)
 
 
 def concentration_experiment(

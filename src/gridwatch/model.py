@@ -1,7 +1,8 @@
-"""Grid entities: consumer profiles, reporting behaviors, per-period usage generation.
+"""Grid entities: consumer profiles, reporting behaviors and regions.
 
-Usage is drawn i.i.d. uniform on ``[usage_min, usage_max]`` per consumer per
-period (no temporal correlation, the hardest setting for the detector).
+A consumer's usage is i.i.d. uniform on ``[usage_min, usage_max]`` per
+period (no temporal correlation, the hardest setting for the detector);
+`harness.simulate_window` draws it.
 Reported values are derived from actual usage by the consumer's behavior
 model and are clipped at zero so reports stay physical.
 """
@@ -149,29 +150,24 @@ class RegionConfig:
         return {c.consumer_id for c in self.consumers if not is_benign(c.behavior)}
 
 
-def draw_usage(profile: ConsumerProfile, rng: np.random.Generator) -> float:
-    """Draw one period's actual consumption, uniform on [usage_min, usage_max]."""
-    return float(rng.uniform(profile.usage_min, profile.usage_max))
+def apply_behavior(
+    behavior: BehaviorModel, actual: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Turn an array of actual usage into the reported values, elementwise.
 
-
-def apply_behavior(behavior: BehaviorModel, actual, rng: np.random.Generator):
-    """Turn actual usage into the reported value.
-
-    Accepts a scalar or an ndarray of per-period actuals; the returned
-    report has the same shape and is always >= 0.  `RandomOffset` draws
-    one offset per element from ``rng``.
+    The returned report has the same shape and is always >= 0.
+    `RandomOffset` draws one offset per element from ``rng``.
     """
     if isinstance(behavior, Benign):
         return actual
     if isinstance(behavior, Multiplicative):
-        return behavior.alpha * np.asarray(actual) if np.ndim(actual) else behavior.alpha * actual
+        return behavior.alpha * actual
     if isinstance(behavior, FixedOffset):
         if behavior.direction == "subtract":
-            return np.maximum(np.asarray(actual) - behavior.eta, 0.0) if np.ndim(actual) else max(actual - behavior.eta, 0.0)
+            return np.maximum(actual - behavior.eta, 0.0)
         return actual + behavior.eta
     if isinstance(behavior, RandomOffset):
-        size = np.shape(actual) if np.ndim(actual) else None
-        theta = rng.uniform(0.0, behavior.theta_max, size=size)
+        theta = rng.uniform(0.0, behavior.theta_max, size=actual.shape)
         if behavior.direction == "subtract":
             return np.maximum(actual - theta, 0.0)
         return actual + theta

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from gridwatch.billing import BillingLedger, accrue, issue_bills
+from gridwatch.billing import accrue, issue_bills
 from gridwatch.csvio import export_outcomes
 from gridwatch.detection import pearson
 from gridwatch.harness import (
@@ -139,13 +139,13 @@ def test_criterion_6_property_battery(capfd):
     )
 
     # billing total conservation against the same window
-    ledger = BillingLedger(cfg.region.consumer_ids, 0, cfg.region.total_periods)
+    periods = cfg.region.total_periods
     window_full = simulate_window(
         cfg, np.random.default_rng(derive_trial_seed(MASTER_SEED, 0)), keep_matrices=True
     )
-    for t in range(cfg.region.total_periods):
-        accrue(ledger, t, window_full.reports[t], 1.0)
-    bills = issue_bills(ledger)
+    bills = issue_bills(
+        accrue(window_full.reports, np.ones(periods), periods), cfg.region.consumer_ids, periods
+    )
     billing_ok = math.isclose(
         sum(b.amount for b in bills),
         float(window_full.reported_total.sum()),

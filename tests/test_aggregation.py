@@ -1,134 +1,144 @@
+"""The aggregation stage of a window: regional totals, leakage, report sampling
+and the per-consumer sample series, checked on the whole-window arrays
+(`simulate_window`, `WindowData`, `series_from_arrays`) and, where noted,
+on the per-period reference they are compared against."""
+
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gridwatch.aggregation import (
-    PeriodRecord,
-    accumulate_samples,
-    aggregate_period,
-    series_from_arrays,
-)
-from gridwatch.errors import ConfigurationError, InputError
+from conftest import tiny_config
+from gridwatch.detection import low_report_correlations, series_from_arrays
+from gridwatch.errors import ConfigurationError
+from gridwatch.harness import simulate_window
+from per_period import accumulate_samples, aggregate_period, window_records
+
+
+def window_of(config, seed=0):
+    return simulate_window(config, np.random.default_rng(seed), keep_matrices=True)
 
 
 class TestAggregatePeriod:
-    def test_all_benign_conserves(self, rng):
-        rec = aggregate_period([2.0, 3.0], [2.0, 3.0], 0, rng)
-        assert rec.leakage == 0.0
-        assert rec.reported_total == 5.0
+    def test_all_benign_conserves(self):
+        window = window_of(tiny_config(attackers=""))
+        assert np.all(window.leakage == 0.0)
+        assert np.array_equal(window.reported_total, window.actual_total)
 
-    def test_hand_computed_leakage(self, rng):
+    def test_hand_computed_leakage(self):
         # consumer 0 reports a tenth: (10-1) + (5-5) = 9
-        rec = aggregate_period([10.0, 5.0], [1.0, 5.0], 0, rng)
-        assert rec.leakage == pytest.approx(9.0)
+        assert aggregate_period([10.0, 5.0], [1.0, 5.0], 0, 0).leakage == pytest.approx(9.0)
+        # the window's leakage is the same sum over its attackers, every period
+        window = window_of(tiny_config(attackers="0 = multiplicative 0.1\n3 = fixed_offset 0.4 add"))
+        np.testing.assert_allclose(
+            window.leakage, (window.usage - window.reports).sum(axis=1), rtol=1e-12, atol=1e-15
+        )
 
-    def test_sampled_pair_consistency(self, rng):
-        reports = [1.0, 2.0, 3.0]
-        rec = aggregate_period([1.0, 2.0, 3.0], reports, 7, rng)
-        assert rec.period_index == 7
-        assert rec.sampled_report == reports[rec.sampled_id]
+    def test_sampled_pair_consistency(self):
+        # ids that are not positions: the sampled id maps through the region
+        base = tiny_config(attackers="0 = random_offset 0.3 add\n2 = multiplicative 0.5")
+        consumers = tuple(
+            dataclasses.replace(c, consumer_id=10 * c.consumer_id + 7) for c in base.region.consumers
+        )
+        cfg = dataclasses.replace(
+            base, region=dataclasses.replace(base.region, consumers=consumers)
+        )
+        window = window_of(cfg, seed=4)
+        periods = np.arange(cfg.region.total_periods)
+        assert np.array_equal(window.sampled_reports, window.reports[periods, window.sampled_pos])
+        assert list(window.sampled_ids) == [10 * p + 7 for p in window.sampled_pos]
 
-    def test_length_mismatch_rejected(self, rng):
+    def test_length_mismatch_rejected(self):
+        # the reference's own input check
+        with pytest.raises(ValueError):
+            aggregate_period([1.0, 2.0], [1.0], 0, 0)
+
+    def test_single_consumer_rejected(self):
         with pytest.raises(ConfigurationError):
-            aggregate_period([1.0, 2.0], [1.0], 0, rng)
-
-    def test_single_consumer_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            aggregate_period([1.0], [1.0], 0, rng)
+            tiny_config(attackers="", consumers=1)
+        with pytest.raises(ValueError):
+            aggregate_period([1.0], [1.0], 0, 0)
 
     @given(
-        values=st.lists(
-            st.tuples(st.floats(0, 1e3), st.floats(0, 1e3)),
-            min_size=2, max_size=20,
+        attackers=st.sampled_from(
+            ["", "0 = multiplicative 0.1", "1 = fixed_offset 0.9", "0 = random_offset 2.0 add\n"
+             "2 = multiplicative 7.5"]
         ),
+        consumers=st.integers(3, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_conservation_property(self, values, seed):
-        actuals = [a for a, _ in values]
-        reports = [r for _, r in values]
-        rec = aggregate_period(actuals, reports, 0, np.random.default_rng(seed))
-        assert rec.actual_total == pytest.approx(
-            rec.reported_total + rec.leakage, rel=1e-12, abs=1e-12
+    @settings(max_examples=50, deadline=None)
+    def test_conservation_property(self, attackers, consumers, seed):
+        # reported total (actual minus leakage) equals the sum of the reports
+        window = window_of(tiny_config(attackers=attackers, consumers=consumers), seed)
+        np.testing.assert_allclose(
+            window.reported_total, window.reports.sum(axis=1), rtol=1e-12, atol=1e-15
         )
 
 
 class TestAccumulateSamples:
     def test_empty(self):
-        series = accumulate_samples([], consumer_ids=range(3))
-        assert series.total_periods == 0
-        assert all(series.count(i) == 0 for i in range(3))
+        # consumers never sampled keep empty series
+        series = series_from_arrays(
+            np.array([0, 0, 2]), np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), 4
+        )
+        assert [len(r) for r, _ in series] == [2, 0, 1, 0]
+        assert all(len(l) == 0 for _, l in (series[1], series[3]))
 
     def test_single_append(self):
-        rec = PeriodRecord(0, 2.0, 1.7, 0.3, sampled_id=7, sampled_report=1.2)
-        series = accumulate_samples([rec], consumer_ids=range(10))
-        r, l = series.pairs(7)
-        assert list(r) == [1.2]
-        assert list(l) == [0.3]
+        series = series_from_arrays(np.array([7]), np.array([1.2]), np.array([0.3]), 10)
+        assert [list(v) for v in series[7]] == [[1.2], [0.3]]
+        assert sum(len(r) for r, _ in series) == 1
 
     def test_duplicate_period_rejected(self):
-        rec = PeriodRecord(3, 1.0, 1.0, 0.0, 0, 1.0)
-        with pytest.raises(InputError):
-            accumulate_samples([rec, rec])
+        # the reference fold takes each period once
+        with pytest.raises(ValueError):
+            accumulate_samples([(3, 0, 1.0, 0.0), (3, 0, 1.0, 0.0)], 2)
 
     def test_series_lengths_sum_to_periods(self, rng):
-        records = [
-            aggregate_period(rng.uniform(0.5, 1.5, 4), rng.uniform(0.5, 1.5, 4), t, rng)
-            for t in range(200)
-        ]
-        series = accumulate_samples(records, consumer_ids=range(4))
-        assert sum(series.count(i) for i in range(4)) == 200
-        assert series.total_periods == 200
+        positions = rng.integers(0, 4, size=200)
+        series = series_from_arrays(positions, rng.uniform(size=200), rng.uniform(size=200), 4)
+        assert [len(r) for r, _ in series] == list(np.bincount(positions, minlength=4))
+        assert sum(len(l) for _, l in series) == 200
 
 
 class TestSamplingUniformity:
     def test_chi_square_over_month(self):
         # 2880 periods over 100 consumers: expected 28.8 samples each
-        rng = np.random.default_rng(2024)
-        n, periods = 100, 2880
-        actuals = np.ones(n)
-        records = [aggregate_period(actuals, actuals, t, rng) for t in range(periods)]
-        counts = np.bincount([r.sampled_id for r in records], minlength=n)
-        assert counts.sum() == periods
-        assert counts.mean() == pytest.approx(periods / n)  # 28.8
+        cfg = tiny_config(attackers="", consumers=100, periods_per_day=96)
+        window = simulate_window(cfg, np.random.default_rng(2024))
+        counts = np.bincount(window.sampled_pos, minlength=100)
+        assert counts.sum() == 2880
+        assert counts.mean() == pytest.approx(28.8)
         _, p = stats.chisquare(counts)
         assert p > 0.001
 
     def test_sampling_independent_across_periods(self):
-        # identical inputs, fresh rng: different sampled sequences
-        rng = np.random.default_rng(0)
-        picks = [aggregate_period([1.0] * 10, [1.0] * 10, t, rng).sampled_id for t in range(100)]
-        assert len(set(picks)) > 1
+        # identical consumers every period, yet the sampled position varies
+        window = simulate_window(tiny_config(attackers="", consumers=10), np.random.default_rng(0))
+        assert len(set(window.sampled_pos[:100].tolist())) > 1
 
 
 class TestSeriesFromArrays:
     def test_matches_record_path(self):
-        # batched construction must agree with the per-record fold
-        rng = np.random.default_rng(11)
-        n, periods = 6, 500
-        records = []
-        sampled = np.empty(periods, dtype=int)
-        sreps = np.empty(periods)
-        leaks = np.empty(periods)
-        for t in range(periods):
-            actuals = rng.uniform(0.5, 1.5, n)
-            reports = actuals * 0.9
-            rec = aggregate_period(actuals, reports, t, rng)
-            records.append(rec)
-            sampled[t], sreps[t], leaks[t] = rec.sampled_id, rec.sampled_report, rec.leakage
-        by_records = accumulate_samples(records, consumer_ids=range(n))
-        by_arrays = series_from_arrays(sampled, sreps, leaks, range(n))
-        assert by_arrays.total_periods == by_records.total_periods
-        for cid in range(n):
-            ra, la = by_arrays.pairs(cid)
-            rr, lr = by_records.pairs(cid)
-            assert np.array_equal(ra, rr)
-            assert np.array_equal(la, lr)
+        # the grouped slices agree with a period-by-period fold of the records
+        cfg = tiny_config(attackers="1 = multiplicative 0.9", consumers=6, periods_per_day=16)
+        window = window_of(cfg, seed=11)
+        records = window_records(window.usage, window.reports, window.sampled_pos)
+        folded = accumulate_samples(
+            ((r.period, r.sampled, r.sampled_report, leak) for r, leak in zip(records, window.leakage)),
+            6,
+        )
+        for (ra, la), (rr, lr) in zip(series_from_arrays(
+            window.sampled_pos, window.sampled_reports, window.leakage, 6
+        ), folded, strict=True):
+            assert ra.tolist() == rr
+            assert la.tolist() == lr
 
     def test_empty_arrays(self):
-        series = series_from_arrays(
-            np.array([], dtype=int), np.array([]), np.array([]), range(3)
-        )
-        assert series.total_periods == 0
+        series = series_from_arrays(np.array([], dtype=int), np.array([]), np.array([]), 3)
+        assert [len(r) for r, _ in series] == [0, 0, 0]
+        assert np.isnan(low_report_correlations(series, np.zeros(3), 0.25, 5)).all()

@@ -1,27 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
-from gridwatch.billing import (
-    BillingLedger,
-    TariffSchedule,
-    accrue,
-    issue_bills,
-)
-from gridwatch.errors import ConfigurationError, InputError, StateError
+from gridwatch.billing import TariffSchedule, accrue, issue_bills
+from gridwatch.errors import ConfigurationError, InputError
 
 
-def fresh_ledger(n=3, periods=4):
-    return BillingLedger(list(range(n)), window_start=0, window_end=periods)
+def bill(reports, rate, month_len=None):
+    """Bills of a ``(periods, consumers)`` reports matrix at a flat rate, one month by default."""
+    reports = np.asarray(reports, dtype=float)
+    month_len = month_len or reports.shape[0]
+    costs = accrue(reports, np.full(reports.shape[0], rate), month_len)
+    return issue_bills(costs, list(range(reports.shape[1])), month_len)
 
 
 class TestTariffSchedule:
     def test_flat(self):
         t = TariffSchedule.flat(2.5)
-        assert t.rate_at(0) == t.rate_at(999) == 2.5
+        assert t.per_period(1000).tolist() == [2.5] * 1000
 
     def test_vector(self):
         t = TariffSchedule.from_vector([1.0, 2.0, 3.0], total_periods=3)
-        assert [t.rate_at(i) for i in range(3)] == [1.0, 2.0, 3.0]
+        assert t.per_period(3).tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(InputError):
+            t.per_period(4)
 
     def test_vector_length_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -30,6 +33,13 @@ class TestTariffSchedule:
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             TariffSchedule.flat(-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TariffSchedule.flat(value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            TariffSchedule.from_vector([1.0, value], total_periods=2)
 
     def test_exactly_one_form(self):
         with pytest.raises(ConfigurationError):
@@ -40,86 +50,69 @@ class TestTariffSchedule:
 
 class TestAccrue:
     def test_zero_tariff_leaves_ledger_unchanged(self):
-        ledger = fresh_ledger()
-        accrue(ledger, 0, [1.0, 2.0, 3.0], tariff_at=0.0)
-        assert all(ledger.cost_of(i) == 0.0 for i in range(3))
+        costs = accrue(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.zeros(2), 2)
+        assert costs.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_flat_tariff_linear_in_usage(self):
-        ledger = fresh_ledger(n=2, periods=3)
         usage = [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
-        for t, reports in enumerate(usage):
-            accrue(ledger, t, reports, tariff_at=2.0)
-        assert ledger.cost_of(0) == pytest.approx(2.0 * 6.0)
-        assert ledger.cost_of(1) == pytest.approx(2.0 * 15.0)
+        costs = accrue(np.array(usage), np.full(3, 2.0), 3)
+        assert costs[0, 0] == pytest.approx(2.0 * 6.0)
+        assert costs[0, 1] == pytest.approx(2.0 * 15.0)
 
     def test_underreporting_scales_bill(self):
         # a consumer reporting a tenth owes a tenth of the honest bill
-        honest = fresh_ledger(n=2, periods=2)
-        cheat = fresh_ledger(n=2, periods=2)
-        for t, c in enumerate([3.0, 5.0]):
-            accrue(honest, t, [c, 1.0], tariff_at=1.5)
-            accrue(cheat, t, [0.1 * c, 1.0], tariff_at=1.5)
-        assert cheat.cost_of(0) == pytest.approx(0.1 * honest.cost_of(0))
-        assert cheat.cost_of(1) == honest.cost_of(1)
+        honest = bill([[3.0, 1.0], [5.0, 1.0]], 1.5)
+        cheat = bill([[0.3, 1.0], [0.5, 1.0]], 1.5)
+        assert cheat[0].amount == pytest.approx(0.1 * honest[0].amount)
+        assert cheat[1].amount == honest[1].amount
 
     def test_period_outside_window(self):
+        # periods past the last whole month belong to no bill: rejected, not dropped
+        with pytest.raises(InputError, match="whole number"):
+            accrue(np.ones((5, 3)), np.ones(5), 4)
         with pytest.raises(InputError):
-            accrue(fresh_ledger(periods=4), 4, [1.0, 1.0, 1.0], 1.0)
+            accrue(np.ones((4, 3)), np.ones(4), 0)
 
     def test_duplicate_period(self):
-        ledger = fresh_ledger()
-        accrue(ledger, 0, [1.0, 1.0, 1.0], 1.0)
-        with pytest.raises(InputError):
-            accrue(ledger, 0, [1.0, 1.0, 1.0], 1.0)
+        # each period is billed once, in its own month: raising one period's
+        # report by d raises that month's cost by exactly rate * d
+        reports = np.full((6, 2), 0.5)
+        bumped = reports.copy()
+        bumped[4, 1] += 2.0
+        rates = np.array([1.0, 1.0, 1.0, 1.0, 0.25, 1.0])
+        delta = accrue(bumped, rates, 3) - accrue(reports, rates, 3)
+        assert delta.tolist() == [[0.0, 0.0], [0.0, 0.5]]
 
     def test_report_count_mismatch(self):
+        # one rate per period
         with pytest.raises(InputError):
-            accrue(fresh_ledger(n=3), 0, [1.0, 1.0], 1.0)
+            accrue(np.ones((4, 3)), np.ones(3), 4)
 
     def test_order_independence(self):
         # dyadic rationals make the additions exact, so permuted period
-        # order must give bit-identical ledgers
+        # order must give bit-identical costs
         rng = np.random.default_rng(5)
         reports = rng.integers(0, 4096, size=(8, 3)) / 1024.0
-        forward = fresh_ledger(n=3, periods=8)
-        permuted = fresh_ledger(n=3, periods=8)
-        for t in range(8):
-            accrue(forward, t, reports[t], tariff_at=1.0)
-        for t in [5, 2, 7, 0, 3, 6, 1, 4]:
-            accrue(permuted, t, reports[t], tariff_at=1.0)
-        assert [forward.cost_of(i) for i in range(3)] == [permuted.cost_of(i) for i in range(3)]
+        permuted = reports[[5, 2, 7, 0, 3, 6, 1, 4]]
+        assert accrue(reports, np.ones(8), 8).tobytes() == accrue(permuted, np.ones(8), 8).tobytes()
 
 
 class TestIssueBills:
     def test_untouched_ledger_issues_zero_bills(self):
-        bills = issue_bills(fresh_ledger(n=3, periods=4))
+        bills = bill(np.zeros((4, 3)), 1.0)
         assert [b.amount for b in bills] == [0.0, 0.0, 0.0]
 
-    def test_partial_window_is_state_error(self):
-        ledger = fresh_ledger(periods=4)
-        accrue(ledger, 0, [1.0, 1.0, 1.0], 1.0)
-        with pytest.raises(StateError):
-            issue_bills(ledger)
-
     def test_equal_usage_equal_bills(self):
-        ledger = fresh_ledger(n=2, periods=2)
-        for t in range(2):
-            accrue(ledger, t, [3.0, 3.0], tariff_at=1.2)
-        bills = issue_bills(ledger)
+        bills = bill([[3.0, 3.0], [3.0, 3.0]], 1.2)
         assert bills[0].amount == bills[1].amount
 
     def test_reset_advances_window(self):
-        ledger = fresh_ledger(n=2, periods=2)
-        for t in range(2):
-            accrue(ledger, t, [1.0, 2.0], 1.0)
-        first = issue_bills(ledger)
-        assert (ledger.window_start, ledger.window_end) == (2, 4)
-        assert all(first[i].amount > 0 for i in range(2))
-        assert ledger.cost_of(0) == 0.0
-        for t in range(2, 4):
-            accrue(ledger, t, [1.0, 2.0], 1.0)
-        second = issue_bills(ledger)
-        assert second[0].window_start == 2
+        # each month starts where the last ended and bills only its own periods
+        bills = bill([[1.0, 2.0], [1.0, 2.0], [4.0, 8.0], [4.0, 8.0]], 1.0, month_len=2)
+        windows = [(b.window_start, b.window_end) for b in bills]
+        assert windows == [(0, 2), (0, 2), (2, 4), (2, 4)]
+        assert [b.amount for b in bills] == [2.0, 4.0, 8.0, 16.0]
+        assert [b.consumer_id for b in bills] == [0, 1, 0, 1]
 
     def test_total_conservation(self):
         # sum of bills equals sum over periods of tariff * reported_total
@@ -127,11 +120,8 @@ class TestIssueBills:
         periods, n = 30, 5
         reports = rng.uniform(0.0, 2.0, size=(periods, n))
         rates = rng.uniform(0.5, 2.0, size=periods)
-        tariff = TariffSchedule.from_vector(rates, periods)
-        ledger = BillingLedger(list(range(n)), 0, periods)
-        for t in range(periods):
-            accrue(ledger, t, reports[t], tariff.rate_at(t))
-        bills = issue_bills(ledger)
+        costs = accrue(reports, TariffSchedule.from_vector(rates, periods).per_period(periods), 10)
+        bills = issue_bills(costs, list(range(n)), 10)
         total = sum(b.amount for b in bills)
         expected = float((rates * reports.sum(axis=1)).sum())
         assert total == pytest.approx(expected, rel=1e-9)

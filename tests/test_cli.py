@@ -29,6 +29,13 @@ repetitions = 3
 """
 
 
+def assert_one_error_line(capsys, mentions=""):
+    err = capsys.readouterr().err
+    assert err.startswith("gridwatch: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert mentions in err
+
+
 class TestLoadConfig:
     def test_defaults_filled(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -115,10 +122,37 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text(f"[attackers]\n25 = {spec}\n")
         assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("gridwatch: error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert_one_error_line(capsys)
         assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("billing", [
+        "tariff = nan",
+        "tariff = inf",
+        "elasticity_factor = inf\nelasticity_level = 1.0",
+        "elasticity_factor = 0.8\nelasticity_level = nan",
+    ])
+    def test_non_finite_billing_is_one_error_line(self, tmp_path, capsys, billing):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{TINY}[billing]\n{billing}\n")
+        assert main(["bill", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "finite")
+        assert not (tmp_path / "bills.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_one_error_line(self, tmp_path, capsys, threads):
+        cfg = self.write_tiny(tmp_path)
+        argv = ["table1", "--config", cfg, "--reps", "2", "--threads", threads]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "--threads")
+        assert not (tmp_path / "table1.csv").exists()
+
+    @pytest.mark.parametrize("attackers", ["", "1 = multiplicative 0.1\n2 = multiplicative 0.1\n"])
+    def test_table1_needs_exactly_one_attacker(self, tmp_path, capsys, attackers):
+        path = tmp_path / "multi.cfg"
+        path.write_text(f"[region]\nconsumers = 10\nperiods_per_day = 4\n[attackers]\n{attackers}")
+        assert main(["table1", "--config", str(path), "--reps", "2", "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "exactly one attacker")
+        assert not (tmp_path / "table1.csv").exists()
 
     def test_simulate_is_reproducible_byte_for_byte(self, tmp_path):
         cfg = self.write_tiny(tmp_path)

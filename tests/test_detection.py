@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.aggregation import series_from_arrays
 from gridwatch.detection import (
     Label,
     classify,
@@ -15,6 +14,7 @@ from gridwatch.detection import (
     low_report_filter,
     most_negative,
     pearson,
+    series_from_arrays,
 )
 from gridwatch.errors import ConfigurationError, InputError
 
@@ -75,6 +75,8 @@ class TestPearson:
         assert pearson([1.0], [2.0]) is None
         assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
         assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+        # a constant whose mean rounds: x - x.mean() is not exactly zero
+        assert pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) is None
 
     def test_overflow_is_undefined_not_a_correlation(self):
         # perfectly anti-correlated, but the centred sums overflow to inf;
@@ -193,16 +195,19 @@ class TestCorrelate:
                 assert abs(corr[g] - want) <= 1e-12, g
 
     def test_every_undefined_kind(self):
-        pos = np.array([1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6])
+        pos = np.array([1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7])
         x = np.array([1.0, 1.0, 2.0, 1.0, 2.0, 3.0, 0.0, 1e200, 2e200, 1.0, 2.0, 3.0,
-                      0.0, 1e200, 2e200])
+                      0.0, 1e200, 2e200, 0.1, 0.1, 0.1])
         y = np.array([1.0, 1.0, 2.0, 5.0, 5.0, 5.0, 2e200, 1e200, 0.0, 3.0, 2.0, 1.0,
-                      0.0, 1.0, 2.0])
-        counts, corr = correlate(pos, x, y, 7)
-        assert list(counts) == [0, 1, 2, 3, 3, 3, 3]
-        # empty, single sample, constant leakage and overflow (of both sides,
-        # or of one side only) are undefined
-        assert [math.isnan(c) for c in corr] == [True, True, False, True, True, False, True]
+                      0.0, 1.0, 2.0, 1.0, 2.0, 3.0])
+        counts, corr = correlate(pos, x, y, 8)
+        assert list(counts) == [0, 1, 2, 3, 3, 3, 3, 3]
+        # empty, single sample, constant leakage, overflow (of both sides, or
+        # of one side only) and a constant report whose mean rounds are
+        # undefined
+        assert [math.isnan(c) for c in corr] == [
+            True, True, False, True, True, False, True, True
+        ]
         assert corr[2] == pytest.approx(1.0, abs=1e-12)
         assert corr[5] == pytest.approx(-1.0, abs=1e-12)
 
@@ -245,7 +250,7 @@ class TestDetectRegion:
         data[4] = ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # below min_samples
         ids, pos, x, y = arrays_of(data)
         counts, _ = correlate(pos, x, y, len(ids))
-        series = series_from_arrays(pos, x, y, range(len(ids)))
+        series = series_from_arrays(pos, x, y, len(ids))
         corr = low_report_correlations(series, counts, 0.25, 5)
         for p, (r, l) in enumerate(data.values()):
             want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else None

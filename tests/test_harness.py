@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import make_config, tiny_config
 from gridwatch.billing import TariffSchedule
 from gridwatch.detection import Label
-from gridwatch.errors import ConfigurationError
+from gridwatch.errors import ConfigurationError, InputError
 from gridwatch.harness import (
     MOST_NEGATIVE_MODE,
     ScenarioConfig,
@@ -124,6 +125,19 @@ class TestRunTrial:
         assert outcome.report.corr(25) == pytest.approx(-1.0, abs=1e-9)
         assert outcome.report.verdict(25).label == Label.MALICIOUS_OVER
 
+    def test_constant_leakage_selects_no_one(self):
+        # an add-offset attacker makes every period's leakage -0.3 up to
+        # rounding (std ~6e-17): no consumer has evidence, in either mode
+        attackers = "5 = fixed_offset 0.3 add"
+        selecting = tiny_config(attackers, consumers=10, periods_per_day=96,
+                                extra="[detection]\nmode = most_negative\n")
+        for index in range(50):
+            with pytest.raises(InputError, match="no consumer has a defined correlation"):
+                run_trial(selecting, derive_trial_seed(0, index))
+        report = run_trial(tiny_config(attackers, consumers=10, periods_per_day=96),
+                           derive_trial_seed(0, 0)).report
+        assert {v.label for v in report} == {Label.INSUFFICIENT_DATA}
+
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
                           extra="[detection]\nmode = most_negative\n")
@@ -207,6 +221,9 @@ class TestScenarioBuilders:
             dataclasses.replace(cfg, repetitions=0)
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, elasticity_factor=2.0)
+        for factor, level in ((math.inf, 1.0), (math.nan, 1.0), (0.8, math.nan), (0.8, -math.inf)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                dataclasses.replace(cfg, elasticity_factor=factor, elasticity_level=level)
 
 
 class TestBillingPath:
@@ -223,6 +240,13 @@ class TestBillingPath:
         assert len(bills) == 2 * 5
         starts = {b.window_start for b in bills}
         assert starts == {0, 30 * 4}
+
+    def test_partial_month_is_rejected(self):
+        # a month and a half: the trailing half month is not silently dropped
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, region=dataclasses.replace(cfg.region, num_days=45))
+        with pytest.raises(InputError, match="whole number"):
+            run_billing(cfg, derive_trial_seed(0, 0))
 
 
 class TestConcentration:

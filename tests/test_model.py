@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
+from gridwatch.config import loads_config
 from gridwatch.errors import ConfigurationError
+from gridwatch.harness import simulate_window
 from gridwatch.model import (
     Benign,
     ConsumerProfile,
@@ -12,75 +15,82 @@ from gridwatch.model import (
     RandomOffset,
     RegionConfig,
     apply_behavior,
-    draw_usage,
     is_benign,
 )
 
 
-class TestDrawUsage:
-    def test_support_bounds(self, rng):
-        profile = ConsumerProfile(0, usage_min=0.5, usage_max=1.5)
-        draws = [draw_usage(profile, rng) for _ in range(1000)]
-        assert all(0.5 <= c <= 1.5 for c in draws)
+def usage_of(config, seed):
+    return simulate_window(config, np.random.default_rng(seed)).usage
 
-    def test_near_degenerate_interval(self, rng):
-        profile = ConsumerProfile(0, usage_min=0.5, usage_max=0.5 + 1e-9)
-        assert draw_usage(profile, rng) == pytest.approx(0.5, abs=1e-8)
+
+class TestDrawUsage:
+    """The window's usage draw: uniform on each consumer's [usage_min, usage_max]."""
+
+    def test_support_bounds(self):
+        usage = usage_of(tiny_config(attackers="", periods_per_day=48), 12345)
+        assert usage.min() >= 0.5 and usage.max() <= 1.5
+
+    def test_near_degenerate_interval(self):
+        cfg = loads_config("[region]\nconsumers = 5\nperiods_per_day = 4\nusage_min = 0.5\n"
+                           "usage_max = 0.500000001\n")
+        np.testing.assert_allclose(usage_of(cfg, 12345), 0.5, atol=1e-8)
 
     def test_law_of_large_numbers_mean(self):
         # uniform mean is (a+b)/2 = 1.0 for the default [0.5, 1.5] range
-        rng = np.random.default_rng(7)
-        profile = ConsumerProfile(0)
-        draws = [draw_usage(profile, rng) for _ in range(100_000)]
-        assert abs(np.mean(draws) - 1.0) < 0.01
+        usage = usage_of(tiny_config(attackers="", consumers=100, periods_per_day=40), 7)
+        assert usage.size == 120_000
+        assert abs(usage.mean() - 1.0) < 0.01
 
     def test_same_seed_same_sequence(self):
-        profile = ConsumerProfile(0)
-        rng1, rng2 = np.random.default_rng(99), np.random.default_rng(99)
-        seq1 = [draw_usage(profile, rng1) for _ in range(100)]
-        seq2 = [draw_usage(profile, rng2) for _ in range(100)]
-        assert seq1 == seq2
+        cfg = tiny_config(attackers="")
+        assert usage_of(cfg, 99).tobytes() == usage_of(cfg, 99).tobytes()
+        assert usage_of(cfg, 99).tobytes() != usage_of(cfg, 98).tobytes()
+
+
+def one(behavior, actual, rng):
+    """Report for one actual value, through a one-element array."""
+    return float(apply_behavior(behavior, np.array([actual]), rng)[0])
 
 
 class TestApplyBehavior:
     def test_benign_identity(self, rng):
-        assert apply_behavior(Benign(), 7.2, rng) == 7.2
+        actual = np.array([7.2, 0.0, 3.5])
+        assert apply_behavior(Benign(), actual, rng) is actual
 
     def test_multiplicative_tenth(self, rng):
-        assert apply_behavior(Multiplicative(0.1), 10.0, rng) == pytest.approx(1.0)
+        assert one(Multiplicative(0.1), 10.0, rng) == pytest.approx(1.0)
 
     def test_fixed_offset_clips_to_zero(self, rng):
-        assert apply_behavior(FixedOffset(eta=3.0, direction="subtract"), 2.0, rng) == 0.0
+        assert one(FixedOffset(eta=3.0, direction="subtract"), 2.0, rng) == 0.0
 
     def test_fixed_offset_add(self, rng):
-        assert apply_behavior(FixedOffset(eta=3.0, direction="add"), 2.0, rng) == 5.0
+        assert one(FixedOffset(eta=3.0, direction="add"), 2.0, rng) == 5.0
 
     def test_random_offset_subtract_bounds(self, rng):
         behavior = RandomOffset(theta_max=0.5, direction="subtract")
-        for _ in range(200):
-            r = apply_behavior(behavior, 1.0, rng)
-            assert 0.5 <= r <= 1.0
+        r = apply_behavior(behavior, np.ones(200), rng)
+        assert np.all((0.5 <= r) & (r <= 1.0))
 
     def test_random_offset_add_bounds(self, rng):
         behavior = RandomOffset(theta_max=0.5, direction="add")
-        for _ in range(200):
-            r = apply_behavior(behavior, 1.0, rng)
-            assert 1.0 <= r <= 1.5
+        r = apply_behavior(behavior, np.ones(200), rng)
+        assert np.all((1.0 <= r) & (r <= 1.5))
 
     def test_random_offset_independent_of_actual(self):
         # identical rng state must give identical offsets regardless of actual
         b = RandomOffset(theta_max=0.5, direction="add")
-        r1 = apply_behavior(b, 1.0, np.random.default_rng(5))
-        r2 = apply_behavior(b, 2.0, np.random.default_rng(5))
-        assert r2 - r1 == pytest.approx(1.0)
+        r1 = apply_behavior(b, np.ones(50), np.random.default_rng(5))
+        r2 = apply_behavior(b, np.full(50, 2.0), np.random.default_rng(5))
+        np.testing.assert_allclose(r2 - r1, 1.0, rtol=1e-12)
 
     def test_vectorized_matches_scalar(self):
+        # elementwise: the whole array gives what each element gives alone
         actuals = np.array([0.0, 0.5, 1.0, 10.0])
         for behavior in (Benign(), Multiplicative(0.3), Multiplicative(2.0),
                          FixedOffset(0.7), FixedOffset(0.7, "add")):
             rng = np.random.default_rng(0)
             vec = np.asarray(apply_behavior(behavior, actuals, rng))
-            scal = [apply_behavior(behavior, float(a), np.random.default_rng(0)) for a in actuals]
+            scal = [one(behavior, float(a), np.random.default_rng(0)) for a in actuals]
             assert np.array_equal(vec, np.asarray(scal, dtype=float))
 
     @given(
@@ -100,15 +110,16 @@ class TestApplyBehavior:
             RandomOffset(eta, "subtract"),
             RandomOffset(eta, "add"),
         ]
+        actuals = np.array([0.0, actual, 2.0 * actual])
         for behavior in behaviors:
-            assert apply_behavior(behavior, actual, rng) >= 0.0
+            assert np.all(apply_behavior(behavior, actuals, rng) >= 0.0)
 
     @given(actual=st.floats(min_value=1e-9, max_value=1e6),
            alpha=st.floats(min_value=1e-6, max_value=1e3))
     @settings(max_examples=100, deadline=None)
     def test_multiplicative_exact_ratio(self, actual, alpha):
         rng = np.random.default_rng(0)
-        assert apply_behavior(Multiplicative(alpha), actual, rng) / actual == pytest.approx(alpha, rel=1e-12)
+        assert one(Multiplicative(alpha), actual, rng) / actual == pytest.approx(alpha, rel=1e-12)
 
 
 class TestValidation:
