@@ -30,7 +30,7 @@ from .detection import (
     most_negative,
     series_from_arrays,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .model import (
     Benign,
     BehaviorModel,
@@ -68,6 +68,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"months must be >= 1, got {self.months}")
         if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
             raise ConfigurationError(f"unknown detection mode {self.mode!r}")
+        if self.min_samples < 2:
+            raise ConfigurationError(f"min_samples must be >= 2, got {self.min_samples}")
         if not 0.0 < self.th <= 1.0:
             raise ConfigurationError(f"threshold must be in (0, 1], got {self.th}")
         if self.repetitions < 1:
@@ -107,17 +109,44 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 class WindowData:
     """Whole-window simulation arrays (one row or entry per period).
 
-    ``sampled_pos`` holds the sampled consumer's position in
-    ``region.consumers``.  The regional totals and the sampled ids are
-    computed on first access: a Monte-Carlo trial never reads them.
+    Usage is kept as the raw uniform draws and the bounds that scale them:
+    ``usage[t, c] = draws[t, c] * spans[span_row[t], c] + lows[c]``, with
+    one row of spans when ``span_row`` is None.  The first read of
+    `usage` scales ``draws`` in place.  ``dishonest`` maps each
+    misreporting consumer's position in ``region.consumers`` to its
+    reports, and ``sampled_pos`` holds the sampled consumer's position.
+    The usage and reports matrices, the regional totals and the sampled
+    ids are computed on first access: a Monte-Carlo trial never reads them.
     """
 
     region: RegionConfig
-    usage: np.ndarray
+    draws: np.ndarray
+    lows: np.ndarray
+    spans: np.ndarray
+    span_row: np.ndarray | None
+    dishonest: dict[int, np.ndarray]
     leakage: np.ndarray
     sampled_pos: np.ndarray
     sampled_reports: np.ndarray
-    reports: np.ndarray | None = None
+
+    @cached_property
+    def usage(self) -> np.ndarray:
+        # In place: a scaled copy would double the window's memory.
+        usage = self.draws
+        if self.span_row is None:
+            usage *= self.spans[0]
+        else:
+            for row, span in enumerate(self.spans):
+                np.multiply(usage, span, out=usage, where=(self.span_row == row)[:, None])
+        usage += self.lows
+        return usage
+
+    @cached_property
+    def reports(self) -> np.ndarray:
+        reports = self.usage.copy()
+        for pos, reported in self.dishonest.items():
+            reports[:, pos] = reported
+        return reports
 
     @cached_property
     def actual_total(self) -> np.ndarray:
@@ -144,17 +173,13 @@ class WindowData:
         )
 
 
-def simulate_window(
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-    keep_matrices: bool = False,
-) -> WindowData:
+def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowData:
     """Generate usage and reports for every period and aggregate them.
 
     Draw order is fixed: the usage matrix first (period-major), then each
     misreporting consumer's random offsets in consumer order, then the
-    per-period sampled indices.  ``keep_matrices`` also keeps the full
-    reports matrix, which billing reads.
+    per-period sampled indices.  Only the misreporting consumers' columns
+    and the sampled entries are scaled into usage here.
     """
     region = config.region
     consumers = region.consumers
@@ -163,64 +188,95 @@ def simulate_window(
     lows = np.array([c.usage_min for c in consumers])
     highs = np.array([c.usage_max for c in consumers])
 
-    # Bit for bit what rng.uniform(lows, highs, size=(periods, n)) draws,
-    # without its broadcast temporaries or a (periods, n) bounds matrix:
+    # Scaled, the draws are bit for bit what rng.uniform(lows, highs,
+    # size=(periods, n)) draws, without a (periods, n) bounds matrix:
     # elasticity scales usage_max (never below usage_min) in the periods
     # whose rate is above the level, so there are two rows of bounds.
-    usage = rng.random((periods, n))
+    draws = rng.random((periods, n))
+    span_row = None
     if config.elasticity_factor is None:
-        usage *= highs - lows
+        spans = (highs - lows)[None, :]
     else:
-        above = (config.tariff.per_period(periods) > config.elasticity_level)[:, None]
-        for factor, rows in ((config.elasticity_factor, above), (1.0, ~above)):
-            span = np.maximum(highs * factor, lows + 1e-12) - lows
-            np.multiply(usage, span, out=usage, where=rows)
-    usage += lows
+        spans = np.array([
+            np.maximum(highs * factor, lows + 1e-12) - lows
+            for factor in (1.0, config.elasticity_factor)
+        ])
+        span_row = (config.tariff.per_period(periods) > config.elasticity_level).astype(np.intp)
+
+    def usage_at(rows, cols):
+        # The same two IEEE operations per entry as `WindowData.usage`.
+        values = draws[rows, cols] * spans[0 if span_row is None else span_row[rows], cols]
+        values += lows[cols]
+        return values
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
     for pos, profile in enumerate(consumers):
         if is_benign(profile.behavior):
             continue
-        reported = apply_behavior(profile.behavior, usage[:, pos], rng)
+        actual = usage_at(slice(None), pos)
+        reported = apply_behavior(profile.behavior, actual, rng)
         dishonest[pos] = reported
-        leakage = leakage + (usage[:, pos] - reported)
+        leakage = leakage + (actual - reported)
 
     sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = usage[np.arange(periods), sampled_pos]
+    sampled_reports = usage_at(np.arange(periods), sampled_pos)
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
 
-    reports = None
-    if keep_matrices:
-        reports = usage.copy()
-        for pos, reported in dishonest.items():
-            reports[:, pos] = reported
-
     return WindowData(
         region=region,
-        usage=usage,
+        draws=draws,
+        lows=lows,
+        spans=spans,
+        span_row=span_row,
+        dishonest=dishonest,
         leakage=leakage,
         sampled_pos=sampled_pos,
         sampled_reports=sampled_reports,
-        reports=reports,
     )
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    report: DetectionReport
+    """One trial's verdict against the known attacker set.
+
+    ``counts`` and ``corr`` (by position in ``config.region.consumers``)
+    are the evidence the threshold verdicts were taken on; `report` builds
+    the per-consumer verdicts from them on first access.  They stay out of
+    ``==``, so equal outcomes are equal verdicts.
+    """
+
     true_malicious: frozenset[int]
     detected: frozenset[int]
     selected: int | None
-    exact_match: bool
-    attacker_found: dict[int, bool]
-    false_positive_count: int
+    config: ScenarioConfig = field(compare=False, repr=False)
+    counts: np.ndarray = field(compare=False, repr=False)
+    corr: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def report(self) -> DetectionReport:
+        c = self.config
+        return detect_region(
+            c.region.consumer_ids, self.counts, self.corr, th=c.th, min_samples=c.min_samples
+        )
+
+    @property
+    def exact_match(self) -> bool:
+        return self.detected == self.true_malicious
+
+    @property
+    def attacker_found(self) -> dict[int, bool]:
+        return {a: a in self.detected for a in sorted(self.true_malicious)}
+
+    @property
+    def false_positive_count(self) -> int:
+        return len(self.detected - self.true_malicious)
 
     @property
     def all_attackers_found(self) -> bool:
-        return all(self.attacker_found.values())
+        return self.true_malicious <= self.detected
 
     @property
     def outcome_class(self) -> str:
@@ -241,7 +297,10 @@ def run_trial(
     Every consumer's correlation comes from one `correlate` pass over the
     window.  With ``low_report_quantile`` set, the threshold verdicts use
     each consumer's low-report pairs instead; most-negative selection
-    always uses the unfiltered correlations.
+    always uses the unfiltered correlations.  Threshold mode flags every
+    consumer with at least ``min_samples`` pairs and ``|corr| >= th``, as
+    `detect_region` labels them; a most-negative trial in which no
+    consumer has a defined correlation selects no one.
     """
     if isinstance(trial_seed, int):
         trial_seed = np.random.SeedSequence([trial_seed])
@@ -259,24 +318,24 @@ def run_trial(
         classified = low_report_correlations(
             series, counts, config.low_report_quantile, config.min_samples
         )
-    report = detect_region(
-        ids, counts, classified, th=config.th, min_samples=config.min_samples
-    )
-    true_malicious = frozenset(config.attacker_ids)
     selected = None
     if config.mode == MOST_NEGATIVE_MODE:
-        selected = most_negative(ids, counts, corr, config.min_samples)
-        detected = frozenset({selected})
+        try:
+            selected = most_negative(ids, counts, corr, config.min_samples)
+        except InputError:  # no evidence: a miss, not an abort
+            detected = frozenset()
+        else:
+            detected = frozenset({selected})
     else:
-        detected = frozenset(report.malicious_ids)
+        flagged = (counts >= config.min_samples) & (np.abs(classified) >= config.th)
+        detected = frozenset(ids[pos] for pos in np.flatnonzero(flagged))
     return TrialOutcome(
-        report=report,
-        true_malicious=true_malicious,
+        true_malicious=frozenset(config.attacker_ids),
         detected=detected,
         selected=selected,
-        exact_match=detected == true_malicious,
-        attacker_found={a: a in detected for a in sorted(true_malicious)},
-        false_positive_count=len(detected - true_malicious),
+        config=config,
+        counts=counts,
+        corr=classified,
     )
 
 
@@ -323,7 +382,7 @@ def estimate_detection_probability(
     reps = config.repetitions
     jobs = [(config, i) for i in range(reps)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
             results = list(pool.map(_run_indexed, jobs, chunksize=max(1, reps // (8 * threads))))
     else:
         results = [_run_indexed(job) for job in jobs]
@@ -338,7 +397,7 @@ def run_billing(
     if isinstance(trial_seed, int):
         trial_seed = np.random.SeedSequence([trial_seed])
     rng = np.random.default_rng(trial_seed)
-    window = simulate_window(config, rng, keep_matrices=True)
+    window = simulate_window(config, rng)
     region = config.region
     month_len = DAYS_PER_MONTH * region.periods_per_day
     rates = config.tariff.per_period(region.total_periods)

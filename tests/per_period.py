@@ -5,11 +5,53 @@ array operations.  These loops do the same one period at a time, the way
 the scheme describes it, from a window's usage and reports matrices, its
 sampled positions and its tariff rates.  Tests compare the array path
 against them, the way `oracle_pearson` backs `pearson`.
+
+`full_matrix_window` is the reference for the window itself: it scales
+the whole usage matrix before reading any of it, where `simulate_window`
+scales only the entries a trial reads.
 """
 
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from gridwatch.billing import BillStatement
+from gridwatch.model import apply_behavior, is_benign
+
+
+class FullWindow(NamedTuple):
+    usage: np.ndarray
+    reports: np.ndarray
+    leakage: np.ndarray
+    sampled_pos: np.ndarray
+    sampled_reports: np.ndarray
+
+
+def full_matrix_window(config, rng) -> FullWindow:
+    """One window from the same draws as `simulate_window`, with usage
+    scaled as one matrix in place and reports kept as a second matrix."""
+    consumers = config.region.consumers
+    n, periods = len(consumers), config.region.total_periods
+    lows = np.array([c.usage_min for c in consumers])
+    highs = np.array([c.usage_max for c in consumers])
+    usage = rng.random((periods, n))
+    if config.elasticity_factor is None:
+        usage *= highs - lows
+    else:
+        above = (config.tariff.per_period(periods) > config.elasticity_level)[:, None]
+        for factor, rows in ((config.elasticity_factor, above), (1.0, ~above)):
+            span = np.maximum(highs * factor, lows + 1e-12) - lows
+            np.multiply(usage, span, out=usage, where=rows)
+    usage += lows
+    reports = usage.copy()
+    leakage = np.zeros(periods)
+    for pos, profile in enumerate(consumers):
+        if not is_benign(profile.behavior):
+            reports[:, pos] = apply_behavior(profile.behavior, usage[:, pos], rng)
+            leakage = leakage + (usage[:, pos] - reports[:, pos])
+    sampled_pos = rng.integers(0, n, size=periods)
+    sampled_reports = reports[np.arange(periods), sampled_pos]
+    return FullWindow(usage, reports, leakage, sampled_pos, sampled_reports)
 
 
 class PeriodRecord(NamedTuple):

@@ -19,7 +19,7 @@ from per_period import accumulate_samples, aggregate_period, window_records
 
 
 def window_of(config, seed=0):
-    return simulate_window(config, np.random.default_rng(seed), keep_matrices=True)
+    return simulate_window(config, np.random.default_rng(seed))
 
 
 class TestAggregatePeriod:

@@ -214,6 +214,17 @@ class TestCli:
         months = [line.split(",")[1] for line in lines[1:]]
         assert months == ["1", "3", "6", "12"]
 
+    def test_selection_without_evidence_is_a_miss(self, tmp_path):
+        # the add-offset attacker leaves the leakage constant, so no
+        # consumer's correlation is defined in any trial
+        path = tmp_path / "constant.cfg"
+        path.write_text("[region]\nconsumers = 10\n[attackers]\n5 = fixed_offset 0.3 add\n"
+                        "[detection]\nmode = most_negative\n")
+        assert self.run_cli("fig-duration-sweep", "--config", str(path), "--reps", "2",
+                            "--out-dir", str(tmp_path)) == 0
+        rows = (tmp_path / "fig_duration_sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.0"] * 4
+
     def test_fig_concentration(self, tmp_path):
         cfg = self.write_tiny(tmp_path)
         assert self.run_cli("fig-concentration", "--config", cfg, "--out-dir", str(tmp_path)) == 0

@@ -57,9 +57,7 @@ def _array_digest(array: np.ndarray) -> str:
 
 
 def _window_digests(name, config):
-    window = simulate_window(
-        config, np.random.default_rng(derive_trial_seed(SEED, 0)), keep_matrices=True
-    )
+    window = simulate_window(config, np.random.default_rng(derive_trial_seed(SEED, 0)))
     return {f"{name}/{attr}": _array_digest(getattr(window, attr)) for attr in ARRAYS}
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_config, tiny_config
 from gridwatch.billing import TariffSchedule
 from gridwatch.detection import Label
+from gridwatch import harness
 from gridwatch.errors import ConfigurationError, InputError
 from gridwatch.harness import (
     MOST_NEGATIVE_MODE,
@@ -63,21 +64,21 @@ class TestSimulateWindow:
     def test_single_multiplicative_leakage_identity(self):
         # leakage(t) = (1 - alpha) * attacker_usage(t) for every period
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=8)
-        window = simulate_window(cfg, np.random.default_rng(0), keep_matrices=True)
+        window = simulate_window(cfg, np.random.default_rng(0))
         np.testing.assert_allclose(
             window.leakage, 0.9 * window.usage[:, 1], rtol=1e-9
         )
 
     def test_sampled_report_matches_reports_matrix(self):
         cfg = tiny_config(attackers="0 = fixed_offset 0.4 subtract\n2 = random_offset 0.3 add")
-        window = simulate_window(cfg, np.random.default_rng(1), keep_matrices=True)
+        window = simulate_window(cfg, np.random.default_rng(1))
         periods = cfg.region.total_periods
         expected = window.reports[np.arange(periods), window.sampled_ids]
         np.testing.assert_array_equal(window.sampled_reports, expected)
 
     def test_reports_never_negative(self):
         cfg = tiny_config(attackers="0 = fixed_offset 5.0 subtract\n1 = random_offset 5.0 subtract")
-        window = simulate_window(cfg, np.random.default_rng(2), keep_matrices=True)
+        window = simulate_window(cfg, np.random.default_rng(2))
         assert np.all(window.reports >= 0.0)
 
     @pytest.mark.parametrize("elastic", [False, True])
@@ -107,7 +108,7 @@ class TestSimulateWindow:
     def test_elasticity_hook_caps_usage(self):
         base = tiny_config(extra="[billing]\ntariff = 2.0\n")
         elastic = dataclasses.replace(base, elasticity_factor=0.6, elasticity_level=1.0)
-        window = simulate_window(elastic, np.random.default_rng(3), keep_matrices=True)
+        window = simulate_window(elastic, np.random.default_rng(3))
         assert window.usage.max() <= 1.5 * 0.6 + 1e-12
 
 
@@ -127,16 +128,19 @@ class TestRunTrial:
 
     def test_constant_leakage_selects_no_one(self):
         # an add-offset attacker makes every period's leakage -0.3 up to
-        # rounding (std ~6e-17): no consumer has evidence, in either mode
+        # rounding (std ~6e-17): no consumer has evidence, in either mode,
+        # and the trial is a miss
         attackers = "5 = fixed_offset 0.3 add"
         selecting = tiny_config(attackers, consumers=10, periods_per_day=96,
                                 extra="[detection]\nmode = most_negative\n")
         for index in range(50):
-            with pytest.raises(InputError, match="no consumer has a defined correlation"):
-                run_trial(selecting, derive_trial_seed(0, index))
-        report = run_trial(tiny_config(attackers, consumers=10, periods_per_day=96),
-                           derive_trial_seed(0, 0)).report
-        assert {v.label for v in report} == {Label.INSUFFICIENT_DATA}
+            outcome = run_trial(selecting, derive_trial_seed(0, index))
+            assert outcome.selected is None and outcome.detected == frozenset()
+            assert not trial_success(outcome)
+        outcome = run_trial(tiny_config(attackers, consumers=10, periods_per_day=96),
+                            derive_trial_seed(0, 0))
+        assert {v.label for v in outcome.report} == {Label.INSUFFICIENT_DATA}
+        assert outcome.detected == frozenset()
 
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
@@ -149,14 +153,19 @@ class TestRunTrial:
 class TestOutcomeScoring:
     def _outcome(self, true_malicious, detected):
         return TrialOutcome(
-            report=None,
             true_malicious=frozenset(true_malicious),
             detected=frozenset(detected),
             selected=None,
-            exact_match=set(detected) == set(true_malicious),
-            attacker_found={a: a in detected for a in true_malicious},
-            false_positive_count=len(set(detected) - set(true_malicious)),
+            config=None,
+            counts=None,
+            corr=None,
         )
+
+    def test_derived_fields(self):
+        outcome = self._outcome({1, 2}, {2, 9})
+        assert not outcome.exact_match and self._outcome({1, 2}, {2, 1}).exact_match
+        assert outcome.attacker_found == {1: False, 2: True}
+        assert outcome.false_positive_count == 1
 
     def test_outcome_classes(self):
         assert self._outcome({1, 2}, {1, 2}).outcome_class == "exact"
@@ -181,6 +190,30 @@ class TestEstimates:
         assert 0.0 <= est.probability <= 1.0
         p = est.probability
         assert est.stderr == pytest.approx(np.sqrt(p * (1 - p) / 20))
+
+    def test_worker_count_capped_at_job_count(self, monkeypatch):
+        # the pool runs the jobs inline: no process is started
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
+        cfg = dataclasses.replace(cfg, repetitions=3)
+        assert estimate_detection_probability(cfg, threads=4) == estimate_detection_probability(cfg)
+        assert estimate_detection_probability(cfg, threads=2) == estimate_detection_probability(cfg)
+        assert asked == [3, 2]
 
     def test_thread_count_does_not_change_result(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
@@ -219,6 +252,8 @@ class TestScenarioBuilders:
             dataclasses.replace(cfg, th=0.0)
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, repetitions=0)
+        with pytest.raises(ConfigurationError, match="min_samples"):
+            dataclasses.replace(cfg, min_samples=1)
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, elasticity_factor=2.0)
         for factor, level in ((math.inf, 1.0), (math.nan, 1.0), (0.8, math.nan), (0.8, -math.inf)):

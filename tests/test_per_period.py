@@ -1,5 +1,6 @@
 """Differential tests: the whole-window array path against the per-period
-reference in `per_period.py`, over small random scenarios.
+and full-matrix references in `per_period.py`, and a trial's threshold
+mask against `detect_region`, over small random scenarios.
 
 The golden digests pin seed 42 on the default region; these cover other
 region sizes, attacker mixes, durations, tariffs and seeds.
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from gridwatch.billing import TariffSchedule, accrue, issue_bills
 from gridwatch.config import loads_config
 from gridwatch.detection import series_from_arrays
-from gridwatch.harness import DAYS_PER_MONTH, simulate_window
-from per_period import accumulate_samples, ledger_bills, window_records
+from gridwatch.harness import DAYS_PER_MONTH, run_trial, simulate_window
+from per_period import accumulate_samples, full_matrix_window, ledger_bills, window_records
 
 BEHAVIORS = (
     "benign",
@@ -30,8 +31,8 @@ BEHAVIORS = (
 
 
 @st.composite
-def scenarios(draw):
-    """A small seeded window (reports kept) and its per-period tariff rates."""
+def configs(draw):
+    """A small scenario and the seed of its window's stream."""
     n = draw(st.integers(2, 6))
     ppd = draw(st.integers(1, 3))
     months = draw(st.integers(1, 2))
@@ -47,9 +48,37 @@ def scenarios(draw):
         rates = draw(st.lists(st.sampled_from([0.0, 0.25, 0.37, 1.5, 2.0]),
                               min_size=periods, max_size=periods))
         config = dataclasses.replace(config, tariff=TariffSchedule.from_vector(rates, periods))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    window = simulate_window(config, rng, keep_matrices=True)
-    return config, window, config.tariff.per_period(periods)
+    return config, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def scenarios(draw):
+    """A small seeded window and its per-period tariff rates."""
+    config, seed = draw(configs())
+    window = simulate_window(config, np.random.default_rng(seed))
+    return config, window, config.tariff.per_period(config.region.total_periods)
+
+
+@given(configs())
+@settings(max_examples=60, deadline=None)
+def test_lazy_window_matches_full_matrix_bit_for_bit(scenario):
+    config, seed = scenario
+    window = simulate_window(config, np.random.default_rng(seed))
+    ref = full_matrix_window(config, np.random.default_rng(seed))
+    for name in ("leakage", "sampled_pos", "sampled_reports", "usage", "reports"):
+        assert getattr(window, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@given(configs(), st.sampled_from([None, 0.25, 0.6]), st.sampled_from([0.05, 0.3, 0.5, 1.0]),
+       st.integers(2, 8))
+@settings(max_examples=100, deadline=None)
+def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_samples):
+    config, seed = scenario
+    config = dataclasses.replace(
+        config, low_report_quantile=quantile, th=th, min_samples=min_samples
+    )
+    outcome = run_trial(config, seed)
+    assert outcome.detected == outcome.report.malicious_ids
 
 
 @given(scenarios())
