@@ -243,9 +243,9 @@ class TrialOutcome:
     """One trial's verdict against the known attacker set.
 
     ``counts`` and ``corr`` (by position in ``config.region.consumers``)
-    are the evidence the threshold verdicts were taken on; `report` builds
-    the per-consumer verdicts from them on first access.  They stay out of
-    ``==``, so equal outcomes are equal verdicts.
+    are the evidence the threshold verdicts are taken on; `report` builds the verdicts
+    on first access, from ``samples`` (sampled positions, reports, leakage) when ``corr``
+    is None.  They stay out of ``==``, so equal outcomes are equal verdicts.
     """
 
     true_malicious: frozenset[int]
@@ -253,13 +253,15 @@ class TrialOutcome:
     selected: int | None
     config: ScenarioConfig = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
-    corr: np.ndarray = field(compare=False, repr=False)
+    corr: np.ndarray | None = field(compare=False, repr=False)
+    samples: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @cached_property
     def report(self) -> DetectionReport:
         c = self.config
+        corr = _low_report_corr(c, self.counts, self.samples) if self.corr is None else self.corr
         return detect_region(
-            c.region.consumer_ids, self.counts, self.corr, th=c.th, min_samples=c.min_samples
+            c.region.consumer_ids, self.counts, corr, th=c.th, min_samples=c.min_samples
         )
 
     @property
@@ -288,36 +290,32 @@ class TrialOutcome:
         return "exact"
 
 
+def _low_report_corr(config: ScenarioConfig, counts: np.ndarray, samples) -> np.ndarray:
+    series = series_from_arrays(*samples, len(counts))
+    return low_report_correlations(series, counts, config.low_report_quantile, config.min_samples)
+
+
 def run_trial(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence,
 ) -> TrialOutcome:
     """One fully deterministic end-to-end trial.
 
-    Every consumer's correlation comes from one `correlate` pass over the
-    window.  With ``low_report_quantile`` set, the threshold verdicts use
-    each consumer's low-report pairs instead; most-negative selection
-    always uses the unfiltered correlations.  Threshold mode flags every
-    consumer with at least ``min_samples`` pairs and ``|corr| >= th``, as
-    `detect_region` labels them; a most-negative trial in which no
-    consumer has a defined correlation selects no one.
+    Every consumer's correlation comes from one `correlate` pass over the window.  With
+    ``low_report_quantile`` set, the threshold verdicts use each consumer's low-report
+    pairs instead; most-negative selection always uses the unfiltered correlations and
+    leaves the low-report ones to `TrialOutcome.report`.  Threshold mode flags every
+    consumer with at least ``min_samples`` pairs and ``|corr| >= th``, as `detect_region`
+    labels them; a most-negative trial without defined correlations selects no one.
     """
     if isinstance(trial_seed, int):
         trial_seed = np.random.SeedSequence([trial_seed])
     rng = np.random.default_rng(trial_seed)
     window = simulate_window(config, rng)
     ids = config.region.consumer_ids
-    counts, corr = correlate(
-        window.sampled_pos, window.sampled_reports, window.leakage, len(ids)
-    )
-    classified = corr
-    if config.low_report_quantile is not None:
-        series = series_from_arrays(
-            window.sampled_pos, window.sampled_reports, window.leakage, len(ids)
-        )
-        classified = low_report_correlations(
-            series, counts, config.low_report_quantile, config.min_samples
-        )
+    samples = (window.sampled_pos, window.sampled_reports, window.leakage)
+    counts, corr = correlate(*samples, len(ids))
+    filtered = config.low_report_quantile is not None
     selected = None
     if config.mode == MOST_NEGATIVE_MODE:
         try:
@@ -326,8 +324,10 @@ def run_trial(
             detected = frozenset()
         else:
             detected = frozenset({selected})
+        corr = None if filtered else corr
     else:
-        flagged = (counts >= config.min_samples) & (np.abs(classified) >= config.th)
+        corr = _low_report_corr(config, counts, samples) if filtered else corr
+        flagged = (counts >= config.min_samples) & (np.abs(corr) >= config.th)
         detected = frozenset(ids[pos] for pos in np.flatnonzero(flagged))
     return TrialOutcome(
         true_malicious=frozenset(config.attacker_ids),
@@ -335,7 +335,8 @@ def run_trial(
         selected=selected,
         config=config,
         counts=counts,
-        corr=classified,
+        corr=corr,
+        samples=samples,
     )
 
 
@@ -349,11 +350,6 @@ def trial_success(outcome: TrialOutcome) -> bool:
     if len(outcome.true_malicious) == 1:
         return outcome.all_attackers_found
     return outcome.exact_match
-
-
-def _run_indexed(args: tuple[ScenarioConfig, int]) -> bool:
-    config, index = args
-    return trial_success(run_trial(config, derive_trial_seed(config.master_seed, index)))
 
 
 @dataclass(frozen=True)
@@ -371,22 +367,42 @@ class ProbabilityEstimate:
         return math.sqrt(p * (1.0 - p) / self.repetitions)
 
 
+def _count_successes(job: tuple[ScenarioConfig, int, int]) -> int:
+    config, start, stop = job
+    seeds = (derive_trial_seed(config.master_seed, i) for i in range(start, stop))
+    return sum(trial_success(run_trial(config, seed)) for seed in seeds)
+
+
+def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[ProbabilityEstimate]:
+    """One estimate per config; all their trials share one pool when 2+ workers run.
+
+    Jobs are trial-index ranges, up to ``4 * threads`` per config, run longest
+    (months x trials) first so that long ranges do not form the tail."""
+    ranges = []
+    for pos, c in enumerate(configs):
+        parts = min(c.repetitions, 4 * max(threads, 1))
+        bounds = [c.repetitions * k // parts for k in range(parts + 1)]
+        ranges += [(c.months * (b - a), pos, (c, a, b)) for a, b in zip(bounds, bounds[1:])]
+    ranges.sort(key=lambda r: r[0], reverse=True)
+    jobs = [job for _, _, job in ranges]
+    if min(threads, len(jobs)) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            counts = list(pool.map(_count_successes, jobs))
+    else:
+        counts = list(map(_count_successes, jobs))
+    successes = np.bincount([pos for _, pos, _ in ranges], counts, len(configs))
+    return [ProbabilityEstimate(int(n), c.repetitions) for n, c in zip(successes, configs)]
+
+
 def estimate_detection_probability(
     config: ScenarioConfig, threads: int = 1
 ) -> ProbabilityEstimate:
     """Fraction of seeded repetitions with correct detection, plus binomial stderr.
 
-    The result is independent of ``threads``: every trial's stream depends
-    only on (master_seed, trial_index).
+    The result is independent of ``threads``: every trial's stream depends only
+    on (master_seed, trial_index), and success counts add up exactly in any order.
     """
-    reps = config.repetitions
-    jobs = [(config, i) for i in range(reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
-            results = list(pool.map(_run_indexed, jobs, chunksize=max(1, reps // (8 * threads))))
-    else:
-        results = [_run_indexed(job) for job in jobs]
-    return ProbabilityEstimate(successes=sum(results), repetitions=reps)
+    return _estimate([config], threads)[0]
 
 
 def run_billing(
@@ -433,10 +449,7 @@ def duration_sweep(
     threads: int = 1,
 ) -> dict[int, ProbabilityEstimate]:
     """Detection probability at each measurement duration (months)."""
-    return {
-        months: estimate_detection_probability(with_months(config, months), threads)
-        for months in durations
-    }
+    return dict(zip(durations, _estimate([with_months(config, m) for m in durations], threads)))
 
 
 # Documented defaults for the offset attacks: both offsets are sized at the
@@ -487,9 +500,6 @@ def probability_table(
     threads: int = 1,
 ) -> list[tuple[str, int, ProbabilityEstimate]]:
     """Correct-detection probability for each case and duration."""
-    rows = []
-    for case in cases:
-        scenario = case_config(base, case, attacker_id)
-        for months, estimate in duration_sweep(scenario, durations, threads).items():
-            rows.append((case, months, estimate))
-    return rows
+    cells = [(case, months) for case in cases for months in durations]
+    scenarios = [with_months(case_config(base, case, attacker_id), m) for case, m in cells]
+    return [(*cell, est) for cell, est in zip(cells, _estimate(scenarios, threads))]

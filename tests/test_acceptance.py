@@ -1,11 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy Monte-Carlo criteria (2-4) run 1000 seeded repetitions per
-duration and take a few minutes each on a desktop-class core.
+duration and take a few minutes each on a desktop-class core.  Criteria 2
+and 4 run through the process pool; criterion 6 shows that the worker
+count changes no result.
 """
 
 import dataclasses
 import math
+import os
 import time
 from collections import Counter
 
@@ -25,7 +28,6 @@ from gridwatch.harness import (
     estimate_detection_probability,
     run_trial,
     simulate_window,
-    with_months,
 )
 from scipy import stats
 from test_detection import oracle_pearson
@@ -33,6 +35,7 @@ from test_detection import oracle_pearson
 MASTER_SEED = 42
 FIG2_SEED = 46  # frozen: trial 0 keeps every benign |corr| below 0.5
 DURATIONS = (1, 3, 6, 12)
+THREADS = min(2, os.cpu_count() or 1)
 
 
 def check(capfd, number, description, passed):
@@ -65,10 +68,8 @@ def test_criterion_1_case1_exactness(capfd):
 def test_criterion_2_case1_table_row(capfd):
     base = dataclasses.replace(make_config(attackers=""), master_seed=MASTER_SEED)
     scenario = case_config(base, "I", 25)
-    failures = 0
-    for months in DURATIONS:
-        est = estimate_detection_probability(with_months(scenario, months))
-        failures += est.repetitions - est.successes
+    estimates = duration_sweep(scenario, DURATIONS, threads=THREADS)
+    failures = sum(est.repetitions - est.successes for est in estimates.values())
     check(capfd, 2, "case I detected in 1000/1000 repetitions at every duration", failures == 0)
 
 
@@ -87,7 +88,7 @@ def test_criterion_3_case3_most_negative(capfd):
 def test_criterion_4_case2_duration_trend(capfd):
     base = dataclasses.replace(make_config(attackers=""), master_seed=MASTER_SEED)
     scenario = case_config(base, "II", 25)
-    estimates = duration_sweep(scenario, DURATIONS)
+    estimates = duration_sweep(scenario, DURATIONS, threads=THREADS)
     nondecreasing = all(
         estimates[b].probability >= estimates[a].probability - estimates[a].stderr
         for a, b in zip(DURATIONS, DURATIONS[1:])

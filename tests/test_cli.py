@@ -214,6 +214,16 @@ class TestCli:
         months = [line.split(",")[1] for line in lines[1:]]
         assert months == ["1", "3", "6", "12"]
 
+    @pytest.mark.parametrize("command,csv", [
+        ("table1", "table1.csv"), ("fig-duration-sweep", "fig_duration_sweep.csv"),
+    ])
+    def test_worker_count_leaves_csv_unchanged(self, tmp_path, command, csv):
+        cfg = self.write_tiny(tmp_path)
+        for threads in ("1", "2"):
+            argv = [command, "--config", cfg, "--reps", "2", "--threads", threads]
+            assert self.run_cli(*argv, "--out-dir", str(tmp_path / threads)) == 0
+        assert (tmp_path / "1" / csv).read_bytes() == (tmp_path / "2" / csv).read_bytes()
+
     def test_selection_without_evidence_is_a_miss(self, tmp_path):
         # the add-offset attacker leaves the leakage constant, so no
         # consumer's correlation is defined in any trial

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config, tiny_config
 from gridwatch.billing import TariffSchedule
@@ -12,11 +14,14 @@ from gridwatch.errors import ConfigurationError, InputError
 from gridwatch.harness import (
     MOST_NEGATIVE_MODE,
     ScenarioConfig,
+    THRESHOLD_MODE,
     TrialOutcome,
     benign_corr_std,
     case_config,
     derive_trial_seed,
+    duration_sweep,
     estimate_detection_probability,
+    probability_table,
     run_billing,
     run_trial,
     simulate_window,
@@ -142,6 +147,27 @@ class TestRunTrial:
         assert {v.label for v in outcome.report} == {Label.INSUFFICIENT_DATA}
         assert outcome.detected == frozenset()
 
+    def test_most_negative_trials_leave_low_report_work_to_report(self, monkeypatch):
+        calls = []
+        real = harness.low_report_correlations
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "low_report_correlations", counting)
+        cfg = make_config("25 = random_offset 1.0 subtract",
+                          extra="[detection]\nmode = most_negative\nlow_report_quantile = 0.25\n")
+        estimate_detection_probability(dataclasses.replace(cfg, repetitions=3))
+        outcome = run_trial(cfg, derive_trial_seed(0, 0))
+        assert calls == []
+        report = outcome.report
+        assert len(calls) == 1
+        # the lazy report equals the one a threshold trial builds eagerly
+        eager = run_trial(dataclasses.replace(cfg, mode=THRESHOLD_MODE), derive_trial_seed(0, 0))
+        assert len(calls) == 2
+        assert report == eager.report
+
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
                           extra="[detection]\nmode = most_negative\n")
@@ -159,6 +185,7 @@ class TestOutcomeScoring:
             config=None,
             counts=None,
             corr=None,
+            samples=None,
         )
 
     def test_derived_fields(self):
@@ -182,6 +209,28 @@ class TestOutcomeScoring:
         assert not trial_success(self._outcome({1, 2}, {1, 2, 3}))
 
 
+def install_inline_pool(monkeypatch):
+    """Replace the process pool with one that runs its jobs inline: no process
+    starts.  Returns the list of worker counts the pools were built with."""
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return asked
+
+
 class TestEstimates:
     def test_probability_and_stderr(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
@@ -192,28 +241,48 @@ class TestEstimates:
         assert est.stderr == pytest.approx(np.sqrt(p * (1 - p) / 20))
 
     def test_worker_count_capped_at_job_count(self, monkeypatch):
-        # the pool runs the jobs inline: no process is started
-        asked = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # workers = min(threads, range jobs); one job runs without a pool
+        asked = install_inline_pool(monkeypatch)
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
         cfg = dataclasses.replace(cfg, repetitions=3)
         assert estimate_detection_probability(cfg, threads=4) == estimate_detection_probability(cfg)
         assert estimate_detection_probability(cfg, threads=2) == estimate_detection_probability(cfg)
+        one = dataclasses.replace(cfg, repetitions=1)
+        assert estimate_detection_probability(one, threads=2) == estimate_detection_probability(one)
         assert asked == [3, 2]
+
+    def test_probability_table_builds_one_pool(self, monkeypatch):
+        asked = install_inline_pool(monkeypatch)
+        base = dataclasses.replace(tiny_config(attackers=""), repetitions=3, master_seed=4)
+        serial = probability_table(base, 1, threads=1)
+        assert asked == []
+        assert probability_table(base, 1, threads=2) == serial
+        assert asked == [2]
+        assert [(case, months) for case, months, _ in serial] == [
+            (case, months) for case in ("I", "II", "III") for months in (1, 3, 6, 12)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(reps=st.integers(1, 50), threads=st.integers(1, 4))
+    def test_range_jobs_cover_every_trial_once(self, reps, threads):
+        # the jobs only record their ranges; the pool runs them inline
+        cfg = dataclasses.replace(tiny_config(), repetitions=reps)
+        seen = {1: [], 2: []}
+        weights = []
+
+        def record(job):
+            config, start, stop = job
+            seen[config.months].extend(range(start, stop))
+            weights.append(config.months * (stop - start))
+            return stop - start
+
+        with pytest.MonkeyPatch.context() as mp:
+            install_inline_pool(mp)
+            mp.setattr(harness, "_count_successes", record)
+            estimates = duration_sweep(cfg, (1, 2), threads=threads)
+        assert all(sorted(seen[m]) == list(range(reps)) for m in (1, 2))
+        assert all(estimates[m].successes == reps for m in (1, 2))
+        assert weights == sorted(weights, reverse=True)
 
     def test_thread_count_does_not_change_result(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
