@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
@@ -40,16 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gridwatch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "simulate one window and export the per-period records",
-        "detect": "simulate one window and export per-consumer correlations and labels",
-        "bill": "simulate one window and export monthly bills",
-        "table1": "correct-detection probability for the three attack cases across durations",
-        "fig-corr": "per-consumer correlation chart data for the configured scenario",
-        "fig-concentration": "per-consumer correlations at 1-month vs 12-month durations",
-        "fig-duration-sweep": "detection probability of the configured scenario across durations",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the scenario config file")
         p.add_argument("--seed", type=int, default=None, help="override [experiment] master_seed")
@@ -64,14 +56,8 @@ def _load(args) -> ScenarioConfig:
     if args.threads < 1:
         raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if args.threshold is not None:
-        overrides["th"] = args.threshold
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {"master_seed": args.seed, "repetitions": args.reps, "th": args.threshold}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _single_attacker_id(config: ScenarioConfig) -> int:
@@ -81,58 +67,62 @@ def _single_attacker_id(config: ScenarioConfig) -> int:
     return attackers[0]
 
 
-def _cmd_simulate(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
+def _cmd_simulate(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
     # Trial 0's stream, as `detect` and `bill` draw it.  Looked up on the
     # harness module so that a wrapper installed on it sees this call too.
     rng = np.random.default_rng(derive_trial_seed(config.master_seed, 0))
     window = harness.simulate_window(config, rng)
-    return [csvio.export_records(window.to_records(), out_dir / "records.csv")]
+    return csvio.export_records(window.to_records(), out_dir / "records.csv")
 
 
-def _cmd_detect(config: ScenarioConfig, out_dir: Path, args, filename="detection.csv") -> list[Path]:
+def _cmd_detect(config: ScenarioConfig, out_dir: Path, threads: int, filename="detection.csv") -> Path:
     outcome = run_trial(config, derive_trial_seed(config.master_seed, 0))
-    return [csvio.export_detection(outcome.report, out_dir / filename)]
+    return csvio.export_detection(outcome.report, out_dir / filename)
 
 
-def _cmd_bill(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
+def _cmd_bill(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
     _, bills = run_billing(config, derive_trial_seed(config.master_seed, 0))
-    return [csvio.export_bills(bills, out_dir / "bills.csv")]
+    return csvio.export_bills(bills, out_dir / "bills.csv")
 
 
-def _cmd_table1(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
+def _cmd_table1(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
     rows = probability_table(
         config,
         _single_attacker_id(config),
         durations=STANDARD_DURATIONS,
-        threads=args.threads,
+        threads=threads,
     )
-    return [csvio.export_probability_table(rows, out_dir / "table1.csv")]
+    return csvio.export_probability_table(rows, out_dir / "table1.csv")
 
 
-def _cmd_fig_corr(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
-    return _cmd_detect(config, out_dir, args, filename="fig_corr.csv")
-
-
-def _cmd_fig_concentration(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
+def _cmd_fig_concentration(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
     reports = concentration_experiment(config, CONCENTRATION_DURATIONS)
-    return [csvio.export_concentration(reports, out_dir / "fig_concentration.csv")]
+    return csvio.export_concentration(reports, out_dir / "fig_concentration.csv")
 
 
-def _cmd_fig_duration_sweep(config: ScenarioConfig, out_dir: Path, args) -> list[Path]:
-    estimates = duration_sweep(config, STANDARD_DURATIONS, threads=args.threads)
+def _cmd_fig_duration_sweep(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
+    estimates = duration_sweep(config, STANDARD_DURATIONS, threads=threads)
     case = config.mode
     rows = [(case, months, est) for months, est in sorted(estimates.items())]
-    return [csvio.export_probability_table(rows, out_dir / "fig_duration_sweep.csv")]
+    return csvio.export_probability_table(rows, out_dir / "fig_duration_sweep.csv")
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "detect": _cmd_detect,
-    "bill": _cmd_bill,
-    "table1": _cmd_table1,
-    "fig-corr": _cmd_fig_corr,
-    "fig-concentration": _cmd_fig_concentration,
-    "fig-duration-sweep": _cmd_fig_duration_sweep,
+# command name: (help text, handler(config, out_dir, threads) -> the CSV path it wrote)
+_COMMANDS = {
+    "simulate": ("simulate one window and export the per-period records", _cmd_simulate),
+    "detect": ("simulate one window and export per-consumer correlations and labels", _cmd_detect),
+    "bill": ("simulate one window and export monthly bills", _cmd_bill),
+    "table1": ("correct-detection probability for the three attack cases across durations", _cmd_table1),
+    "fig-corr": (
+        "per-consumer correlation chart data for the configured scenario",
+        functools.partial(_cmd_detect, filename="fig_corr.csv"),
+    ),
+    "fig-concentration": (
+        "per-consumer correlations at 1-month vs 12-month durations", _cmd_fig_concentration
+    ),
+    "fig-duration-sweep": (
+        "detection probability of the configured scenario across durations", _cmd_fig_duration_sweep
+    ),
 }
 
 
@@ -143,13 +133,13 @@ def main(argv=None) -> int:
         config = _load(args)
         out_dir = Path(args.out_dir)
         start = time.perf_counter()
-        outputs = _HANDLERS[args.command](config, out_dir, args)
+        output = _COMMANDS[args.command][1](config, out_dir, args.threads)
         elapsed = time.perf_counter() - start
         manifest = RunManifest(
             command=args.command,
             master_seed=config.master_seed,
             config_text=dumps_config(config),
-            outputs=[str(p) for p in outputs],
+            outputs=[str(output)],
             wall_clock_seconds=elapsed,
         )
         manifest_path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"

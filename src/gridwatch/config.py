@@ -2,7 +2,8 @@
 
 The config format is an INI-style key = value file with five sections:
 ``[region]``, ``[attackers]``, ``[detection]``, ``[billing]`` and
-``[experiment]``.  Every key has a default except the attacker entries;
+``[experiment]``.  Loading and writing both walk one key table, ``_KEYS``.
+Every key has a default except the free-form attacker entries;
 unknown sections or keys are hard errors so typos cannot silently change
 an experiment.  ``write_config`` emits the fully resolved form and
 ``load_config(write_config(c)) == c`` for every valid config.
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .billing import TariffSchedule
@@ -33,32 +34,67 @@ from .model import (
     RegionConfig,
 )
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "region": {
-        "region_id": "0",
-        "consumers": "100",
-        "periods_per_day": "96",
-        "usage_min": repr(DEFAULT_USAGE_MIN),
-        "usage_max": repr(DEFAULT_USAGE_MAX),
-    },
-    "attackers": {},  # free-form: <consumer id> = <behavior spec>
-    "detection": {
-        "threshold": repr(DEFAULT_THRESHOLD),
-        "min_samples": str(DEFAULT_MIN_SAMPLES),
-        "mode": THRESHOLD_MODE,
-        "low_report_quantile": "none",
-    },
-    "billing": {
-        "tariff": "1.0",
-        "elasticity_factor": "none",
-        "elasticity_level": "none",
-    },
-    "experiment": {
-        "months": "1",
-        "repetitions": "1000",
-        "master_seed": "0",
-    },
+_OPTIONAL_FLOAT = "optional float"  # a float, or none/off/empty for None
+
+
+class _Key(NamedTuple):
+    name: str
+    kind: type | str  # int, float, str or _OPTIONAL_FLOAT
+    default: object
+    minimum: int | None = None
+    field: str | None = None  # the ScenarioConfig field it sets; region keys set none
+
+
+# Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
+_KEYS: dict[str, tuple[_Key, ...]] = {
+    "region": (
+        _Key("region_id", int, 0),
+        _Key("consumers", int, 100, 2),
+        _Key("periods_per_day", int, 96, 1),
+        _Key("usage_min", float, DEFAULT_USAGE_MIN),
+        _Key("usage_max", float, DEFAULT_USAGE_MAX),
+    ),
+    "attackers": (),
+    "detection": (
+        _Key("threshold", float, DEFAULT_THRESHOLD, field="th"),
+        _Key("min_samples", int, DEFAULT_MIN_SAMPLES, 2, "min_samples"),
+        _Key("mode", str, THRESHOLD_MODE, field="mode"),
+        _Key("low_report_quantile", _OPTIONAL_FLOAT, None, field="low_report_quantile"),
+    ),
+    "billing": (
+        _Key("tariff", float, 1.0, field="tariff"),  # a flat TariffSchedule's rate
+        _Key("elasticity_factor", _OPTIONAL_FLOAT, None, field="elasticity_factor"),
+        _Key("elasticity_level", _OPTIONAL_FLOAT, None, field="elasticity_level"),
+    ),
+    "experiment": (
+        _Key("months", int, 1, 1, "months"),
+        _Key("repetitions", int, 1000, 1, "repetitions"),
+        _Key("master_seed", int, 0, 0, "master_seed"),
+    ),
 }
+_FIELD_KEYS = [key for keys in _KEYS.values() for key in keys if key.field]
+
+
+def _parse(section: str, key: _Key, raw: str):
+    """One raw value as its key's type; the error names the section and key."""
+    if key.kind is str:
+        return raw
+    if key.kind == _OPTIONAL_FLOAT and raw.lower() in ("none", "off", ""):
+        return None
+    try:
+        value = int(raw) if key.kind is int else float(raw)
+    except ValueError:
+        noun = "an integer" if key.kind is int else "a number"
+        raise ConfigurationError(f"[{section}] {key.name} = {raw!r} is not {noun}") from None
+    if key.minimum is not None and value < key.minimum:
+        raise ConfigurationError(f"[{section}] {key.name} = {value} must be >= {key.minimum}")
+    return value
+
+
+def _format(value) -> str:
+    if value is None:
+        return "none"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def parse_behavior(text: str) -> BehaviorModel:
@@ -94,129 +130,47 @@ def format_behavior(behavior: BehaviorModel) -> str:
     raise ConfigurationError(f"unknown behavior model {behavior!r}")
 
 
-class _Section:
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
-
-    def _raw(self, key: str) -> str:
-        if key in self.values:
-            return self.values[key]
-        return _SCHEMA[self.name][key]
-
-    def get_int(self, key: str, minimum: int | None = None) -> int:
-        raw = self._raw(key)
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"[{self.name}] {key} = {raw!r} is not an integer"
-            ) from None
-        if minimum is not None and value < minimum:
-            raise ConfigurationError(
-                f"[{self.name}] {key} = {value} must be >= {minimum}"
-            )
-        return value
-
-    def get_float(self, key: str) -> float:
-        raw = self._raw(key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"[{self.name}] {key} = {raw!r} is not a number"
-            ) from None
-
-    def get_optional_float(self, key: str) -> float | None:
-        raw = self._raw(key)
-        if raw.lower() in ("none", "off", ""):
-            return None
-        return self.get_float(key)
-
-    def get_str(self, key: str) -> str:
-        return self._raw(key)
-
-
-def _read_sections(text: str, source: str) -> dict[str, _Section]:
+def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
+    """Parse and validate a config from text, filling all defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep attacker ids as written
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {source}: {exc}") from exc
-    sections: dict[str, _Section] = {}
-    for name in parser.sections():
-        if name not in _SCHEMA:
+    raw = {name: dict(parser.items(name)) for name in parser.sections()}
+    for name, entries in raw.items():
+        if name not in _KEYS:
             raise ConfigurationError(f"unknown section [{name}]")
-        values = dict(parser.items(name))
-        if name != "attackers":
-            for key in values:
-                if key not in _SCHEMA[name]:
-                    raise ConfigurationError(f"unknown key {key!r} in section [{name}]")
-        sections[name] = _Section(name, values)
-    for name in _SCHEMA:
-        sections.setdefault(name, _Section(name, {}))
-    return sections
+        unknown = [e for e in entries if e not in {key.name for key in _KEYS[name]}]
+        if unknown and name != "attackers":
+            raise ConfigurationError(f"unknown key {unknown[0]!r} in section [{name}]")
+    values = {}
+    for name, keys in _KEYS.items():
+        given = raw.get(name, {})
+        for key in keys:
+            values[key.name] = _parse(name, key, given[key.name]) if key.name in given else key.default
 
-
-def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
-    """Parse and validate a config from text, filling all defaults."""
-    sec = _read_sections(text, source)
-
-    region_sec = sec["region"]
-    n = region_sec.get_int("consumers", minimum=2)
-    usage_min = region_sec.get_float("usage_min")
-    usage_max = region_sec.get_float("usage_max")
-
+    n = values["consumers"]
     attackers: dict[int, BehaviorModel] = {}
-    for key, value in sec["attackers"].values.items():
+    for entry, spec in raw.get("attackers", {}).items():
         try:
-            cid = int(key)
+            cid = int(entry)
         except ValueError:
-            raise ConfigurationError(
-                f"[attackers] key {key!r} is not a consumer id"
-            ) from None
+            raise ConfigurationError(f"[attackers] key {entry!r} is not a consumer id") from None
         if not 0 <= cid < n:
-            raise ConfigurationError(
-                f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers"
-            )
-        attackers[cid] = parse_behavior(value)
-
+            raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
+        attackers[cid] = parse_behavior(spec)
     profiles = tuple(
-        ConsumerProfile(
-            consumer_id=i,
-            usage_min=usage_min,
-            usage_max=usage_max,
-            behavior=attackers.get(i, Benign()),
-        )
+        ConsumerProfile(i, values["usage_min"], values["usage_max"], attackers.get(i, Benign()))
         for i in range(n)
     )
-
-    exp_sec = sec["experiment"]
-    months = exp_sec.get_int("months", minimum=1)
-
-    region = RegionConfig(
-        region_id=region_sec.get_int("region_id"),
-        consumers=profiles,
-        periods_per_day=region_sec.get_int("periods_per_day", minimum=1),
-        num_days=DAYS_PER_MONTH * months,
-    )
-
-    det_sec = sec["detection"]
-    bill_sec = sec["billing"]
-    return ScenarioConfig(
-        region=region,
-        months=months,
-        th=det_sec.get_float("threshold"),
-        min_samples=det_sec.get_int("min_samples", minimum=2),
-        mode=det_sec.get_str("mode"),
-        low_report_quantile=det_sec.get_optional_float("low_report_quantile"),
-        tariff=TariffSchedule.flat(bill_sec.get_float("tariff")),
-        elasticity_factor=bill_sec.get_optional_float("elasticity_factor"),
-        elasticity_level=bill_sec.get_optional_float("elasticity_level"),
-        master_seed=exp_sec.get_int("master_seed", minimum=0),
-        repetitions=exp_sec.get_int("repetitions", minimum=1),
-    )
+    region = RegionConfig(region_id=values["region_id"], consumers=profiles,
+                          periods_per_day=values["periods_per_day"],
+                          num_days=DAYS_PER_MONTH * values["months"])
+    fields = {key.field: values[key.name] for key in _FIELD_KEYS}
+    fields["tariff"] = TariffSchedule.flat(fields["tariff"])
+    return ScenarioConfig(region=region, **fields)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -230,47 +184,32 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def dumps_config(config: ScenarioConfig) -> str:
     """Fully resolved config text; round-trips through `loads_config`."""
-    consumers = config.region.consumers
+    region = config.region
     if config.tariff.flat_rate is None:
         raise ConfigurationError("only flat tariffs are representable in config files")
-    lows = {c.usage_min for c in consumers}
-    highs = {c.usage_max for c in consumers}
+    lows = {c.usage_min for c in region.consumers}
+    highs = {c.usage_max for c in region.consumers}
     if len(lows) != 1 or len(highs) != 1:
-        raise ConfigurationError(
-            "config files describe one shared usage range per region"
-        )
-    ids = config.region.consumer_ids
+        raise ConfigurationError("config files describe one shared usage range per region")
+    ids = region.consumer_ids
     if ids != list(range(len(ids))):
         raise ConfigurationError("config files use contiguous consumer ids from 0")
+    if region.num_days != DAYS_PER_MONTH * config.months:
+        raise ConfigurationError(f"config files describe whole {DAYS_PER_MONTH}-day months; this "
+                                 f"window has {region.num_days} days for months = {config.months}")
 
-    def opt(v):
-        return "none" if v is None else repr(v)
-
-    out = io.StringIO()
-    out.write("[region]\n")
-    out.write(f"region_id = {config.region.region_id}\n")
-    out.write(f"consumers = {len(consumers)}\n")
-    out.write(f"periods_per_day = {config.region.periods_per_day}\n")
-    out.write(f"usage_min = {lows.pop()!r}\n")
-    out.write(f"usage_max = {highs.pop()!r}\n\n")
-    out.write("[attackers]\n")
-    for c in consumers:
-        if not isinstance(c.behavior, Benign):
-            out.write(f"{c.consumer_id} = {format_behavior(c.behavior)}\n")
-    out.write("\n[detection]\n")
-    out.write(f"threshold = {config.th!r}\n")
-    out.write(f"min_samples = {config.min_samples}\n")
-    out.write(f"mode = {config.mode}\n")
-    out.write(f"low_report_quantile = {opt(config.low_report_quantile)}\n\n")
-    out.write("[billing]\n")
-    out.write(f"tariff = {config.tariff.flat_rate!r}\n")
-    out.write(f"elasticity_factor = {opt(config.elasticity_factor)}\n")
-    out.write(f"elasticity_level = {opt(config.elasticity_level)}\n\n")
-    out.write("[experiment]\n")
-    out.write(f"months = {config.months}\n")
-    out.write(f"repetitions = {config.repetitions}\n")
-    out.write(f"master_seed = {config.master_seed}\n")
-    return out.getvalue()
+    values = {key.name: getattr(config, key.field) for key in _FIELD_KEYS}
+    values.update(region_id=region.region_id, consumers=len(ids),
+                  periods_per_day=region.periods_per_day, usage_min=lows.pop(),
+                  usage_max=highs.pop(), tariff=config.tariff.flat_rate)
+    blocks = []
+    for name, keys in _KEYS.items():
+        lines = [f"{key.name} = {_format(values[key.name])}\n" for key in keys]
+        if name == "attackers":
+            lines = [f"{c.consumer_id} = {format_behavior(c.behavior)}\n"
+                     for c in region.consumers if not isinstance(c.behavior, Benign)]
+        blocks.append(f"[{name}]\n" + "".join(lines))
+    return "\n".join(blocks)
 
 
 def write_config(config: ScenarioConfig, path: str | Path) -> None:

@@ -12,6 +12,7 @@ in any order or in parallel without changing the result.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -80,6 +81,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"master_seed must be >= 0, got {self.master_seed}"
             )
+        q = self.low_report_quantile
+        if q is not None and not 0.0 < q < 1.0:
+            raise ConfigurationError(f"low_report_quantile must be finite and in (0, 1), got {q}")
         if (self.elasticity_factor is None) != (self.elasticity_level is None):
             raise ConfigurationError(
                 "elasticity_factor and elasticity_level must be set together"
@@ -377,7 +381,9 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     """One estimate per config; all their trials share one pool when 2+ workers run.
 
     Jobs are trial-index ranges, up to ``4 * threads`` per config, run longest
-    (months x trials) first so that long ranges do not form the tail."""
+    (months x trials) first so that long ranges do not form the tail.  More
+    workers than CPUs would only queue, so ``threads`` is capped at the CPU count."""
+    threads = min(threads, os.cpu_count() or 1)
     ranges = []
     for pos, c in enumerate(configs):
         parts = min(c.repetitions, 4 * max(threads, 1))

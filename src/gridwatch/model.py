@@ -104,6 +104,10 @@ class ConsumerProfile:
             raise ConfigurationError(
                 f"consumer_id must be >= 0, got {self.consumer_id}"
             )
+        if not (math.isfinite(self.usage_min) and math.isfinite(self.usage_max)):
+            raise ConfigurationError(
+                f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
+            )
         if self.usage_min < 0:
             raise ConfigurationError(
                 f"usage_min must be >= 0, got {self.usage_min}"

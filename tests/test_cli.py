@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from gridwatch.config import (
     write_config,
 )
 from gridwatch.errors import ConfigurationError
+from gridwatch.harness import with_months
 from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
@@ -91,6 +93,14 @@ class TestLoadConfig:
         write_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_dump_refuses_a_window_other_than_its_months(self):
+        # the manifest must describe the window that ran, not the months field alone
+        cfg = loads_config(MINIMAL)
+        with pytest.raises(ConfigurationError, match="months = 3"):
+            dumps_config(dataclasses.replace(cfg, months=3))
+        scaled = with_months(cfg, 3)
+        assert loads_config(dumps_config(scaled)) == scaled
+
 
 class TestCli:
     def run_cli(self, *argv):
@@ -124,6 +134,24 @@ class TestCli:
         assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert_one_error_line(capsys)
         assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("bound", ["usage_max = inf", "usage_min = -inf", "usage_min = nan"])
+    def test_non_finite_usage_bound_is_one_error_line(self, tmp_path, capsys, bound):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[region]\n{bound}\n{MINIMAL}")
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "finite")
+        assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("q", ["7", "0", "1", "inf", "nan"])
+    def test_quantile_outside_unit_interval_is_one_error_line(self, tmp_path, capsys, q):
+        # checked before any trial, though most-negative selection never reads it
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{TINY}[detection]\nmode = most_negative\nlow_report_quantile = {q}\n")
+        argv = ["fig-duration-sweep", "--config", str(path), "--reps", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "low_report_quantile")
+        assert not (tmp_path / "fig_duration_sweep.csv").exists()
 
     @pytest.mark.parametrize("billing", [
         "tariff = nan",

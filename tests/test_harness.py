@@ -209,9 +209,10 @@ class TestOutcomeScoring:
         assert not trial_success(self._outcome({1, 2}, {1, 2, 3}))
 
 
-def install_inline_pool(monkeypatch):
+def install_inline_pool(monkeypatch, cpus=64):
     """Replace the process pool with one that runs its jobs inline: no process
-    starts.  Returns the list of worker counts the pools were built with."""
+    starts.  The machine reports ``cpus`` CPUs.  Returns the list of worker
+    counts the pools were built with."""
     asked = []
 
     class InlinePool:
@@ -228,6 +229,7 @@ def install_inline_pool(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     return asked
 
 
@@ -250,6 +252,12 @@ class TestEstimates:
         one = dataclasses.replace(cfg, repetitions=1)
         assert estimate_detection_probability(one, threads=2) == estimate_detection_probability(one)
         assert asked == [3, 2]
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        asked = install_inline_pool(monkeypatch, cpus=2)
+        base = dataclasses.replace(tiny_config(attackers=""), repetitions=3, master_seed=4)
+        assert probability_table(base, 1, threads=10**6) == probability_table(base, 1, threads=1)
+        assert asked == [2]
 
     def test_probability_table_builds_one_pool(self, monkeypatch):
         asked = install_inline_pool(monkeypatch)
