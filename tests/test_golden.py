@@ -48,6 +48,18 @@ TABLE_CONFIG = """[attackers]
 repetitions = 2
 master_seed = 42
 """
+# Two periods a day: at 1 month most consumers have fewer than min_samples
+# sampled reports, so the concentration CSV has empty corr cells and
+# insufficient_data labels beside defined ones.
+SPARSE_CONFIG = """[region]
+periods_per_day = 2
+
+[attackers]
+25 = multiplicative 0.1
+
+[experiment]
+master_seed = 42
+"""
 
 
 def _array_digest(array: np.ndarray) -> str:
@@ -67,6 +79,9 @@ def _cli_digests(tmp_dir: Path):
         (WINDOW_CONFIG, "detect", "detection.csv"),
         (WINDOW_CONFIG, "bill", "bills.csv"),
         (TABLE_CONFIG, "table1", "table1.csv"),
+        (TABLE_CONFIG, "fig-corr", "fig_corr.csv"),
+        (SPARSE_CONFIG, "fig-concentration", "fig_concentration.csv"),
+        (TABLE_CONFIG, "fig-duration-sweep", "fig_duration_sweep.csv"),
     )
     out = {}
     for text, command, filename in runs:
