@@ -12,7 +12,6 @@ from .billing import (
 from .detection import (
     DetectionReport,
     Label,
-    classify,
     detect_region,
     low_report_filter,
     most_negative,
@@ -48,7 +47,6 @@ __all__ = [
     "issue_bills",
     "DetectionReport",
     "Label",
-    "classify",
     "detect_region",
     "low_report_filter",
     "most_negative",

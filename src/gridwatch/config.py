@@ -132,7 +132,8 @@ def format_behavior(behavior: BehaviorModel) -> str:
 
 def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
     """Parse and validate a config from text, filling all defaults."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name a section "\n", so [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keep attacker ids as written
     try:
         parser.read_string(text, source=source)

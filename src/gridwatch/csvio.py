@@ -9,9 +9,10 @@ byte for byte.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .billing import BillStatement
 from .detection import DetectionReport
@@ -23,81 +24,73 @@ DETECTION_HEADER = ["consumer_id", "sample_count", "corr", "label"]
 BILLS_HEADER = ["consumer_id", "window_start", "window_end", "amount"]
 TABLE_HEADER = ["case", "months", "probability", "stderr", "reps"]
 CONCENTRATION_HEADER = ["months", "consumer_id", "sample_count", "corr", "label"]
-OUTCOMES_HEADER = ["trial", "outcome"]
+
+# Rows formatted at a time (a month of 15-minute periods): a whole window's
+# cell texts at once would raise the peak memory of writing records.csv.
+_CHUNK_ROWS = 2880
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cells(column: np.ndarray) -> Iterable[str]:
+    """Cell texts: floats in shortest round-trip form (`repr`), None empty, else `str`."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return map(repr, values)
+    if column.dtype.kind != "O":
+        return map(str, values)
+    return ("" if v is None else str(v) for v in values)  # str(float) is its repr
 
 
-def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
+    """Write equal-length columns (arrays, or sequences of one type each) under ``header``.
+
+    Optional values make an object column.  No cell is quoted: no header or
+    value written here holds a comma, a quote or a line break.
+    """
     path = Path(path)
+    columns = [np.asarray(c) for c in columns]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+                chunk = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*chunk, strict=True)))
     except OSError as exc:
         raise GridwatchError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def export_records(rows: Iterable[Sequence], path: str | Path) -> Path:
-    """Write per-period rows, in the order given, under `RECORDS_HEADER`."""
-    return _write_rows(path, RECORDS_HEADER, rows)
+def export_records(columns: Sequence[np.ndarray], path: str | Path) -> Path:
+    """Write `WindowData.to_records` columns, in period order, under `RECORDS_HEADER`."""
+    return write_columns(path, RECORDS_HEADER, columns)
+
+
+def _report_columns(report: DetectionReport) -> tuple[np.ndarray, ...]:
+    corrs = np.where(np.isnan(report.corrs), None, report.corrs)  # no evidence: empty
+    return report.ids, report.counts, corrs, report.labels
 
 
 def export_detection(report: DetectionReport, path: str | Path) -> Path:
-    rows = sorted(report, key=lambda v: v.consumer_id)
-    return _write_rows(
-        path,
-        DETECTION_HEADER,
-        ((v.consumer_id, v.sample_count, v.corr, v.label.value) for v in rows),
-    )
+    return write_columns(path, DETECTION_HEADER, _report_columns(report))
 
 
 def export_bills(bills: Iterable[BillStatement], path: str | Path) -> Path:
     rows = sorted(bills, key=lambda b: (b.window_start, b.consumer_id))
-    return _write_rows(
-        path,
-        BILLS_HEADER,
-        ((b.consumer_id, b.window_start, b.window_end, b.amount) for b in rows),
-    )
+    columns = zip(*((b.consumer_id, b.window_start, b.window_end, b.amount) for b in rows))
+    return write_columns(path, BILLS_HEADER, list(columns))
 
 
 def export_probability_table(
     rows: Iterable[tuple[str, int, ProbabilityEstimate]], path: str | Path
 ) -> Path:
-    return _write_rows(
-        path,
-        TABLE_HEADER,
-        (
-            (case, months, est.probability, est.stderr, est.repetitions)
-            for case, months, est in rows
-        ),
-    )
+    columns = zip(*((case, m, e.probability, e.stderr, e.repetitions) for case, m, e in rows))
+    return write_columns(path, TABLE_HEADER, list(columns))
 
 
 def export_concentration(
     reports_by_months: dict[int, DetectionReport], path: str | Path
 ) -> Path:
-    def rows():
-        for months in sorted(reports_by_months):
-            for v in sorted(reports_by_months[months], key=lambda v: v.consumer_id):
-                yield months, v.consumer_id, v.sample_count, v.corr, v.label.value
-
-    return _write_rows(path, CONCENTRATION_HEADER, rows())
-
-
-def export_outcomes(outcome_classes: Sequence[str], path: str | Path) -> Path:
-    return _write_rows(
-        path,
-        OUTCOMES_HEADER,
-        ((i, cls) for i, cls in enumerate(outcome_classes)),
-    )
+    months = sorted(reports_by_months)
+    parts = [_report_columns(reports_by_months[m]) for m in months]
+    months_column = np.repeat(months, [len(ids) for ids, *_ in parts])
+    return write_columns(path, CONCENTRATION_HEADER, [months_column, *map(np.concatenate, zip(*parts))])

@@ -32,6 +32,8 @@ _EPS = np.finfo(float).eps
 
 
 class Label(str, enum.Enum):
+    __str__ = str.__str__  # the value, so that numpy string arrays hold and match it
+
     BENIGN = "benign"
     MALICIOUS_UNDER = "malicious_under"
     MALICIOUS_OVER = "malicious_over"
@@ -104,23 +106,6 @@ def correlate(
     return counts, np.where(defined, np.clip(corr, -1.0, 1.0), np.nan)
 
 
-def classify(corr: float | None, th: float = DEFAULT_THRESHOLD) -> Label:
-    """Threshold rule: corr >= th under-reporting, corr <= -th over-reporting.
-
-    Strictly inside (-th, th) is benign; an undefined correlation carries
-    no evidence and maps to INSUFFICIENT_DATA.
-    """
-    if not 0.0 < th <= 1.0:
-        raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
-    if corr is None:
-        return Label.INSUFFICIENT_DATA
-    if corr >= th:
-        return Label.MALICIOUS_UNDER
-    if corr <= -th:
-        return Label.MALICIOUS_OVER
-    return Label.BENIGN
-
-
 def low_report_filter(
     reports, leakages, q: float = DEFAULT_LOW_REPORT_QUANTILE
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,37 +125,36 @@ def low_report_filter(
     return reports[keep], leakages[keep]
 
 
-@dataclass(frozen=True)
-class ConsumerVerdict:
-    consumer_id: int
-    sample_count: int
-    corr: float | None
-    label: Label
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionReport:
-    verdicts: tuple[ConsumerVerdict, ...]
+    """Every consumer's evidence and label, as columns in consumer-id order.
 
-    def __iter__(self):
-        return iter(self.verdicts)
+    ``corrs`` is NaN where the consumer has no evidence (see `has_evidence`);
+    ``labels`` holds `Label` values.  Equal columns, NaN matching NaN, are equal reports.
+    """
 
-    def verdict(self, consumer_id: int) -> ConsumerVerdict:
-        for v in self.verdicts:
-            if v.consumer_id == consumer_id:
-                return v
-        raise KeyError(consumer_id)
+    ids: np.ndarray
+    counts: np.ndarray
+    corrs: np.ndarray
+    labels: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, DetectionReport) and all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
 
     def corr(self, consumer_id: int) -> float | None:
-        return self.verdict(consumer_id).corr
+        """The consumer's correlation, or None when it has no evidence."""
+        if consumer_id not in self.ids:
+            raise KeyError(consumer_id)
+        value = float(self.corrs[np.searchsorted(self.ids, consumer_id)])
+        return None if math.isnan(value) else value
 
     @property
     def malicious_ids(self) -> set[int]:
-        return {
-            v.consumer_id
-            for v in self.verdicts
-            if v.label in (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER)
-        }
+        flagged = np.isin(self.labels, (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER))
+        return set(self.ids[flagged].tolist())
 
 
 def series_from_arrays(
@@ -199,6 +183,11 @@ def low_report_correlations(series, counts: np.ndarray, q: float, min_samples: i
     return corr
 
 
+def has_evidence(counts: np.ndarray, corr: np.ndarray, min_samples: int) -> np.ndarray:
+    """Where a correlation is evidence: defined (not NaN) over >= ``min_samples`` pairs."""
+    return (counts >= min_samples) & ~np.isnan(corr)
+
+
 def detect_region(
     consumer_ids: Sequence[int],
     counts: np.ndarray,
@@ -206,22 +195,27 @@ def detect_region(
     th: float = DEFAULT_THRESHOLD,
     min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> DetectionReport:
-    """Classify every consumer from its sample count and correlation.
+    """Label every consumer from its sample count and correlation.
 
     ``consumer_ids``, ``counts`` and ``corr`` are indexed by position, as
-    `correlate` returns them; NaN marks an undefined correlation.
-    Consumers with fewer than ``min_samples`` observations are reported as
-    INSUFFICIENT_DATA.  Verdicts are ordered by consumer id.
+    `correlate` returns them; NaN marks an undefined correlation.  A consumer
+    without evidence (`has_evidence`) is INSUFFICIENT_DATA with a NaN correlation;
+    otherwise ``corr >= th`` is under-reporting, ``corr <= -th`` over-reporting.
     """
     if min_samples < 2:
         raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
-    verdicts = []
-    for pos in sorted(range(len(consumer_ids)), key=consumer_ids.__getitem__):
-        count = int(counts[pos])
-        value = float(corr[pos])
-        r = None if count < min_samples or math.isnan(value) else value
-        verdicts.append(ConsumerVerdict(consumer_ids[pos], count, r, classify(r, th)))
-    return DetectionReport(tuple(verdicts))
+    if not 0.0 < th <= 1.0:
+        raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
+    order = np.argsort(consumer_ids, kind="stable")
+    counts, corr = np.asarray(counts)[order], np.asarray(corr, dtype=float)[order]
+    evidence = has_evidence(counts, corr, min_samples)
+    corr = np.where(evidence, corr, np.nan)
+    labels = np.select(
+        [~evidence, corr >= th, corr <= -th],
+        [Label.INSUFFICIENT_DATA, Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER],
+        Label.BENIGN,
+    )
+    return DetectionReport(np.asarray(consumer_ids)[order], counts, corr, labels)
 
 
 def most_negative(
@@ -234,7 +228,7 @@ def most_negative(
 
     Arguments are indexed by position, as for `detect_region`.
     """
-    eligible = (counts >= min_samples) & ~np.isnan(corr)
+    eligible = has_evidence(counts, corr, min_samples)
     if not eligible.any():
         raise InputError(
             f"no consumer has a defined correlation with >= {min_samples} samples"

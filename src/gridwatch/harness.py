@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .detection import (
     DetectionReport,
     correlate,
     detect_region,
+    has_evidence,
     low_report_correlations,
     most_negative,
     series_from_arrays,
@@ -164,16 +165,16 @@ class WindowData:
     def sampled_ids(self) -> np.ndarray:
         return np.array(self.region.consumer_ids)[self.sampled_pos]
 
-    def to_records(self) -> Iterator[tuple]:
-        """Lazy rows ``(period, actual_total, reported_total, leakage,
-        sampled_id, sampled_report)`` in period order, one per period."""
-        return zip(
-            range(self.leakage.shape[0]),
-            self.actual_total.tolist(),
-            self.reported_total.tolist(),
-            self.leakage.tolist(),
-            self.sampled_ids.tolist(),
-            self.sampled_reports.tolist(),
+    def to_records(self) -> tuple[np.ndarray, ...]:
+        """The columns ``(period, actual_total, reported_total, leakage,
+        sampled_id, sampled_report)``, one entry per period in period order."""
+        return (
+            np.arange(self.leakage.shape[0]),
+            self.actual_total,
+            self.reported_total,
+            self.leakage,
+            self.sampled_ids,
+            self.sampled_reports,
         )
 
 
@@ -247,7 +248,7 @@ class TrialOutcome:
     """One trial's verdict against the known attacker set.
 
     ``counts`` and ``corr`` (by position in ``config.region.consumers``)
-    are the evidence the threshold verdicts are taken on; `report` builds the verdicts
+    are the evidence the threshold labels are taken on; `report` builds the labels
     on first access, from ``samples`` (sampled positions, reports, leakage) when ``corr``
     is None.  They stay out of ``==``, so equal outcomes are equal verdicts.
     """
@@ -271,10 +272,6 @@ class TrialOutcome:
     @property
     def exact_match(self) -> bool:
         return self.detected == self.true_malicious
-
-    @property
-    def attacker_found(self) -> dict[int, bool]:
-        return {a: a in self.detected for a in sorted(self.true_malicious)}
 
     @property
     def false_positive_count(self) -> int:
@@ -309,7 +306,7 @@ def run_trial(
     ``low_report_quantile`` set, the threshold verdicts use each consumer's low-report
     pairs instead; most-negative selection always uses the unfiltered correlations and
     leaves the low-report ones to `TrialOutcome.report`.  Threshold mode flags every
-    consumer with at least ``min_samples`` pairs and ``|corr| >= th``, as `detect_region`
+    consumer with evidence (`has_evidence`) and ``|corr| >= th``, as `detect_region`
     labels them; a most-negative trial without defined correlations selects no one.
     """
     if isinstance(trial_seed, int):
@@ -331,7 +328,7 @@ def run_trial(
         corr = None if filtered else corr
     else:
         corr = _low_report_corr(config, counts, samples) if filtered else corr
-        flagged = (counts >= config.min_samples) & (np.abs(corr) >= config.th)
+        flagged = has_evidence(counts, corr, config.min_samples) & (np.abs(corr) >= config.th)
         detected = frozenset(ids[pos] for pos in np.flatnonzero(flagged))
     return TrialOutcome(
         true_malicious=frozenset(config.attacker_ids),
@@ -437,16 +434,6 @@ def concentration_experiment(
         outcome = run_trial(scaled, derive_trial_seed(config.master_seed, months))
         out[months] = outcome.report
     return out
-
-
-def benign_corr_std(report: DetectionReport, attacker_ids: set[int]) -> float:
-    """Sample standard deviation of the benign consumers' defined correlations."""
-    values = [
-        v.corr
-        for v in report
-        if v.consumer_id not in attacker_ids and v.corr is not None
-    ]
-    return float(np.std(values, ddof=1))
 
 
 def duration_sweep(

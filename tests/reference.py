@@ -1,0 +1,57 @@
+"""Scalar references for the columnar detection report and the CSV writer.
+
+The package labels every consumer with one `np.select` and writes every
+CSV through one column writer, `csvio.write_columns`.  These do the same
+one consumer and one row at a time: `classify` is the threshold rule for
+one correlation, and `write_rows` writes rows through `csv.writer` with
+the cell rules the column writer keeps.  Tests compare the columnar paths
+against them.
+"""
+
+import csv
+
+import numpy as np
+
+from gridwatch.detection import DEFAULT_THRESHOLD, Label
+from gridwatch.errors import ConfigurationError
+
+
+def classify(corr: float | None, th: float = DEFAULT_THRESHOLD) -> Label:
+    """Threshold rule: corr >= th under-reporting, corr <= -th over-reporting.
+
+    Strictly inside (-th, th) is benign; an undefined correlation carries
+    no evidence and maps to INSUFFICIENT_DATA.
+    """
+    if not 0.0 < th <= 1.0:
+        raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
+    if corr is None:
+        return Label.INSUFFICIENT_DATA
+    if corr >= th:
+        return Label.MALICIOUS_UNDER
+    if corr <= -th:
+        return Label.MALICIOUS_OVER
+    return Label.BENIGN
+
+
+def cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_rows(path, header, rows):
+    """Write ``rows`` under ``header`` one row at a time, each cell through `cell`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+    return path
+
+
+def benign_corr_std(report, attacker_ids) -> float:
+    """Sample standard deviation of the benign consumers' defined correlations."""
+    benign = ~np.isin(report.ids, list(attacker_ids)) & ~np.isnan(report.corrs)
+    return float(np.std(report.corrs[benign], ddof=1))

@@ -17,10 +17,9 @@ import pytest
 
 from conftest import make_config
 from gridwatch.billing import accrue, issue_bills
-from gridwatch.csvio import export_outcomes
+from gridwatch.csvio import write_columns
 from gridwatch.detection import pearson
 from gridwatch.harness import (
-    benign_corr_std,
     case_config,
     concentration_experiment,
     derive_trial_seed,
@@ -29,6 +28,7 @@ from gridwatch.harness import (
     run_trial,
     simulate_window,
 )
+from reference import benign_corr_std
 from scipy import stats
 from test_detection import oracle_pearson
 
@@ -45,9 +45,8 @@ def check(capfd, number, description, passed):
 
 
 def benign_corrs(report, attacker_ids):
-    return [
-        v.corr for v in report if v.consumer_id not in attacker_ids and v.corr is not None
-    ]
+    benign = ~np.isin(report.ids, list(attacker_ids)) & ~np.isnan(report.corrs)
+    return report.corrs[benign].tolist()
 
 
 def test_criterion_1_case1_exactness(capfd):
@@ -183,7 +182,7 @@ def test_criterion_7_multi_attacker_outcomes(capfd, tmp_path):
         run_trial(cfg, derive_trial_seed(MASTER_SEED, i)).outcome_class
         for i in range(100)
     ]
-    export_outcomes(classes, tmp_path / "fig3_outcomes.csv")
+    write_columns(tmp_path / "fig3_outcomes.csv", ["trial", "outcome"], [range(len(classes)), classes])
     counts = Counter(classes)
     check(
         capfd, 7,

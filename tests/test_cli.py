@@ -66,6 +66,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="creds"):
             loads_config("[creds]\nuser = x\n")
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nconsumers = 5\n",
+        "[region]\nperiods_per_day = 4\n[DEFAULT]\nconsumers = 5\n",
+    ])
+    def test_default_section_rejected(self, text):
+        # configparser's DEFAULT section is neither ignored nor copied into [region]
+        with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+            loads_config(text)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(tmp_path / "nope.cfg")
@@ -126,6 +135,14 @@ class TestCli:
         path.write_text("[attackers]\n200 = multiplicative 0.1\n")
         assert main(["simulate", "--config", str(path)]) == 1
         assert "200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("region", ["", "[region]\nperiods_per_day = 4\n"])
+    def test_default_section_is_one_error_line(self, tmp_path, capsys, region):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{region}[DEFAULT]\nconsumers = 5\n")
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "unknown section [DEFAULT]")
+        assert not (tmp_path / "detection.csv").exists()
 
     @pytest.mark.parametrize("spec", ["multiplicative inf", "fixed_offset inf", "random_offset nan"])
     def test_non_finite_attacker_is_one_error_line(self, tmp_path, capsys, spec):

@@ -1,0 +1,75 @@
+"""Differential test: the chunked column writer against the row writer in
+`reference.py` (`csv.writer`, one cell at a time), byte for byte.
+
+Every CSV the package writes has at least two columns, and so do these
+tables: `csv.writer` quotes the one empty cell of a one-column row, which
+the column writer never writes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridwatch.csvio import _CHUNK_ROWS, write_columns
+from gridwatch.detection import Label
+from gridwatch.errors import GridwatchError
+from reference import write_rows
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, np.nan,
+                     np.inf, 0.1, 1.0, 1e16, 1e-5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+TEXTS = st.sampled_from([
+    *(label.value for label in Label),
+    "I", "II", "III", "threshold", "most_negative", "exact", "extra_benign", "missed_attacker",
+])
+# Each column holds one type; a column of optional values mixes None into it.
+KINDS = (
+    st.integers(-(2**63), 2**63 - 1),
+    FLOATS,
+    st.one_of(st.none(), FLOATS),
+    TEXTS,
+)
+ROW_COUNTS = st.sampled_from([0, 1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                              2 * _CHUNK_ROWS + 3])
+
+
+@st.composite
+def tables(draw):
+    """A header and equal-length columns, each cycling through a few drawn values."""
+    rows = draw(ROW_COUNTS)
+    columns = []
+    for _ in range(draw(st.integers(2, 5))):
+        values = draw(st.lists(draw(st.sampled_from(KINDS)), min_size=1, max_size=12))
+        columns.append([values[i % len(values)] for i in range(rows)])
+    header = [f"c{i}" for i in range(len(columns))]
+    return header, columns
+
+
+@given(tables())
+@settings(max_examples=150, deadline=None)
+def test_column_writer_matches_row_writer(tmp_path_factory, table):
+    header, columns = table
+    out = tmp_path_factory.mktemp("csv")
+    write_rows(out / "rows.csv", header, zip(*columns))
+    write_columns(out / "columns.csv", header, columns)
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def test_column_writer_takes_numpy_columns(tmp_path):
+    # the package hands the writer arrays: float, int, None-or-float object and label columns
+    corrs = np.array([0.25, np.nan, -1.0])
+    columns = [np.array([3, 5, 7]), corrs, np.where(np.isnan(corrs), None, corrs),
+               np.array([Label.BENIGN, Label.INSUFFICIENT_DATA, Label.MALICIOUS_OVER])]
+    write_columns(tmp_path / "a.csv", ["a", "b", "c", "d"], columns)
+    assert (tmp_path / "a.csv").read_text() == (
+        "a,b,c,d\n3,0.25,0.25,benign\n5,nan,,insufficient_data\n7,-1.0,-1.0,malicious_over\n"
+    )
+
+
+def test_unwritable_path_is_a_gridwatch_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(GridwatchError, match="cannot write"):
+        write_columns(tmp_path / "file" / "out.csv", ["a", "b"], [[1], [2]])

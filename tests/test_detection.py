@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gridwatch.detection import (
     Label,
-    classify,
     correlate,
     detect_region,
     low_report_correlations,
@@ -17,6 +16,7 @@ from gridwatch.detection import (
     series_from_arrays,
 )
 from gridwatch.errors import ConfigurationError, InputError
+from reference import classify
 
 
 def oracle_pearson(x, y):
@@ -152,10 +152,16 @@ class TestClassify:
         ],
     )
     def test_threshold_branches(self, corr, label):
+        value = np.nan if corr is None else corr
+        report = detect_region([0], np.array([5]), np.array([value]), th=0.5, min_samples=5)
+        assert report.labels.tolist() == [label]
+        assert report.corr(0) == corr
         assert classify(corr, th=0.5) == label
 
     @pytest.mark.parametrize("th", [0.0, -0.1, 1.1])
     def test_threshold_domain(self, th):
+        with pytest.raises(ConfigurationError):
+            detect_region([0], np.array([5]), np.array([0.2]), th=th)
         with pytest.raises(ConfigurationError):
             classify(0.2, th=th)
 
@@ -216,27 +222,52 @@ class TestDetectRegion:
     def test_min_samples_gate(self):
         data = {0: ([1.0, 2.0], [1.0, 2.0]), 1: ([1, 2, 3, 2, 1], [3, 1, 2, 2, 3])}
         report = detect_region(*correlations_of(data), th=0.5, min_samples=5)
-        assert report.verdict(0).label == Label.INSUFFICIENT_DATA
-        assert report.verdict(0).corr is None
-        assert report.verdict(0).sample_count == 2
-        assert report.verdict(1).corr is not None
+        assert report.labels[0] == Label.INSUFFICIENT_DATA
+        assert report.corr(0) is None
+        assert report.counts[0] == 2
+        assert report.corr(1) is not None
 
     def test_constant_leakage_is_not_evidence(self):
         data = {0: ([1, 2, 3, 4, 5], [2, 2, 2, 2, 2])}
         report = detect_region(*correlations_of(data), min_samples=5)
-        assert report.verdict(0).label == Label.INSUFFICIENT_DATA
+        assert report.labels.tolist() == [Label.INSUFFICIENT_DATA]
 
     def test_perfect_underreporter_flagged(self, rng):
         c = rng.uniform(0.5, 1.5, 30)
         data = {0: (0.1 * c, 0.9 * c), 1: (rng.uniform(0.5, 1.5, 30), rng.normal(size=30))}
         report = detect_region(*correlations_of(data), th=0.5, min_samples=5)
-        assert report.verdict(0).label == Label.MALICIOUS_UNDER
-        assert report.verdict(0).corr == pytest.approx(1.0, abs=1e-9)
+        assert report.labels[0] == Label.MALICIOUS_UNDER
+        assert report.corr(0) == pytest.approx(1.0, abs=1e-9)
 
     def test_verdicts_in_id_order(self):
-        x = [1.0, 2.0, 3.0, 4.0, 5.0]
-        report = detect_region(*correlations_of({7: (x, x), 3: (x, x), 5: (x, x)}))
-        assert [v.consumer_id for v in report] == [3, 5, 7]
+        x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        data = {7: (x[:7], x[:7]), 3: (x[:3], x[:3]), 5: (x[:5], x[:5])}
+        report = detect_region(*correlations_of(data), min_samples=5)
+        assert report.ids.tolist() == [3, 5, 7]
+        assert report.counts.tolist() == [3, 5, 7]
+        assert report.labels.tolist() == [Label.INSUFFICIENT_DATA, Label.MALICIOUS_UNDER,
+                                          Label.MALICIOUS_UNDER]
+        with pytest.raises(KeyError):
+            report.corr(4)
+
+    @given(st.data(), st.sampled_from([0.05, 0.3, 0.5, 1.0]), st.integers(2, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_match_scalar_classify(self, data, th, min_samples):
+        n = data.draw(st.integers(1, 12))
+        ids = data.draw(st.permutations(range(0, 3 * n, 3)))
+        counts = np.array(data.draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)))
+        edge = st.sampled_from([np.nan, th, -th, 1.0, -1.0, 0.0])
+        values = st.one_of(edge, st.floats(-1.0, 1.0))
+        corr = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        report = detect_region(ids, counts, corr, th=th, min_samples=min_samples)
+        assert report.ids.tolist() == sorted(ids)
+        for pos in np.argsort(ids):
+            cid, count, value = ids[pos], int(counts[pos]), float(corr[pos])
+            evidence = count >= min_samples and not math.isnan(value)
+            want = value if evidence else None
+            assert report.corr(cid) == want
+            assert report.labels[report.ids == cid].tolist() == [classify(want, th)]
+            assert report.counts[report.ids == cid].tolist() == [count]
 
     def test_min_samples_domain(self):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,6 @@ from gridwatch.harness import (
     ScenarioConfig,
     THRESHOLD_MODE,
     TrialOutcome,
-    benign_corr_std,
     case_config,
     derive_trial_seed,
     duration_sweep,
@@ -29,6 +28,7 @@ from gridwatch.harness import (
     with_months,
 )
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
+from reference import benign_corr_std
 
 
 class TestSeeding:
@@ -49,8 +49,8 @@ class TestSeeding:
         o1 = run_trial(cfg, derive_trial_seed(5, 0))
         o2 = run_trial(cfg, derive_trial_seed(5, 0))
         assert o1 == o2
-        for v1, v2 in zip(o1.report, o2.report):
-            assert v1 == v2  # float equality, not approx
+        assert o1.report == o2.report
+        assert o1.report.corrs.tobytes() == o2.report.corrs.tobytes()  # bits, not approx
 
 
 class TestSimulateWindow:
@@ -122,14 +122,14 @@ class TestRunTrial:
         cfg = make_config("25 = multiplicative 0.1")
         outcome = run_trial(cfg, derive_trial_seed(46, 0))
         assert outcome.report.corr(25) == pytest.approx(1.0, abs=1e-9)
-        assert outcome.report.verdict(25).label == Label.MALICIOUS_UNDER
-        assert outcome.attacker_found == {25: True}
+        assert outcome.report.labels[25] == Label.MALICIOUS_UNDER
+        assert 25 in outcome.detected and outcome.all_attackers_found
 
     def test_overreporting_attacker_anticorrelated(self):
         cfg = make_config("25 = multiplicative 10.0")
         outcome = run_trial(cfg, derive_trial_seed(46, 0))
         assert outcome.report.corr(25) == pytest.approx(-1.0, abs=1e-9)
-        assert outcome.report.verdict(25).label == Label.MALICIOUS_OVER
+        assert outcome.report.labels[25] == Label.MALICIOUS_OVER
 
     def test_constant_leakage_selects_no_one(self):
         # an add-offset attacker makes every period's leakage -0.3 up to
@@ -144,7 +144,7 @@ class TestRunTrial:
             assert not trial_success(outcome)
         outcome = run_trial(tiny_config(attackers, consumers=10, periods_per_day=96),
                             derive_trial_seed(0, 0))
-        assert {v.label for v in outcome.report} == {Label.INSUFFICIENT_DATA}
+        assert (outcome.report.labels == Label.INSUFFICIENT_DATA).all()
         assert outcome.detected == frozenset()
 
     def test_most_negative_trials_leave_low_report_work_to_report(self, monkeypatch):
@@ -191,7 +191,7 @@ class TestOutcomeScoring:
     def test_derived_fields(self):
         outcome = self._outcome({1, 2}, {2, 9})
         assert not outcome.exact_match and self._outcome({1, 2}, {2, 1}).exact_match
-        assert outcome.attacker_found == {1: False, 2: True}
+        assert not outcome.all_attackers_found and outcome.true_malicious & outcome.detected == {2}
         assert outcome.false_positive_count == 1
 
     def test_outcome_classes(self):

@@ -87,7 +87,7 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
     config, window, _ = scenario
     ids = config.region.consumer_ids
     records = window_records(window.usage, window.reports, window.sampled_pos)
-    for row, ref in zip(window.to_records(), records, strict=True):
+    for row, ref in zip(zip(*window.to_records(), strict=True), records, strict=True):
         period, actual_total, reported_total, leakage, sampled_id, sampled_report = row
         assert period == ref.period
         assert actual_total == pytest.approx(ref.actual_total, rel=1e-12)
