@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._pcg64 import skip_uniforms
 from .billing import BillStatement, TariffSchedule, accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
@@ -93,10 +94,44 @@ class ScenarioConfig:
             0 < self.elasticity_factor < math.inf and math.isfinite(self.elasticity_level)
         ):
             raise ConfigurationError("elasticity factor and level must be finite, the factor > 0")
+        _check_sums_finite(self)
 
     @property
     def attacker_ids(self) -> set[int]:
         return self.region.malicious_ids
+
+
+def _check_sums_finite(config: ScenarioConfig) -> None:
+    """Reject values whose regional totals, monthly bills or correlation sums overflow.
+
+    A total adds up to n values; a bill up to a month of values times the
+    top rate; a correlation sums up to ``periods`` squares of values as large
+    as a total (the leakage is one).  Past ``float``'s range each would end
+    as a silent inf or NaN in the output.
+    """
+    region, tariff = config.region, config.tariff
+    value = 0.0  # the largest usage or report of any consumer in any period
+    for c in region.consumers:
+        usage, b = c.usage_max * max(1.0, config.elasticity_factor or 1.0), c.behavior
+        report = usage
+        if isinstance(b, Multiplicative):
+            report = b.alpha * usage
+        elif isinstance(b, (FixedOffset, RandomOffset)) and b.direction == "add":
+            report = usage + (b.eta if isinstance(b, FixedOffset) else b.theta_max)
+        value = max(value, usage, report)
+    rate = tariff.flat_rate if tariff.rates is None else max(tariff.rates, default=0.0)
+    total = value * len(region.consumers)
+    sums = {
+        "regional totals": total,
+        "monthly bills": value * rate * DAYS_PER_MONTH * region.periods_per_day,
+        "correlation sums": total * total * region.total_periods,
+    }
+    for what, bound in sums.items():
+        if not math.isfinite(bound):
+            raise ConfigurationError(
+                f"usage and reports up to {value!r} overflow the {what}; "
+                "lower usage_max, the attack sizes, the elasticity factor or the tariff"
+            )
 
 
 def with_months(config: ScenarioConfig, months: int) -> ScenarioConfig:
@@ -114,18 +149,19 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 class WindowData:
     """Whole-window simulation arrays (one row or entry per period).
 
-    Usage is kept as the raw uniform draws and the bounds that scale them:
-    ``usage[t, c] = draws[t, c] * spans[span_row[t], c] + lows[c]``, with
-    one row of spans when ``span_row`` is None.  The first read of
-    `usage` scales ``draws`` in place.  ``dishonest`` maps each
-    misreporting consumer's position in ``region.consumers`` to its
-    reports, and ``sampled_pos`` holds the sampled consumer's position.
-    The usage and reports matrices, the regional totals and the sampled
-    ids are computed on first access: a Monte-Carlo trial never reads them.
+    Usage is ``usage[t, c] = u[t, c] * spans[span_row[t], c] + lows[c]``,
+    with one row of spans when ``span_row`` is None, where ``u`` is the
+    ``(periods, n)`` block of uniforms that the generator in ``state``
+    draws next.  ``dishonest`` maps each misreporting consumer's position
+    in ``region.consumers`` to its reports, and ``sampled_pos`` holds the
+    sampled consumer's position.  The usage and reports matrices, the
+    regional totals and the sampled ids are computed on first access, the
+    usage by drawing ``u`` again from ``state``: a Monte-Carlo trial never
+    reads them.
     """
 
     region: RegionConfig
-    draws: np.ndarray
+    state: dict
     lows: np.ndarray
     spans: np.ndarray
     span_row: np.ndarray | None
@@ -136,8 +172,10 @@ class WindowData:
 
     @cached_property
     def usage(self) -> np.ndarray:
-        # In place: a scaled copy would double the window's memory.
-        usage = self.draws
+        bits = np.random.PCG64()
+        bits.state = self.state
+        usage = np.random.Generator(bits).random((len(self.leakage), len(self.lows)))
+        # Scaled in place: a scaled copy would double the window's memory.
         if self.span_row is None:
             usage *= self.spans[0]
         else:
@@ -183,8 +221,10 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
 
     Draw order is fixed: the usage matrix first (period-major), then each
     misreporting consumer's random offsets in consumer order, then the
-    per-period sampled indices.  Only the misreporting consumers' columns
-    and the sampled entries are scaled into usage here.
+    per-period sampled indices.  The usage matrix is not drawn: ``rng``
+    (a ``PCG64`` generator, else `TypeError`) jumps past it, and only the
+    misreporting consumers' columns and the sampled entries are computed
+    from its saved state, bit for bit the values the draw would give.
     """
     region = config.region
     consumers = region.consumers
@@ -193,11 +233,12 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     lows = np.array([c.usage_min for c in consumers])
     highs = np.array([c.usage_max for c in consumers])
 
-    # Scaled, the draws are bit for bit what rng.uniform(lows, highs,
+    # Scaled, the uniforms are bit for bit what rng.uniform(lows, highs,
     # size=(periods, n)) draws, without a (periods, n) bounds matrix:
     # elasticity scales usage_max (never below usage_min) in the periods
     # whose rate is above the level, so there are two rows of bounds.
-    draws = rng.random((periods, n))
+    state = rng.bit_generator.state
+    uniforms = skip_uniforms(rng.bit_generator, periods, n)
     span_row = None
     if config.elasticity_factor is None:
         spans = (highs - lows)[None, :]
@@ -208,9 +249,9 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
         ])
         span_row = (config.tariff.per_period(periods) > config.elasticity_level).astype(np.intp)
 
-    def usage_at(rows, cols):
-        # The same two IEEE operations per entry as `WindowData.usage`.
-        values = draws[rows, cols] * spans[0 if span_row is None else span_row[rows], cols]
+    def usage_at(cols):
+        # Column(s) ``cols`` of every period, by the two IEEE operations of `WindowData.usage`.
+        values = uniforms(cols) * spans[0 if span_row is None else span_row, cols]
         values += lows[cols]
         return values
 
@@ -219,20 +260,20 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     for pos, profile in enumerate(consumers):
         if is_benign(profile.behavior):
             continue
-        actual = usage_at(slice(None), pos)
+        actual = usage_at(pos)
         reported = apply_behavior(profile.behavior, actual, rng)
         dishonest[pos] = reported
         leakage = leakage + (actual - reported)
 
     sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = usage_at(np.arange(periods), sampled_pos)
+    sampled_reports = usage_at(sampled_pos)
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
 
     return WindowData(
         region=region,
-        draws=draws,
+        state=state,
         lows=lows,
         spans=spans,
         span_row=span_row,

@@ -2,7 +2,8 @@
 
 A consumer's usage is i.i.d. uniform on ``[usage_min, usage_max]`` per
 period (no temporal correlation, the hardest setting for the detector);
-`harness.simulate_window` draws it.
+`harness.simulate_window` computes the entries a trial reads from the
+generator's state, bit for bit what a full draw would give.
 Reported values are derived from actual usage by the consumer's behavior
 model and are clipped at zero so reports stay physical.
 """

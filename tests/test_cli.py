@@ -183,6 +183,20 @@ class TestCli:
         assert_one_error_line(capsys, "finite")
         assert not (tmp_path / "bills.csv").exists()
 
+    @pytest.mark.parametrize("command, csv, config", [
+        ("bill", "bills.csv", "[region]\nusage_min = 0\nusage_max = 1e308\n"),
+        ("simulate", "records.csv", "[region]\nusage_min = 0\nusage_max = 1e308\n"),
+        ("detect", "detection.csv", "[region]\nusage_max = 1e308\n"),
+        ("bill", "bills.csv", "[billing]\nelasticity_factor = 1e308\nelasticity_level = 0.5\n"),
+    ])
+    def test_values_that_overflow_are_one_error_line(self, tmp_path, capsys, command, csv, config):
+        # each used to write inf (bills, totals) or label everyone insufficient_data, with exit 0
+        path = tmp_path / "huge.cfg"
+        path.write_text(config + MINIMAL)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "overflow")
+        assert not (tmp_path / csv).exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_one_error_line(self, tmp_path, capsys, threads):
         cfg = self.write_tiny(tmp_path)

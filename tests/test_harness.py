@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_config, tiny_config
 from gridwatch.billing import TariffSchedule
+from gridwatch.config import loads_config
 from gridwatch.detection import Label
 from gridwatch import harness
 from gridwatch.errors import ConfigurationError, InputError
@@ -167,6 +169,19 @@ class TestRunTrial:
         eager = run_trial(dataclasses.replace(cfg, mode=THRESHOLD_MODE), derive_trial_seed(0, 0))
         assert len(calls) == 2
         assert report == eager.report
+
+    def test_twelve_month_trial_allocates_no_usage_matrix(self):
+        # The (34,560, 100) usage matrix alone would be 27.6 MB; a trial reads
+        # only the attacker's column and one sampled entry per period.
+        cfg = with_months(make_config(), 12)
+        run_trial(cfg, derive_trial_seed(0, 0))  # builds the cached jump tables
+        tracemalloc.start()
+        try:
+            run_trial(cfg, derive_trial_seed(0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
@@ -336,6 +351,29 @@ class TestScenarioBuilders:
         for factor, level in ((math.inf, 1.0), (math.nan, 1.0), (0.8, math.nan), (0.8, -math.inf)):
             with pytest.raises(ConfigurationError, match="finite"):
                 dataclasses.replace(cfg, elasticity_factor=factor, elasticity_level=level)
+
+    @staticmethod
+    def five_consumers(usage_max=1.5, attackers="", billing=""):
+        """5 consumers, 120 periods of usage up to ``usage_max``."""
+        return loads_config(f"[region]\nconsumers = 5\nperiods_per_day = 4\nusage_max = {usage_max}\n"
+                            f"[attackers]\n{attackers}\n[billing]\n{billing}\n")
+
+    @pytest.mark.parametrize("values, sums", [
+        (dict(usage_max=1e308), "regional totals"),
+        (dict(billing="tariff = 1e307"), "monthly bills"),
+        (dict(usage_max=1e153), "correlation sums"),
+        (dict(attackers="3 = multiplicative 1e153"), "correlation sums"),
+        (dict(attackers="3 = random_offset 1e153 add"), "correlation sums"),
+        (dict(billing="elasticity_factor = 1e153\nelasticity_level = 0.5"), "correlation sums"),
+    ])
+    def test_values_that_overflow_a_sum_are_rejected(self, values, sums):
+        with pytest.raises(ConfigurationError, match=sums):
+            self.five_consumers(**values)
+
+    def test_largest_finite_sums_are_accepted(self):
+        # (5 x 1e150)^2 x 120 periods is finite
+        cfg = self.five_consumers(usage_max=1e150, attackers="3 = multiplicative 0.1")
+        assert run_trial(cfg, derive_trial_seed(0, 0)).report.corr(3) == pytest.approx(1.0)
 
 
 class TestBillingPath:

@@ -19,6 +19,7 @@ from gridwatch.detection import series_from_arrays
 from gridwatch.harness import DAYS_PER_MONTH, run_trial, simulate_window
 from per_period import accumulate_samples, full_matrix_window, ledger_bills, window_records
 
+FIELDS = ("leakage", "sampled_pos", "sampled_reports", "usage", "reports")
 BEHAVIORS = (
     "benign",
     "multiplicative 0.1",
@@ -31,12 +32,16 @@ BEHAVIORS = (
 
 
 @st.composite
-def configs(draw):
-    """A small scenario and the seed of its window's stream."""
-    n = draw(st.integers(2, 6))
+def configs(draw, max_n=6):
+    """A small scenario and the seed of its window's stream.
+
+    Up to 6 consumers, each draws a behavior; in a wider region only the
+    first, the last and one other consumer do."""
+    n = draw(st.integers(2, max_n))
     ppd = draw(st.integers(1, 3))
     months = draw(st.integers(1, 2))
-    attackers = "\n".join(f"{i} = {draw(st.sampled_from(BEHAVIORS))}" for i in range(n))
+    drawn = range(n) if n <= 6 else (0, draw(st.integers(1, n - 2)), n - 1)
+    attackers = "\n".join(f"{i} = {draw(st.sampled_from(BEHAVIORS))}" for i in drawn)
     elastic = "elasticity_factor = 0.7\nelasticity_level = 1.0\n" if draw(st.booleans()) else ""
     config = loads_config(
         f"[region]\nconsumers = {n}\nperiods_per_day = {ppd}\n[attackers]\n{attackers}\n"
@@ -59,14 +64,49 @@ def scenarios(draw):
     return config, window, config.tariff.per_period(config.region.total_periods)
 
 
-@given(configs())
-@settings(max_examples=60, deadline=None)
-def test_lazy_window_matches_full_matrix_bit_for_bit(scenario):
-    config, seed = scenario
-    window = simulate_window(config, np.random.default_rng(seed))
-    ref = full_matrix_window(config, np.random.default_rng(seed))
-    for name in ("leakage", "sampled_pos", "sampled_reports", "usage", "reports"):
+def used_stream(seed, warmup):
+    """A generator after ``warmup`` 0..9 integers: an odd count leaves half a raw draw buffered."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, size=warmup)
+    return rng
+
+
+def assert_same_window_and_stream(config, stream, fields=FIELDS):
+    """The window from `simulate_window` and from `full_matrix_window` on the same
+    stream, ``fields`` read in the order given, and the draws after each window."""
+    rng, ref_rng = stream(), stream()
+    window = simulate_window(config, rng)
+    ref = full_matrix_window(config, ref_rng)
+    for name in fields:
         assert getattr(window, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.integers(0, 7, size=5).tolist() == ref_rng.integers(0, 7, size=5).tolist()
+    assert rng.random(3).tolist() == ref_rng.random(3).tolist()
+
+
+@given(configs(max_n=120), st.integers(0, 3), st.permutations(FIELDS))
+@settings(max_examples=60, deadline=None)
+def test_lazy_window_matches_full_matrix_bit_for_bit(scenario, warmup, fields):
+    config, seed = scenario
+    assert_same_window_and_stream(config, lambda: used_stream(seed, warmup), fields)
+
+
+@pytest.mark.parametrize("months", [1, 12])
+def test_jump_ahead_window_matches_full_matrix_at_full_size(months):
+    # 2,880 and 34,560 periods of the default 100 consumers, the sizes table1 runs
+    config = loads_config(
+        "[attackers]\n0 = random_offset 0.7\n25 = multiplicative 0.1\n99 = fixed_offset 0.6 add\n"
+        f"[billing]\nelasticity_factor = 0.8\nelasticity_level = 0.5\n[experiment]\nmonths = {months}\n"
+    )
+    assert_same_window_and_stream(
+        config, lambda: np.random.default_rng([42, 3]), ("leakage", "sampled_pos", "sampled_reports")
+    )
+
+
+def test_window_needs_a_pcg64_generator():
+    config = loads_config("[region]\nconsumers = 3\nperiods_per_day = 1\n")
+    with pytest.raises(TypeError, match="PCG64"):
+        simulate_window(config, np.random.Generator(np.random.MT19937(0)))
 
 
 @given(configs(), st.sampled_from([None, 0.25, 0.6]), st.sampled_from([0.05, 0.3, 0.5, 1.0]),
