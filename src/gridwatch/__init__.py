@@ -4,7 +4,6 @@ detection, privacy-preserving aggregation, and aggregator-side billing."""
 __version__ = "0.1.0"
 
 from .billing import (
-    BillStatement,
     TariffSchedule,
     accrue,
     issue_bills,
@@ -41,7 +40,6 @@ from .model import (
 
 __all__ = [
     "__version__",
-    "BillStatement",
     "TariffSchedule",
     "accrue",
     "issue_bills",

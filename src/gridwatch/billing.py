@@ -1,8 +1,9 @@
 """Aggregator-side billing: monthly costs from reports and tariffs.
 
 Bills are computed from reported values only; the billing path never sees
-ground-truth usage.  Each bill covers one month, a fixed span of periods,
-and a window must be a whole number of months.
+ground-truth usage.  Each bill covers one month, a fixed span of periods:
+`accrue` costs one month's reports, and `issue_bills` turns the months'
+costs into bill columns.
 """
 
 from __future__ import annotations
@@ -57,38 +58,25 @@ class TariffSchedule:
         return np.array(self.rates)
 
 
-@dataclass(frozen=True)
-class BillStatement:
-    consumer_id: int
-    window_start: int
-    window_end: int
-    amount: float
+def accrue(reports: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """One month's cost of each consumer: ``reports`` is ``(periods, consumers)``
+    and ``rates`` has one entry per period.
 
-
-def accrue(reports: np.ndarray, rates: np.ndarray, month_len: int) -> np.ndarray:
-    """Each consumer's cost in each month: a ``(months, consumers)`` matrix.
-
-    ``reports`` is ``(periods, consumers)`` and ``rates`` has one entry per
-    period.  Each month's sum runs period by period for every consumer, so
-    a cost is the float a running per-period total reaches (``einsum`` or
-    ``matmul`` may reorder the sum); a month at a time, so that no
-    temporary is as large as ``reports``.
+    Each sum runs period by period for every consumer, so a cost is the
+    float a running per-period total reaches (``einsum`` or ``matmul`` may
+    reorder the sum).
     """
-    periods, n = reports.shape
-    if rates.shape != (periods,):
-        raise InputError(f"{periods} periods of reports but rates of shape {rates.shape}")
-    if month_len < 1 or periods % month_len:
-        raise InputError(
-            f"{periods} periods are not a whole number of {month_len}-period months"
-        )
-    months = zip(rates.reshape(-1, month_len, 1), reports.reshape(-1, month_len, n))
-    return np.array([(r * x).sum(axis=0) for r, x in months])
+    if rates.shape != reports.shape[:1]:
+        raise InputError(f"{len(reports)} periods of reports but rates of shape {rates.shape}")
+    return (rates[:, None] * reports).sum(axis=0)
 
 
-def issue_bills(costs: np.ndarray, consumer_ids: Sequence[int], month_len: int) -> list[BillStatement]:
-    """One statement per consumer per month, month by month in consumer order."""
-    return [
-        BillStatement(cid, m * month_len, (m + 1) * month_len, amount)
-        for m, month in enumerate(costs.tolist())
-        for cid, amount in zip(consumer_ids, month)
-    ]
+def issue_bills(costs: np.ndarray, consumer_ids: Sequence[int], month_len: int) -> tuple[np.ndarray, ...]:
+    """The columns ``(consumer_id, window_start, window_end, amount)`` of the
+    bills in a ``(months, consumers)`` cost matrix: one bill per consumer per
+    month, by month and then by consumer id."""
+    order = np.argsort(consumer_ids)
+    ids = np.asarray(consumer_ids)[order]
+    months, n = costs.shape
+    starts = np.repeat(np.arange(months) * month_len, n)
+    return np.tile(ids, months), starts, starts + month_len, costs[:, order].ravel()

@@ -21,7 +21,7 @@ from . import __version__
 from .billing import TariffSchedule
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
 from .errors import ConfigurationError
-from .harness import DAYS_PER_MONTH, ScenarioConfig, THRESHOLD_MODE
+from .harness import DAYS_PER_MONTH, ScenarioConfig, THRESHOLD_MODE, check_window_size
 from .model import (
     Benign,
     BehaviorModel,
@@ -152,7 +152,8 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
         for key in keys:
             values[key.name] = _parse(name, key, given[key.name]) if key.name in given else key.default
 
-    n = values["consumers"]
+    n, ppd = values["consumers"], values["periods_per_day"]
+    check_window_size(n, ppd, DAYS_PER_MONTH * ppd * values["months"])
     attackers: dict[int, BehaviorModel] = {}
     for entry, spec in raw.get("attackers", {}).items():
         try:
@@ -166,8 +167,7 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
         ConsumerProfile(i, values["usage_min"], values["usage_max"], attackers.get(i, Benign()))
         for i in range(n)
     )
-    region = RegionConfig(region_id=values["region_id"], consumers=profiles,
-                          periods_per_day=values["periods_per_day"],
+    region = RegionConfig(region_id=values["region_id"], consumers=profiles, periods_per_day=ppd,
                           num_days=DAYS_PER_MONTH * values["months"])
     fields = {key.field: values[key.name] for key in _FIELD_KEYS}
     fields["tariff"] = TariffSchedule.flat(fields["tariff"])

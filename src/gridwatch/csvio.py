@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .billing import BillStatement
 from .detection import DetectionReport
 from .errors import GridwatchError
 from .harness import ProbabilityEstimate
@@ -74,10 +73,9 @@ def export_detection(report: DetectionReport, path: str | Path) -> Path:
     return write_columns(path, DETECTION_HEADER, _report_columns(report))
 
 
-def export_bills(bills: Iterable[BillStatement], path: str | Path) -> Path:
-    rows = sorted(bills, key=lambda b: (b.window_start, b.consumer_id))
-    columns = zip(*((b.consumer_id, b.window_start, b.window_end, b.amount) for b in rows))
-    return write_columns(path, BILLS_HEADER, list(columns))
+def export_bills(columns: Sequence[np.ndarray], path: str | Path) -> Path:
+    """Write `issue_bills` columns under `BILLS_HEADER`."""
+    return write_columns(path, BILLS_HEADER, columns)
 
 
 def export_probability_table(

@@ -1,9 +1,9 @@
 """Scenario orchestration: seeded end-to-end trials and Monte-Carlo estimates.
 
-A trial generates every consumer's usage and reports for the whole
-measurement window as one set of arrays, correlates every consumer's
-sampled reports with the leakage in one pass, runs the configured
-detector, and scores the result against the known attacker set.  Trials
+A trial computes only the usage entries it reads, correlates every
+consumer's sampled reports with the leakage in one pass, runs the
+configured detector, and scores the result against the known attacker
+set; billing and records read the usage a month at a time.  Trials
 are deterministic given their seed; Monte-Carlo repetitions use seeds
 derived injectively from ``(master_seed, trial_index)`` so they can run
 in any order or in parallel without changing the result.
@@ -16,12 +16,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._pcg64 import skip_uniforms
-from .billing import BillStatement, TariffSchedule, accrue, issue_bills
+from .billing import TariffSchedule, accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
     DEFAULT_THRESHOLD,
@@ -47,6 +47,9 @@ from .model import (
 )
 
 DAYS_PER_MONTH = 30
+# Size limits (`check_window_size`): one month's float64 usage block up to 1 GiB
+MAX_MONTH_ENTRIES = 2**27
+MAX_PERIODS = 2**22
 
 THRESHOLD_MODE = "threshold"
 MOST_NEGATIVE_MODE = "most_negative"
@@ -67,6 +70,8 @@ class ScenarioConfig:
     repetitions: int = 1000
 
     def __post_init__(self):
+        region = self.region
+        check_window_size(len(region.consumers), region.periods_per_day, region.total_periods)
         if self.months < 1:
             raise ConfigurationError(f"months must be >= 1, got {self.months}")
         if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
@@ -99,6 +104,15 @@ class ScenarioConfig:
     @property
     def attacker_ids(self) -> set[int]:
         return self.region.malicious_ids
+
+
+def check_window_size(consumers: int, periods_per_day: int, periods: int) -> None:
+    """Reject a window whose month block or per-period arrays exceed the size limits."""
+    month = DAYS_PER_MONTH * periods_per_day * consumers
+    limits = ((month, "values a month", MAX_MONTH_ENTRIES), (periods, "periods", MAX_PERIODS))
+    for size, what, limit in limits:
+        if size > limit:
+            raise ConfigurationError(f"the window has {size} {what}, above the limit of {limit}")
 
 
 def _check_sums_finite(config: ScenarioConfig) -> None:
@@ -149,15 +163,15 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 class WindowData:
     """Whole-window simulation arrays (one row or entry per period).
 
-    Usage is ``usage[t, c] = u[t, c] * spans[span_row[t], c] + lows[c]``,
-    with one row of spans when ``span_row`` is None, where ``u`` is the
-    ``(periods, n)`` block of uniforms that the generator in ``state``
-    draws next.  ``dishonest`` maps each misreporting consumer's position
-    in ``region.consumers`` to its reports, and ``sampled_pos`` holds the
-    sampled consumer's position.  The usage and reports matrices, the
-    regional totals and the sampled ids are computed on first access, the
-    usage by drawing ``u`` again from ``state``: a Monte-Carlo trial never
-    reads them.
+    Usage is ``u[t, c] * spans[span_row[t], c] + lows[c]`` (`_scale`), with
+    one row of spans when ``span_row`` is None, where ``u`` is the
+    ``(periods, n)`` block of uniforms that the generator in ``state`` draws
+    next.  ``dishonest`` maps each misreporting consumer's position in
+    ``region.consumers`` to its reports, and ``sampled_pos`` holds the
+    sampled consumer's position.  `months` draws the usage and reports
+    again from ``state``, one month at a time; the regional totals and the
+    sampled ids are computed on first access.  A Monte-Carlo trial reads
+    none of them.
     """
 
     region: RegionConfig
@@ -170,30 +184,27 @@ class WindowData:
     sampled_pos: np.ndarray
     sampled_reports: np.ndarray
 
-    @cached_property
-    def usage(self) -> np.ndarray:
-        bits = np.random.PCG64()
-        bits.state = self.state
-        usage = np.random.Generator(bits).random((len(self.leakage), len(self.lows)))
-        # Scaled in place: a scaled copy would double the window's memory.
-        if self.span_row is None:
-            usage *= self.spans[0]
-        else:
-            for row, span in enumerate(self.spans):
-                np.multiply(usage, span, out=usage, where=(self.span_row == row)[:, None])
-        usage += self.lows
-        return usage
+    def months(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each month's ``(usage, reports)`` block, ``(periods, n)``, in period order.
 
-    @cached_property
-    def reports(self) -> np.ndarray:
-        reports = self.usage.copy()
-        for pos, reported in self.dishonest.items():
-            reports[:, pos] = reported
-        return reports
+        A window that is not a whole number of months ends with a shorter
+        block.  The draws come from a copy of the saved generator state."""
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.state
+        periods, n = len(self.leakage), len(self.lows)
+        month_len = DAYS_PER_MONTH * self.region.periods_per_day
+        for start in range(0, periods, month_len):
+            rows = slice(start, min(start + month_len, periods))
+            uniforms = rng.random((rows.stop - start, n))
+            usage = _scale(uniforms, self.lows, self.spans, self.span_row, rows, slice(None))
+            reports = usage.copy()
+            for pos, reported in self.dishonest.items():
+                reports[:, pos] = reported[rows]
+            yield usage, reports
 
     @cached_property
     def actual_total(self) -> np.ndarray:
-        return self.usage.sum(axis=1)
+        return np.concatenate([usage.sum(axis=1) for usage, _ in self.months()])
 
     @cached_property
     def reported_total(self) -> np.ndarray:
@@ -214,6 +225,14 @@ class WindowData:
             self.sampled_ids,
             self.sampled_reports,
         )
+
+
+def _scale(uniforms: np.ndarray, lows, spans, span_row, rows, cols) -> np.ndarray:
+    """The usage of periods ``rows`` and consumer(s) ``cols`` from their uniforms, in place.
+    Sparse reads and month blocks both take it, so they agree bit for bit."""
+    uniforms *= spans[0 if span_row is None else span_row[rows], cols]
+    uniforms += lows[cols]
+    return uniforms
 
 
 def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowData:
@@ -249,24 +268,18 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
         ])
         span_row = (config.tariff.per_period(periods) > config.elasticity_level).astype(np.intp)
 
-    def usage_at(cols):
-        # Column(s) ``cols`` of every period, by the two IEEE operations of `WindowData.usage`.
-        values = uniforms(cols) * spans[0 if span_row is None else span_row, cols]
-        values += lows[cols]
-        return values
-
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
     for pos, profile in enumerate(consumers):
         if is_benign(profile.behavior):
             continue
-        actual = usage_at(pos)
+        actual = _scale(uniforms(pos), lows, spans, span_row, slice(None), pos)
         reported = apply_behavior(profile.behavior, actual, rng)
         dishonest[pos] = reported
         leakage = leakage + (actual - reported)
 
     sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = usage_at(sampled_pos)
+    sampled_reports = _scale(uniforms(sampled_pos), lows, spans, span_row, slice(None), sampled_pos)
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
@@ -350,9 +363,7 @@ def run_trial(
     consumer with evidence (`has_evidence`) and ``|corr| >= th``, as `detect_region`
     labels them; a most-negative trial without defined correlations selects no one.
     """
-    if isinstance(trial_seed, int):
-        trial_seed = np.random.SeedSequence([trial_seed])
-    rng = np.random.default_rng(trial_seed)
+    rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
     window = simulate_window(config, rng)
     ids = config.region.consumer_ids
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
@@ -372,7 +383,7 @@ def run_trial(
         flagged = has_evidence(counts, corr, config.min_samples) & (np.abs(corr) >= config.th)
         detected = frozenset(ids[pos] for pos in np.flatnonzero(flagged))
     return TrialOutcome(
-        true_malicious=frozenset(config.attacker_ids),
+        true_malicious=frozenset(ids[pos] for pos in window.dishonest),
         detected=detected,
         selected=selected,
         config=config,
@@ -452,16 +463,18 @@ def estimate_detection_probability(
 def run_billing(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence,
-) -> tuple[WindowData, list[BillStatement]]:
-    """Simulate one window and bill it month by month from reports only."""
-    if isinstance(trial_seed, int):
-        trial_seed = np.random.SeedSequence([trial_seed])
-    rng = np.random.default_rng(trial_seed)
-    window = simulate_window(config, rng)
+) -> tuple[WindowData, tuple[np.ndarray, ...]]:
+    """Simulate one window and bill it month by month from reports only.
+
+    Returns the window and the `issue_bills` columns.  A window that is not
+    a whole number of months is rejected before anything is drawn."""
     region = config.region
+    if region.num_days % DAYS_PER_MONTH:
+        raise InputError(f"{region.num_days} days are not a whole number of {DAYS_PER_MONTH}-day months")
+    window = simulate_window(config, np.random.default_rng(trial_seed))
     month_len = DAYS_PER_MONTH * region.periods_per_day
-    rates = config.tariff.per_period(region.total_periods)
-    costs = accrue(window.reports, rates, month_len)
+    rates = config.tariff.per_period(region.total_periods).reshape(-1, month_len)
+    costs = np.array([accrue(reports, r) for r, (_, reports) in zip(rates, window.months())])
     return window, issue_bills(costs, region.consumer_ids, month_len)
 
 

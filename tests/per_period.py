@@ -8,15 +8,27 @@ against them, the way `oracle_pearson` backs `pearson`.
 
 `full_matrix_window` is the reference for the window itself: it scales
 the whole usage matrix before reading any of it, where `simulate_window`
-scales only the entries a trial reads.
+scales only the entries a trial reads and `WindowData.months` one month
+at a time.  `matrices` joins a window's month blocks into the two whole
+matrices, so that tests read the package's blocks.
 """
 
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from gridwatch.billing import BillStatement
 from gridwatch.model import apply_behavior, is_benign
+
+
+class Matrices(NamedTuple):
+    usage: np.ndarray
+    reports: np.ndarray
+
+
+def matrices(window) -> Matrices:
+    """The window's ``(periods, consumers)`` usage and reports: its `months` blocks, joined."""
+    usage, reports = zip(*window.months())
+    return Matrices(np.concatenate(usage), np.concatenate(reports))
 
 
 class FullWindow(NamedTuple):
@@ -100,8 +112,11 @@ def accumulate_samples(pairs: Iterable[tuple], n: int) -> list[tuple[list, list]
     return series
 
 
-def ledger_bills(reports, rates, month_len, consumer_ids) -> list[BillStatement]:
-    """Accrue ``rate * report`` period by period; bill and reset each month."""
+def ledger_bills(reports, rates, month_len, consumer_ids) -> list[list]:
+    """Accrue ``rate * report`` period by period; bill and reset each month.
+
+    Returns the bill columns ``(consumer_id, window_start, window_end,
+    amount)``, by month and then by consumer id."""
     bills = []
     costs = [0.0] * len(consumer_ids)
     for t, row in enumerate(reports):
@@ -109,8 +124,6 @@ def ledger_bills(reports, rates, month_len, consumer_ids) -> list[BillStatement]
             costs[i] += float(rates[t]) * float(report)
         if (t + 1) % month_len == 0:
             start = t + 1 - month_len
-            bills += [
-                BillStatement(cid, start, t + 1, cost) for cid, cost in zip(consumer_ids, costs)
-            ]
+            bills += [(cid, start, t + 1, cost) for cid, cost in zip(consumer_ids, costs)]
             costs = [0.0] * len(consumer_ids)
-    return bills
+    return [list(column) for column in zip(*sorted(bills, key=lambda b: (b[1], b[0])))]

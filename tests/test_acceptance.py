@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from gridwatch.billing import accrue, issue_bills
 from gridwatch.csvio import write_columns
 from gridwatch.detection import pearson
 from gridwatch.harness import (
@@ -25,6 +24,7 @@ from gridwatch.harness import (
     derive_trial_seed,
     duration_sweep,
     estimate_detection_probability,
+    run_billing,
     run_trial,
     simulate_window,
 )
@@ -138,17 +138,13 @@ def test_criterion_6_property_battery(capfd):
         window.actual_total, window.reported_total + window.leakage, rtol=1e-12, atol=0
     )
 
-    # billing total conservation against the same window
-    periods = cfg.region.total_periods
-    window_full = simulate_window(cfg, np.random.default_rng(derive_trial_seed(MASTER_SEED, 0)))
-    bills = issue_bills(
-        accrue(window_full.reports, np.ones(periods), periods), cfg.region.consumer_ids, periods
-    )
+    # billing total conservation against the same window (flat tariff 1.0)
+    billed, (_, _, _, amounts) = run_billing(cfg, derive_trial_seed(MASTER_SEED, 0))
     billing_ok = math.isclose(
-        sum(b.amount for b in bills),
-        float(window_full.reported_total.sum()),
+        float(amounts.sum()),
+        float(billed.reported_total.sum()),
         rel_tol=1e-9,
-    )
+    ) and billed.leakage.tobytes() == window.leakage.tobytes()
 
     # sampling uniformity (chi-square, fixed seed)
     counts = np.bincount(window.sampled_ids, minlength=100)

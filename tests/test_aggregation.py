@@ -15,7 +15,7 @@ from conftest import tiny_config
 from gridwatch.detection import low_report_correlations, series_from_arrays
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import simulate_window
-from per_period import accumulate_samples, aggregate_period, window_records
+from per_period import accumulate_samples, aggregate_period, matrices, window_records
 
 
 def window_of(config, seed=0):
@@ -34,7 +34,7 @@ class TestAggregatePeriod:
         # the window's leakage is the same sum over its attackers, every period
         window = window_of(tiny_config(attackers="0 = multiplicative 0.1\n3 = fixed_offset 0.4 add"))
         np.testing.assert_allclose(
-            window.leakage, (window.usage - window.reports).sum(axis=1), rtol=1e-12, atol=1e-15
+            window.leakage, np.subtract(*matrices(window)).sum(axis=1), rtol=1e-12, atol=1e-15
         )
 
     def test_sampled_pair_consistency(self):
@@ -48,7 +48,8 @@ class TestAggregatePeriod:
         )
         window = window_of(cfg, seed=4)
         periods = np.arange(cfg.region.total_periods)
-        assert np.array_equal(window.sampled_reports, window.reports[periods, window.sampled_pos])
+        reports = matrices(window).reports
+        assert np.array_equal(window.sampled_reports, reports[periods, window.sampled_pos])
         assert list(window.sampled_ids) == [10 * p + 7 for p in window.sampled_pos]
 
     def test_length_mismatch_rejected(self):
@@ -75,7 +76,7 @@ class TestAggregatePeriod:
         # reported total (actual minus leakage) equals the sum of the reports
         window = window_of(tiny_config(attackers=attackers, consumers=consumers), seed)
         np.testing.assert_allclose(
-            window.reported_total, window.reports.sum(axis=1), rtol=1e-12, atol=1e-15
+            window.reported_total, matrices(window).reports.sum(axis=1), rtol=1e-12, atol=1e-15
         )
 
 
@@ -127,7 +128,7 @@ class TestSeriesFromArrays:
         # the grouped slices agree with a period-by-period fold of the records
         cfg = tiny_config(attackers="1 = multiplicative 0.9", consumers=6, periods_per_day=16)
         window = window_of(cfg, seed=11)
-        records = window_records(window.usage, window.reports, window.sampled_pos)
+        records = window_records(*matrices(window), window.sampled_pos)
         folded = accumulate_samples(
             ((r.period, r.sampled, r.sampled_report, leak) for r, leak in zip(records, window.leakage)),
             6,

@@ -1,18 +1,36 @@
+import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from conftest import tiny_config
+from gridwatch import harness
 from gridwatch.billing import TariffSchedule, accrue, issue_bills
 from gridwatch.errors import ConfigurationError, InputError
 
 
-def bill(reports, rate, month_len=None):
-    """Bills of a ``(periods, consumers)`` reports matrix at a flat rate, one month by default."""
+def monthly_costs(reports, rates, month_len):
+    """The ``(months, consumers)`` costs of a reports matrix, `accrue` month by month."""
+    n = reports.shape[1]
+    months = zip(np.reshape(rates, (-1, month_len)), np.reshape(reports, (-1, month_len, n)))
+    return np.array([accrue(x, r) for r, x in months])
+
+
+class Bills(NamedTuple):
+    consumer_id: np.ndarray
+    window_start: np.ndarray
+    window_end: np.ndarray
+    amount: np.ndarray
+
+
+def bill(reports, rate, month_len=None, consumer_ids=None):
+    """Bill columns of a ``(periods, consumers)`` reports matrix at a flat rate, one month by default."""
     reports = np.asarray(reports, dtype=float)
     month_len = month_len or reports.shape[0]
-    costs = accrue(reports, np.full(reports.shape[0], rate), month_len)
-    return issue_bills(costs, list(range(reports.shape[1])), month_len)
+    costs = monthly_costs(reports, np.full(reports.shape[0], rate), month_len)
+    return Bills(*issue_bills(costs, consumer_ids or list(range(reports.shape[1])), month_len))
 
 
 class TestTariffSchedule:
@@ -50,28 +68,33 @@ class TestTariffSchedule:
 
 class TestAccrue:
     def test_zero_tariff_leaves_ledger_unchanged(self):
-        costs = accrue(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.zeros(2), 2)
-        assert costs.tolist() == [[0.0, 0.0, 0.0]]
+        costs = accrue(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.zeros(2))
+        assert costs.tolist() == [0.0, 0.0, 0.0]
 
     def test_flat_tariff_linear_in_usage(self):
         usage = [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
-        costs = accrue(np.array(usage), np.full(3, 2.0), 3)
-        assert costs[0, 0] == pytest.approx(2.0 * 6.0)
-        assert costs[0, 1] == pytest.approx(2.0 * 15.0)
+        costs = accrue(np.array(usage), np.full(3, 2.0))
+        assert costs[0] == pytest.approx(2.0 * 6.0)
+        assert costs[1] == pytest.approx(2.0 * 15.0)
 
     def test_underreporting_scales_bill(self):
         # a consumer reporting a tenth owes a tenth of the honest bill
         honest = bill([[3.0, 1.0], [5.0, 1.0]], 1.5)
         cheat = bill([[0.3, 1.0], [0.5, 1.0]], 1.5)
-        assert cheat[0].amount == pytest.approx(0.1 * honest[0].amount)
-        assert cheat[1].amount == honest[1].amount
+        assert cheat.amount[0] == pytest.approx(0.1 * honest.amount[0])
+        assert cheat.amount[1] == honest.amount[1]
 
-    def test_period_outside_window(self):
-        # periods past the last whole month belong to no bill: rejected, not dropped
+    def test_period_outside_window(self, monkeypatch):
+        # periods past the last whole month belong to no bill: the window is
+        # rejected before anything is drawn, not billed short
+        def no_draw(*args):
+            raise AssertionError("drew a window that cannot be billed")
+
+        monkeypatch.setattr(harness, "simulate_window", no_draw)
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, region=dataclasses.replace(cfg.region, num_days=45))
         with pytest.raises(InputError, match="whole number"):
-            accrue(np.ones((5, 3)), np.ones(5), 4)
-        with pytest.raises(InputError):
-            accrue(np.ones((4, 3)), np.ones(4), 0)
+            harness.run_billing(cfg, 0)
 
     def test_duplicate_period(self):
         # each period is billed once, in its own month: raising one period's
@@ -80,13 +103,13 @@ class TestAccrue:
         bumped = reports.copy()
         bumped[4, 1] += 2.0
         rates = np.array([1.0, 1.0, 1.0, 1.0, 0.25, 1.0])
-        delta = accrue(bumped, rates, 3) - accrue(reports, rates, 3)
+        delta = monthly_costs(bumped, rates, 3) - monthly_costs(reports, rates, 3)
         assert delta.tolist() == [[0.0, 0.0], [0.0, 0.5]]
 
     def test_report_count_mismatch(self):
         # one rate per period
         with pytest.raises(InputError):
-            accrue(np.ones((4, 3)), np.ones(3), 4)
+            accrue(np.ones((4, 3)), np.ones(3))
 
     def test_order_independence(self):
         # dyadic rationals make the additions exact, so permuted period
@@ -94,25 +117,32 @@ class TestAccrue:
         rng = np.random.default_rng(5)
         reports = rng.integers(0, 4096, size=(8, 3)) / 1024.0
         permuted = reports[[5, 2, 7, 0, 3, 6, 1, 4]]
-        assert accrue(reports, np.ones(8), 8).tobytes() == accrue(permuted, np.ones(8), 8).tobytes()
+        assert accrue(reports, np.ones(8)).tobytes() == accrue(permuted, np.ones(8)).tobytes()
 
 
 class TestIssueBills:
     def test_untouched_ledger_issues_zero_bills(self):
         bills = bill(np.zeros((4, 3)), 1.0)
-        assert [b.amount for b in bills] == [0.0, 0.0, 0.0]
+        assert bills.amount.tolist() == [0.0, 0.0, 0.0]
 
     def test_equal_usage_equal_bills(self):
         bills = bill([[3.0, 3.0], [3.0, 3.0]], 1.2)
-        assert bills[0].amount == bills[1].amount
+        assert bills.amount[0] == bills.amount[1]
 
     def test_reset_advances_window(self):
         # each month starts where the last ended and bills only its own periods
         bills = bill([[1.0, 2.0], [1.0, 2.0], [4.0, 8.0], [4.0, 8.0]], 1.0, month_len=2)
-        windows = [(b.window_start, b.window_end) for b in bills]
-        assert windows == [(0, 2), (0, 2), (2, 4), (2, 4)]
-        assert [b.amount for b in bills] == [2.0, 4.0, 8.0, 16.0]
-        assert [b.consumer_id for b in bills] == [0, 1, 0, 1]
+        assert list(zip(bills.window_start.tolist(), bills.window_end.tolist())) == [
+            (0, 2), (0, 2), (2, 4), (2, 4)
+        ]
+        assert bills.amount.tolist() == [2.0, 4.0, 8.0, 16.0]
+        assert bills.consumer_id.tolist() == [0, 1, 0, 1]
+
+    def test_bills_ordered_by_consumer_id_within_month(self):
+        # region order is not id order: each month's bills still go by id
+        bills = bill([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], 1.0, month_len=1, consumer_ids=[7, 2, 5])
+        assert bills.consumer_id.tolist() == [2, 5, 7, 2, 5, 7]
+        assert bills.amount.tolist() == [2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
 
     def test_total_conservation(self):
         # sum of bills equals sum over periods of tariff * reported_total
@@ -120,8 +150,8 @@ class TestIssueBills:
         periods, n = 30, 5
         reports = rng.uniform(0.0, 2.0, size=(periods, n))
         rates = rng.uniform(0.5, 2.0, size=periods)
-        costs = accrue(reports, TariffSchedule.from_vector(rates, periods).per_period(periods), 10)
-        bills = issue_bills(costs, list(range(n)), 10)
-        total = sum(b.amount for b in bills)
+        costs = monthly_costs(reports, TariffSchedule.from_vector(rates, periods).per_period(periods), 10)
+        bills = Bills(*issue_bills(costs, list(range(n)), 10))
+        total = float(bills.amount.sum())
         expected = float((rates * reports.sum(axis=1)).sum())
         assert total == pytest.approx(expected, rel=1e-9)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from gridwatch import config as config_module
+from gridwatch import harness
 from gridwatch.cli import main
 from gridwatch.config import (
     RunManifest,
@@ -74,6 +76,28 @@ class TestLoadConfig:
         # configparser's DEFAULT section is neither ignored nor copied into [region]
         with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
             loads_config(text)
+
+    @pytest.mark.parametrize("text, breach", [
+        ("[region]\nconsumers = 1000000000000\n", "values a month"),  # 2.9e17
+        ("[region]\nconsumers = 1024\nperiods_per_day = 4370\n", "values a month"),  # 2**27 + 28,672
+        ("[experiment]\nmonths = 1000000000\n", "periods"),
+        ("[experiment]\nmonths = 1457\n", "periods"),  # 4,196,160 > 2**22
+    ])
+    def test_window_size_limits_checked_before_any_profile(self, monkeypatch, text, breach):
+        def no_profile(*args, **kwargs):
+            raise AssertionError("a consumer profile was built")
+
+        monkeypatch.setattr(config_module, "ConsumerProfile", no_profile)
+        with pytest.raises(ConfigurationError, match=f"{breach}, above the limit"):
+            loads_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "[region]\nconsumers = 1024\nperiods_per_day = 4369\n",  # 134,215,680 <= 2**27 values
+        "[experiment]\nmonths = 1456\n",  # 4,193,280 <= 2**22 periods
+    ])
+    def test_windows_at_the_size_limits_load(self, text):
+        # loading builds profiles and checks sums; nothing of the window's size is allocated
+        assert loads_config(text).region.total_periods <= harness.MAX_PERIODS
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -196,6 +220,17 @@ class TestCli:
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert_one_error_line(capsys, "overflow")
         assert not (tmp_path / csv).exists()
+
+    def test_window_over_the_size_limit_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a window over the size limit was simulated")
+
+        monkeypatch.setattr(harness, "simulate_window", no_draw)
+        path = tmp_path / "long.cfg"
+        path.write_text(MINIMAL + "[experiment]\nmonths = 1000000000\n")
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, "above the limit")
+        assert not (tmp_path / "detection.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_one_error_line(self, tmp_path, capsys, threads):

@@ -19,9 +19,11 @@ from conftest import make_config
 from gridwatch.cli import main
 from gridwatch.config import loads_config
 from gridwatch.harness import case_config, derive_trial_seed, simulate_window, with_months
+from per_period import matrices
 
 SEED = 42
 GOLDEN = Path(__file__).with_name("golden_seed42.json")
+# usage and reports are the window's month blocks, joined
 ARRAYS = ("usage", "reports", "actual_total", "reported_total", "leakage",
           "sampled_ids", "sampled_reports")
 # The 12-month window with a fixed-offset attacker, the low-report filter and
@@ -70,7 +72,8 @@ def _array_digest(array: np.ndarray) -> str:
 
 def _window_digests(name, config):
     window = simulate_window(config, np.random.default_rng(derive_trial_seed(SEED, 0)))
-    return {f"{name}/{attr}": _array_digest(getattr(window, attr)) for attr in ARRAYS}
+    arrays = {**matrices(window)._asdict(), **{attr: getattr(window, attr) for attr in ARRAYS[2:]}}
+    return {f"{name}/{attr}": _array_digest(arrays[attr]) for attr in ARRAYS}
 
 
 def _cli_digests(tmp_dir: Path):

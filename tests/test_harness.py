@@ -29,7 +29,8 @@ from gridwatch.harness import (
     trial_success,
     with_months,
 )
-from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
+from gridwatch.model import ConsumerProfile, FixedOffset, Multiplicative, RandomOffset
+from per_period import matrices
 from reference import benign_corr_std
 
 
@@ -55,6 +56,16 @@ class TestSeeding:
         assert o1.report.corrs.tobytes() == o2.report.corrs.tobytes()  # bits, not approx
 
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_int_seed_is_its_one_entry_seed_sequence(self, seed):
+        cfg = tiny_config(periods_per_day=8)
+        as_int, as_sequence = run_trial(cfg, seed), run_trial(cfg, np.random.SeedSequence([seed]))
+        assert as_int.samples[2].tobytes() == as_sequence.samples[2].tobytes()
+        assert as_int.report == as_sequence.report
+        bills = run_billing(cfg, seed)[1], run_billing(cfg, np.random.SeedSequence([seed]))[1]
+        assert [c.tobytes() for c in bills[0]] == [c.tobytes() for c in bills[1]]
+
+
 class TestSimulateWindow:
     def test_period_conservation(self):
         cfg = tiny_config(periods_per_day=8)
@@ -73,20 +84,20 @@ class TestSimulateWindow:
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=8)
         window = simulate_window(cfg, np.random.default_rng(0))
         np.testing.assert_allclose(
-            window.leakage, 0.9 * window.usage[:, 1], rtol=1e-9
+            window.leakage, 0.9 * matrices(window).usage[:, 1], rtol=1e-9
         )
 
     def test_sampled_report_matches_reports_matrix(self):
         cfg = tiny_config(attackers="0 = fixed_offset 0.4 subtract\n2 = random_offset 0.3 add")
         window = simulate_window(cfg, np.random.default_rng(1))
         periods = cfg.region.total_periods
-        expected = window.reports[np.arange(periods), window.sampled_ids]
+        expected = matrices(window).reports[np.arange(periods), window.sampled_ids]
         np.testing.assert_array_equal(window.sampled_reports, expected)
 
     def test_reports_never_negative(self):
         cfg = tiny_config(attackers="0 = fixed_offset 5.0 subtract\n1 = random_offset 5.0 subtract")
         window = simulate_window(cfg, np.random.default_rng(2))
-        assert np.all(window.reports >= 0.0)
+        assert np.all(matrices(window).reports >= 0.0)
 
     @pytest.mark.parametrize("elastic", [False, True])
     def test_usage_draw_matches_uniform_bit_for_bit(self, elastic):
@@ -110,13 +121,13 @@ class TestSimulateWindow:
             highs = np.maximum(highs[None, :] * scale[:, None], lows[None, :] + 1e-12)
         window = simulate_window(cfg, np.random.default_rng(9))
         expected = np.random.default_rng(9).uniform(lows, highs, size=(periods, len(consumers)))
-        assert window.usage.tobytes() == expected.tobytes()
+        assert matrices(window).usage.tobytes() == expected.tobytes()
 
     def test_elasticity_hook_caps_usage(self):
         base = tiny_config(extra="[billing]\ntariff = 2.0\n")
         elastic = dataclasses.replace(base, elasticity_factor=0.6, elasticity_level=1.0)
         window = simulate_window(elastic, np.random.default_rng(3))
-        assert window.usage.max() <= 1.5 * 0.6 + 1e-12
+        assert matrices(window).usage.max() <= 1.5 * 0.6 + 1e-12
 
 
 class TestRunTrial:
@@ -182,6 +193,28 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("output", ["bills", "records"])
+    def test_twelve_month_outputs_hold_one_month_at_a_time(self, output):
+        # The (34,560, 100) usage and reports matrices would be 27.6 MB each;
+        # bills and records read the window a month block (2.3 MB) at a time.
+        cfg = with_months(make_config("25 = fixed_offset 0.6 subtract", extra=(
+            "[billing]\nelasticity_factor = 0.8\nelasticity_level = 0.5\n")), 12)
+
+        def run(index):
+            if output == "bills":
+                return run_billing(cfg, derive_trial_seed(0, index))
+            rng = np.random.default_rng(derive_trial_seed(0, index))
+            return simulate_window(cfg, rng).to_records()
+
+        run(0)  # builds the cached jump tables
+        tracemalloc.start()
+        try:
+            run(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
@@ -370,6 +403,21 @@ class TestScenarioBuilders:
         with pytest.raises(ConfigurationError, match=sums):
             self.five_consumers(**values)
 
+    def test_window_size_limits(self):
+        # a window built through the API is checked like a loaded one, before any draw
+        cfg = make_config()
+        long_region = dataclasses.replace(cfg.region, periods_per_day=4096, num_days=1025)
+        with pytest.raises(ConfigurationError, match="4198400 periods, above the limit"):
+            dataclasses.replace(cfg, region=long_region)
+        at_limit = dataclasses.replace(cfg.region, periods_per_day=4096, num_days=1024)
+        assert dataclasses.replace(cfg, region=at_limit).region.total_periods == harness.MAX_PERIODS
+        wide = dataclasses.replace(
+            cfg.region, periods_per_day=4370,
+            consumers=[ConsumerProfile(i) for i in range(1024)],
+        )
+        with pytest.raises(ConfigurationError, match="values a month, above the limit"):
+            dataclasses.replace(cfg, region=wide)
+
     def test_largest_finite_sums_are_accepted(self):
         # (5 x 1e150)^2 x 120 periods is finite
         cfg = self.five_consumers(usage_max=1e150, attackers="3 = multiplicative 0.1")
@@ -379,16 +427,15 @@ class TestScenarioBuilders:
 class TestBillingPath:
     def test_bills_match_reported_totals(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1")
-        window, bills = run_billing(cfg, derive_trial_seed(0, 0))
-        total = sum(b.amount for b in bills)
-        assert total == pytest.approx(float(window.reported_total.sum()), rel=1e-9)
+        window, (_, _, _, amounts) = run_billing(cfg, derive_trial_seed(0, 0))
+        assert float(amounts.sum()) == pytest.approx(float(window.reported_total.sum()), rel=1e-9)
 
     def test_one_bill_per_consumer_per_month(self):
         cfg = tiny_config()
         cfg = with_months(cfg, 2)
         _, bills = run_billing(cfg, derive_trial_seed(0, 0))
-        assert len(bills) == 2 * 5
-        starts = {b.window_start for b in bills}
+        assert all(len(column) == 2 * 5 for column in bills)
+        starts = set(bills[1].tolist())
         assert starts == {0, 30 * 4}
 
     def test_partial_month_is_rejected(self):

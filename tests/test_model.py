@@ -7,6 +7,7 @@ from conftest import tiny_config
 from gridwatch.config import loads_config
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import simulate_window
+from per_period import matrices
 from gridwatch.model import (
     Benign,
     ConsumerProfile,
@@ -20,7 +21,7 @@ from gridwatch.model import (
 
 
 def usage_of(config, seed):
-    return simulate_window(config, np.random.default_rng(seed)).usage
+    return matrices(simulate_window(config, np.random.default_rng(seed))).usage
 
 
 class TestDrawUsage:

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.billing import TariffSchedule, accrue, issue_bills
+from gridwatch.billing import TariffSchedule
 from gridwatch.config import loads_config
 from gridwatch.detection import series_from_arrays
-from gridwatch.harness import DAYS_PER_MONTH, run_trial, simulate_window
-from per_period import accumulate_samples, full_matrix_window, ledger_bills, window_records
+from gridwatch.harness import DAYS_PER_MONTH, run_billing, run_trial, simulate_window
+from per_period import (
+    accumulate_samples, full_matrix_window, ledger_bills, matrices, window_records,
+)
 
 FIELDS = ("leakage", "sampled_pos", "sampled_reports", "usage", "reports")
 BEHAVIORS = (
@@ -78,7 +80,8 @@ def assert_same_window_and_stream(config, stream, fields=FIELDS):
     window = simulate_window(config, rng)
     ref = full_matrix_window(config, ref_rng)
     for name in fields:
-        assert getattr(window, name).tobytes() == getattr(ref, name).tobytes(), name
+        got = getattr(matrices(window), name) if name in ("usage", "reports") else getattr(window, name)
+        assert got.tobytes() == getattr(ref, name).tobytes(), name
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.integers(0, 7, size=5).tolist() == ref_rng.integers(0, 7, size=5).tolist()
     assert rng.random(3).tolist() == ref_rng.random(3).tolist()
@@ -103,6 +106,37 @@ def test_jump_ahead_window_matches_full_matrix_at_full_size(months):
     )
 
 
+def half_month_window(config):
+    """``config`` over 45 days: the window ends in half a month.  A rate vector is cut or repeated."""
+    periods = 45 * config.region.periods_per_day
+    tariff = config.tariff
+    if tariff.rates is not None:
+        tariff = TariffSchedule.from_vector(np.resize(tariff.rates, periods), periods)
+    region = dataclasses.replace(config.region, num_days=45)
+    return dataclasses.replace(config, region=region, tariff=tariff)
+
+
+@given(configs(max_n=40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_month_blocks_match_full_matrix_bit_for_bit(scenario, half_month):
+    config, seed = scenario
+    if half_month:
+        config = half_month_window(config)
+    rng = np.random.default_rng(seed)
+    window = simulate_window(config, rng)
+    after = rng.bit_generator.state
+    blocks = list(window.months())
+    assert rng.bit_generator.state == after  # the blocks come from a copy of the state
+    month_len, periods = DAYS_PER_MONTH * config.region.periods_per_day, config.region.total_periods
+    sizes = [min(month_len, periods - start) for start in range(0, periods, month_len)]
+    assert [(len(u), len(r)) for u, r in blocks] == [(size, size) for size in sizes]
+    ref = full_matrix_window(config, np.random.default_rng(seed))
+    got = matrices(window)
+    assert got.usage.tobytes() == ref.usage.tobytes()
+    assert got.reports.tobytes() == ref.reports.tobytes()
+    assert window.actual_total.tobytes() == ref.usage.sum(axis=1).tobytes()
+
+
 def test_window_needs_a_pcg64_generator():
     config = loads_config("[region]\nconsumers = 3\nperiods_per_day = 1\n")
     with pytest.raises(TypeError, match="PCG64"):
@@ -119,6 +153,7 @@ def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_sample
     )
     outcome = run_trial(config, seed)
     assert outcome.detected == outcome.report.malicious_ids
+    assert outcome.true_malicious == config.attacker_ids
 
 
 @given(scenarios())
@@ -126,7 +161,7 @@ def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_sample
 def test_simulate_window_matches_per_period_aggregation(scenario):
     config, window, _ = scenario
     ids = config.region.consumer_ids
-    records = window_records(window.usage, window.reports, window.sampled_pos)
+    records = window_records(*matrices(window), window.sampled_pos)
     for row, ref in zip(zip(*window.to_records(), strict=True), records, strict=True):
         period, actual_total, reported_total, leakage, sampled_id, sampled_report = row
         assert period == ref.period
@@ -136,14 +171,15 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
         assert (sampled_id, sampled_report) == (ids[ref.sampled], ref.sampled_report)
 
 
-@given(scenarios())
+@given(configs())
 @settings(max_examples=60, deadline=None)
 def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
-    config, window, rates = scenario
+    config, seed = scenario
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
-    ids = config.region.consumer_ids
-    bills = issue_bills(accrue(window.reports, rates, month_len), ids, month_len)
-    assert bills == ledger_bills(window.reports, rates, month_len, ids)
+    rates = config.tariff.per_period(config.region.total_periods)
+    window, bills = run_billing(config, seed)
+    ledger = ledger_bills(matrices(window).reports, rates, month_len, config.region.consumer_ids)
+    assert [column.tolist() for column in bills] == ledger
 
 
 @given(scenarios())
