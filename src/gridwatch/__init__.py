@@ -30,7 +30,6 @@ from .harness import (
 from .model import (
     Benign,
     BehaviorModel,
-    ConsumerProfile,
     FixedOffset,
     Multiplicative,
     RandomOffset,
@@ -62,7 +61,6 @@ __all__ = [
     "run_trial",
     "Benign",
     "BehaviorModel",
-    "ConsumerProfile",
     "FixedOffset",
     "Multiplicative",
     "RandomOffset",

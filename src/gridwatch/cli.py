@@ -61,7 +61,7 @@ def _load(args) -> ScenarioConfig:
 
 
 def _single_attacker_id(config: ScenarioConfig) -> int:
-    attackers = sorted(config.attacker_ids)
+    attackers = sorted(config.region.malicious_ids)
     if len(attackers) != 1:
         raise ConfigurationError(f"table1 needs exactly one attacker, got {len(attackers)}")
     return attackers[0]

@@ -21,11 +21,10 @@ from . import __version__
 from .billing import TariffSchedule
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
 from .errors import ConfigurationError
-from .harness import DAYS_PER_MONTH, ScenarioConfig, THRESHOLD_MODE, check_window_size
+from .harness import ScenarioConfig, THRESHOLD_MODE
 from .model import (
     Benign,
     BehaviorModel,
-    ConsumerProfile,
     DEFAULT_USAGE_MAX,
     DEFAULT_USAGE_MIN,
     FixedOffset,
@@ -42,7 +41,7 @@ class _Key(NamedTuple):
     kind: type | str  # int, float, str or _OPTIONAL_FLOAT
     default: object
     minimum: int | None = None
-    field: str | None = None  # the ScenarioConfig field it sets; region keys set none
+    field: str | None = None  # the ScenarioConfig field it sets; a region key sets its namesake
 
 
 # Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
@@ -152,23 +151,14 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
         for key in keys:
             values[key.name] = _parse(name, key, given[key.name]) if key.name in given else key.default
 
-    n, ppd = values["consumers"], values["periods_per_day"]
-    check_window_size(n, ppd, DAYS_PER_MONTH * ppd * values["months"])
-    attackers: dict[int, BehaviorModel] = {}
+    attackers = []
     for entry, spec in raw.get("attackers", {}).items():
         try:
             cid = int(entry)
         except ValueError:
             raise ConfigurationError(f"[attackers] key {entry!r} is not a consumer id") from None
-        if not 0 <= cid < n:
-            raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
-        attackers[cid] = parse_behavior(spec)
-    profiles = tuple(
-        ConsumerProfile(i, values["usage_min"], values["usage_max"], attackers.get(i, Benign()))
-        for i in range(n)
-    )
-    region = RegionConfig(region_id=values["region_id"], consumers=profiles, periods_per_day=ppd,
-                          num_days=DAYS_PER_MONTH * values["months"])
+        attackers.append((cid, parse_behavior(spec)))
+    region = RegionConfig(**{key.name: values[key.name] for key in _KEYS["region"]}, attackers=attackers)
     fields = {key.field: values[key.name] for key in _FIELD_KEYS}
     fields["tariff"] = TariffSchedule.flat(fields["tariff"])
     return ScenarioConfig(region=region, **fields)
@@ -185,30 +175,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def dumps_config(config: ScenarioConfig) -> str:
     """Fully resolved config text; round-trips through `loads_config`."""
-    region = config.region
     if config.tariff.flat_rate is None:
         raise ConfigurationError("only flat tariffs are representable in config files")
-    lows = {c.usage_min for c in region.consumers}
-    highs = {c.usage_max for c in region.consumers}
-    if len(lows) != 1 or len(highs) != 1:
-        raise ConfigurationError("config files describe one shared usage range per region")
-    ids = region.consumer_ids
-    if ids != list(range(len(ids))):
-        raise ConfigurationError("config files use contiguous consumer ids from 0")
-    if region.num_days != DAYS_PER_MONTH * config.months:
-        raise ConfigurationError(f"config files describe whole {DAYS_PER_MONTH}-day months; this "
-                                 f"window has {region.num_days} days for months = {config.months}")
-
     values = {key.name: getattr(config, key.field) for key in _FIELD_KEYS}
-    values.update(region_id=region.region_id, consumers=len(ids),
-                  periods_per_day=region.periods_per_day, usage_min=lows.pop(),
-                  usage_max=highs.pop(), tariff=config.tariff.flat_rate)
+    values.update({key.name: getattr(config.region, key.name) for key in _KEYS["region"]})
+    values["tariff"] = config.tariff.flat_rate
     blocks = []
     for name, keys in _KEYS.items():
         lines = [f"{key.name} = {_format(values[key.name])}\n" for key in keys]
         if name == "attackers":
-            lines = [f"{c.consumer_id} = {format_behavior(c.behavior)}\n"
-                     for c in region.consumers if not isinstance(c.behavior, Benign)]
+            lines = [f"{cid} = {format_behavior(b)}\n" for cid, b in config.region.attackers]
         blocks.append(f"[{name}]\n" + "".join(lines))
     return "\n".join(blocks)
 

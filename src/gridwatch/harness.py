@@ -35,9 +35,7 @@ from .detection import (
 )
 from .errors import ConfigurationError, InputError
 from .model import (
-    Benign,
     BehaviorModel,
-    ConsumerProfile,
     FixedOffset,
     Multiplicative,
     RandomOffset,
@@ -71,7 +69,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         region = self.region
-        check_window_size(len(region.consumers), region.periods_per_day, region.total_periods)
+        check_window_size(region.consumers, region.periods_per_day, self.total_periods)
         if self.months < 1:
             raise ConfigurationError(f"months must be >= 1, got {self.months}")
         if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
@@ -99,11 +97,16 @@ class ScenarioConfig:
             0 < self.elasticity_factor < math.inf and math.isfinite(self.elasticity_level)
         ):
             raise ConfigurationError("elasticity factor and level must be finite, the factor > 0")
+        rates = self.tariff.rates
+        if rates is not None and len(rates) != self.total_periods:
+            raise ConfigurationError(
+                f"the tariff vector has {len(rates)} rates for a {self.total_periods}-period window"
+            )
         _check_sums_finite(self)
 
     @property
-    def attacker_ids(self) -> set[int]:
-        return self.region.malicious_ids
+    def total_periods(self) -> int:
+        return DAYS_PER_MONTH * self.region.periods_per_day * self.months
 
 
 def check_window_size(consumers: int, periods_per_day: int, periods: int) -> None:
@@ -124,21 +127,19 @@ def _check_sums_finite(config: ScenarioConfig) -> None:
     as a silent inf or NaN in the output.
     """
     region, tariff = config.region, config.tariff
-    value = 0.0  # the largest usage or report of any consumer in any period
-    for c in region.consumers:
-        usage, b = c.usage_max * max(1.0, config.elasticity_factor or 1.0), c.behavior
-        report = usage
+    usage = region.usage_max * max(1.0, config.elasticity_factor or 1.0)
+    value = usage  # the largest usage or report of any consumer in any period
+    for _, b in region.attackers:
         if isinstance(b, Multiplicative):
-            report = b.alpha * usage
+            value = max(value, b.alpha * usage)
         elif isinstance(b, (FixedOffset, RandomOffset)) and b.direction == "add":
-            report = usage + (b.eta if isinstance(b, FixedOffset) else b.theta_max)
-        value = max(value, usage, report)
+            value = max(value, usage + (b.eta if isinstance(b, FixedOffset) else b.theta_max))
     rate = tariff.flat_rate if tariff.rates is None else max(tariff.rates, default=0.0)
-    total = value * len(region.consumers)
+    total = value * region.consumers
     sums = {
         "regional totals": total,
         "monthly bills": value * rate * DAYS_PER_MONTH * region.periods_per_day,
-        "correlation sums": total * total * region.total_periods,
+        "correlation sums": total * total * config.total_periods,
     }
     for what, bound in sums.items():
         if not math.isfinite(bound):
@@ -148,12 +149,6 @@ def _check_sums_finite(config: ScenarioConfig) -> None:
             )
 
 
-def with_months(config: ScenarioConfig, months: int) -> ScenarioConfig:
-    """Same scenario over a different measurement duration."""
-    region = replace(config.region, num_days=DAYS_PER_MONTH * months)
-    return replace(config, region=region, months=months)
-
-
 def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Injective (master_seed, trial_index) -> independent random stream."""
     return np.random.SeedSequence([master_seed, trial_index])
@@ -161,22 +156,20 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 
 @dataclass(frozen=True)
 class WindowData:
-    """Whole-window simulation arrays (one row or entry per period).
+    """Whole-window simulation arrays (one entry per period).
 
-    Usage is ``u[t, c] * spans[span_row[t], c] + lows[c]`` (`_scale`), with
-    one row of spans when ``span_row`` is None, where ``u`` is the
+    Usage is ``u[t, c] * spans[span_row[t]] + region.usage_min`` (`_scale`),
+    with one span when ``span_row`` is None, where ``u`` is the
     ``(periods, n)`` block of uniforms that the generator in ``state`` draws
-    next.  ``dishonest`` maps each misreporting consumer's position in
-    ``region.consumers`` to its reports, and ``sampled_pos`` holds the
-    sampled consumer's position.  `months` draws the usage and reports
-    again from ``state``, one month at a time; the regional totals and the
-    sampled ids are computed on first access.  A Monte-Carlo trial reads
-    none of them.
+    next.  ``dishonest`` maps each misreporting consumer's id to its
+    reports, and ``sampled_pos`` holds the sampled consumer's id (ids are
+    positions).  `months` draws the usage and reports again from ``state``,
+    one month at a time; the regional totals are computed on first access.
+    A Monte-Carlo trial reads none of them.
     """
 
     region: RegionConfig
     state: dict
-    lows: np.ndarray
     spans: np.ndarray
     span_row: np.ndarray | None
     dishonest: dict[int, np.ndarray]
@@ -187,16 +180,15 @@ class WindowData:
     def months(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each month's ``(usage, reports)`` block, ``(periods, n)``, in period order.
 
-        A window that is not a whole number of months ends with a shorter
-        block.  The draws come from a copy of the saved generator state."""
+        The draws come from a copy of the saved generator state."""
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.state
-        periods, n = len(self.leakage), len(self.lows)
-        month_len = DAYS_PER_MONTH * self.region.periods_per_day
-        for start in range(0, periods, month_len):
-            rows = slice(start, min(start + month_len, periods))
-            uniforms = rng.random((rows.stop - start, n))
-            usage = _scale(uniforms, self.lows, self.spans, self.span_row, rows, slice(None))
+        region = self.region
+        month_len = DAYS_PER_MONTH * region.periods_per_day
+        for start in range(0, len(self.leakage), month_len):
+            rows = slice(start, start + month_len)
+            usage = rng.random((month_len, region.consumers))
+            _scale(usage.T, region.usage_min, self.spans, self.span_row, rows)
             reports = usage.copy()
             for pos, reported in self.dishonest.items():
                 reports[:, pos] = reported[rows]
@@ -210,10 +202,6 @@ class WindowData:
     def reported_total(self) -> np.ndarray:
         return self.actual_total - self.leakage
 
-    @cached_property
-    def sampled_ids(self) -> np.ndarray:
-        return np.array(self.region.consumer_ids)[self.sampled_pos]
-
     def to_records(self) -> tuple[np.ndarray, ...]:
         """The columns ``(period, actual_total, reported_total, leakage,
         sampled_id, sampled_report)``, one entry per period in period order."""
@@ -222,16 +210,16 @@ class WindowData:
             self.actual_total,
             self.reported_total,
             self.leakage,
-            self.sampled_ids,
+            self.sampled_pos,
             self.sampled_reports,
         )
 
 
-def _scale(uniforms: np.ndarray, lows, spans, span_row, rows, cols) -> np.ndarray:
-    """The usage of periods ``rows`` and consumer(s) ``cols`` from their uniforms, in place.
+def _scale(uniforms: np.ndarray, low: float, spans, span_row, rows) -> np.ndarray:
+    """The usage of periods ``rows``, the last axis, from their uniforms, in place.
     Sparse reads and month blocks both take it, so they agree bit for bit."""
-    uniforms *= spans[0 if span_row is None else span_row[rows], cols]
-    uniforms += lows[cols]
+    uniforms *= spans[0] if span_row is None else spans[span_row[rows]]
+    uniforms += low
     return uniforms
 
 
@@ -246,40 +234,34 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     from its saved state, bit for bit the values the draw would give.
     """
     region = config.region
-    consumers = region.consumers
-    n = len(consumers)
-    periods = region.total_periods
-    lows = np.array([c.usage_min for c in consumers])
-    highs = np.array([c.usage_max for c in consumers])
+    n, periods, low = region.consumers, config.total_periods, region.usage_min
 
-    # Scaled, the uniforms are bit for bit what rng.uniform(lows, highs,
+    # Scaled, the uniforms are bit for bit what rng.uniform(low, high,
     # size=(periods, n)) draws, without a (periods, n) bounds matrix:
     # elasticity scales usage_max (never below usage_min) in the periods
-    # whose rate is above the level, so there are two rows of bounds.
+    # whose rate is above the level, so there are two spans.
     state = rng.bit_generator.state
     uniforms = skip_uniforms(rng.bit_generator, periods, n)
     span_row = None
     if config.elasticity_factor is None:
-        spans = (highs - lows)[None, :]
+        spans = np.array([region.usage_max - low])
     else:
-        spans = np.array([
-            np.maximum(highs * factor, lows + 1e-12) - lows
-            for factor in (1.0, config.elasticity_factor)
-        ])
+        factors = (1.0, config.elasticity_factor)
+        spans = np.array([max(region.usage_max * factor, low + 1e-12) - low for factor in factors])
         span_row = (config.tariff.per_period(periods) > config.elasticity_level).astype(np.intp)
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
-    for pos, profile in enumerate(consumers):
-        if is_benign(profile.behavior):
+    for cid, behavior in region.attackers:
+        if is_benign(behavior):
             continue
-        actual = _scale(uniforms(pos), lows, spans, span_row, slice(None), pos)
-        reported = apply_behavior(profile.behavior, actual, rng)
-        dishonest[pos] = reported
+        actual = _scale(uniforms(cid), low, spans, span_row, slice(None))
+        reported = apply_behavior(behavior, actual, rng)
+        dishonest[cid] = reported
         leakage = leakage + (actual - reported)
 
     sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = _scale(uniforms(sampled_pos), lows, spans, span_row, slice(None), sampled_pos)
+    sampled_reports = _scale(uniforms(sampled_pos), low, spans, span_row, slice(None))
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
@@ -287,7 +269,6 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     return WindowData(
         region=region,
         state=state,
-        lows=lows,
         spans=spans,
         span_row=span_row,
         dishonest=dishonest,
@@ -301,10 +282,10 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
 class TrialOutcome:
     """One trial's verdict against the known attacker set.
 
-    ``counts`` and ``corr`` (by position in ``config.region.consumers``)
-    are the evidence the threshold labels are taken on; `report` builds the labels
-    on first access, from ``samples`` (sampled positions, reports, leakage) when ``corr``
-    is None.  They stay out of ``==``, so equal outcomes are equal verdicts.
+    ``counts`` and ``corr`` (by consumer id) are the evidence the threshold
+    labels are taken on; `report` builds the labels on first access, from
+    ``samples`` (sampled ids, reports, leakage) when ``corr`` is None.  They
+    stay out of ``==``, so equal outcomes are equal verdicts.
     """
 
     true_malicious: frozenset[int]
@@ -320,7 +301,7 @@ class TrialOutcome:
         c = self.config
         corr = _low_report_corr(c, self.counts, self.samples) if self.corr is None else self.corr
         return detect_region(
-            c.region.consumer_ids, self.counts, corr, th=c.th, min_samples=c.min_samples
+            np.arange(c.region.consumers), self.counts, corr, th=c.th, min_samples=c.min_samples
         )
 
     @property
@@ -365,14 +346,14 @@ def run_trial(
     """
     rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
     window = simulate_window(config, rng)
-    ids = config.region.consumer_ids
+    n = config.region.consumers
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
-    counts, corr = correlate(*samples, len(ids))
+    counts, corr = correlate(*samples, n)
     filtered = config.low_report_quantile is not None
     selected = None
     if config.mode == MOST_NEGATIVE_MODE:
         try:
-            selected = most_negative(ids, counts, corr, config.min_samples)
+            selected = most_negative(np.arange(n), counts, corr, config.min_samples)
         except InputError:  # no evidence: a miss, not an abort
             detected = frozenset()
         else:
@@ -381,9 +362,9 @@ def run_trial(
     else:
         corr = _low_report_corr(config, counts, samples) if filtered else corr
         flagged = has_evidence(counts, corr, config.min_samples) & (np.abs(corr) >= config.th)
-        detected = frozenset(ids[pos] for pos in np.flatnonzero(flagged))
+        detected = frozenset(np.flatnonzero(flagged).tolist())
     return TrialOutcome(
-        true_malicious=frozenset(ids[pos] for pos in window.dishonest),
+        true_malicious=frozenset(window.dishonest),
         detected=detected,
         selected=selected,
         config=config,
@@ -466,16 +447,12 @@ def run_billing(
 ) -> tuple[WindowData, tuple[np.ndarray, ...]]:
     """Simulate one window and bill it month by month from reports only.
 
-    Returns the window and the `issue_bills` columns.  A window that is not
-    a whole number of months is rejected before anything is drawn."""
-    region = config.region
-    if region.num_days % DAYS_PER_MONTH:
-        raise InputError(f"{region.num_days} days are not a whole number of {DAYS_PER_MONTH}-day months")
+    Returns the window and the `issue_bills` columns."""
     window = simulate_window(config, np.random.default_rng(trial_seed))
-    month_len = DAYS_PER_MONTH * region.periods_per_day
-    rates = config.tariff.per_period(region.total_periods).reshape(-1, month_len)
+    month_len = DAYS_PER_MONTH * config.region.periods_per_day
+    rates = config.tariff.per_period(config.total_periods).reshape(-1, month_len)
     costs = np.array([accrue(reports, r) for r, (_, reports) in zip(rates, window.months())])
-    return window, issue_bills(costs, region.consumer_ids, month_len)
+    return window, issue_bills(costs, np.arange(config.region.consumers), month_len)
 
 
 def concentration_experiment(
@@ -484,8 +461,7 @@ def concentration_experiment(
     """Per-consumer correlations from one seeded trial at each duration (months)."""
     out: dict[int, DetectionReport] = {}
     for months in durations:
-        scaled = with_months(config, months)
-        outcome = run_trial(scaled, derive_trial_seed(config.master_seed, months))
+        outcome = run_trial(replace(config, months=months), derive_trial_seed(config.master_seed, months))
         out[months] = outcome.report
     return out
 
@@ -496,25 +472,22 @@ def duration_sweep(
     threads: int = 1,
 ) -> dict[int, ProbabilityEstimate]:
     """Detection probability at each measurement duration (months)."""
-    return dict(zip(durations, _estimate([with_months(config, m) for m in durations], threads)))
+    return dict(zip(durations, _estimate([replace(config, months=m) for m in durations], threads)))
 
 
 # Documented defaults for the offset attacks: both offsets are sized at the
-# midpoint of the attacker's usage range, so the fixed offset clips the
+# midpoint of the region's usage range, so the fixed offset clips the
 # report to zero on roughly half the periods and the random offset's
 # variance is large enough to dominate the benign correlation spread.
-def _midpoint(profile: ConsumerProfile) -> float:
-    return 0.5 * (profile.usage_min + profile.usage_max)
-
-
-def case_behavior(case: str, profile: ConsumerProfile) -> BehaviorModel:
+def case_behavior(case: str, region: RegionConfig) -> BehaviorModel:
     """Standard attacker behavior for the three benchmark cases."""
+    midpoint = 0.5 * (region.usage_min + region.usage_max)
     if case == "I":
         return Multiplicative(alpha=0.1)
     if case == "II":
-        return FixedOffset(eta=_midpoint(profile), direction="subtract")
+        return FixedOffset(eta=midpoint, direction="subtract")
     if case == "III":
-        return RandomOffset(theta_max=_midpoint(profile), direction="subtract")
+        return RandomOffset(theta_max=midpoint, direction="subtract")
     raise ConfigurationError(f"unknown case {case!r}")
 
 
@@ -524,17 +497,7 @@ def case_config(base: ScenarioConfig, case: str, attacker_id: int) -> ScenarioCo
     Case III uses the most-negative selection rule; Cases I and II use the
     correlation threshold.
     """
-    profiles = []
-    for profile in base.region.consumers:
-        behavior: BehaviorModel = Benign()
-        if profile.consumer_id == attacker_id:
-            behavior = case_behavior(case, profile)
-        profiles.append(replace(profile, behavior=behavior))
-    if attacker_id not in base.region.consumer_ids:
-        raise ConfigurationError(
-            f"attacker id {attacker_id} is not a consumer in the region"
-        )
-    region = replace(base.region, consumers=tuple(profiles))
+    region = replace(base.region, attackers={attacker_id: case_behavior(case, base.region)})
     mode = MOST_NEGATIVE_MODE if case == "III" else THRESHOLD_MODE
     return replace(base, region=region, mode=mode)
 
@@ -548,5 +511,5 @@ def probability_table(
 ) -> list[tuple[str, int, ProbabilityEstimate]]:
     """Correct-detection probability for each case and duration."""
     cells = [(case, months) for case in cases for months in durations]
-    scenarios = [with_months(case_config(base, case, attacker_id), m) for case, m in cells]
+    scenarios = [replace(case_config(base, case, attacker_id), months=m) for case, m in cells]
     return [(*cell, est) for cell, est in zip(cells, _estimate(scenarios, threads))]

@@ -1,9 +1,10 @@
-"""Grid entities: consumer profiles, reporting behaviors and regions.
+"""Grid entities: reporting behaviors and regions.
 
-A consumer's usage is i.i.d. uniform on ``[usage_min, usage_max]`` per
-period (no temporal correlation, the hardest setting for the detector);
-`harness.simulate_window` computes the entries a trial reads from the
-generator's state, bit for bit what a full draw would give.
+Every consumer's usage is i.i.d. uniform on the region's
+``[usage_min, usage_max]`` per period (no temporal correlation, the
+hardest setting for the detector); `harness.simulate_window` computes
+the entries a trial reads from the generator's state, bit for bit what a
+full draw would give.
 Reported values are derived from actual usage by the consumer's behavior
 model and are clipped at zero so reports stay physical.
 """
@@ -11,7 +12,7 @@ model and are clipped at zero so reports stay physical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
@@ -94,17 +95,31 @@ def is_benign(behavior: BehaviorModel) -> bool:
 
 
 @dataclass(frozen=True)
-class ConsumerProfile:
-    consumer_id: int
+class RegionConfig:
+    """One aggregator's region: consumers with ids ``0..consumers-1``, all
+    drawing usage on one range, and the misreporting ones.
+
+    ``attackers`` is given as a mapping or as ``(id, behavior)`` pairs and
+    kept as pairs sorted by id, without `Benign` entries.
+    """
+
+    region_id: int
+    consumers: int
     usage_min: float = DEFAULT_USAGE_MIN
     usage_max: float = DEFAULT_USAGE_MAX
-    behavior: BehaviorModel = field(default_factory=Benign)
+    attackers: tuple[tuple[int, BehaviorModel], ...] = ()
+    periods_per_day: int = 96
 
     def __post_init__(self):
-        if self.consumer_id < 0:
-            raise ConfigurationError(
-                f"consumer_id must be >= 0, got {self.consumer_id}"
-            )
+        pairs = list(self.attackers.items() if isinstance(self.attackers, dict) else self.attackers)
+        n, ids = self.consumers, [cid for cid, _ in pairs]
+        if n < 2:
+            raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError("attacker ids must be unique within a region")
+        for cid in ids:
+            if not 0 <= cid < n:
+                raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
         if not (math.isfinite(self.usage_min) and math.isfinite(self.usage_max)):
             raise ConfigurationError(
                 f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
@@ -117,42 +132,16 @@ class ConsumerProfile:
             raise ConfigurationError(
                 f"usage_min ({self.usage_min}) must be < usage_max ({self.usage_max})"
             )
-
-
-@dataclass(frozen=True)
-class RegionConfig:
-    region_id: int
-    consumers: tuple[ConsumerProfile, ...]
-    periods_per_day: int = 96
-    num_days: int = 30
-
-    def __post_init__(self):
-        object.__setattr__(self, "consumers", tuple(self.consumers))
-        if len(self.consumers) < 2:
-            raise ConfigurationError(
-                f"a region needs at least 2 consumers, got {len(self.consumers)}"
-            )
-        ids = [c.consumer_id for c in self.consumers]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("consumer ids must be unique within a region")
         if self.periods_per_day <= 0:
             raise ConfigurationError(
                 f"periods_per_day must be > 0, got {self.periods_per_day}"
             )
-        if self.num_days <= 0:
-            raise ConfigurationError(f"num_days must be > 0, got {self.num_days}")
-
-    @property
-    def total_periods(self) -> int:
-        return self.periods_per_day * self.num_days
-
-    @property
-    def consumer_ids(self) -> list[int]:
-        return [c.consumer_id for c in self.consumers]
+        attackers = (pair for pair in pairs if not isinstance(pair[1], Benign))
+        object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
 
     @property
     def malicious_ids(self) -> set[int]:
-        return {c.consumer_id for c in self.consumers if not is_benign(c.behavior)}
+        return {cid for cid, behavior in self.attackers if not is_benign(behavior)}
 
 
 def apply_behavior(

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from gridwatch.model import apply_behavior, is_benign
+from gridwatch.model import Benign, apply_behavior, is_benign
 
 
 class Matrices(NamedTuple):
@@ -41,11 +41,12 @@ class FullWindow(NamedTuple):
 
 def full_matrix_window(config, rng) -> FullWindow:
     """One window from the same draws as `simulate_window`, with usage
-    scaled as one matrix in place and reports kept as a second matrix."""
-    consumers = config.region.consumers
-    n, periods = len(consumers), config.region.total_periods
-    lows = np.array([c.usage_min for c in consumers])
-    highs = np.array([c.usage_max for c in consumers])
+    scaled as one matrix in place, by per-consumer bounds, and reports kept
+    as a second matrix."""
+    region = config.region
+    n, periods = region.consumers, config.total_periods
+    lows = np.full(n, region.usage_min)
+    highs = np.full(n, region.usage_max)
     usage = rng.random((periods, n))
     if config.elasticity_factor is None:
         usage *= highs - lows
@@ -57,9 +58,11 @@ def full_matrix_window(config, rng) -> FullWindow:
     usage += lows
     reports = usage.copy()
     leakage = np.zeros(periods)
-    for pos, profile in enumerate(consumers):
-        if not is_benign(profile.behavior):
-            reports[:, pos] = apply_behavior(profile.behavior, usage[:, pos], rng)
+    behaviors = dict(region.attackers)
+    for pos in range(n):  # every consumer, in position order
+        behavior = behaviors.get(pos, Benign())
+        if not is_benign(behavior):
+            reports[:, pos] = apply_behavior(behavior, usage[:, pos], rng)
             leakage = leakage + (usage[:, pos] - reports[:, pos])
     sampled_pos = rng.integers(0, n, size=periods)
     sampled_reports = reports[np.arange(periods), sampled_pos]

@@ -147,7 +147,7 @@ def test_criterion_6_property_battery(capfd):
     ) and billed.leakage.tobytes() == window.leakage.tobytes()
 
     # sampling uniformity (chi-square, fixed seed)
-    counts = np.bincount(window.sampled_ids, minlength=100)
+    counts = np.bincount(window.sampled_pos, minlength=100)
     chi_ok = stats.chisquare(counts).pvalue > 0.001
 
     # bitwise determinism, including across worker counts

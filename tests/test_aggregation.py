@@ -3,8 +3,6 @@ and the per-consumer sample series, checked on the whole-window arrays
 (`simulate_window`, `WindowData`, `series_from_arrays`) and, where noted,
 on the per-period reference they are compared against."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,19 +36,14 @@ class TestAggregatePeriod:
         )
 
     def test_sampled_pair_consistency(self):
-        # ids that are not positions: the sampled id maps through the region
-        base = tiny_config(attackers="0 = random_offset 0.3 add\n2 = multiplicative 0.5")
-        consumers = tuple(
-            dataclasses.replace(c, consumer_id=10 * c.consumer_id + 7) for c in base.region.consumers
-        )
-        cfg = dataclasses.replace(
-            base, region=dataclasses.replace(base.region, consumers=consumers)
-        )
+        # the sampled report is the sampled consumer's, and its id is its position
+        cfg = tiny_config(attackers="0 = random_offset 0.3 add\n2 = multiplicative 0.5")
         window = window_of(cfg, seed=4)
-        periods = np.arange(cfg.region.total_periods)
+        periods = np.arange(cfg.total_periods)
         reports = matrices(window).reports
         assert np.array_equal(window.sampled_reports, reports[periods, window.sampled_pos])
-        assert list(window.sampled_ids) == [10 * p + 7 for p in window.sampled_pos]
+        sampled_id = window.to_records()[4]
+        assert sampled_id.dtype == np.int64 and np.array_equal(sampled_id, window.sampled_pos)
 
     def test_length_mismatch_rejected(self):
         # the reference's own input check

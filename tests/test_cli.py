@@ -1,9 +1,8 @@
-import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from gridwatch import config as config_module
 from gridwatch import harness
 from gridwatch.cli import main
 from gridwatch.config import (
@@ -15,7 +14,6 @@ from gridwatch.config import (
     write_config,
 )
 from gridwatch.errors import ConfigurationError
-from gridwatch.harness import with_months
 from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
@@ -45,12 +43,12 @@ class TestLoadConfig:
         path = tmp_path / "c.cfg"
         path.write_text(MINIMAL)
         cfg = load_config(path)
-        assert len(cfg.region.consumers) == 100
+        assert cfg.region.consumers == 100
         assert cfg.region.periods_per_day == 96
         assert cfg.th == 0.5
-        assert cfg.region.consumers[0].usage_min == 0.5
-        assert cfg.region.consumers[0].usage_max == 1.5
-        assert cfg.region.consumers[25].behavior == Multiplicative(0.1)
+        assert cfg.region.usage_min == 0.5
+        assert cfg.region.usage_max == 1.5
+        assert cfg.region.attackers == ((25, Multiplicative(0.1)),)
 
     def test_attacker_out_of_range_names_id(self):
         with pytest.raises(ConfigurationError, match="200"):
@@ -84,10 +82,12 @@ class TestLoadConfig:
         ("[experiment]\nmonths = 1457\n", "periods"),  # 4,196,160 > 2**22
     ])
     def test_window_size_limits_checked_before_any_profile(self, monkeypatch, text, breach):
-        def no_profile(*args, **kwargs):
-            raise AssertionError("a consumer profile was built")
+        # one error before any per-consumer or per-period array is built
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array was built before the size check")
 
-        monkeypatch.setattr(config_module, "ConsumerProfile", no_profile)
+        for name in ("arange", "array", "empty", "full", "ones", "zeros"):
+            monkeypatch.setattr(np, name, no_array)
         with pytest.raises(ConfigurationError, match=f"{breach}, above the limit"):
             loads_config(text)
 
@@ -96,8 +96,8 @@ class TestLoadConfig:
         "[experiment]\nmonths = 1456\n",  # 4,193,280 <= 2**22 periods
     ])
     def test_windows_at_the_size_limits_load(self, text):
-        # loading builds profiles and checks sums; nothing of the window's size is allocated
-        assert loads_config(text).region.total_periods <= harness.MAX_PERIODS
+        # loading checks sums; nothing of the window's size is allocated
+        assert loads_config(text).total_periods <= harness.MAX_PERIODS
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -125,14 +125,6 @@ class TestLoadConfig:
         path = tmp_path / "resolved.cfg"
         write_config(cfg, path)
         assert load_config(path) == cfg
-
-    def test_dump_refuses_a_window_other_than_its_months(self):
-        # the manifest must describe the window that ran, not the months field alone
-        cfg = loads_config(MINIMAL)
-        with pytest.raises(ConfigurationError, match="months = 3"):
-            dumps_config(dataclasses.replace(cfg, months=3))
-        scaled = with_months(cfg, 3)
-        assert loads_config(dumps_config(scaled)) == scaled
 
 
 class TestCli:

@@ -6,9 +6,14 @@ loader or writer must leave both byte-identical.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridwatch.billing import TariffSchedule
 from gridwatch.config import dumps_config, loads_config
 from gridwatch.errors import ConfigurationError
+from gridwatch.harness import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
+from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset, RegionConfig
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
 
@@ -123,3 +128,51 @@ def test_error_message_is_exact(text, message):
     with pytest.raises(ConfigurationError) as exc:
         loads_config(text)
     assert str(exc.value) == message
+
+
+POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+DIRECTIONS = st.sampled_from(["subtract", "add"])
+BEHAVIORS = st.one_of(
+    st.builds(Benign),
+    st.builds(Multiplicative, POSITIVE),
+    st.builds(FixedOffset, POSITIVE, DIRECTIONS),
+    st.builds(RandomOffset, POSITIVE, DIRECTIONS),
+)
+
+
+@st.composite
+def api_configs(draw):
+    """Any config the API builds with a flat tariff, within the size limits."""
+    n = draw(st.integers(2, 2000))
+    usage_min = draw(st.floats(0.0, 1e6))
+    region = RegionConfig(
+        region_id=draw(st.integers(-(2**70), 2**70)),
+        consumers=n,
+        usage_min=usage_min,
+        usage_max=draw(st.floats(usage_min, 1e9, exclude_min=True)),
+        attackers=draw(st.dictionaries(st.integers(0, n - 1), BEHAVIORS, max_size=6)),
+        periods_per_day=draw(st.integers(1, 200)),
+    )
+    elastic = draw(st.booleans())
+    return ScenarioConfig(
+        region=region,
+        months=draw(st.integers(1, 12)),
+        th=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        min_samples=draw(st.integers(2, 10**6)),
+        mode=draw(st.sampled_from([THRESHOLD_MODE, MOST_NEGATIVE_MODE])),
+        low_report_quantile=draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        tariff=TariffSchedule.flat(draw(st.floats(0.0, 1e6))),
+        elasticity_factor=draw(st.floats(0.0, 1e3, exclude_min=True)) if elastic else None,
+        elasticity_level=draw(st.floats(-1e300, 1e300)) if elastic else None,
+        master_seed=draw(st.integers(0, 2**70)),
+        repetitions=draw(st.integers(1, 10**9)),
+    )
+
+
+@given(api_configs())
+@settings(max_examples=200, deadline=None)
+def test_every_flat_tariff_config_round_trips(config):
+    # the manifest's config_text describes every config the API can build
+    text = dumps_config(config)
+    assert loads_config(text) == config
+    assert dumps_config(loads_config(text)) == text

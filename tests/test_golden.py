@@ -18,12 +18,13 @@ import numpy as np
 from conftest import make_config
 from gridwatch.cli import main
 from gridwatch.config import loads_config
-from gridwatch.harness import case_config, derive_trial_seed, simulate_window, with_months
+from gridwatch.harness import case_config, derive_trial_seed, simulate_window
 from per_period import matrices
 
 SEED = 42
 GOLDEN = Path(__file__).with_name("golden_seed42.json")
-# usage and reports are the window's month blocks, joined
+# usage and reports are the window's month blocks, joined; the sampled ids
+# are the sampled positions (ids are positions)
 ARRAYS = ("usage", "reports", "actual_total", "reported_total", "leakage",
           "sampled_ids", "sampled_reports")
 # The 12-month window with a fixed-offset attacker, the low-report filter and
@@ -72,7 +73,8 @@ def _array_digest(array: np.ndarray) -> str:
 
 def _window_digests(name, config):
     window = simulate_window(config, np.random.default_rng(derive_trial_seed(SEED, 0)))
-    arrays = {**matrices(window)._asdict(), **{attr: getattr(window, attr) for attr in ARRAYS[2:]}}
+    arrays = {**matrices(window)._asdict(), "sampled_ids": window.sampled_pos,
+              **{attr: getattr(window, attr) for attr in ARRAYS[2:] if attr != "sampled_ids"}}
     return {f"{name}/{attr}": _array_digest(arrays[attr]) for attr in ARRAYS}
 
 
@@ -102,7 +104,7 @@ def current_digests(tmp_dir: Path) -> dict[str, str]:
     for case in ("I", "II", "III"):
         scenario = case_config(base, case, 25)
         for months in (1, 12):
-            digests.update(_window_digests(f"case{case}-{months}m", with_months(scenario, months)))
+            digests.update(_window_digests(f"case{case}-{months}m", dataclasses.replace(scenario, months=months)))
     digests.update(_window_digests("elasticity-12m", loads_config(WINDOW_CONFIG)))
     digests.update(_cli_digests(tmp_dir))
     return digests

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from gridwatch.billing import TariffSchedule
 from gridwatch.config import loads_config
 from gridwatch.detection import Label
 from gridwatch import harness
-from gridwatch.errors import ConfigurationError, InputError
+from gridwatch.errors import ConfigurationError
 from gridwatch.harness import (
     MOST_NEGATIVE_MODE,
     ScenarioConfig,
@@ -27,9 +28,8 @@ from gridwatch.harness import (
     run_trial,
     simulate_window,
     trial_success,
-    with_months,
 )
-from gridwatch.model import ConsumerProfile, FixedOffset, Multiplicative, RandomOffset
+from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
 from per_period import matrices
 from reference import benign_corr_std
 
@@ -90,8 +90,8 @@ class TestSimulateWindow:
     def test_sampled_report_matches_reports_matrix(self):
         cfg = tiny_config(attackers="0 = fixed_offset 0.4 subtract\n2 = random_offset 0.3 add")
         window = simulate_window(cfg, np.random.default_rng(1))
-        periods = cfg.region.total_periods
-        expected = matrices(window).reports[np.arange(periods), window.sampled_ids]
+        periods = cfg.total_periods
+        expected = matrices(window).reports[np.arange(periods), window.sampled_pos]
         np.testing.assert_array_equal(window.sampled_reports, expected)
 
     def test_reports_never_negative(self):
@@ -101,16 +101,12 @@ class TestSimulateWindow:
 
     @pytest.mark.parametrize("elastic", [False, True])
     def test_usage_draw_matches_uniform_bit_for_bit(self, elastic):
-        # per-consumer bounds; with elasticity, per-period 2-D upper bounds
+        # the region's one range against numpy's draw with per-consumer bound arrays;
+        # with elasticity, per-period 2-D upper bounds
         base = tiny_config(periods_per_day=24)
-        consumers = tuple(
-            dataclasses.replace(c, usage_min=0.1 * i, usage_max=1.0 + 0.5 * i)
-            for i, c in enumerate(base.region.consumers)
-        )
-        cfg = dataclasses.replace(base, region=dataclasses.replace(base.region, consumers=consumers))
-        lows = np.array([c.usage_min for c in consumers])
-        highs = np.array([c.usage_max for c in consumers])
-        periods = cfg.region.total_periods
+        cfg = dataclasses.replace(base, region=dataclasses.replace(base.region, usage_min=0.3, usage_max=2.7))
+        lows, highs = np.full(5, 0.3), np.full(5, 2.7)
+        periods = cfg.total_periods
         if elastic:
             rates = np.arange(periods) % 3 * 0.5
             cfg = dataclasses.replace(
@@ -120,7 +116,7 @@ class TestSimulateWindow:
             scale = np.where(rates > 0.7, 0.3, 1.0)
             highs = np.maximum(highs[None, :] * scale[:, None], lows[None, :] + 1e-12)
         window = simulate_window(cfg, np.random.default_rng(9))
-        expected = np.random.default_rng(9).uniform(lows, highs, size=(periods, len(consumers)))
+        expected = np.random.default_rng(9).uniform(lows, highs, size=(periods, 5))
         assert matrices(window).usage.tobytes() == expected.tobytes()
 
     def test_elasticity_hook_caps_usage(self):
@@ -184,7 +180,7 @@ class TestRunTrial:
     def test_twelve_month_trial_allocates_no_usage_matrix(self):
         # The (34,560, 100) usage matrix alone would be 27.6 MB; a trial reads
         # only the attacker's column and one sampled entry per period.
-        cfg = with_months(make_config(), 12)
+        cfg = dataclasses.replace(make_config(), months=12)
         run_trial(cfg, derive_trial_seed(0, 0))  # builds the cached jump tables
         tracemalloc.start()
         try:
@@ -198,8 +194,8 @@ class TestRunTrial:
     def test_twelve_month_outputs_hold_one_month_at_a_time(self, output):
         # The (34,560, 100) usage and reports matrices would be 27.6 MB each;
         # bills and records read the window a month block (2.3 MB) at a time.
-        cfg = with_months(make_config("25 = fixed_offset 0.6 subtract", extra=(
-            "[billing]\nelasticity_factor = 0.8\nelasticity_level = 0.5\n")), 12)
+        cfg = make_config("25 = fixed_offset 0.6 subtract", extra=(
+            "[billing]\nelasticity_factor = 0.8\nelasticity_level = 0.5\n[experiment]\nmonths = 12\n"))
 
         def run(index):
             if output == "bills":
@@ -349,21 +345,29 @@ class TestEstimates:
 
 
 class TestScenarioBuilders:
-    def test_with_months_scales_periods(self):
+    def test_months_scale_periods(self):
         cfg = make_config()
-        assert with_months(cfg, 12).region.total_periods == 12 * 2880
+        assert dataclasses.replace(cfg, months=12).total_periods == 12 * 2880
 
     def test_case_configs(self):
         base = make_config(attackers="")
         c1 = case_config(base, "I", 25)
         c2 = case_config(base, "II", 25)
         c3 = case_config(base, "III", 25)
-        assert c1.region.consumers[25].behavior == Multiplicative(0.1)
+        assert c1.region.attackers == ((25, Multiplicative(0.1)),)
         # offsets default to the midpoint of the [0.5, 1.5] usage range
-        assert c2.region.consumers[25].behavior == FixedOffset(1.0, "subtract")
-        assert c3.region.consumers[25].behavior == RandomOffset(1.0, "subtract")
+        assert c2.region.attackers == ((25, FixedOffset(1.0, "subtract")),)
+        assert c3.region.attackers == ((25, RandomOffset(1.0, "subtract")),)
         assert c3.mode == MOST_NEGATIVE_MODE
-        assert c1.attacker_ids == {25}
+        assert c1.region.malicious_ids == {25}
+        # the case attacker replaces the base's attackers
+        assert case_config(make_config("3 = multiplicative 2.0"), "I", 25).region == c1.region
+
+    def test_case_config_pickles_small(self):
+        # every range job of a pool carries its config
+        job = case_config(make_config(), "I", 25)
+        assert len(pickle.dumps(job)) < 1024
+        assert pickle.loads(pickle.dumps(job)) == job
 
     def test_case_config_rejects_unknown_attacker(self):
         with pytest.raises(ConfigurationError):
@@ -406,15 +410,12 @@ class TestScenarioBuilders:
     def test_window_size_limits(self):
         # a window built through the API is checked like a loaded one, before any draw
         cfg = make_config()
-        long_region = dataclasses.replace(cfg.region, periods_per_day=4096, num_days=1025)
-        with pytest.raises(ConfigurationError, match="4198400 periods, above the limit"):
-            dataclasses.replace(cfg, region=long_region)
-        at_limit = dataclasses.replace(cfg.region, periods_per_day=4096, num_days=1024)
-        assert dataclasses.replace(cfg, region=at_limit).region.total_periods == harness.MAX_PERIODS
-        wide = dataclasses.replace(
-            cfg.region, periods_per_day=4370,
-            consumers=[ConsumerProfile(i) for i in range(1024)],
-        )
+        long_region = dataclasses.replace(cfg.region, periods_per_day=4096)
+        with pytest.raises(ConfigurationError, match="4300800 periods, above the limit"):
+            dataclasses.replace(cfg, region=long_region, months=35)
+        longest = dataclasses.replace(cfg, region=long_region, months=34)  # 4,177,920 periods
+        assert harness.MAX_PERIODS - 30 * 4096 < longest.total_periods <= harness.MAX_PERIODS
+        wide = dataclasses.replace(cfg.region, periods_per_day=4370, consumers=1024)
         with pytest.raises(ConfigurationError, match="values a month, above the limit"):
             dataclasses.replace(cfg, region=wide)
 
@@ -431,19 +432,11 @@ class TestBillingPath:
         assert float(amounts.sum()) == pytest.approx(float(window.reported_total.sum()), rel=1e-9)
 
     def test_one_bill_per_consumer_per_month(self):
-        cfg = tiny_config()
-        cfg = with_months(cfg, 2)
+        cfg = dataclasses.replace(tiny_config(), months=2)
         _, bills = run_billing(cfg, derive_trial_seed(0, 0))
         assert all(len(column) == 2 * 5 for column in bills)
         starts = set(bills[1].tolist())
         assert starts == {0, 30 * 4}
-
-    def test_partial_month_is_rejected(self):
-        # a month and a half: the trailing half month is not silently dropped
-        cfg = tiny_config()
-        cfg = dataclasses.replace(cfg, region=dataclasses.replace(cfg.region, num_days=45))
-        with pytest.raises(InputError, match="whole number"):
-            run_billing(cfg, derive_trial_seed(0, 0))
 
 
 class TestConcentration:

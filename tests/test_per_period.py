@@ -50,7 +50,7 @@ def configs(draw, max_n=6):
         f"[billing]\ntariff = {draw(st.sampled_from([0.37, 1.0, 2.5]))}\n{elastic}"
         f"[experiment]\nmonths = {months}\n"
     )
-    periods = config.region.total_periods
+    periods = config.total_periods
     if draw(st.booleans()):
         rates = draw(st.lists(st.sampled_from([0.0, 0.25, 0.37, 1.5, 2.0]),
                               min_size=periods, max_size=periods))
@@ -63,7 +63,7 @@ def scenarios(draw):
     """A small seeded window and its per-period tariff rates."""
     config, seed = draw(configs())
     window = simulate_window(config, np.random.default_rng(seed))
-    return config, window, config.tariff.per_period(config.region.total_periods)
+    return config, window, config.tariff.per_period(config.total_periods)
 
 
 def used_stream(seed, warmup):
@@ -106,30 +106,17 @@ def test_jump_ahead_window_matches_full_matrix_at_full_size(months):
     )
 
 
-def half_month_window(config):
-    """``config`` over 45 days: the window ends in half a month.  A rate vector is cut or repeated."""
-    periods = 45 * config.region.periods_per_day
-    tariff = config.tariff
-    if tariff.rates is not None:
-        tariff = TariffSchedule.from_vector(np.resize(tariff.rates, periods), periods)
-    region = dataclasses.replace(config.region, num_days=45)
-    return dataclasses.replace(config, region=region, tariff=tariff)
-
-
-@given(configs(max_n=40), st.booleans())
+@given(configs(max_n=40))
 @settings(max_examples=60, deadline=None)
-def test_month_blocks_match_full_matrix_bit_for_bit(scenario, half_month):
+def test_month_blocks_match_full_matrix_bit_for_bit(scenario):
     config, seed = scenario
-    if half_month:
-        config = half_month_window(config)
     rng = np.random.default_rng(seed)
     window = simulate_window(config, rng)
     after = rng.bit_generator.state
     blocks = list(window.months())
     assert rng.bit_generator.state == after  # the blocks come from a copy of the state
-    month_len, periods = DAYS_PER_MONTH * config.region.periods_per_day, config.region.total_periods
-    sizes = [min(month_len, periods - start) for start in range(0, periods, month_len)]
-    assert [(len(u), len(r)) for u, r in blocks] == [(size, size) for size in sizes]
+    month_len = DAYS_PER_MONTH * config.region.periods_per_day
+    assert [(len(u), len(r)) for u, r in blocks] == [(month_len, month_len)] * config.months
     ref = full_matrix_window(config, np.random.default_rng(seed))
     got = matrices(window)
     assert got.usage.tobytes() == ref.usage.tobytes()
@@ -153,14 +140,13 @@ def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_sample
     )
     outcome = run_trial(config, seed)
     assert outcome.detected == outcome.report.malicious_ids
-    assert outcome.true_malicious == config.attacker_ids
+    assert outcome.true_malicious == config.region.malicious_ids
 
 
 @given(scenarios())
 @settings(max_examples=60, deadline=None)
 def test_simulate_window_matches_per_period_aggregation(scenario):
     config, window, _ = scenario
-    ids = config.region.consumer_ids
     records = window_records(*matrices(window), window.sampled_pos)
     for row, ref in zip(zip(*window.to_records(), strict=True), records, strict=True):
         period, actual_total, reported_total, leakage, sampled_id, sampled_report = row
@@ -168,7 +154,7 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
         assert actual_total == pytest.approx(ref.actual_total, rel=1e-12)
         assert reported_total == pytest.approx(ref.reported_total, rel=1e-12)
         assert abs(leakage - ref.leakage) <= 1e-12 * ref.actual_total
-        assert (sampled_id, sampled_report) == (ids[ref.sampled], ref.sampled_report)
+        assert (sampled_id, sampled_report) == (ref.sampled, ref.sampled_report)
 
 
 @given(configs())
@@ -176,9 +162,9 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
 def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
     config, seed = scenario
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
-    rates = config.tariff.per_period(config.region.total_periods)
+    rates = config.tariff.per_period(config.total_periods)
     window, bills = run_billing(config, seed)
-    ledger = ledger_bills(matrices(window).reports, rates, month_len, config.region.consumer_ids)
+    ledger = ledger_bills(matrices(window).reports, rates, month_len, range(config.region.consumers))
     assert [column.tolist() for column in bills] == ledger
 
 
@@ -186,7 +172,7 @@ def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
 @settings(max_examples=60, deadline=None)
 def test_series_match_per_period_fold(scenario):
     config, window, _ = scenario
-    n = len(config.region.consumers)
+    n = config.region.consumers
     folded = accumulate_samples(
         zip(range(len(window.leakage)), window.sampled_pos, window.sampled_reports,
             window.leakage),
