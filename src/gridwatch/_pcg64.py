@@ -6,10 +6,19 @@ Any later state has the closed form ``s_k = A_k·s_0 + G_k·inc`` with
 ``A_k = MULT**k`` and ``G_k = Σ_{i<k} MULT**i``, and neither depends on the
 seed (M. E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation", 2014; F. Brown,
-"Random Number Generation with Arbitrary Strides", 1994).  `skip_uniforms`
-moves a generator past a ``periods × n`` block of ``random()`` draws and
-returns a reader that computes any of the block's entries from cached
-tables of ``A`` and ``G``, so a caller pays only for the entries it reads.
+"Random Number Generation with Arbitrary Strides", 1994).  `UniformBlock`
+computes any entry of the ``periods × n`` block of ``random()`` draws that a
+generator makes next, from its saved state and cached tables of ``A`` and
+``G``, so a caller pays only for the entries it reads; `UniformBlock.skip`
+moves a generator past the block.
+
+The block is drawn period-major, so the block of a shorter window from the
+same state is a prefix of a longer one's.  Monte-Carlo cells (attack cases
+and durations) seed trial ``i`` alike, so one block per trial index serves
+them all: its row starts and each column it is asked for are computed once,
+and every cell reads prefixes.  No stream changes: each cell still moves its
+own generator past its own rows and draws its own offsets and sampled
+indices after them.
 
 A 128-bit number is a ``(hi, lo)`` pair of ``uint64`` values or arrays; products
 wrap mod 2**64 as numpy integer arithmetic does.
@@ -18,8 +27,6 @@ wrap mod 2**64 as numpy integer arithmetic does.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
-
 import numpy as np
 
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -94,40 +101,63 @@ def _tables(periods: int, n: int) -> list[np.ndarray]:
 
 
 def _blocks(periods: int):
-    return (slice(r, r + _BLOCK) for r in range(0, periods, _BLOCK))
+    return (slice(r, min(r + _BLOCK, periods)) for r in range(0, periods, _BLOCK))
 
 
-def skip_uniforms(
-    bit_generator: np.random.BitGenerator, periods: int, n: int
-) -> Callable[[int | np.ndarray], np.ndarray]:
-    """Move ``bit_generator`` past its next ``periods × n`` ``random()`` draws.
-
-    Returns ``read(cols)``: the draws ``block[t, cols]`` for every row ``t``,
-    where ``cols`` is one column or an array of one column per row, bit for
-    bit what ``Generator.random((periods, n))`` would have put there.  The
-    generator ends in the state that draw leaves, its buffered uint32 kept.
-    """
-    if not isinstance(bit_generator, np.random.PCG64):
-        raise TypeError(f"jump-ahead draws need a PCG64 generator, got {type(bit_generator).__name__}")
-    state = bit_generator.state
-    s0, inc = state["state"]["state"], state["state"]["inc"]
-    row_a, row_g, step_a, step_g = _tables(periods, n)
+def _row_starts(s0: int, inc: int, periods: int, n: int) -> np.ndarray:
+    """The states ``s_{t·n}`` that rows ``t < periods`` start from, as ``(hi, lo)`` rows."""
+    row_a, row_g = _tables(periods, n)[:2]
     s0_pair, inc_pair = _pairs([s0, inc]).T
-    starts = np.empty((2, periods), np.uint64)  # s_{t·n}
+    starts = np.empty((2, periods), np.uint64)
     for rows in _blocks(periods):
         starts[:, rows] = _add(_mul(row_a[:, rows], s0_pair), _mul(row_g[:, rows], inc_pair))
-    step_inc = np.array(_mul(step_g, inc_pair))  # G_j·inc
-    a_end, g_end = _jump(periods * n)
-    state["state"]["state"] = (a_end * s0 + g_end * inc) % _MOD
-    bit_generator.state = state  # unlike advance(), keeps has_uint32 and uinteger
+    return starts
 
-    def read(cols):
+
+class UniformBlock:
+    """The ``periods × n`` block of ``random()`` draws that a ``PCG64`` generator in
+    ``state`` makes next, computed only where it is read.
+
+    The row starts are computed once, and each column once, the first time it
+    is read.  The first ``p`` rows are the block that ``random((p, n))`` from
+    the same state draws, so windows of any length up to ``periods`` from one
+    seed share one block: each reads prefixes of it and `skip` moves its own
+    generator past its own rows.
+    """
+
+    def __init__(self, state: dict, periods: int, n: int):
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(f"jump-ahead draws need a PCG64 generator, got {state['bit_generator']}")
+        self.state, self.periods, self.n = state, periods, n
+        self._s0, self._inc = state["state"]["state"], state["state"]["inc"]
+        self._starts = _row_starts(self._s0, self._inc, periods, n)
+        self._step_a, step_g = _cached_tables(n)[2:]
+        self._step_inc = np.array(_mul(step_g, _pairs([self._inc])[:, 0]))  # G_j·inc
+        self._columns: dict[int, np.ndarray] = {}
+
+    def column(self, col: int) -> np.ndarray:
+        """``block[:, col]``, every row, read-only: copy it before scaling."""
+        if col not in self._columns:
+            self._columns[col] = self.read(col)
+            self._columns[col].flags.writeable = False
+        return self._columns[col]
+
+    def read(self, cols: int | np.ndarray) -> np.ndarray:
+        """``block[t, cols]`` for every row, or ``block[t, cols[t]]`` for rows ``t < len(cols)``."""
         after = np.asarray(cols) + 1  # draw j of a row comes from state s_{t·n + j + 1}
+        periods = self.periods if after.ndim == 0 else len(after)
         out = np.empty(periods)
         for rows in _blocks(periods):
             step = after if after.ndim == 0 else after[rows]
-            a, g = (np.take(table, step, axis=1) for table in (step_a, step_inc))
-            out[rows] = _uniforms(_add(_mul(a, starts[:, rows]), g))
+            a, g = (np.take(table, step, axis=1) for table in (self._step_a, self._step_inc))
+            out[rows] = _uniforms(_add(_mul(a, self._starts[:, rows]), g))
         return out
 
-    return read
+    def skip(self, bit_generator: np.random.BitGenerator, periods: int) -> None:
+        """Put ``bit_generator`` in the state that ``random((periods, n))`` from
+        ``state`` leaves, its buffered uint32 kept (unlike ``advance``)."""
+        if periods > self.periods:
+            raise ValueError(f"a {periods}-row window does not fit in a {self.periods}-row block")
+        a_end, g_end = _jump(periods * self.n)
+        end = (a_end * self._s0 + g_end * self._inc) % _MOD
+        bit_generator.state = {**self.state, "state": {"state": end, "inc": self._inc}}

@@ -6,7 +6,10 @@ configured detector, and scores the result against the known attacker
 set; billing and records read the usage a month at a time.  Trials
 are deterministic given their seed; Monte-Carlo repetitions use seeds
 derived injectively from ``(master_seed, trial_index)`` so they can run
-in any order or in parallel without changing the result.
+in any order or in parallel without changing the result.  Trial ``i`` of
+every cell (attack case and duration) with the same master seed and
+consumer count reads one shared usage block, whose entries are computed
+once for them all.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._pcg64 import skip_uniforms
+from ._pcg64 import UniformBlock
 from .billing import TariffSchedule, accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
@@ -223,7 +226,9 @@ def _scale(uniforms: np.ndarray, low: float, spans, span_row, rows) -> np.ndarra
     return uniforms
 
 
-def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowData:
+def simulate_window(
+    config: ScenarioConfig, rng: np.random.Generator, draws: UniformBlock | None = None
+) -> WindowData:
     """Generate usage and reports for every period and aggregate them.
 
     Draw order is fixed: the usage matrix first (period-major), then each
@@ -232,6 +237,9 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     (a ``PCG64`` generator, else `TypeError`) jumps past it, and only the
     misreporting consumers' columns and the sampled entries are computed
     from its saved state, bit for bit the values the draw would give.
+    ``draws`` is the usage block of ``rng``'s state when windows of the same
+    seed and consumer count share it (`UniformBlock`); by default this
+    window computes its own.
     """
     region = config.region
     n, periods, low = region.consumers, config.total_periods, region.usage_min
@@ -241,7 +249,11 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     # elasticity scales usage_max (never below usage_min) in the periods
     # whose rate is above the level, so there are two spans.
     state = rng.bit_generator.state
-    uniforms = skip_uniforms(rng.bit_generator, periods, n)
+    if draws is None:
+        draws = UniformBlock(state, periods, n)
+    elif (draws.state, draws.n) != (state, n):
+        raise ValueError("the shared usage draws come from another generator state or region size")
+    draws.skip(rng.bit_generator, periods)
     span_row = None
     if config.elasticity_factor is None:
         spans = np.array([region.usage_max - low])
@@ -255,13 +267,13 @@ def simulate_window(config: ScenarioConfig, rng: np.random.Generator) -> WindowD
     for cid, behavior in region.attackers:
         if is_benign(behavior):
             continue
-        actual = _scale(uniforms(cid), low, spans, span_row, slice(None))
+        actual = _scale(draws.column(cid)[:periods].copy(), low, spans, span_row, slice(None))
         reported = apply_behavior(behavior, actual, rng)
         dishonest[cid] = reported
         leakage = leakage + (actual - reported)
 
     sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = _scale(uniforms(sampled_pos), low, spans, span_row, slice(None))
+    sampled_reports = _scale(draws.read(sampled_pos), low, spans, span_row, slice(None))
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
@@ -334,6 +346,7 @@ def _low_report_corr(config: ScenarioConfig, counts: np.ndarray, samples) -> np.
 def run_trial(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence,
+    draws: UniformBlock | None = None,
 ) -> TrialOutcome:
     """One fully deterministic end-to-end trial.
 
@@ -343,9 +356,10 @@ def run_trial(
     leaves the low-report ones to `TrialOutcome.report`.  Threshold mode flags every
     consumer with evidence (`has_evidence`) and ``|corr| >= th``, as `detect_region`
     labels them; a most-negative trial without defined correlations selects no one.
+    ``draws`` is ``trial_seed``'s usage block when trials share it (`simulate_window`).
     """
     rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
-    window = simulate_window(config, rng)
+    window = simulate_window(config, rng, draws)
     n = config.region.consumers
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
     counts, corr = correlate(*samples, n)
@@ -401,24 +415,41 @@ class ProbabilityEstimate:
         return math.sqrt(p * (1.0 - p) / self.repetitions)
 
 
-def _count_successes(job: tuple[ScenarioConfig, int, int]) -> int:
-    config, start, stop = job
-    seeds = (derive_trial_seed(config.master_seed, i) for i in range(start, stop))
-    return sum(trial_success(run_trial(config, seed)) for seed in seeds)
+def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
+    """Trial ``index`` of every cell.  The cells share the master seed and the
+    consumer count, so one usage block serves them all; it lives for this call."""
+    seed = derive_trial_seed(cells[0].master_seed, index)
+    periods = max(c.total_periods for c in cells)
+    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
+    return [trial_success(run_trial(c, seed, draws)) for c in cells]
+
+
+def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[int]:
+    """Each cell's successes over trial indices ``start..stop-1``."""
+    cells, start, stop = job
+    return [sum(oks) for oks in zip(*(_index_successes(cells, i) for i in range(start, stop)))]
 
 
 def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[ProbabilityEstimate]:
     """One estimate per config; all their trials share one pool when 2+ workers run.
 
-    Jobs are trial-index ranges, up to ``4 * threads`` per config, run longest
-    (months x trials) first so that long ranges do not form the tail.  More
-    workers than CPUs would only queue, so ``threads`` is capped at the CPU count."""
+    Configs with the same master seed, consumer count and repetitions form a
+    group whose trial ``i`` reads one shared usage block (`_index_successes`).
+    Jobs are trial-index ranges over a whole group, up to ``4 * threads`` per
+    group, and return one success count per config; they run longest (months x
+    trials) first so that long ranges do not form the tail.  More workers than
+    CPUs would only queue, so ``threads`` is capped at the CPU count."""
     threads = min(threads, os.cpu_count() or 1)
-    ranges = []
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for pos, c in enumerate(configs):
-        parts = min(c.repetitions, 4 * max(threads, 1))
-        bounds = [c.repetitions * k // parts for k in range(parts + 1)]
-        ranges += [(c.months * (b - a), pos, (c, a, b)) for a, b in zip(bounds, bounds[1:])]
+        groups.setdefault((c.master_seed, c.region.consumers, c.repetitions), []).append(pos)
+    ranges = []
+    for members in groups.values():
+        cells = tuple(configs[pos] for pos in members)
+        reps, months = cells[0].repetitions, sum(c.months for c in cells)
+        parts = min(reps, 4 * max(threads, 1))
+        bounds = [reps * k // parts for k in range(parts + 1)]
+        ranges += [(months * (b - a), members, (cells, a, b)) for a, b in zip(bounds, bounds[1:])]
     ranges.sort(key=lambda r: r[0], reverse=True)
     jobs = [job for _, _, job in ranges]
     if min(threads, len(jobs)) > 1:
@@ -426,7 +457,9 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
             counts = list(pool.map(_count_successes, jobs))
     else:
         counts = list(map(_count_successes, jobs))
-    successes = np.bincount([pos for _, pos, _ in ranges], counts, len(configs))
+    successes = np.zeros(len(configs), np.int64)
+    for (_, members, _), job_counts in zip(ranges, counts):
+        successes[members] += job_counts
     return [ProbabilityEstimate(int(n), c.repetitions) for n, c in zip(successes, configs)]
 
 
@@ -455,15 +488,25 @@ def run_billing(
     return window, issue_bills(costs, np.arange(config.region.consumers), month_len)
 
 
+def _at_durations(config: ScenarioConfig, durations: Iterable[int]) -> list[ScenarioConfig]:
+    """``config`` at each duration (months), every one built and checked before any trial."""
+    durations = list(durations)
+    if config.tariff.rates is not None and any(m != config.months for m in durations):
+        raise ConfigurationError(
+            f"a duration sweep needs a flat tariff; the tariff vector covers only "
+            f"the {config.months}-month window"
+        )
+    return [replace(config, months=m) for m in durations]
+
+
 def concentration_experiment(
     config: ScenarioConfig, durations: Iterable[int]
 ) -> dict[int, DetectionReport]:
     """Per-consumer correlations from one seeded trial at each duration (months)."""
-    out: dict[int, DetectionReport] = {}
-    for months in durations:
-        outcome = run_trial(replace(config, months=months), derive_trial_seed(config.master_seed, months))
-        out[months] = outcome.report
-    return out
+    return {
+        c.months: run_trial(c, derive_trial_seed(config.master_seed, c.months)).report
+        for c in _at_durations(config, durations)
+    }
 
 
 def duration_sweep(
@@ -472,7 +515,7 @@ def duration_sweep(
     threads: int = 1,
 ) -> dict[int, ProbabilityEstimate]:
     """Detection probability at each measurement duration (months)."""
-    return dict(zip(durations, _estimate([replace(config, months=m) for m in durations], threads)))
+    return dict(zip(durations, _estimate(_at_durations(config, durations), threads)))
 
 
 # Documented defaults for the offset attacks: both offsets are sized at the
@@ -511,5 +554,7 @@ def probability_table(
 ) -> list[tuple[str, int, ProbabilityEstimate]]:
     """Correct-detection probability for each case and duration."""
     cells = [(case, months) for case in cases for months in durations]
-    scenarios = [replace(case_config(base, case, attacker_id), months=m) for case, m in cells]
+    scenarios = [
+        c for case in cases for c in _at_durations(case_config(base, case, attacker_id), durations)
+    ]
     return [(*cell, est) for cell, est in zip(cells, _estimate(scenarios, threads))]

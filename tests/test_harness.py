@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import make_config, tiny_config
 from gridwatch.billing import TariffSchedule
 from gridwatch.config import loads_config
 from gridwatch.detection import Label
-from gridwatch import harness
+from gridwatch import _pcg64, harness
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import (
     MOST_NEGATIVE_MODE,
@@ -20,6 +21,7 @@ from gridwatch.harness import (
     THRESHOLD_MODE,
     TrialOutcome,
     case_config,
+    concentration_experiment,
     derive_trial_seed,
     duration_sweep,
     estimate_detection_probability,
@@ -315,26 +317,63 @@ class TestEstimates:
         ]
 
     @settings(max_examples=60, deadline=None)
-    @given(reps=st.integers(1, 50), threads=st.integers(1, 4))
-    def test_range_jobs_cover_every_trial_once(self, reps, threads):
-        # the jobs only record their ranges; the pool runs them inline
-        cfg = dataclasses.replace(tiny_config(), repetitions=reps)
-        seen = {1: [], 2: []}
+    @given(reps=st.integers(1, 50), other_reps=st.integers(1, 50), threads=st.integers(1, 4))
+    def test_range_jobs_cover_every_trial_once(self, reps, other_reps, threads):
+        # two groups: the 1- and 2-month cells share a master seed, the
+        # 3-month cell has its own; the jobs only record their ranges and the
+        # pool runs them inline
+        base = dataclasses.replace(tiny_config(), repetitions=reps)
+        other = dataclasses.replace(base, master_seed=1, repetitions=other_reps, months=3)
+        configs = [base, dataclasses.replace(base, months=2), other]
+        seen = {pos: [] for pos in range(3)}
         weights = []
 
         def record(job):
-            config, start, stop = job
-            seen[config.months].extend(range(start, stop))
-            weights.append(config.months * (stop - start))
-            return stop - start
+            cells, start, stop = job
+            assert len({(c.master_seed, c.region.consumers) for c in cells}) == 1
+            for cell in cells:
+                seen[configs.index(cell)].extend(range(start, stop))
+            weights.append(sum(c.months for c in cells) * (stop - start))
+            return [stop - start] * len(cells)
 
         with pytest.MonkeyPatch.context() as mp:
             install_inline_pool(mp)
             mp.setattr(harness, "_count_successes", record)
-            estimates = duration_sweep(cfg, (1, 2), threads=threads)
-        assert all(sorted(seen[m]) == list(range(reps)) for m in (1, 2))
-        assert all(estimates[m].successes == reps for m in (1, 2))
+            estimates = harness._estimate(configs, threads)
+        assert all(sorted(seen[pos]) == list(range(c.repetitions)) for pos, c in enumerate(configs))
+        assert [e.successes for e in estimates] == [reps, reps, other_reps]
         assert weights == sorted(weights, reverse=True)
+
+    def test_a_job_shares_one_block_per_trial_index(self, monkeypatch):
+        # six cells (three cases x two durations) of one seed: a job computes
+        # the row starts and the attacker's column once per trial index, for
+        # the longest cell, and holds one index's block at a time
+        starts, columns, alive, peak = [], [], [], []
+        real_starts = _pcg64._row_starts
+
+        def counting_starts(s0, inc, periods, n):
+            starts.append((periods, n))
+            return real_starts(s0, inc, periods, n)
+
+        class Tracked(_pcg64.UniformBlock):
+            def __init__(self, *args):
+                super().__init__(*args)
+                alive.append(weakref.ref(self))
+                peak.append(sum(ref() is not None for ref in alive))
+
+            def read(self, cols):
+                if np.ndim(cols) == 0:
+                    columns.append(int(cols))
+                return super().read(cols)
+
+        monkeypatch.setattr(_pcg64, "_row_starts", counting_starts)
+        monkeypatch.setattr(harness, "UniformBlock", Tracked)
+        base = dataclasses.replace(tiny_config(attackers=""), repetitions=3)
+        table = probability_table(base, 1, durations=(1, 2))
+        assert len(table) == 6
+        assert starts == [(2 * 30 * 4, 5)] * 3
+        assert columns == [1] * 3
+        assert peak == [1] * 3
 
     def test_thread_count_does_not_change_result(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
@@ -363,11 +402,14 @@ class TestScenarioBuilders:
         # the case attacker replaces the base's attackers
         assert case_config(make_config("3 = multiplicative 2.0"), "I", 25).region == c1.region
 
-    def test_case_config_pickles_small(self):
-        # every range job of a pool carries its config
-        job = case_config(make_config(), "I", 25)
-        assert len(pickle.dumps(job)) < 1024
-        assert pickle.loads(pickle.dumps(job)) == job
+    def test_table1_job_pickles_small(self, monkeypatch):
+        # a pool job carries every cell of its group: all 12 of table1's
+        jobs = []
+        monkeypatch.setattr(harness, "_count_successes", lambda job: jobs.append(job) or [0] * len(job[0]))
+        probability_table(dataclasses.replace(make_config(), repetitions=8), 25, threads=1)
+        assert [len(cells) for cells, _, _ in jobs] == [12] * 4
+        assert max(len(pickle.dumps(job)) for job in jobs) < 4096
+        assert pickle.loads(pickle.dumps(jobs[0])) == jobs[0]
 
     def test_case_config_rejects_unknown_attacker(self):
         with pytest.raises(ConfigurationError):
@@ -423,6 +465,41 @@ class TestScenarioBuilders:
         # (5 x 1e150)^2 x 120 periods is finite
         cfg = self.five_consumers(usage_max=1e150, attackers="3 = multiplicative 0.1")
         assert run_trial(cfg, derive_trial_seed(0, 0)).report.corr(3) == pytest.approx(1.0)
+
+
+class TestDurationSweeps:
+    @staticmethod
+    def vector_tariff_config():
+        """A 1-month window whose tariff vector covers exactly it."""
+        cfg = dataclasses.replace(tiny_config(), repetitions=2)
+        periods = cfg.total_periods
+        return dataclasses.replace(cfg, tariff=TariffSchedule.from_vector(np.full(periods, 0.5), periods))
+
+    @pytest.fixture
+    def no_trial(self, monkeypatch):
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", trial)
+
+    def test_concentration_checks_every_duration_first(self, no_trial):
+        with pytest.raises(ConfigurationError, match="a duration sweep needs a flat tariff"):
+            concentration_experiment(self.vector_tariff_config(), (1, 12))
+        with pytest.raises(ConfigurationError, match="months must be >= 1"):
+            concentration_experiment(tiny_config(), (1, 0))
+
+    def test_duration_sweep_checks_every_duration_first(self, no_trial):
+        with pytest.raises(ConfigurationError, match="a duration sweep needs a flat tariff"):
+            duration_sweep(self.vector_tariff_config(), (1, 3))
+
+    def test_probability_table_checks_every_duration_first(self, no_trial):
+        with pytest.raises(ConfigurationError, match="a duration sweep needs a flat tariff"):
+            probability_table(self.vector_tariff_config(), 1, durations=(1, 3))
+
+    def test_a_vector_tariff_runs_at_its_own_duration(self):
+        cfg = self.vector_tariff_config()
+        assert duration_sweep(cfg, (1,)) == {1: estimate_detection_probability(cfg)}
+        assert concentration_experiment(cfg, (1,))[1] == run_trial(cfg, derive_trial_seed(0, 1)).report
 
 
 class TestBillingPath:

@@ -55,8 +55,8 @@ def test_random_is_the_raw_output_shifted_to_53_bits(state, inc, draws, advanced
 
 @pytest.mark.parametrize("state, inc, draws, advanced", PINNED)
 def test_one_row_block_reads_the_pinned_draws(state, inc, draws, advanced):
-    read = _pcg64.skip_uniforms(pcg64_at(state, inc), 1, 3)
-    assert [read(c)[0].hex() for c in range(3)] == draws
+    block = _pcg64.UniformBlock(pcg64_at(state, inc).state, 1, 3)
+    assert [block.column(c)[0].hex() for c in range(3)] == draws
 
 
 def test_jump_is_the_lcg_iterated():
@@ -87,9 +87,33 @@ def test_skip_leaves_the_state_a_full_draw_leaves(warmup):
         rng.integers(0, 10, size=warmup)
     assert full.bit_generator.state["has_uint32"] == warmup % 2
     matrix = full.random((50, 7))
-    read = _pcg64.skip_uniforms(skipped.bit_generator, 50, 7)
+    block = _pcg64.UniformBlock(skipped.bit_generator.state, 50, 7)
+    block.skip(skipped.bit_generator, 50)
     assert skipped.bit_generator.state == full.bit_generator.state
     assert skipped.integers(0, 10, size=9).tolist() == full.integers(0, 10, size=9).tolist()
     cols = np.arange(50) % 7
-    assert read(cols).tobytes() == matrix[np.arange(50), cols].tobytes()
-    assert read(6).tobytes() == matrix[:, 6].tobytes()
+    assert block.read(cols).tobytes() == matrix[np.arange(50), cols].tobytes()
+    assert block.column(6).tobytes() == matrix[:, 6].tobytes()
+
+
+@pytest.mark.parametrize("periods", [1, 20, 50])
+def test_a_shorter_window_reads_a_prefix_of_the_block(periods):
+    # a window of the same seed and fewer rows: the same entries, and its
+    # generator left where its own shorter draw leaves it
+    full, skipped = np.random.default_rng([7, 1]), np.random.default_rng([7, 1])
+    block = _pcg64.UniformBlock(skipped.bit_generator.state, 50, 7)
+    matrix = full.random((periods, 7))
+    block.skip(skipped.bit_generator, periods)
+    assert skipped.bit_generator.state == full.bit_generator.state
+    cols = np.arange(periods) * 3 % 7
+    assert block.read(cols).tobytes() == matrix[np.arange(periods), cols].tobytes()
+    assert block.column(2)[:periods].tobytes() == matrix[:, 2].tobytes()
+    with pytest.raises(ValueError, match="does not fit"):
+        block.skip(skipped.bit_generator, 51)
+
+
+def test_block_columns_are_read_only():
+    block = _pcg64.UniformBlock(np.random.PCG64(3).state, 4, 2)
+    assert block.column(1) is block.column(1)
+    with pytest.raises(ValueError):
+        block.column(1)[0] = 0.0

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from gridwatch.billing import TariffSchedule
 from gridwatch.config import loads_config
 from gridwatch.detection import series_from_arrays
-from gridwatch.harness import DAYS_PER_MONTH, run_billing, run_trial, simulate_window
+from gridwatch._pcg64 import UniformBlock
+from gridwatch.harness import DAYS_PER_MONTH, _estimate, run_billing, run_trial, simulate_window
 from per_period import (
     accumulate_samples, full_matrix_window, ledger_bills, matrices, window_records,
 )
@@ -122,6 +123,60 @@ def test_month_blocks_match_full_matrix_bit_for_bit(scenario):
     assert got.usage.tobytes() == ref.usage.tobytes()
     assert got.reports.tobytes() == ref.reports.tobytes()
     assert window.actual_total.tobytes() == ref.usage.sum(axis=1).tobytes()
+
+
+ATTACKS = ("multiplicative 0.1", "multiplicative 3.0", "fixed_offset 0.6", "random_offset 0.7 add")
+
+
+@st.composite
+def cell_groups(draw):
+    """Monte-Carlo cells that share a master seed, a consumer count and
+    ``periods_per_day``: each has its own months (1 to 4), one or two
+    attackers and elasticity on or off."""
+    n = draw(st.integers(2, 6))
+    head = f"[region]\nconsumers = {n}\nperiods_per_day = {draw(st.integers(1, 3))}\n"
+    seed = draw(st.integers(0, 2**32 - 1))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        attackers = "".join(f"{i} = {draw(st.sampled_from(ATTACKS))}\n" for i in ids)
+        elastic = "elasticity_factor = 0.7\nelasticity_level = 1.0\n" if draw(st.booleans()) else ""
+        cells.append(loads_config(
+            f"{head}[attackers]\n{attackers}[billing]\ntariff = 2.5\n{elastic}"
+            f"[experiment]\nmonths = {draw(st.integers(1, 4))}\nmaster_seed = {seed}\nrepetitions = 3\n"
+        ))
+    return cells, seed
+
+
+@given(cell_groups())
+@settings(max_examples=60, deadline=None)
+def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
+    # every cell reads one block sized for the longest: its row starts and
+    # attacker columns are computed once and read as prefixes
+    cells, seed = group
+    periods = max(c.total_periods for c in cells)
+    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
+    for cell in cells:
+        shared_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        shared, fresh = simulate_window(cell, shared_rng, draws), simulate_window(cell, fresh_rng)
+        for name in ("leakage", "sampled_pos", "sampled_reports"):
+            assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert list(shared.dishonest) == list(fresh.dishonest) == sorted(cell.region.malicious_ids)
+        for pos, reported in fresh.dishonest.items():
+            assert shared.dishonest[pos].tobytes() == reported.tobytes()
+        assert shared_rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert shared.state == fresh.state
+    assert _estimate(cells, threads=1) == [_estimate([c], threads=1)[0] for c in cells]
+
+
+def test_shared_draws_must_come_from_the_window_stream():
+    config = loads_config("[region]\nconsumers = 3\nperiods_per_day = 1\n")
+    draws = UniformBlock(np.random.PCG64(1).state, config.total_periods, 3)
+    with pytest.raises(ValueError, match="another generator state"):
+        simulate_window(config, np.random.default_rng(2), draws)
+    longer = dataclasses.replace(config, months=2)
+    with pytest.raises(ValueError, match="does not fit"):
+        simulate_window(longer, np.random.default_rng(1), draws)
 
 
 def test_window_needs_a_pcg64_generator():
