@@ -9,7 +9,9 @@ derived injectively from ``(master_seed, trial_index)`` so they can run
 in any order or in parallel without changing the result.  Trial ``i`` of
 every cell (attack case and duration) with the same master seed and
 consumer count reads one shared usage block, whose entries are computed
-once for them all.
+once for them all; cells that reach the sampling step in the same
+generator state share one sampled draw and read.  Every stream is the one
+a lone trial draws.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ class WindowData:
     sampled_pos: np.ndarray
     sampled_reports: np.ndarray
 
-    def months(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each month's ``(usage, reports)`` block, ``(periods, n)``, in period order.
+    def _usage_months(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each month's rows and ``(periods, n)`` usage block, in period order.
 
         The draws come from a copy of the saved generator state."""
         rng = np.random.Generator(np.random.PCG64())
@@ -191,7 +193,11 @@ class WindowData:
         for start in range(0, len(self.leakage), month_len):
             rows = slice(start, start + month_len)
             usage = rng.random((month_len, region.consumers))
-            _scale(usage.T, region.usage_min, self.spans, self.span_row, rows)
+            yield rows, _scale(usage.T, region.usage_min, self.spans, self.span_row, rows).T
+
+    def months(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each month's ``(usage, reports)`` block, ``(periods, n)``, in period order."""
+        for rows, usage in self._usage_months():
             reports = usage.copy()
             for pos, reported in self.dishonest.items():
                 reports[:, pos] = reported[rows]
@@ -199,7 +205,7 @@ class WindowData:
 
     @cached_property
     def actual_total(self) -> np.ndarray:
-        return np.concatenate([usage.sum(axis=1) for usage, _ in self.months()])
+        return np.concatenate([usage.sum(axis=1) for _, usage in self._usage_months()])
 
     @cached_property
     def reported_total(self) -> np.ndarray:
@@ -238,8 +244,8 @@ def simulate_window(
     misreporting consumers' columns and the sampled entries are computed
     from its saved state, bit for bit the values the draw would give.
     ``draws`` is the usage block of ``rng``'s state when windows of the same
-    seed and consumer count share it (`UniformBlock`); by default this
-    window computes its own.
+    seed and consumer count share it (`UniformBlock`), with its last sampled
+    draw; by default this window computes its own.
     """
     region = config.region
     n, periods, low = region.consumers, config.total_periods, region.usage_min
@@ -272,8 +278,8 @@ def simulate_window(
         dishonest[cid] = reported
         leakage = leakage + (actual - reported)
 
-    sampled_pos = rng.integers(0, n, size=periods)
-    sampled_reports = _scale(draws.read(sampled_pos), low, spans, span_row, slice(None))
+    sampled_pos, uniforms = draws.sample(rng, periods)
+    sampled_reports = _scale(uniforms.copy(), low, spans, span_row, slice(None))
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
@@ -416,12 +422,16 @@ class ProbabilityEstimate:
 
 
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
-    """Trial ``index`` of every cell.  The cells share the master seed and the
-    consumer count, so one usage block serves them all; it lives for this call."""
+    """Trial ``index`` of every cell, in the order given.  The cells share the master
+    seed and the consumer count, so one usage block serves them all for this call.
+    Shortest windows run first: cells of one length whose attacks draw nothing then
+    sample in turn from one state and share the block's last sample."""
     seed = derive_trial_seed(cells[0].master_seed, index)
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
-    return [trial_success(run_trial(c, seed, draws)) for c in cells]
+    order = sorted(range(len(cells)), key=lambda pos: cells[pos].total_periods)
+    ok = {pos: trial_success(run_trial(cells[pos], seed, draws)) for pos in order}
+    return [ok[pos] for pos in range(len(cells))]
 
 
 def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[int]:

@@ -347,8 +347,10 @@ class TestEstimates:
     def test_a_job_shares_one_block_per_trial_index(self, monkeypatch):
         # six cells (three cases x two durations) of one seed: a job computes
         # the row starts and the attacker's column once per trial index, for
-        # the longest cell, and holds one index's block at a time
-        starts, columns, alive, peak = [], [], [], []
+        # the longest cell, and holds one index's block at a time; cases I and
+        # II draw nothing before sampling, so at each duration they share one
+        # sampled read, and case III reads its own
+        starts, columns, sampled, alive, peak = [], [], [], [], []
         real_starts = _pcg64._row_starts
 
         def counting_starts(s0, inc, periods, n):
@@ -364,6 +366,8 @@ class TestEstimates:
             def read(self, cols):
                 if np.ndim(cols) == 0:
                     columns.append(int(cols))
+                else:
+                    sampled.append(len(cols))
                 return super().read(cols)
 
         monkeypatch.setattr(_pcg64, "_row_starts", counting_starts)
@@ -373,6 +377,7 @@ class TestEstimates:
         assert len(table) == 6
         assert starts == [(2 * 30 * 4, 5)] * 3
         assert columns == [1] * 3
+        assert sampled == [30 * 4, 30 * 4, 2 * 30 * 4, 2 * 30 * 4] * 3
         assert peak == [1] * 3
 
     def test_thread_count_does_not_change_result(self):

@@ -125,34 +125,40 @@ def test_month_blocks_match_full_matrix_bit_for_bit(scenario):
     assert window.actual_total.tobytes() == ref.usage.sum(axis=1).tobytes()
 
 
-ATTACKS = ("multiplicative 0.1", "multiplicative 3.0", "fixed_offset 0.6", "random_offset 0.7 add")
+NO_DRAW_ATTACKS = ("multiplicative 0.1", "multiplicative 3.0", "fixed_offset 0.6")
+ATTACKS = (*NO_DRAW_ATTACKS, "random_offset 0.7 add")
 
 
 @st.composite
 def cell_groups(draw):
     """Monte-Carlo cells that share a master seed, a consumer count and
-    ``periods_per_day``: each has its own months (1 to 4), one or two
-    attackers and elasticity on or off."""
+    ``periods_per_day``, in any order: each has its own months (1 to 4), one
+    or two attackers and elasticity on or off.  Up to two more cells repeat
+    each one's months with attacks that draw nothing, so they reach the
+    sampling step in one generator state."""
     n = draw(st.integers(2, 6))
     head = f"[region]\nconsumers = {n}\nperiods_per_day = {draw(st.integers(1, 3))}\n"
     seed = draw(st.integers(0, 2**32 - 1))
     cells = []
     for _ in range(draw(st.integers(1, 4))):
-        ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
-        attackers = "".join(f"{i} = {draw(st.sampled_from(ATTACKS))}\n" for i in ids)
-        elastic = "elasticity_factor = 0.7\nelasticity_level = 1.0\n" if draw(st.booleans()) else ""
-        cells.append(loads_config(
-            f"{head}[attackers]\n{attackers}[billing]\ntariff = 2.5\n{elastic}"
-            f"[experiment]\nmonths = {draw(st.integers(1, 4))}\nmaster_seed = {seed}\nrepetitions = 3\n"
-        ))
-    return cells, seed
+        months = draw(st.integers(1, 4))
+        for attacks in [ATTACKS] + [NO_DRAW_ATTACKS] * draw(st.integers(0, 2)):
+            ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+            attackers = "".join(f"{i} = {draw(st.sampled_from(attacks))}\n" for i in ids)
+            elastic = "elasticity_factor = 0.7\nelasticity_level = 1.0\n" if draw(st.booleans()) else ""
+            cells.append(loads_config(
+                f"{head}[attackers]\n{attackers}[billing]\ntariff = 2.5\n{elastic}"
+                f"[experiment]\nmonths = {months}\nmaster_seed = {seed}\nrepetitions = 3\n"
+            ))
+    return draw(st.permutations(cells)), seed
 
 
 @given(cell_groups())
 @settings(max_examples=60, deadline=None)
 def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
     # every cell reads one block sized for the longest: its row starts and
-    # attacker columns are computed once and read as prefixes
+    # attacker columns are computed once and read as prefixes, and a cell in
+    # the last sampled draw's state reuses that draw
     cells, seed = group
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
@@ -167,6 +173,36 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
         assert shared_rng.bit_generator.state == fresh_rng.bit_generator.state
         assert shared.state == fresh.state
     assert _estimate(cells, threads=1) == [_estimate([c], threads=1)[0] for c in cells]
+
+
+@pytest.mark.parametrize("warmup", [0, 1, 2, 3])
+def test_a_repeated_sample_leaves_the_generator_as_a_fresh_draw(warmup):
+    # the last draw's state again is a hit: the same arrays, and the state
+    # that drawing them leaves; a state that differs only in its buffered
+    # uint32 is a miss
+    draws = UniformBlock(np.random.PCG64(5).state, 12, 7)
+    start = used_stream(5, warmup).bit_generator.state
+    flipped = {**start, "has_uint32": 1 - start["has_uint32"]}
+    buffered = {**start, "has_uint32": 1, "uinteger": start["uinteger"] ^ 0x5A5A5A5A}
+    hits, last = [], None
+    for state in (start, start, flipped, buffered, buffered):
+        rng, fresh = np.random.default_rng(), np.random.default_rng()
+        rng.bit_generator.state = fresh.bit_generator.state = state
+        positions, entries = draws.sample(rng, 12)
+        want = fresh.integers(0, 7, size=12)
+        assert positions.tolist() == want.tolist()
+        assert entries.tobytes() == draws.read(want).tobytes()
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        hits.append(positions is last)
+        last = positions
+    assert hits == [False, True, False, False, True]
+
+
+def test_a_sample_is_read_only():
+    draws = UniformBlock(np.random.PCG64(3).state, 10, 4)
+    for array in draws.sample(np.random.default_rng(3), 10):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_shared_draws_must_come_from_the_window_stream():
