@@ -3,11 +3,7 @@ detection, privacy-preserving aggregation, and aggregator-side billing."""
 
 __version__ = "0.1.0"
 
-from .billing import (
-    TariffSchedule,
-    accrue,
-    issue_bills,
-)
+from .billing import accrue, issue_bills
 from .detection import (
     DetectionReport,
     Label,
@@ -39,7 +35,6 @@ from .model import (
 
 __all__ = [
     "__version__",
-    "TariffSchedule",
     "accrue",
     "issue_bills",
     "DetectionReport",

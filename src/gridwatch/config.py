@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .billing import TariffSchedule
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
 from .errors import ConfigurationError
 from .harness import ScenarioConfig, THRESHOLD_MODE
@@ -61,7 +60,7 @@ _KEYS: dict[str, tuple[_Key, ...]] = {
         _Key("low_report_quantile", _OPTIONAL_FLOAT, None, field="low_report_quantile"),
     ),
     "billing": (
-        _Key("tariff", float, 1.0, field="tariff"),  # a flat TariffSchedule's rate
+        _Key("tariff", float, 1.0, field="tariff"),
         _Key("elasticity_factor", _OPTIONAL_FLOAT, None, field="elasticity_factor"),
         _Key("elasticity_level", _OPTIONAL_FLOAT, None, field="elasticity_level"),
     ),
@@ -160,7 +159,6 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
         attackers.append((cid, parse_behavior(spec)))
     region = RegionConfig(**{key.name: values[key.name] for key in _KEYS["region"]}, attackers=attackers)
     fields = {key.field: values[key.name] for key in _FIELD_KEYS}
-    fields["tariff"] = TariffSchedule.flat(fields["tariff"])
     return ScenarioConfig(region=region, **fields)
 
 
@@ -175,11 +173,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def dumps_config(config: ScenarioConfig) -> str:
     """Fully resolved config text; round-trips through `loads_config`."""
-    if config.tariff.flat_rate is None:
-        raise ConfigurationError("only flat tariffs are representable in config files")
     values = {key.name: getattr(config, key.field) for key in _FIELD_KEYS}
     values.update({key.name: getattr(config.region, key.name) for key in _KEYS["region"]})
-    values["tariff"] = config.tariff.flat_rate
     blocks = []
     for name, keys in _KEYS.items():
         lines = [f"{key.name} = {_format(values[key.name])}\n" for key in keys]

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._pcg64 import UniformBlock
-from .billing import TariffSchedule, accrue, issue_bills
+from .billing import accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
     DEFAULT_THRESHOLD,
@@ -66,7 +66,7 @@ class ScenarioConfig:
     min_samples: int = DEFAULT_MIN_SAMPLES
     mode: str = THRESHOLD_MODE
     low_report_quantile: float | None = None
-    tariff: TariffSchedule = field(default_factory=lambda: TariffSchedule.flat(1.0))
+    tariff: float = 1.0
     elasticity_factor: float | None = None
     elasticity_level: float | None = None
     master_seed: int = 0
@@ -102,16 +102,23 @@ class ScenarioConfig:
             0 < self.elasticity_factor < math.inf and math.isfinite(self.elasticity_level)
         ):
             raise ConfigurationError("elasticity factor and level must be finite, the factor > 0")
-        rates = self.tariff.rates
-        if rates is not None and len(rates) != self.total_periods:
-            raise ConfigurationError(
-                f"the tariff vector has {len(rates)} rates for a {self.total_periods}-period window"
-            )
+        if not 0.0 <= self.tariff < math.inf:
+            raise ConfigurationError(f"tariff must be finite and >= 0, got {self.tariff}")
         _check_sums_finite(self)
 
     @property
     def total_periods(self) -> int:
         return DAYS_PER_MONTH * self.region.periods_per_day * self.months
+
+    @property
+    def usage_span(self) -> float:
+        """The width of every period's usage range.  With elasticity set, a tariff above the
+        level scales ``usage_max`` by the factor, and the top stays at least 1e-12 above ``usage_min``."""
+        low, high = self.region.usage_min, self.region.usage_max
+        if self.elasticity_factor is None:
+            return high - low
+        factor = self.elasticity_factor if self.tariff > self.elasticity_level else 1.0
+        return max(high * factor, low + 1e-12) - low
 
 
 def check_window_size(consumers: int, periods_per_day: int, periods: int) -> None:
@@ -127,23 +134,22 @@ def _check_sums_finite(config: ScenarioConfig) -> None:
     """Reject values whose regional totals, monthly bills or correlation sums overflow.
 
     A total adds up to n values; a bill up to a month of values times the
-    top rate; a correlation sums up to ``periods`` squares of values as large
+    rate; a correlation sums up to ``periods`` squares of values as large
     as a total (the leakage is one).  Past ``float``'s range each would end
     as a silent inf or NaN in the output.
     """
-    region, tariff = config.region, config.tariff
-    usage = region.usage_max * max(1.0, config.elasticity_factor or 1.0)
+    region = config.region
+    usage = region.usage_min + config.usage_span
     value = usage  # the largest usage or report of any consumer in any period
     for _, b in region.attackers:
         if isinstance(b, Multiplicative):
             value = max(value, b.alpha * usage)
         elif isinstance(b, (FixedOffset, RandomOffset)) and b.direction == "add":
             value = max(value, usage + (b.eta if isinstance(b, FixedOffset) else b.theta_max))
-    rate = tariff.flat_rate if tariff.rates is None else max(tariff.rates, default=0.0)
     total = value * region.consumers
     sums = {
         "regional totals": total,
-        "monthly bills": value * rate * DAYS_PER_MONTH * region.periods_per_day,
+        "monthly bills": value * config.tariff * DAYS_PER_MONTH * region.periods_per_day,
         "correlation sums": total * total * config.total_periods,
     }
     for what, bound in sums.items():
@@ -163,49 +169,47 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 class WindowData:
     """Whole-window simulation arrays (one entry per period).
 
-    Usage is ``u[t, c] * spans[span_row[t]] + region.usage_min`` (`_scale`),
-    with one span when ``span_row`` is None, where ``u`` is the
-    ``(periods, n)`` block of uniforms that the generator in ``state`` draws
-    next.  ``dishonest`` maps each misreporting consumer's id to its
-    reports, and ``sampled_pos`` holds the sampled consumer's id (ids are
-    positions).  `months` draws the usage and reports again from ``state``,
+    Usage is ``u[t, c] * span + region.usage_min`` (`_scale`), where ``u``
+    is the ``(periods, n)`` block of uniforms that the generator in
+    ``state`` draws next and ``span`` is the config's `usage_span`.
+    ``dishonest`` maps each misreporting consumer's id to its reports, and
+    ``sampled_pos`` holds the sampled consumer's id (ids are positions).
+    `usage_months` and `report_months` draw the usage again from ``state``,
     one month at a time; the regional totals are computed on first access.
     A Monte-Carlo trial reads none of them.
     """
 
     region: RegionConfig
     state: dict
-    spans: np.ndarray
-    span_row: np.ndarray | None
+    span: float
     dishonest: dict[int, np.ndarray]
     leakage: np.ndarray
     sampled_pos: np.ndarray
     sampled_reports: np.ndarray
 
-    def _usage_months(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Each month's rows and ``(periods, n)`` usage block, in period order.
+    def usage_months(self) -> Iterator[np.ndarray]:
+        """Each month's ``(periods, n)`` usage block, new each time, in period order.
 
         The draws come from a copy of the saved generator state."""
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.state
         region = self.region
         month_len = DAYS_PER_MONTH * region.periods_per_day
-        for start in range(0, len(self.leakage), month_len):
-            rows = slice(start, start + month_len)
-            usage = rng.random((month_len, region.consumers))
-            yield rows, _scale(usage.T, region.usage_min, self.spans, self.span_row, rows).T
+        for _ in range(len(self.leakage) // month_len):
+            yield _scale(rng.random((month_len, region.consumers)), region.usage_min, self.span)
 
-    def months(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each month's ``(usage, reports)`` block, ``(periods, n)``, in period order."""
-        for rows, usage in self._usage_months():
-            reports = usage.copy()
+    def report_months(self) -> Iterator[np.ndarray]:
+        """Each month's ``(periods, n)`` reports block, in period order: its
+        fresh usage block with the misreporting columns written over in place."""
+        month_len = DAYS_PER_MONTH * self.region.periods_per_day
+        for start, reports in zip(range(0, len(self.leakage), month_len), self.usage_months()):
             for pos, reported in self.dishonest.items():
-                reports[:, pos] = reported[rows]
-            yield usage, reports
+                reports[:, pos] = reported[start : start + month_len]
+            yield reports
 
     @cached_property
     def actual_total(self) -> np.ndarray:
-        return np.concatenate([usage.sum(axis=1) for _, usage in self._usage_months()])
+        return np.concatenate([usage.sum(axis=1) for usage in self.usage_months()])
 
     @cached_property
     def reported_total(self) -> np.ndarray:
@@ -224,10 +228,10 @@ class WindowData:
         )
 
 
-def _scale(uniforms: np.ndarray, low: float, spans, span_row, rows) -> np.ndarray:
-    """The usage of periods ``rows``, the last axis, from their uniforms, in place.
-    Sparse reads and month blocks both take it, so they agree bit for bit."""
-    uniforms *= spans[0] if span_row is None else spans[span_row[rows]]
+def _scale(uniforms: np.ndarray, low: float, span: float) -> np.ndarray:
+    """Usage from its uniforms, in place.  Sparse reads and month blocks
+    both take it, so they agree bit for bit."""
+    uniforms *= span
     uniforms += low
     return uniforms
 
@@ -251,35 +255,28 @@ def simulate_window(
     n, periods, low = region.consumers, config.total_periods, region.usage_min
 
     # Scaled, the uniforms are bit for bit what rng.uniform(low, high,
-    # size=(periods, n)) draws, without a (periods, n) bounds matrix:
-    # elasticity scales usage_max (never below usage_min) in the periods
-    # whose rate is above the level, so there are two spans.
+    # size=(periods, n)) draws, where high - low is the one span of every
+    # period (`ScenarioConfig.usage_span`).
     state = rng.bit_generator.state
     if draws is None:
         draws = UniformBlock(state, periods, n)
     elif (draws.state, draws.n) != (state, n):
         raise ValueError("the shared usage draws come from another generator state or region size")
     draws.skip(rng.bit_generator, periods)
-    span_row = None
-    if config.elasticity_factor is None:
-        spans = np.array([region.usage_max - low])
-    else:
-        factors = (1.0, config.elasticity_factor)
-        spans = np.array([max(region.usage_max * factor, low + 1e-12) - low for factor in factors])
-        span_row = (config.tariff.per_period(periods) > config.elasticity_level).astype(np.intp)
+    span = config.usage_span
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
     for cid, behavior in region.attackers:
         if is_benign(behavior):
             continue
-        actual = _scale(draws.column(cid)[:periods].copy(), low, spans, span_row, slice(None))
+        actual = _scale(draws.column(cid)[:periods].copy(), low, span)
         reported = apply_behavior(behavior, actual, rng)
         dishonest[cid] = reported
         leakage = leakage + (actual - reported)
 
     sampled_pos, uniforms = draws.sample(rng, periods)
-    sampled_reports = _scale(uniforms.copy(), low, spans, span_row, slice(None))
+    sampled_reports = _scale(uniforms.copy(), low, span)
     for pos, reported in dishonest.items():
         hit = sampled_pos == pos
         sampled_reports[hit] = reported[hit]
@@ -287,8 +284,7 @@ def simulate_window(
     return WindowData(
         region=region,
         state=state,
-        spans=spans,
-        span_row=span_row,
+        span=span,
         dishonest=dishonest,
         leakage=leakage,
         sampled_pos=sampled_pos,
@@ -493,19 +489,12 @@ def run_billing(
     Returns the window and the `issue_bills` columns."""
     window = simulate_window(config, np.random.default_rng(trial_seed))
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
-    rates = config.tariff.per_period(config.total_periods).reshape(-1, month_len)
-    costs = np.array([accrue(reports, r) for r, (_, reports) in zip(rates, window.months())])
+    costs = np.array([accrue(reports, config.tariff) for reports in window.report_months()])
     return window, issue_bills(costs, np.arange(config.region.consumers), month_len)
 
 
 def _at_durations(config: ScenarioConfig, durations: Iterable[int]) -> list[ScenarioConfig]:
     """``config`` at each duration (months), every one built and checked before any trial."""
-    durations = list(durations)
-    if config.tariff.rates is not None and any(m != config.months for m in durations):
-        raise ConfigurationError(
-            f"a duration sweep needs a flat tariff; the tariff vector covers only "
-            f"the {config.months}-month window"
-        )
     return [replace(config, months=m) for m in durations]
 
 

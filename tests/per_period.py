@@ -3,14 +3,14 @@
 The package aggregates, samples and bills a whole window of periods with
 array operations.  These loops do the same one period at a time, the way
 the scheme describes it, from a window's usage and reports matrices, its
-sampled positions and its tariff rates.  Tests compare the array path
+sampled positions and its tariff.  Tests compare the array path
 against them, the way `oracle_pearson` backs `pearson`.
 
 `full_matrix_window` is the reference for the window itself: it scales
 the whole usage matrix before reading any of it, where `simulate_window`
-scales only the entries a trial reads and `WindowData.months` one month
-at a time.  `matrices` joins a window's month blocks into the two whole
-matrices, so that tests read the package's blocks.
+scales only the entries a trial reads and `WindowData.usage_months` one
+month at a time.  `matrices` joins a window's month blocks into the two
+whole matrices, so that tests read the package's blocks.
 """
 
 from typing import Iterable, NamedTuple
@@ -26,9 +26,10 @@ class Matrices(NamedTuple):
 
 
 def matrices(window) -> Matrices:
-    """The window's ``(periods, consumers)`` usage and reports: its `months` blocks, joined."""
-    usage, reports = zip(*window.months())
-    return Matrices(np.concatenate(usage), np.concatenate(reports))
+    """The window's ``(periods, consumers)`` usage and reports: its
+    `usage_months` and `report_months` blocks, joined."""
+    usage, reports = window.usage_months(), window.report_months()
+    return Matrices(np.concatenate(list(usage)), np.concatenate(list(reports)))
 
 
 class FullWindow(NamedTuple):
@@ -42,7 +43,8 @@ class FullWindow(NamedTuple):
 def full_matrix_window(config, rng) -> FullWindow:
     """One window from the same draws as `simulate_window`, with usage
     scaled as one matrix in place, by per-consumer bounds, and reports kept
-    as a second matrix."""
+    as a second matrix.  Elasticity scales the bounds of every period when
+    the flat tariff is above the level."""
     region = config.region
     n, periods = region.consumers, config.total_periods
     lows = np.full(n, region.usage_min)
@@ -51,10 +53,8 @@ def full_matrix_window(config, rng) -> FullWindow:
     if config.elasticity_factor is None:
         usage *= highs - lows
     else:
-        above = (config.tariff.per_period(periods) > config.elasticity_level)[:, None]
-        for factor, rows in ((config.elasticity_factor, above), (1.0, ~above)):
-            span = np.maximum(highs * factor, lows + 1e-12) - lows
-            np.multiply(usage, span, out=usage, where=rows)
+        factor = config.elasticity_factor if config.tariff > config.elasticity_level else 1.0
+        usage *= np.maximum(highs * factor, lows + 1e-12) - lows
     usage += lows
     reports = usage.copy()
     leakage = np.zeros(periods)
@@ -115,7 +115,7 @@ def accumulate_samples(pairs: Iterable[tuple], n: int) -> list[tuple[list, list]
     return series
 
 
-def ledger_bills(reports, rates, month_len, consumer_ids) -> list[list]:
+def ledger_bills(reports, rate, month_len, consumer_ids) -> list[list]:
     """Accrue ``rate * report`` period by period; bill and reset each month.
 
     Returns the bill columns ``(consumer_id, window_start, window_end,
@@ -124,7 +124,7 @@ def ledger_bills(reports, rates, month_len, consumer_ids) -> list[list]:
     costs = [0.0] * len(consumer_ids)
     for t, row in enumerate(reports):
         for i, report in enumerate(row):
-            costs[i] += float(rates[t]) * float(report)
+            costs[i] += float(rate) * float(report)
         if (t + 1) % month_len == 0:
             start = t + 1 - month_len
             bills += [(cid, start, t + 1, cost) for cid, cost in zip(consumer_ids, costs)]

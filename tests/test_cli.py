@@ -15,6 +15,7 @@ from gridwatch.config import (
 )
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
+from test_cli_errors import finite_cells
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
 
@@ -212,6 +213,21 @@ class TestCli:
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert_one_error_line(capsys, "overflow")
         assert not (tmp_path / csv).exists()
+
+    @pytest.mark.parametrize("command, csv", [
+        ("simulate", "records.csv"), ("detect", "detection.csv"), ("bill", "bills.csv"),
+    ])
+    def test_a_factor_at_a_tariff_below_its_level_never_overflows(self, tmp_path, capsys, command, csv):
+        # the guard reads the span the draw uses: no period is scaled at a
+        # tariff at or below the level, so a factor that would overflow is harmless
+        path = tmp_path / "elastic.cfg"
+        billing = "[billing]\ntariff = {}\nelasticity_factor = 1e153\nelasticity_level = 0.5\n"
+        path.write_text(TINY + billing.format(0.4))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        finite_cells(tmp_path / csv)
+        path.write_text(TINY + billing.format(0.6))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "above")]) == 1
+        assert_one_error_line(capsys, "overflow the correlation sums")
 
     def test_window_over_the_size_limit_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def no_draw(*args):

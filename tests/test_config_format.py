@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.billing import TariffSchedule
 from gridwatch.config import dumps_config, loads_config
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
@@ -142,7 +141,7 @@ BEHAVIORS = st.one_of(
 
 @st.composite
 def api_configs(draw):
-    """Any config the API builds with a flat tariff, within the size limits."""
+    """Any config the API builds, within the size limits, elasticity on or off."""
     n = draw(st.integers(2, 2000))
     usage_min = draw(st.floats(0.0, 1e6))
     region = RegionConfig(
@@ -161,7 +160,7 @@ def api_configs(draw):
         min_samples=draw(st.integers(2, 10**6)),
         mode=draw(st.sampled_from([THRESHOLD_MODE, MOST_NEGATIVE_MODE])),
         low_report_quantile=draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        tariff=TariffSchedule.flat(draw(st.floats(0.0, 1e6))),
+        tariff=draw(st.floats(0.0, 1e6)),
         elasticity_factor=draw(st.floats(0.0, 1e3, exclude_min=True)) if elastic else None,
         elasticity_level=draw(st.floats(-1e300, 1e300)) if elastic else None,
         master_seed=draw(st.integers(0, 2**70)),
@@ -171,7 +170,7 @@ def api_configs(draw):
 
 @given(api_configs())
 @settings(max_examples=200, deadline=None)
-def test_every_flat_tariff_config_round_trips(config):
+def test_every_config_round_trips(config):
     # the manifest's config_text describes every config the API can build
     text = dumps_config(config)
     assert loads_config(text) == config

@@ -28,8 +28,8 @@ GOLDEN = Path(__file__).with_name("golden_seed42.json")
 ARRAYS = ("usage", "reports", "actual_total", "reported_total", "leakage",
           "sampled_ids", "sampled_reports")
 # The 12-month window with a fixed-offset attacker, the low-report filter and
-# a tariff above the elasticity level, so that the usage draw takes 2-D
-# per-period upper bounds.
+# a tariff above the elasticity level, so that the usage draw takes the
+# scaled span in every period.
 WINDOW_CONFIG = """[attackers]
 25 = fixed_offset 0.6 subtract
 

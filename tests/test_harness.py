@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config, tiny_config
-from gridwatch.billing import TariffSchedule
 from gridwatch.config import loads_config
 from gridwatch.detection import Label
 from gridwatch import _pcg64, harness
@@ -101,25 +100,40 @@ class TestSimulateWindow:
         window = simulate_window(cfg, np.random.default_rng(2))
         assert np.all(matrices(window).reports >= 0.0)
 
+    @staticmethod
+    def assert_usage_draw_is_uniform(high, tariff, elasticity, scale):
+        # the region's one range against numpy's draw with per-consumer bound arrays
+        base = tiny_config(periods_per_day=24)
+        region = dataclasses.replace(base.region, usage_min=0.3, usage_max=high)
+        factor, level = elasticity or (None, None)
+        cfg = dataclasses.replace(
+            base, region=region, tariff=tariff, elasticity_factor=factor, elasticity_level=level
+        )
+        lows, highs = np.full(5, 0.3), np.full(5, high * scale)
+        if elasticity:
+            highs = np.maximum(highs, lows + 1e-12)
+        window = simulate_window(cfg, np.random.default_rng(9))
+        expected = np.random.default_rng(9).uniform(lows, highs, size=(cfg.total_periods, 5))
+        assert matrices(window).usage.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("elastic", [False, True])
     def test_usage_draw_matches_uniform_bit_for_bit(self, elastic):
-        # the region's one range against numpy's draw with per-consumer bound arrays;
-        # with elasticity, per-period 2-D upper bounds
-        base = tiny_config(periods_per_day=24)
-        cfg = dataclasses.replace(base, region=dataclasses.replace(base.region, usage_min=0.3, usage_max=2.7))
-        lows, highs = np.full(5, 0.3), np.full(5, 2.7)
-        periods = cfg.total_periods
+        # with elasticity, the tariff 1.0 is above the level 0.7: every period's top scales by 0.3
         if elastic:
-            rates = np.arange(periods) % 3 * 0.5
-            cfg = dataclasses.replace(
-                cfg, tariff=TariffSchedule.from_vector(rates, periods),
-                elasticity_factor=0.3, elasticity_level=0.7,
-            )
-            scale = np.where(rates > 0.7, 0.3, 1.0)
-            highs = np.maximum(highs[None, :] * scale[:, None], lows[None, :] + 1e-12)
-        window = simulate_window(cfg, np.random.default_rng(9))
-        expected = np.random.default_rng(9).uniform(lows, highs, size=(periods, 5))
-        assert matrices(window).usage.tobytes() == expected.tobytes()
+            self.assert_usage_draw_is_uniform(2.7, 1.0, (0.3, 0.7), 0.3)
+        else:
+            self.assert_usage_draw_is_uniform(2.7, 1.0, None, 1.0)
+
+    @pytest.mark.parametrize("high, elasticity", [
+        (2.7, (0.3, 0.7)),  # a tariff below the level
+        (2.7, (0.3, 0.5)),  # a tariff at the level
+        # a range narrower than 1e-12: below the level the top still moves to
+        # 1e-12 above usage_min, and without elasticity it stays where it is
+        (0.3 + 2e-13, (0.3, 0.7)),
+        (0.3 + 2e-13, None),
+    ])
+    def test_usage_draw_of_an_unscaled_range_matches_uniform_bit_for_bit(self, high, elasticity):
+        self.assert_usage_draw_is_uniform(high, 0.5, elasticity, 1.0)
 
     def test_elasticity_hook_caps_usage(self):
         base = tiny_config(extra="[billing]\ntariff = 2.0\n")
@@ -473,13 +487,6 @@ class TestScenarioBuilders:
 
 
 class TestDurationSweeps:
-    @staticmethod
-    def vector_tariff_config():
-        """A 1-month window whose tariff vector covers exactly it."""
-        cfg = dataclasses.replace(tiny_config(), repetitions=2)
-        periods = cfg.total_periods
-        return dataclasses.replace(cfg, tariff=TariffSchedule.from_vector(np.full(periods, 0.5), periods))
-
     @pytest.fixture
     def no_trial(self, monkeypatch):
         def trial(*args, **kwargs):
@@ -487,22 +494,21 @@ class TestDurationSweeps:
 
         monkeypatch.setattr(harness, "run_trial", trial)
 
+    # a bad duration after a good one: no trial runs before it is refused
     def test_concentration_checks_every_duration_first(self, no_trial):
-        with pytest.raises(ConfigurationError, match="a duration sweep needs a flat tariff"):
-            concentration_experiment(self.vector_tariff_config(), (1, 12))
         with pytest.raises(ConfigurationError, match="months must be >= 1"):
             concentration_experiment(tiny_config(), (1, 0))
 
     def test_duration_sweep_checks_every_duration_first(self, no_trial):
-        with pytest.raises(ConfigurationError, match="a duration sweep needs a flat tariff"):
-            duration_sweep(self.vector_tariff_config(), (1, 3))
+        with pytest.raises(ConfigurationError, match="months must be >= 1"):
+            duration_sweep(tiny_config(), (1, 0))
 
     def test_probability_table_checks_every_duration_first(self, no_trial):
-        with pytest.raises(ConfigurationError, match="a duration sweep needs a flat tariff"):
-            probability_table(self.vector_tariff_config(), 1, durations=(1, 3))
+        with pytest.raises(ConfigurationError, match="months must be >= 1"):
+            probability_table(tiny_config(), 1, durations=(1, 0))
 
-    def test_a_vector_tariff_runs_at_its_own_duration(self):
-        cfg = self.vector_tariff_config()
+    def test_a_one_duration_sweep_is_its_config(self):
+        cfg = dataclasses.replace(tiny_config(extra="[billing]\ntariff = 0.5\n"), repetitions=2)
         assert duration_sweep(cfg, (1,)) == {1: estimate_detection_probability(cfg)}
         assert concentration_experiment(cfg, (1,))[1] == run_trial(cfg, derive_trial_seed(0, 1)).report
 

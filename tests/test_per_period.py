@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.billing import TariffSchedule
 from gridwatch.config import loads_config
 from gridwatch.detection import series_from_arrays
 from gridwatch._pcg64 import UniformBlock
@@ -39,7 +38,8 @@ def configs(draw, max_n=6):
     """A small scenario and the seed of its window's stream.
 
     Up to 6 consumers, each draws a behavior; in a wider region only the
-    first, the last and one other consumer do."""
+    first, the last and one other consumer do.  The tariff is zero, below,
+    at or above the elasticity level when elasticity is on."""
     n = draw(st.integers(2, max_n))
     ppd = draw(st.integers(1, 3))
     months = draw(st.integers(1, 2))
@@ -48,23 +48,17 @@ def configs(draw, max_n=6):
     elastic = "elasticity_factor = 0.7\nelasticity_level = 1.0\n" if draw(st.booleans()) else ""
     config = loads_config(
         f"[region]\nconsumers = {n}\nperiods_per_day = {ppd}\n[attackers]\n{attackers}\n"
-        f"[billing]\ntariff = {draw(st.sampled_from([0.37, 1.0, 2.5]))}\n{elastic}"
+        f"[billing]\ntariff = {draw(st.sampled_from([0.0, 0.37, 1.0, 2.5]))}\n{elastic}"
         f"[experiment]\nmonths = {months}\n"
     )
-    periods = config.total_periods
-    if draw(st.booleans()):
-        rates = draw(st.lists(st.sampled_from([0.0, 0.25, 0.37, 1.5, 2.0]),
-                              min_size=periods, max_size=periods))
-        config = dataclasses.replace(config, tariff=TariffSchedule.from_vector(rates, periods))
     return config, draw(st.integers(0, 2**32 - 1))
 
 
 @st.composite
 def scenarios(draw):
-    """A small seeded window and its per-period tariff rates."""
+    """A small scenario and its seeded window."""
     config, seed = draw(configs())
-    window = simulate_window(config, np.random.default_rng(seed))
-    return config, window, config.tariff.per_period(config.total_periods)
+    return config, simulate_window(config, np.random.default_rng(seed))
 
 
 def used_stream(seed, warmup):
@@ -110,19 +104,22 @@ def test_jump_ahead_window_matches_full_matrix_at_full_size(months):
 @given(configs(max_n=40))
 @settings(max_examples=60, deadline=None)
 def test_month_blocks_match_full_matrix_bit_for_bit(scenario):
+    # reports are written into fresh usage blocks: read first and held, they
+    # must leave every later usage block, and each other, untouched
     config, seed = scenario
     rng = np.random.default_rng(seed)
     window = simulate_window(config, rng)
     after = rng.bit_generator.state
-    blocks = list(window.months())
+    reports = list(window.report_months())
+    usage = list(window.usage_months())
     assert rng.bit_generator.state == after  # the blocks come from a copy of the state
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
-    assert [(len(u), len(r)) for u, r in blocks] == [(month_len, month_len)] * config.months
+    assert [(len(u), len(r)) for u, r in zip(usage, reports)] == [(month_len, month_len)] * config.months
     ref = full_matrix_window(config, np.random.default_rng(seed))
-    got = matrices(window)
-    assert got.usage.tobytes() == ref.usage.tobytes()
-    assert got.reports.tobytes() == ref.reports.tobytes()
+    assert np.concatenate(reports).tobytes() == ref.reports.tobytes()
+    assert np.concatenate(usage).tobytes() == ref.usage.tobytes()
     assert window.actual_total.tobytes() == ref.usage.sum(axis=1).tobytes()
+    assert np.concatenate(list(window.report_months())).tobytes() == ref.reports.tobytes()
 
 
 NO_DRAW_ATTACKS = ("multiplicative 0.1", "multiplicative 3.0", "fixed_offset 0.6")
@@ -237,7 +234,7 @@ def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_sample
 @given(scenarios())
 @settings(max_examples=60, deadline=None)
 def test_simulate_window_matches_per_period_aggregation(scenario):
-    config, window, _ = scenario
+    config, window = scenario
     records = window_records(*matrices(window), window.sampled_pos)
     for row, ref in zip(zip(*window.to_records(), strict=True), records, strict=True):
         period, actual_total, reported_total, leakage, sampled_id, sampled_report = row
@@ -253,16 +250,15 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
 def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
     config, seed = scenario
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
-    rates = config.tariff.per_period(config.total_periods)
     window, bills = run_billing(config, seed)
-    ledger = ledger_bills(matrices(window).reports, rates, month_len, range(config.region.consumers))
+    ledger = ledger_bills(matrices(window).reports, config.tariff, month_len, range(config.region.consumers))
     assert [column.tolist() for column in bills] == ledger
 
 
 @given(scenarios())
 @settings(max_examples=60, deadline=None)
 def test_series_match_per_period_fold(scenario):
-    config, window, _ = scenario
+    config, window = scenario
     n = config.region.consumers
     folded = accumulate_samples(
         zip(range(len(window.leakage)), window.sampled_pos, window.sampled_reports,
