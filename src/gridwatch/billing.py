@@ -8,8 +8,6 @@ the months' costs into bill columns.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
@@ -24,12 +22,10 @@ def accrue(reports: np.ndarray, rate: float) -> np.ndarray:
     return (rate * reports).sum(axis=0)
 
 
-def issue_bills(costs: np.ndarray, consumer_ids: Sequence[int], month_len: int) -> tuple[np.ndarray, ...]:
+def issue_bills(costs: np.ndarray, month_len: int) -> tuple[np.ndarray, ...]:
     """The columns ``(consumer_id, window_start, window_end, amount)`` of the
     bills in a ``(months, consumers)`` cost matrix: one bill per consumer per
-    month, by month and then by consumer id."""
-    order = np.argsort(consumer_ids)
-    ids = np.asarray(consumer_ids)[order]
+    month, by month and then by position (a consumer's id is its position)."""
     months, n = costs.shape
     starts = np.repeat(np.arange(months) * month_len, n)
-    return np.tile(ids, months), starts, starts + month_len, costs[:, order].ravel()
+    return np.tile(np.arange(n), months), starts, starts + month_len, costs.ravel()

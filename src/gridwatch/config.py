@@ -5,8 +5,8 @@ The config format is an INI-style key = value file with five sections:
 ``[experiment]``.  Loading and writing both walk one key table, ``_KEYS``.
 Every key has a default except the free-form attacker entries;
 unknown sections or keys are hard errors so typos cannot silently change
-an experiment.  ``write_config`` emits the fully resolved form and
-``load_config(write_config(c)) == c`` for every valid config.
+an experiment.  ``dumps_config`` emits the fully resolved form, and
+``loads_config(dumps_config(c)) == c`` for every valid config.
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ def _parse(section: str, key: _Key, raw: str):
     return value
 
 
-def _format(value) -> str:
+def _format(key: _Key, value) -> str:
+    """A value as its key's type writes it: a float field as a float even when given an int."""
     if value is None:
         return "none"
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if key.kind in (float, _OPTIONAL_FLOAT) else str(value)
 
 
 def parse_behavior(text: str) -> BehaviorModel:
@@ -120,11 +121,11 @@ def format_behavior(behavior: BehaviorModel) -> str:
     if isinstance(behavior, Benign):
         return "benign"
     if isinstance(behavior, Multiplicative):
-        return f"multiplicative {behavior.alpha!r}"
+        return f"multiplicative {float(behavior.alpha)!r}"
     if isinstance(behavior, FixedOffset):
-        return f"fixed_offset {behavior.eta!r} {behavior.direction}"
+        return f"fixed_offset {float(behavior.eta)!r} {behavior.direction}"
     if isinstance(behavior, RandomOffset):
-        return f"random_offset {behavior.theta_max!r} {behavior.direction}"
+        return f"random_offset {float(behavior.theta_max)!r} {behavior.direction}"
     raise ConfigurationError(f"unknown behavior model {behavior!r}")
 
 
@@ -177,15 +178,11 @@ def dumps_config(config: ScenarioConfig) -> str:
     values.update({key.name: getattr(config.region, key.name) for key in _KEYS["region"]})
     blocks = []
     for name, keys in _KEYS.items():
-        lines = [f"{key.name} = {_format(values[key.name])}\n" for key in keys]
+        lines = [f"{key.name} = {_format(key, values[key.name])}\n" for key in keys]
         if name == "attackers":
             lines = [f"{cid} = {format_behavior(b)}\n" for cid, b in config.region.attackers]
         blocks.append(f"[{name}]\n" + "".join(lines))
     return "\n".join(blocks)
-
-
-def write_config(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(dumps_config(config), encoding="utf-8")
 
 
 @dataclasses.dataclass

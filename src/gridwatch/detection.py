@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -127,13 +126,12 @@ def low_report_filter(
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """Every consumer's evidence and label, as columns in consumer-id order.
+    """Every consumer's evidence and label, as columns by position (a consumer's id is its position).
 
     ``corrs`` is NaN where the consumer has no evidence (see `has_evidence`);
     ``labels`` holds `Label` values.  Equal columns, NaN matching NaN, are equal reports.
     """
 
-    ids: np.ndarray
     counts: np.ndarray
     corrs: np.ndarray
     labels: np.ndarray
@@ -144,17 +142,21 @@ class DetectionReport:
             for a, b in zip(vars(self).values(), vars(other).values())
         )
 
+    @property
+    def ids(self) -> np.ndarray:
+        return np.arange(len(self.counts))
+
     def corr(self, consumer_id: int) -> float | None:
         """The consumer's correlation, or None when it has no evidence."""
-        if consumer_id not in self.ids:
+        if consumer_id not in range(len(self.corrs)):
             raise KeyError(consumer_id)
-        value = float(self.corrs[np.searchsorted(self.ids, consumer_id)])
+        value = float(self.corrs[int(consumer_id)])
         return None if math.isnan(value) else value
 
     @property
     def malicious_ids(self) -> set[int]:
         flagged = np.isin(self.labels, (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER))
-        return set(self.ids[flagged].tolist())
+        return set(np.flatnonzero(flagged).tolist())
 
 
 def series_from_arrays(
@@ -189,7 +191,6 @@ def has_evidence(counts: np.ndarray, corr: np.ndarray, min_samples: int) -> np.n
 
 
 def detect_region(
-    consumer_ids: Sequence[int],
     counts: np.ndarray,
     corr: np.ndarray,
     th: float = DEFAULT_THRESHOLD,
@@ -197,17 +198,16 @@ def detect_region(
 ) -> DetectionReport:
     """Label every consumer from its sample count and correlation.
 
-    ``consumer_ids``, ``counts`` and ``corr`` are indexed by position, as
-    `correlate` returns them; NaN marks an undefined correlation.  A consumer
-    without evidence (`has_evidence`) is INSUFFICIENT_DATA with a NaN correlation;
-    otherwise ``corr >= th`` is under-reporting, ``corr <= -th`` over-reporting.
+    ``counts`` and ``corr`` are indexed by position, as `correlate` returns
+    them; NaN marks an undefined correlation.  A consumer without evidence
+    (`has_evidence`) is INSUFFICIENT_DATA with a NaN correlation; otherwise
+    ``corr >= th`` is under-reporting, ``corr <= -th`` over-reporting.
     """
     if min_samples < 2:
         raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
     if not 0.0 < th <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
-    order = np.argsort(consumer_ids, kind="stable")
-    counts, corr = np.asarray(counts)[order], np.asarray(corr, dtype=float)[order]
+    counts, corr = np.asarray(counts), np.asarray(corr, dtype=float)
     evidence = has_evidence(counts, corr, min_samples)
     corr = np.where(evidence, corr, np.nan)
     labels = np.select(
@@ -215,23 +215,16 @@ def detect_region(
         [Label.INSUFFICIENT_DATA, Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER],
         Label.BENIGN,
     )
-    return DetectionReport(np.asarray(consumer_ids)[order], counts, corr, labels)
+    return DetectionReport(counts, corr, labels)
 
 
 def most_negative(
-    consumer_ids: Sequence[int],
-    counts: np.ndarray,
-    corr: np.ndarray,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> int:
-    """Id of the consumer with the lowest defined correlation (ties: lowest id).
+    counts: np.ndarray, corr: np.ndarray, min_samples: int = DEFAULT_MIN_SAMPLES
+) -> int | None:
+    """Position of the consumer with the lowest correlation among those with
+    evidence (ties: lowest position), or None when no consumer has evidence.
 
     Arguments are indexed by position, as for `detect_region`.
     """
     eligible = has_evidence(counts, corr, min_samples)
-    if not eligible.any():
-        raise InputError(
-            f"no consumer has a defined correlation with >= {min_samples} samples"
-        )
-    best = corr[eligible].min()
-    return int(np.asarray(consumer_ids)[eligible & (corr == best)].min())
+    return int(np.argmin(np.where(eligible, corr, np.inf))) if eligible.any() else None

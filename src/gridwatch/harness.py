@@ -6,12 +6,12 @@ configured detector, and scores the result against the known attacker
 set; billing and records read the usage a month at a time.  Trials
 are deterministic given their seed; Monte-Carlo repetitions use seeds
 derived injectively from ``(master_seed, trial_index)`` so they can run
-in any order or in parallel without changing the result.  Trial ``i`` of
-every cell (attack case and duration) with the same master seed and
-consumer count reads one shared usage block, whose entries are computed
-once for them all; cells that reach the sampling step in the same
-generator state share one sampled draw and read.  Every stream is the one
-a lone trial draws.
+in any order or in parallel without changing the result.  The cells
+(attack case and duration) of one estimate share the master seed and the
+consumer count, and trial ``i`` of every cell reads one shared usage
+block, whose entries are computed once for them all; cells that reach the
+sampling step in the same generator state share one sampled draw and
+read.  Every stream is the one a lone trial draws.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .detection import (
     most_negative,
     series_from_arrays,
 )
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 from .model import (
     BehaviorModel,
     FixedOffset,
@@ -46,6 +46,7 @@ from .model import (
     RandomOffset,
     RegionConfig,
     apply_behavior,
+    as_integer,
     is_benign,
 )
 
@@ -73,6 +74,8 @@ class ScenarioConfig:
     repetitions: int = 1000
 
     def __post_init__(self):
+        for name in ("months", "min_samples", "master_seed", "repetitions"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         region = self.region
         check_window_size(region.consumers, region.periods_per_day, self.total_periods)
         if self.months < 1:
@@ -296,15 +299,14 @@ def simulate_window(
 class TrialOutcome:
     """One trial's verdict against the known attacker set.
 
-    ``counts`` and ``corr`` (by consumer id) are the evidence the threshold
+    ``counts`` and ``corr`` (by position) are the evidence the threshold
     labels are taken on; `report` builds the labels on first access, from
-    ``samples`` (sampled ids, reports, leakage) when ``corr`` is None.  They
+    ``samples`` (sampled positions, reports, leakage) when ``corr`` is None.  They
     stay out of ``==``, so equal outcomes are equal verdicts.
     """
 
     true_malicious: frozenset[int]
     detected: frozenset[int]
-    selected: int | None
     config: ScenarioConfig = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
     corr: np.ndarray | None = field(compare=False, repr=False)
@@ -314,9 +316,7 @@ class TrialOutcome:
     def report(self) -> DetectionReport:
         c = self.config
         corr = _low_report_corr(c, self.counts, self.samples) if self.corr is None else self.corr
-        return detect_region(
-            np.arange(c.region.consumers), self.counts, corr, th=c.th, min_samples=c.min_samples
-        )
+        return detect_region(self.counts, corr, th=c.th, min_samples=c.min_samples)
 
     @property
     def exact_match(self) -> bool:
@@ -357,23 +357,17 @@ def run_trial(
     pairs instead; most-negative selection always uses the unfiltered correlations and
     leaves the low-report ones to `TrialOutcome.report`.  Threshold mode flags every
     consumer with evidence (`has_evidence`) and ``|corr| >= th``, as `detect_region`
-    labels them; a most-negative trial without defined correlations selects no one.
+    labels them; a most-negative trial without evidence selects None, a miss.
     ``draws`` is ``trial_seed``'s usage block when trials share it (`simulate_window`).
     """
     rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
     window = simulate_window(config, rng, draws)
-    n = config.region.consumers
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
-    counts, corr = correlate(*samples, n)
+    counts, corr = correlate(*samples, config.region.consumers)
     filtered = config.low_report_quantile is not None
-    selected = None
     if config.mode == MOST_NEGATIVE_MODE:
-        try:
-            selected = most_negative(np.arange(n), counts, corr, config.min_samples)
-        except InputError:  # no evidence: a miss, not an abort
-            detected = frozenset()
-        else:
-            detected = frozenset({selected})
+        selected = most_negative(counts, corr, config.min_samples)
+        detected = frozenset() if selected is None else frozenset({selected})
         corr = None if filtered else corr
     else:
         corr = _low_report_corr(config, counts, samples) if filtered else corr
@@ -382,7 +376,6 @@ def run_trial(
     return TrialOutcome(
         true_malicious=frozenset(window.dishonest),
         detected=detected,
-        selected=selected,
         config=config,
         counts=counts,
         corr=corr,
@@ -439,34 +432,30 @@ def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[i
 def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[ProbabilityEstimate]:
     """One estimate per config; all their trials share one pool when 2+ workers run.
 
-    Configs with the same master seed, consumer count and repetitions form a
-    group whose trial ``i`` reads one shared usage block (`_index_successes`).
-    Jobs are trial-index ranges over a whole group, up to ``4 * threads`` per
-    group, and return one success count per config; they run longest (months x
-    trials) first so that long ranges do not form the tail.  More workers than
-    CPUs would only queue, so ``threads`` is capped at the CPU count."""
-    threads = min(threads, os.cpu_count() or 1)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for pos, c in enumerate(configs):
-        groups.setdefault((c.master_seed, c.region.consumers, c.repetitions), []).append(pos)
-    ranges = []
-    for members in groups.values():
-        cells = tuple(configs[pos] for pos in members)
-        reps, months = cells[0].repetitions, sum(c.months for c in cells)
-        parts = min(reps, 4 * max(threads, 1))
-        bounds = [reps * k // parts for k in range(parts + 1)]
-        ranges += [(months * (b - a), members, (cells, a, b)) for a, b in zip(bounds, bounds[1:])]
-    ranges.sort(key=lambda r: r[0], reverse=True)
-    jobs = [job for _, _, job in ranges]
+    The configs form one group: they share the master seed, the consumer count
+    and the repetitions (else `ValueError`), and trial ``i`` of every config
+    reads one shared usage block (`_index_successes`).  Jobs are trial-index
+    ranges, up to ``4 * threads``, over every config, and return one success
+    count per config; they run longest first.  More workers than usable CPUs
+    would only queue, so ``threads`` is capped at the CPUs this process may
+    run on (its affinity where the platform has one, else the CPU count)."""
+    if len({(c.master_seed, c.region.consumers, c.repetitions) for c in configs}) > 1:
+        raise ValueError("estimated configs must share the master seed, consumer count and repetitions")
+    if not configs:
+        return []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, cpus or 1)
+    reps = configs[0].repetitions
+    parts = min(reps, 4 * max(threads, 1))
+    bounds = [reps * k // parts for k in range(parts + 1)]
+    ranges = sorted(zip(bounds, bounds[1:]), key=lambda r: r[1] - r[0], reverse=True)
+    jobs = [(tuple(configs), a, b) for a, b in ranges]
     if min(threads, len(jobs)) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             counts = list(pool.map(_count_successes, jobs))
     else:
         counts = list(map(_count_successes, jobs))
-    successes = np.zeros(len(configs), np.int64)
-    for (_, members, _), job_counts in zip(ranges, counts):
-        successes[members] += job_counts
-    return [ProbabilityEstimate(int(n), c.repetitions) for n, c in zip(successes, configs)]
+    return [ProbabilityEstimate(sum(per_job), c.repetitions) for per_job, c in zip(zip(*counts), configs)]
 
 
 def estimate_detection_probability(
@@ -490,7 +479,7 @@ def run_billing(
     window = simulate_window(config, np.random.default_rng(trial_seed))
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
     costs = np.array([accrue(reports, config.tariff) for reports in window.report_months()])
-    return window, issue_bills(costs, np.arange(config.region.consumers), month_len)
+    return window, issue_bills(costs, month_len)
 
 
 def _at_durations(config: ScenarioConfig, durations: Iterable[int]) -> list[ScenarioConfig]:

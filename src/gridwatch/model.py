@@ -12,6 +12,7 @@ model and are clipped at zero so reports stay physical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal, Union
 
@@ -80,6 +81,15 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int`` (numpy integers too); anything else, an integral float
+    among them, is a `ConfigurationError`, since the config file could not hold it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_direction(direction: str) -> None:
     if direction not in ("subtract", "add"):
         raise ConfigurationError(
@@ -111,7 +121,10 @@ class RegionConfig:
     periods_per_day: int = 96
 
     def __post_init__(self):
-        pairs = list(self.attackers.items() if isinstance(self.attackers, dict) else self.attackers)
+        for name in ("region_id", "consumers", "periods_per_day"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        pairs = self.attackers.items() if isinstance(self.attackers, dict) else self.attackers
+        pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
         n, ids = self.consumers, [cid for cid, _ in pairs]
         if n < 2:
             raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")

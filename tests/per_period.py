@@ -115,18 +115,18 @@ def accumulate_samples(pairs: Iterable[tuple], n: int) -> list[tuple[list, list]
     return series
 
 
-def ledger_bills(reports, rate, month_len, consumer_ids) -> list[list]:
+def ledger_bills(reports, rate, month_len) -> list[list]:
     """Accrue ``rate * report`` period by period; bill and reset each month.
 
     Returns the bill columns ``(consumer_id, window_start, window_end,
-    amount)``, by month and then by consumer id."""
+    amount)``, by month and then by consumer id (its column)."""
     bills = []
-    costs = [0.0] * len(consumer_ids)
+    costs = [0.0] * len(reports[0])
     for t, row in enumerate(reports):
         for i, report in enumerate(row):
             costs[i] += float(rate) * float(report)
         if (t + 1) % month_len == 0:
             start = t + 1 - month_len
-            bills += [(cid, start, t + 1, cost) for cid, cost in zip(consumer_ids, costs)]
-            costs = [0.0] * len(consumer_ids)
+            bills += [(cid, start, t + 1, cost) for cid, cost in enumerate(costs)]
+            costs = [0.0] * len(costs)
     return [list(column) for column in zip(*sorted(bills, key=lambda b: (b[1], b[0])))]

@@ -22,12 +22,11 @@ class Bills(NamedTuple):
     amount: np.ndarray
 
 
-def bill(reports, rate, month_len=None, consumer_ids=None):
+def bill(reports, rate, month_len=None):
     """Bill columns of a ``(periods, consumers)`` reports matrix at a flat rate, one month by default."""
     reports = np.asarray(reports, dtype=float)
     month_len = month_len or reports.shape[0]
-    costs = monthly_costs(reports, rate, month_len)
-    return Bills(*issue_bills(costs, consumer_ids or list(range(reports.shape[1])), month_len))
+    return Bills(*issue_bills(monthly_costs(reports, rate, month_len), month_len))
 
 
 class TestTariff:
@@ -96,10 +95,11 @@ class TestIssueBills:
         assert bills.consumer_id.tolist() == [0, 1, 0, 1]
 
     def test_bills_ordered_by_consumer_id_within_month(self):
-        # region order is not id order: each month's bills still go by id
-        bills = bill([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], 1.0, month_len=1, consumer_ids=[7, 2, 5])
-        assert bills.consumer_id.tolist() == [2, 5, 7, 2, 5, 7]
-        assert bills.amount.tolist() == [2.0, 3.0, 1.0, 2.0, 3.0, 1.0]
+        # by month, then by position: a consumer's id is its column
+        bills = bill([[3.0, 1.0, 2.0], [6.0, 4.0, 5.0]], 1.0, month_len=1)
+        assert bills.consumer_id.tolist() == [0, 1, 2, 0, 1, 2]
+        assert bills.window_start.tolist() == [0, 0, 0, 1, 1, 1]
+        assert bills.amount.tolist() == [3.0, 1.0, 2.0, 6.0, 4.0, 5.0]
 
     def test_total_conservation(self):
         # sum of bills equals the tariff times the sum over periods of reported_total
@@ -108,7 +108,7 @@ class TestIssueBills:
         reports = rng.uniform(0.0, 2.0, size=(periods, n))
         rate = rng.uniform(0.5, 2.0)
         costs = monthly_costs(reports, rate, 10)
-        bills = Bills(*issue_bills(costs, list(range(n)), 10))
+        bills = Bills(*issue_bills(costs, 10))
         total = float(bills.amount.sum())
         expected = float(rate * reports.sum(axis=1).sum())
         assert total == pytest.approx(expected, rel=1e-9)

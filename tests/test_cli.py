@@ -11,7 +11,6 @@ from gridwatch.config import (
     load_config,
     loads_config,
     parse_behavior,
-    write_config,
 )
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
@@ -124,7 +123,7 @@ class TestLoadConfig:
     def test_round_trip(self, text, tmp_path):
         cfg = loads_config(text)
         path = tmp_path / "resolved.cfg"
-        write_config(cfg, path)
+        path.write_text(dumps_config(cfg))
         assert load_config(path) == cfg
 
 

@@ -5,6 +5,9 @@ A run is replayed from the manifest's ``config_text``, so a change to the
 loader or writer must leave both byte-identical.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,7 +132,13 @@ def test_error_message_is_exact(text, message):
     assert str(exc.value) == message
 
 
-POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+def int_valued(low, high):
+    """Integers in [low, high] that a float holds exactly: an API caller may
+    pass ``2`` where a float field means ``2.0``."""
+    return st.integers(max(low, -(2**53)), min(high, 2**53))
+
+
+POSITIVE = st.floats(0.0, 1e6, exclude_min=True) | int_valued(1, 10**6)
 DIRECTIONS = st.sampled_from(["subtract", "add"])
 BEHAVIORS = st.one_of(
     st.builds(Benign),
@@ -141,14 +150,16 @@ BEHAVIORS = st.one_of(
 
 @st.composite
 def api_configs(draw):
-    """Any config the API builds, within the size limits, elasticity on or off."""
+    """Any config the API builds, within the size limits, elasticity on or off;
+    a float field may be given an int."""
     n = draw(st.integers(2, 2000))
-    usage_min = draw(st.floats(0.0, 1e6))
+    usage_min = draw(st.floats(0.0, 1e6) | int_valued(0, 10**6))
     region = RegionConfig(
         region_id=draw(st.integers(-(2**70), 2**70)),
         consumers=n,
         usage_min=usage_min,
-        usage_max=draw(st.floats(usage_min, 1e9, exclude_min=True)),
+        usage_max=draw(st.floats(usage_min, 1e9, exclude_min=True)
+                       | int_valued(math.floor(usage_min) + 1, 10**9)),
         attackers=draw(st.dictionaries(st.integers(0, n - 1), BEHAVIORS, max_size=6)),
         periods_per_day=draw(st.integers(1, 200)),
     )
@@ -156,13 +167,13 @@ def api_configs(draw):
     return ScenarioConfig(
         region=region,
         months=draw(st.integers(1, 12)),
-        th=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        th=draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1)),
         min_samples=draw(st.integers(2, 10**6)),
         mode=draw(st.sampled_from([THRESHOLD_MODE, MOST_NEGATIVE_MODE])),
         low_report_quantile=draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        tariff=draw(st.floats(0.0, 1e6)),
-        elasticity_factor=draw(st.floats(0.0, 1e3, exclude_min=True)) if elastic else None,
-        elasticity_level=draw(st.floats(-1e300, 1e300)) if elastic else None,
+        tariff=draw(st.floats(0.0, 1e6) | int_valued(0, 10**6)),
+        elasticity_factor=draw(st.floats(0.0, 1e3, exclude_min=True) | int_valued(1, 1000)) if elastic else None,
+        elasticity_level=draw(st.floats(-1e300, 1e300) | int_valued(-(2**53), 2**53)) if elastic else None,
         master_seed=draw(st.integers(0, 2**70)),
         repetitions=draw(st.integers(1, 10**9)),
     )
@@ -171,7 +182,41 @@ def api_configs(draw):
 @given(api_configs())
 @settings(max_examples=200, deadline=None)
 def test_every_config_round_trips(config):
-    # the manifest's config_text describes every config the API can build
+    # the manifest's config_text describes every config the API can build,
+    # and the text it writes is a fixed point of loading and writing
     text = dumps_config(config)
     assert loads_config(text) == config
     assert dumps_config(loads_config(text)) == text
+
+
+def region(**fields):
+    return RegionConfig(**{"region_id": 0, "consumers": 10, **fields})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: region(region_id=0.0),
+    lambda: region(consumers=10.0),
+    lambda: region(periods_per_day=4.0),
+    lambda: region(attackers={3.0: Multiplicative(0.1)}),
+    lambda: region(attackers=[("3", Multiplicative(0.1))]),
+    lambda: ScenarioConfig(region(), months=1.5),
+    lambda: ScenarioConfig(region(), months=2.0),
+    lambda: ScenarioConfig(region(), min_samples=5.0),
+    lambda: ScenarioConfig(region(), master_seed=1.0),
+    lambda: ScenarioConfig(region(), repetitions=10.0),
+], ids=["region_id", "consumers", "periods_per_day", "attacker_id", "attacker_id_text",
+        "months", "months_integral", "min_samples", "master_seed", "repetitions"])
+def test_an_integer_field_takes_only_integers(build):
+    # the config file holds only integers there, so a float (integral or not)
+    # is refused when it is built, not after a run or when its manifest reloads
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    config = ScenarioConfig(
+        region(consumers=np.int64(10), attackers={np.int32(3): Multiplicative(0.1)}),
+        months=np.int64(2), master_seed=np.uint64(7), repetitions=np.int16(5),
+    )
+    assert loads_config(dumps_config(config)) == config
+    assert type(config.months) is int and config.region.attackers[0][0] == 3

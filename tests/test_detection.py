@@ -31,21 +31,22 @@ def oracle_pearson(x, y):
     return cov / np.sqrt(vx * vy)
 
 
-def arrays_of(pairs_by_id):
-    """Consumer ids and the (position, report, leakage) arrays of their pairs."""
-    ids = list(pairs_by_id)
+def arrays_of(pairs_by_pos):
+    """The region size (up to the highest position given) and the (position,
+    report, leakage) arrays of every position's pairs, in the order given."""
+    n = max(pairs_by_pos, default=-1) + 1
     pos, x, y = [], [], []
-    for p, (r, l) in enumerate(pairs_by_id.values()):
+    for p, (r, l) in pairs_by_pos.items():
         pos += [p] * len(r)
         x += list(r)
         y += list(l)
-    return ids, np.array(pos, dtype=np.int64), np.array(x, dtype=float), np.array(y, dtype=float)
+    return n, np.array(pos, dtype=np.int64), np.array(x, dtype=float), np.array(y, dtype=float)
 
 
-def correlations_of(pairs_by_id):
-    """(ids, counts, corr) as run_trial hands them to the detectors."""
-    ids, pos, x, y = arrays_of(pairs_by_id)
-    return (ids, *correlate(pos, x, y, len(ids)))
+def correlations_of(pairs_by_pos):
+    """(counts, corr) by position, as run_trial hands them to the detectors."""
+    n, pos, x, y = arrays_of(pairs_by_pos)
+    return correlate(pos, x, y, n)
 
 
 class TestPearson:
@@ -153,7 +154,7 @@ class TestClassify:
     )
     def test_threshold_branches(self, corr, label):
         value = np.nan if corr is None else corr
-        report = detect_region([0], np.array([5]), np.array([value]), th=0.5, min_samples=5)
+        report = detect_region(np.array([5]), np.array([value]), th=0.5, min_samples=5)
         assert report.labels.tolist() == [label]
         assert report.corr(0) == corr
         assert classify(corr, th=0.5) == label
@@ -161,7 +162,7 @@ class TestClassify:
     @pytest.mark.parametrize("th", [0.0, -0.1, 1.1])
     def test_threshold_domain(self, th):
         with pytest.raises(ConfigurationError):
-            detect_region([0], np.array([5]), np.array([0.2]), th=th)
+            detect_region(np.array([5]), np.array([0.2]), th=th)
         with pytest.raises(ConfigurationError):
             classify(0.2, th=th)
 
@@ -239,35 +240,39 @@ class TestDetectRegion:
         assert report.labels[0] == Label.MALICIOUS_UNDER
         assert report.corr(0) == pytest.approx(1.0, abs=1e-9)
 
-    def test_verdicts_in_id_order(self):
+    def test_verdicts_in_position_order(self):
+        # pairs of positions 7, 3, 5 in that order: n = 8, and the positions
+        # without pairs have no evidence
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         data = {7: (x[:7], x[:7]), 3: (x[:3], x[:3]), 5: (x[:5], x[:5])}
         report = detect_region(*correlations_of(data), min_samples=5)
-        assert report.ids.tolist() == [3, 5, 7]
-        assert report.counts.tolist() == [3, 5, 7]
-        assert report.labels.tolist() == [Label.INSUFFICIENT_DATA, Label.MALICIOUS_UNDER,
-                                          Label.MALICIOUS_UNDER]
-        with pytest.raises(KeyError):
-            report.corr(4)
+        assert report.ids.tolist() == list(range(8))
+        assert report.counts.tolist() == [0, 0, 0, 3, 0, 5, 0, 7]
+        under, none = Label.MALICIOUS_UNDER, Label.INSUFFICIENT_DATA
+        assert report.labels.tolist() == [none] * 5 + [under, none, under]
+        assert report.malicious_ids == {5, 7}
+        assert report.corr(4) is None and report.corr(np.int64(7)) == pytest.approx(1.0)
+        for outside in (-1, 8, 2.5):  # a negative position does not wrap around
+            with pytest.raises(KeyError):
+                report.corr(outside)
 
     @given(st.data(), st.sampled_from([0.05, 0.3, 0.5, 1.0]), st.integers(2, 8))
     @settings(max_examples=200, deadline=None)
     def test_labels_match_scalar_classify(self, data, th, min_samples):
         n = data.draw(st.integers(1, 12))
-        ids = data.draw(st.permutations(range(0, 3 * n, 3)))
         counts = np.array(data.draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)))
         edge = st.sampled_from([np.nan, th, -th, 1.0, -1.0, 0.0])
         values = st.one_of(edge, st.floats(-1.0, 1.0))
         corr = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
-        report = detect_region(ids, counts, corr, th=th, min_samples=min_samples)
-        assert report.ids.tolist() == sorted(ids)
-        for pos in np.argsort(ids):
-            cid, count, value = ids[pos], int(counts[pos]), float(corr[pos])
+        report = detect_region(counts, corr, th=th, min_samples=min_samples)
+        assert report.ids.tolist() == list(range(n))
+        for pos in range(n):
+            count, value = int(counts[pos]), float(corr[pos])
             evidence = count >= min_samples and not math.isnan(value)
             want = value if evidence else None
-            assert report.corr(cid) == want
-            assert report.labels[report.ids == cid].tolist() == [classify(want, th)]
-            assert report.counts[report.ids == cid].tolist() == [count]
+            assert report.corr(pos) == want
+            assert report.labels[pos] == classify(want, th)
+            assert report.counts[pos] == count
 
     def test_min_samples_domain(self):
         with pytest.raises(ConfigurationError):
@@ -279,9 +284,9 @@ class TestDetectRegion:
             for cid in range(4)
         }
         data[4] = ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # below min_samples
-        ids, pos, x, y = arrays_of(data)
-        counts, _ = correlate(pos, x, y, len(ids))
-        series = series_from_arrays(pos, x, y, len(ids))
+        n, pos, x, y = arrays_of(data)
+        counts, _ = correlate(pos, x, y, n)
+        series = series_from_arrays(pos, x, y, n)
         corr = low_report_correlations(series, counts, 0.25, 5)
         for p, (r, l) in enumerate(data.values()):
             want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else None
@@ -302,21 +307,22 @@ class TestMostNegative:
         y = [5.0, 4.0, 3.0, 2.0, 1.0]
         assert most_negative(*correlations_of({4: (x, y), 2: (x, y)}), min_samples=5) == 2
 
-    @given(ids=st.lists(st.integers(0, 1000), min_size=2, max_size=12, unique=True),
+    @given(positions=st.lists(st.integers(0, 1000), min_size=2, max_size=12, unique=True),
            data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_ties_go_to_lowest_id_in_any_order(self, ids, data):
+    def test_ties_go_to_lowest_position_in_any_order(self, positions, data):
+        # the pairs come in the drawn order of positions, not position order
         x = [1.0, 2.0, 3.0, 4.0, 5.0]
-        tied = data.draw(st.sets(st.sampled_from(ids), min_size=2))
+        tied = data.draw(st.sets(st.sampled_from(positions), min_size=2))
         pairs = {
-            cid: (x, [5.0, 4.0, 3.0, 2.0, 1.0] if cid in tied else [1.0, 3.0, 2.0, 5.0, 4.0])
-            for cid in ids
+            pos: (x, [5.0, 4.0, 3.0, 2.0, 1.0] if pos in tied else [1.0, 3.0, 2.0, 5.0, 4.0])
+            for pos in positions
         }
         assert most_negative(*correlations_of(pairs), min_samples=5) == min(tied)
 
     def test_no_qualified_consumer(self):
-        with pytest.raises(InputError):
-            most_negative(*correlations_of({0: ([1.0], [1.0])}), min_samples=5)
+        assert most_negative(*correlations_of({0: ([1.0], [1.0])}), min_samples=5) is None
+        assert most_negative(*correlations_of({}), min_samples=5) is None
 
 
 class TestLowReportFilter:

@@ -165,7 +165,7 @@ class TestRunTrial:
                                 extra="[detection]\nmode = most_negative\n")
         for index in range(50):
             outcome = run_trial(selecting, derive_trial_seed(0, index))
-            assert outcome.selected is None and outcome.detected == frozenset()
+            assert outcome.detected == frozenset()
             assert not trial_success(outcome)
         outcome = run_trial(tiny_config(attackers, consumers=10, periods_per_day=96),
                             derive_trial_seed(0, 0))
@@ -232,7 +232,6 @@ class TestRunTrial:
         cfg = make_config("25 = random_offset 1.0 subtract",
                           extra="[detection]\nmode = most_negative\n")
         outcome = run_trial(cfg, derive_trial_seed(0, 0))
-        assert outcome.selected == 25
         assert outcome.detected == frozenset({25})
 
 
@@ -241,7 +240,6 @@ class TestOutcomeScoring:
         return TrialOutcome(
             true_malicious=frozenset(true_malicious),
             detected=frozenset(detected),
-            selected=None,
             config=None,
             counts=None,
             corr=None,
@@ -271,8 +269,8 @@ class TestOutcomeScoring:
 
 def install_inline_pool(monkeypatch, cpus=64):
     """Replace the process pool with one that runs its jobs inline: no process
-    starts.  The machine reports ``cpus`` CPUs.  Returns the list of worker
-    counts the pools were built with."""
+    starts.  The process may run on ``cpus`` CPUs, and the machine reports as
+    many.  Returns the list of worker counts the pools were built with."""
     asked = []
 
     class InlinePool:
@@ -290,6 +288,7 @@ def install_inline_pool(monkeypatch, cpus=64):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return asked
 
 
@@ -314,10 +313,19 @@ class TestEstimates:
         assert asked == [3, 2]
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        asked = install_inline_pool(monkeypatch, cpus=2)
+        # the CPUs this process may run on, not the machine's CPU count; where the
+        # platform has no affinity, the CPU count
+        asked = install_inline_pool(monkeypatch)
         base = dataclasses.replace(tiny_config(attackers=""), repetitions=3, master_seed=4)
-        assert probability_table(base, 1, threads=10**6) == probability_table(base, 1, threads=1)
-        assert asked == [2]
+        serial = probability_table(base, 1, threads=1)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {1})
+        assert probability_table(base, 1, threads=2) == serial
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3})
+        assert probability_table(base, 1, threads=10**6) == serial
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        assert probability_table(base, 1, threads=10**6) == serial
+        assert asked == [2, 3]
 
     def test_probability_table_builds_one_pool(self, monkeypatch):
         asked = install_inline_pool(monkeypatch)
@@ -329,34 +337,47 @@ class TestEstimates:
         assert [(case, months) for case, months, _ in serial] == [
             (case, months) for case in ("I", "II", "III") for months in (1, 3, 6, 12)
         ]
+        assert probability_table(base, 1, cases=(), threads=2) == []
+        assert duration_sweep(base, [], threads=2) == {}
 
     @settings(max_examples=60, deadline=None)
-    @given(reps=st.integers(1, 50), other_reps=st.integers(1, 50), threads=st.integers(1, 4))
-    def test_range_jobs_cover_every_trial_once(self, reps, other_reps, threads):
-        # two groups: the 1- and 2-month cells share a master seed, the
-        # 3-month cell has its own; the jobs only record their ranges and the
-        # pool runs them inline
+    @given(reps=st.integers(1, 50), threads=st.integers(1, 4))
+    def test_range_jobs_cover_every_trial_once(self, reps, threads):
+        # one group: three cells of one master seed, consumer count and
+        # repetitions; every job covers all of them, the jobs only record
+        # their ranges and the pool runs them inline
         base = dataclasses.replace(tiny_config(), repetitions=reps)
-        other = dataclasses.replace(base, master_seed=1, repetitions=other_reps, months=3)
-        configs = [base, dataclasses.replace(base, months=2), other]
+        configs = [base, dataclasses.replace(base, months=2), dataclasses.replace(base, months=3)]
         seen = {pos: [] for pos in range(3)}
-        weights = []
+        lengths = []
 
         def record(job):
             cells, start, stop = job
-            assert len({(c.master_seed, c.region.consumers) for c in cells}) == 1
+            assert cells == tuple(configs)
             for cell in cells:
                 seen[configs.index(cell)].extend(range(start, stop))
-            weights.append(sum(c.months for c in cells) * (stop - start))
+            lengths.append(stop - start)
             return [stop - start] * len(cells)
 
         with pytest.MonkeyPatch.context() as mp:
             install_inline_pool(mp)
             mp.setattr(harness, "_count_successes", record)
             estimates = harness._estimate(configs, threads)
-        assert all(sorted(seen[pos]) == list(range(c.repetitions)) for pos, c in enumerate(configs))
-        assert [e.successes for e in estimates] == [reps, reps, other_reps]
-        assert weights == sorted(weights, reverse=True)
+        assert all(sorted(seen[pos]) == list(range(reps)) for pos in range(3))
+        assert [e.successes for e in estimates] == [reps] * 3
+        assert len(lengths) == min(reps, 4 * threads)
+        assert lengths == sorted(lengths, reverse=True)
+
+    @pytest.mark.parametrize("change", [
+        {"master_seed": 1}, {"repetitions": 4}, {"region": tiny_config(consumers=6).region},
+    ])
+    def test_configs_of_mixed_groups_are_refused(self, monkeypatch, change):
+        # one estimate is one group: its cells share a master seed, a
+        # consumer count and repetitions, else no trial runs
+        monkeypatch.setattr(harness, "_count_successes", pytest.fail)
+        base = dataclasses.replace(tiny_config(), repetitions=3)
+        with pytest.raises(ValueError, match="share"):
+            harness._estimate([base, dataclasses.replace(base, months=2, **change)], threads=1)
 
     def test_a_job_shares_one_block_per_trial_index(self, monkeypatch):
         # six cells (three cases x two durations) of one seed: a job computes

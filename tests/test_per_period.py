@@ -251,7 +251,7 @@ def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
     config, seed = scenario
     month_len = DAYS_PER_MONTH * config.region.periods_per_day
     window, bills = run_billing(config, seed)
-    ledger = ledger_bills(matrices(window).reports, config.tariff, month_len, range(config.region.consumers))
+    ledger = ledger_bills(matrices(window).reports, config.tariff, month_len)
     assert [column.tolist() for column in bills] == ledger
 
 
