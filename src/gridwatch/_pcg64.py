@@ -17,9 +17,8 @@ same state is a prefix of a longer one's.  Monte-Carlo cells (attack cases
 and durations) seed trial ``i`` alike, so one block per trial index serves
 them all: its row starts and each column it is asked for are computed once,
 and every cell reads prefixes.  No stream changes: each cell still moves its
-own generator past its own rows and draws its own offsets after them; cells
-that reach the sampling step in one state (attacks that draw no offsets, at
-one duration) share one sampled draw and read (`UniformBlock.sample`).
+own generator past its own rows, draws its own offsets and sampled positions
+after them, and reads its own sampled entries, if it reads any.
 
 A 128-bit number is a ``(hi, lo)`` pair of ``uint64`` values or arrays; products
 wrap mod 2**64 as numpy integer arithmetic does.
@@ -124,7 +123,7 @@ class UniformBlock:
     is read.  The first ``p`` rows are the block that ``random((p, n))`` from
     the same state draws, so windows of any length up to ``periods`` from one
     seed share one block: each reads prefixes of it and `skip` moves its own
-    generator past its own rows.  `sample` keeps its last draw.
+    generator past its own rows.
     """
 
     def __init__(self, state: dict, periods: int, n: int):
@@ -136,7 +135,6 @@ class UniformBlock:
         self._step_a, step_g = _cached_tables(n)[2:]
         self._step_inc = np.array(_mul(step_g, _pairs([self._inc])[:, 0]))  # G_j·inc
         self._columns: dict[int, np.ndarray] = {}
-        self._sample: tuple = (None, None, None)  # (key, after-state, (positions, entries))
 
     def column(self, col: int) -> np.ndarray:
         """``block[:, col]``, every row, read-only: copy it before scaling."""
@@ -144,22 +142,6 @@ class UniformBlock:
             self._columns[col] = self.read(col)
             self._columns[col].flags.writeable = False
         return self._columns[col]
-
-    def sample(self, rng: np.random.Generator, periods: int) -> tuple[np.ndarray, np.ndarray]:
-        """``rng.integers(0, n, size=periods)`` and the entries ``block[t, pos[t]]``
-        it picks, both read-only.  A draw from the same generator state as the
-        last one, buffered uint32 included, returns the same arrays and puts
-        ``rng`` in the state that drawing them leaves."""
-        key = (rng.bit_generator.state, periods)
-        if key == self._sample[0]:
-            rng.bit_generator.state = self._sample[1]
-        else:
-            positions = rng.integers(0, self.n, size=periods)
-            picked = (positions, self.read(positions))
-            for array in picked:
-                array.flags.writeable = False
-            self._sample = (key, rng.bit_generator.state, picked)
-        return self._sample[2]
 
     def read(self, cols: int | np.ndarray) -> np.ndarray:
         """``block[t, cols]`` for every row, or ``block[t, cols[t]]`` for rows ``t < len(cols)``."""

@@ -9,9 +9,10 @@ derived injectively from ``(master_seed, trial_index)`` so they can run
 in any order or in parallel without changing the result.  The cells
 (attack case and duration) of one estimate share the master seed and the
 consumer count, and trial ``i`` of every cell reads one shared usage
-block, whose entries are computed once for them all; cells that reach the
-sampling step in the same generator state share one sampled draw and
-read.  Every stream is the one a lone trial draws.
+block, whose entries are computed once for them all.  A Monte-Carlo cell
+reads only what its verdict depends on: a threshold cell with one
+misreporting consumer correlates that consumer alone and reads no sampled
+entry (`_success`).  Every stream is the one a lone trial draws.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .model import (
     RegionConfig,
     apply_behavior,
     as_integer,
+    as_real,
     is_benign,
 )
 
@@ -76,6 +78,10 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("months", "min_samples", "master_seed", "repetitions"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        optional = ("low_report_quantile", "elasticity_factor", "elasticity_level")
+        for name in ("th", "tariff", *optional):
+            if getattr(self, name) is not None or name not in optional:
+                object.__setattr__(self, name, as_real(name, getattr(self, name)))
         region = self.region
         check_window_size(region.consumers, region.periods_per_day, self.total_periods)
         if self.months < 1:
@@ -174,12 +180,12 @@ class WindowData:
 
     Usage is ``u[t, c] * span + region.usage_min`` (`_scale`), where ``u``
     is the ``(periods, n)`` block of uniforms that the generator in
-    ``state`` draws next and ``span`` is the config's `usage_span`.
+    ``state`` draws next (``draws``) and ``span`` is the config's `usage_span`.
     ``dishonest`` maps each misreporting consumer's id to its reports, and
     ``sampled_pos`` holds the sampled consumer's id (ids are positions).
     `usage_months` and `report_months` draw the usage again from ``state``,
-    one month at a time; the regional totals are computed on first access.
-    A Monte-Carlo trial reads none of them.
+    one month at a time; the sampled reports and the regional totals are
+    computed on first access.  A Monte-Carlo trial reads no totals.
     """
 
     region: RegionConfig
@@ -188,7 +194,17 @@ class WindowData:
     dishonest: dict[int, np.ndarray]
     leakage: np.ndarray
     sampled_pos: np.ndarray
-    sampled_reports: np.ndarray
+    draws: UniformBlock
+
+    @cached_property
+    def sampled_reports(self) -> np.ndarray:
+        """Each period's sampled report: the sampled entry of ``draws``, scaled,
+        or the misreporting consumer's report."""
+        reports = _scale(self.draws.read(self.sampled_pos), self.region.usage_min, self.span)
+        for pos, reported in self.dishonest.items():
+            hit = self.sampled_pos == pos
+            reports[hit] = reported[hit]
+        return reports
 
     def usage_months(self) -> Iterator[np.ndarray]:
         """Each month's ``(periods, n)`` usage block, new each time, in period order.
@@ -248,11 +264,12 @@ def simulate_window(
     misreporting consumer's random offsets in consumer order, then the
     per-period sampled indices.  The usage matrix is not drawn: ``rng``
     (a ``PCG64`` generator, else `TypeError`) jumps past it, and only the
-    misreporting consumers' columns and the sampled entries are computed
-    from its saved state, bit for bit the values the draw would give.
-    ``draws`` is the usage block of ``rng``'s state when windows of the same
-    seed and consumer count share it (`UniformBlock`), with its last sampled
-    draw; by default this window computes its own.
+    misreporting consumers' columns, and the sampled entries once
+    `WindowData.sampled_reports` is read, are computed from its saved
+    state, bit for bit the values the draw would give.  ``draws`` is the
+    usage block of ``rng``'s state when windows of the same seed and
+    consumer count share it (`UniformBlock`); by default this window
+    computes its own.
     """
     region = config.region
     n, periods, low = region.consumers, config.total_periods, region.usage_min
@@ -278,20 +295,14 @@ def simulate_window(
         dishonest[cid] = reported
         leakage = leakage + (actual - reported)
 
-    sampled_pos, uniforms = draws.sample(rng, periods)
-    sampled_reports = _scale(uniforms.copy(), low, span)
-    for pos, reported in dishonest.items():
-        hit = sampled_pos == pos
-        sampled_reports[hit] = reported[hit]
-
     return WindowData(
         region=region,
         state=state,
         span=span,
         dishonest=dishonest,
         leakage=leakage,
-        sampled_pos=sampled_pos,
-        sampled_reports=sampled_reports,
+        sampled_pos=rng.integers(0, n, size=periods),
+        draws=draws,
     )
 
 
@@ -410,17 +421,36 @@ class ProbabilityEstimate:
         return math.sqrt(p * (1.0 - p) / self.repetitions)
 
 
+def _success(config: ScenarioConfig, seed: np.random.SeedSequence, draws: UniformBlock) -> bool:
+    """``trial_success(run_trial(config, seed, draws))`` from only what it reads.
+
+    A threshold trial with one misreporting consumer succeeds when that consumer
+    is flagged, so only its sampled periods are correlated, with `correlate`'s
+    arithmetic (its low-report pairs with `pearson` when the filter is set), and
+    no sampled entry is read.  Any other trial runs in full."""
+    attackers = config.region.malicious_ids
+    if config.mode != THRESHOLD_MODE or len(attackers) != 1:
+        return trial_success(run_trial(config, seed, draws))
+    (attacker,) = attackers
+    window = simulate_window(config, np.random.default_rng(seed), draws)
+    hit = window.sampled_pos == attacker
+    reports, leakage = window.dishonest[attacker][hit], window.leakage[hit]
+    counts, corr = correlate(np.zeros(len(reports), np.intp), reports, leakage, 1)
+    if config.low_report_quantile is not None:
+        q = config.low_report_quantile
+        corr = low_report_correlations([(reports, leakage)], counts, q, config.min_samples)
+    return bool(has_evidence(counts, corr, config.min_samples)[0] and abs(corr[0]) >= config.th)
+
+
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
-    """Trial ``index`` of every cell, in the order given.  The cells share the master
-    seed and the consumer count, so one usage block serves them all for this call.
-    Shortest windows run first: cells of one length whose attacks draw nothing then
-    sample in turn from one state and share the block's last sample."""
+    """Trial ``index`` of every cell (`_success`), in the order given.  The cells share
+    the master seed and the consumer count, so one usage block serves them all for this
+    call: its row starts and each attacker's column are computed once.  Only cells that
+    run in full (most-negative, or not one misreporting consumer) read sampled entries."""
     seed = derive_trial_seed(cells[0].master_seed, index)
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
-    order = sorted(range(len(cells)), key=lambda pos: cells[pos].total_periods)
-    ok = {pos: trial_success(run_trial(cells[pos], seed, draws)) for pos in order}
-    return [ok[pos] for pos in range(len(cells))]
+    return [_success(c, seed, draws) for c in cells]
 
 
 def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[int]:

@@ -12,6 +12,7 @@ model and are clipped at zero so reports stay physical.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Literal, Union
@@ -42,7 +43,7 @@ class Multiplicative:
     alpha: float
 
     def __post_init__(self):
-        _check_positive_finite("alpha", self.alpha)
+        _check_positive_finite(self, "alpha")
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class FixedOffset:
     direction: Direction = "subtract"
 
     def __post_init__(self):
-        _check_positive_finite("eta", self.eta)
+        _check_positive_finite(self, "eta")
         _check_direction(self.direction)
 
 
@@ -69,16 +70,18 @@ class RandomOffset:
     direction: Direction = "subtract"
 
     def __post_init__(self):
-        _check_positive_finite("theta_max", self.theta_max)
+        _check_positive_finite(self, "theta_max")
         _check_direction(self.direction)
 
 
 BehaviorModel = Union[Benign, Multiplicative, FixedOffset, RandomOffset]
 
 
-def _check_positive_finite(name: str, value: float) -> None:
+def _check_positive_finite(behavior: BehaviorModel, name: str) -> None:
+    value = as_real(name, getattr(behavior, name))
     if not (value > 0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+    object.__setattr__(behavior, name, value)
 
 
 def as_integer(name: str, value) -> int:
@@ -88,6 +91,17 @@ def as_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a ``float`` (ints and numpy numbers too); anything else, a string
+    or None among them, or an int past float's range, is a `ConfigurationError`."""
+    try:
+        if isinstance(value, numbers.Real):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_direction(direction: str) -> None:
@@ -123,6 +137,8 @@ class RegionConfig:
     def __post_init__(self):
         for name in ("region_id", "consumers", "periods_per_day"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        for name in ("usage_min", "usage_max"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         pairs = self.attackers.items() if isinstance(self.attackers, dict) else self.attackers
         pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
         n, ids = self.consumers, [cid for cid, _ in pairs]

@@ -213,6 +213,36 @@ def test_an_integer_field_takes_only_integers(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: region(usage_min="0.5"),
+    lambda: region(usage_max="1.5"),
+    lambda: ScenarioConfig(region(), th="0.5"),
+    lambda: ScenarioConfig(region(), tariff=None),
+    lambda: ScenarioConfig(region(), low_report_quantile="0.25"),
+    lambda: ScenarioConfig(region(), elasticity_factor="0.8", elasticity_level=0.5),
+    lambda: ScenarioConfig(region(), elasticity_factor=0.8, elasticity_level=[0.5]),
+    lambda: Multiplicative("2"),
+    lambda: FixedOffset(eta=None),
+    lambda: RandomOffset(theta_max=b"0.7"),
+    lambda: ScenarioConfig(region(), tariff=10**400),
+], ids=["usage_min", "usage_max", "th", "tariff", "low_report_quantile", "elasticity_factor",
+        "elasticity_level", "alpha", "eta", "theta_max", "tariff_past_float"])
+def test_a_float_field_takes_only_numbers(build):
+    # one ConfigurationError, not a TypeError from the first comparison
+    with pytest.raises(ConfigurationError, match="must be a real number"):
+        build()
+
+
+def test_real_numbers_are_floats():
+    config = ScenarioConfig(
+        region(usage_max=np.float32(1.5), attackers={3: Multiplicative(np.int64(2))}),
+        th=np.float64(0.5), tariff=2, elasticity_factor=1, elasticity_level=np.int8(0),
+    )
+    assert loads_config(dumps_config(config)) == config
+    assert type(config.tariff) is float and type(config.region.usage_max) is float
+    assert type(config.region.attackers[0][1].alpha) is float
+
+
 def test_numpy_integers_are_integers():
     config = ScenarioConfig(
         region(consumers=np.int64(10), attackers={np.int32(3): Multiplicative(0.1)}),

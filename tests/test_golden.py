@@ -51,6 +51,30 @@ TABLE_CONFIG = """[attackers]
 repetitions = 2
 master_seed = 42
 """
+# 50 repetitions reach the borderline case II 1-month cell, whose count a
+# verdict that read one entry wrong would move.
+TABLE50_CONFIG = TABLE_CONFIG.replace("repetitions = 2", "repetitions = 50")
+# The Monte-Carlo verdict of one fixed-offset attacker on its low-report pairs.
+LOW_REPORT_SWEEP_CONFIG = """[attackers]
+25 = fixed_offset 0.6 subtract
+
+[detection]
+low_report_quantile = 0.25
+
+[experiment]
+repetitions = 20
+master_seed = 42
+"""
+# Two misreporting consumers: the verdict needs the exact set, so it reads
+# every consumer's correlation.
+TWO_ATTACKER_SWEEP_CONFIG = """[attackers]
+25 = multiplicative 0.1
+75 = multiplicative 0.3
+
+[experiment]
+repetitions = 20
+master_seed = 42
+"""
 # Two periods a day: at 1 month most consumers have fewer than min_samples
 # sampled reports, so the concentration CSV has empty corr cells and
 # insufficient_data labels beside defined ones.
@@ -79,22 +103,27 @@ def _window_digests(name, config):
 
 
 def _cli_digests(tmp_dir: Path):
-    runs = (
-        (WINDOW_CONFIG, "simulate", "records.csv"),
-        (WINDOW_CONFIG, "detect", "detection.csv"),
-        (WINDOW_CONFIG, "bill", "bills.csv"),
-        (TABLE_CONFIG, "table1", "table1.csv"),
-        (TABLE_CONFIG, "fig-corr", "fig_corr.csv"),
-        (SPARSE_CONFIG, "fig-concentration", "fig_concentration.csv"),
-        (TABLE_CONFIG, "fig-duration-sweep", "fig_duration_sweep.csv"),
+    runs = (  # (digest key, config, command, output file)
+        ("records.csv", WINDOW_CONFIG, "simulate", "records.csv"),
+        ("detection.csv", WINDOW_CONFIG, "detect", "detection.csv"),
+        ("bills.csv", WINDOW_CONFIG, "bill", "bills.csv"),
+        ("table1.csv", TABLE_CONFIG, "table1", "table1.csv"),
+        ("fig_corr.csv", TABLE_CONFIG, "fig-corr", "fig_corr.csv"),
+        ("fig_concentration.csv", SPARSE_CONFIG, "fig-concentration", "fig_concentration.csv"),
+        ("fig_duration_sweep.csv", TABLE_CONFIG, "fig-duration-sweep", "fig_duration_sweep.csv"),
+        ("table1-50reps.csv", TABLE50_CONFIG, "table1", "table1.csv"),
+        ("fig_duration_sweep-low-report.csv", LOW_REPORT_SWEEP_CONFIG, "fig-duration-sweep",
+         "fig_duration_sweep.csv"),
+        ("fig_duration_sweep-two-attackers.csv", TWO_ATTACKER_SWEEP_CONFIG, "fig-duration-sweep",
+         "fig_duration_sweep.csv"),
     )
     out = {}
-    for text, command, filename in runs:
+    for key, text, command, filename in runs:
         config = tmp_dir / f"{command}.cfg"
         config.write_text(text)
         code = main([command, "--config", str(config), "--out-dir", str(tmp_dir)])
         assert code == 0, command
-        out[filename] = hashlib.sha256((tmp_dir / filename).read_bytes()).hexdigest()
+        out[key] = hashlib.sha256((tmp_dir / filename).read_bytes()).hexdigest()
     return out
 
 

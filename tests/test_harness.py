@@ -383,8 +383,8 @@ class TestEstimates:
         # six cells (three cases x two durations) of one seed: a job computes
         # the row starts and the attacker's column once per trial index, for
         # the longest cell, and holds one index's block at a time; cases I and
-        # II draw nothing before sampling, so at each duration they share one
-        # sampled read, and case III reads its own
+        # II are scored on the attacker's periods alone and read no sampled
+        # entry, so only case III reads them
         starts, columns, sampled, alive, peak = [], [], [], [], []
         real_starts = _pcg64._row_starts
 
@@ -412,7 +412,7 @@ class TestEstimates:
         assert len(table) == 6
         assert starts == [(2 * 30 * 4, 5)] * 3
         assert columns == [1] * 3
-        assert sampled == [30 * 4, 30 * 4, 2 * 30 * 4, 2 * 30 * 4] * 3
+        assert sampled == [30 * 4, 2 * 30 * 4] * 3
         assert peak == [1] * 3
 
     def test_thread_count_does_not_change_result(self):

@@ -1,6 +1,7 @@
 """Differential tests: the whole-window array path against the per-period
-and full-matrix references in `per_period.py`, and a trial's threshold
-mask against `detect_region`, over small random scenarios.
+and full-matrix references in `per_period.py`, a trial's threshold mask
+against `detect_region`, and a Monte-Carlo verdict against the full trial,
+over small random scenarios.
 
 The golden digests pin seed 42 on the default region; these cover other
 region sizes, attacker mixes, durations, tariffs and seeds.
@@ -10,13 +11,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch.config import loads_config
-from gridwatch.detection import series_from_arrays
+from gridwatch.detection import correlate, series_from_arrays
 from gridwatch._pcg64 import UniformBlock
-from gridwatch.harness import DAYS_PER_MONTH, _estimate, run_billing, run_trial, simulate_window
+from gridwatch.harness import (
+    DAYS_PER_MONTH, _estimate, _success, derive_trial_seed, run_billing, run_trial,
+    simulate_window, trial_success,
+)
 from per_period import (
     accumulate_samples, full_matrix_window, ledger_bills, matrices, window_records,
 )
@@ -154,8 +158,8 @@ def cell_groups(draw):
 @settings(max_examples=60, deadline=None)
 def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
     # every cell reads one block sized for the longest: its row starts and
-    # attacker columns are computed once and read as prefixes, and a cell in
-    # the last sampled draw's state reuses that draw
+    # attacker columns are computed once and read as prefixes, and each cell
+    # reads its own sampled entries
     cells, seed = group
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
@@ -172,34 +176,70 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
     assert _estimate(cells, threads=1) == [_estimate([c], threads=1)[0] for c in cells]
 
 
-@pytest.mark.parametrize("warmup", [0, 1, 2, 3])
-def test_a_repeated_sample_leaves_the_generator_as_a_fresh_draw(warmup):
-    # the last draw's state again is a hit: the same arrays, and the state
-    # that drawing them leaves; a state that differs only in its buffered
-    # uint32 is a miss
-    draws = UniformBlock(np.random.PCG64(5).state, 12, 7)
-    start = used_stream(5, warmup).bit_generator.state
-    flipped = {**start, "has_uint32": 1 - start["has_uint32"]}
-    buffered = {**start, "has_uint32": 1, "uinteger": start["uinteger"] ^ 0x5A5A5A5A}
-    hits, last = [], None
-    for state in (start, start, flipped, buffered, buffered):
-        rng, fresh = np.random.default_rng(), np.random.default_rng()
-        rng.bit_generator.state = fresh.bit_generator.state = state
-        positions, entries = draws.sample(rng, 12)
-        want = fresh.integers(0, 7, size=12)
-        assert positions.tolist() == want.tolist()
-        assert entries.tobytes() == draws.read(want).tobytes()
-        assert rng.bit_generator.state == fresh.bit_generator.state
-        hits.append(positions is last)
-        last = positions
-    assert hits == [False, True, False, False, True]
+@st.composite
+def verdict_cells(draw):
+    """A Monte-Carlo cell and its trial seed: either mode, the low-report filter
+    on or off, 0 to 3 attackers (``multiplicative 1.0`` misreports nothing), 1 or
+    2 months, and a threshold and minimum sample count up to where no consumer
+    has evidence (a consumer has at most 180 sampled periods)."""
+    n = draw(st.integers(2, 8))
+    count = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))  # mostly one: the threshold fast path
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=min(count, n), max_size=min(count, n), unique=True))
+    behaviors = (*ATTACKS, "multiplicative 1.0", "random_offset 0.7")
+    attackers = "".join(f"{i} = {draw(st.sampled_from(behaviors))}\n" for i in ids)
+    quantile = draw(st.sampled_from(["", "low_report_quantile = 0.25\n", "low_report_quantile = 0.6\n"]))
+    config = loads_config(
+        f"[region]\nconsumers = {n}\nperiods_per_day = {draw(st.integers(1, 3))}\n"
+        f"[attackers]\n{attackers}"
+        f"[detection]\nmode = {draw(st.sampled_from(['threshold', 'threshold', 'most_negative']))}\n"
+        f"threshold = {draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.9, 1.0]))}\n"
+        f"min_samples = {draw(st.sampled_from([2, 5, 5, 30, 181]))}\n{quantile}"
+        f"[experiment]\nmonths = {draw(st.integers(1, 2))}\n"
+    )
+    return config, derive_trial_seed(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3)))
 
 
-def test_a_sample_is_read_only():
-    draws = UniformBlock(np.random.PCG64(3).state, 10, 4)
-    for array in draws.sample(np.random.default_rng(3), 10):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+# A x0.1 attacker's correlation is exactly 1.0 in these trials: at threshold 1.0
+# it is flagged, with the low-report filter or without.
+EXACT = "[region]\nconsumers = 2\nperiods_per_day = 2\n[attackers]\n0 = multiplicative 0.1\n" \
+    "[detection]\nthreshold = 1.0\n"
+
+
+@given(verdict_cells())
+@example((loads_config(EXACT), derive_trial_seed(0, 0)))
+@example((loads_config(EXACT + "low_report_quantile = 0.25\n"), derive_trial_seed(3, 0)))
+@settings(max_examples=200, deadline=None)
+def test_monte_carlo_verdict_is_the_full_trial_verdict(cell):
+    # on a block sized for a longer cell, as an estimate shares it
+    config, seed = cell
+    periods = 2 * DAYS_PER_MONTH * config.region.periods_per_day
+    draws = UniformBlock(np.random.PCG64(seed).state, periods, config.region.consumers)
+    assert _success(config, seed, draws) == trial_success(run_trial(config, seed, draws))
+    assert _success(config, seed, draws) == trial_success(run_trial(config, seed))
+
+
+SPECIAL = (0.0, 0.1, 1.0, 1e-300, 1e300, -2.5)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_group_correlation_is_the_region_entry_bit_for_bit(data):
+    # A single-attacker verdict correlates the attacker's pairs as one group;
+    # every group's sums are taken in period order, so it gets the bits, or
+    # the NaN, that `correlate` gives that group among all of them.
+    n = data.draw(st.integers(1, 5))
+    periods = data.draw(st.integers(0, 40))
+    positions = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=periods, max_size=periods)),
+                         dtype=np.intp)
+    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL))
+    x, y = (np.array(data.draw(st.lists(values, min_size=periods, max_size=periods)), dtype=float)
+            for _ in range(2))
+    group = data.draw(st.integers(0, n - 1))
+    hit = positions == group
+    counts, corr = correlate(positions, x, y, n)
+    one_count, one_corr = correlate(np.zeros(hit.sum(), np.intp), x[hit], y[hit], 1)
+    assert one_count.tolist() == [counts[group]]
+    assert one_corr.tobytes() == corr[group : group + 1].tobytes()
 
 
 def test_shared_draws_must_come_from_the_window_stream():
