@@ -29,7 +29,6 @@ from .model import (
     FixedOffset,
     Multiplicative,
     RandomOffset,
-    RegionConfig,
     apply_behavior,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "FixedOffset",
     "Multiplicative",
     "RandomOffset",
-    "RegionConfig",
     "apply_behavior",
 ]

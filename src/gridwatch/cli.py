@@ -56,12 +56,12 @@ def _load(args) -> ScenarioConfig:
     if args.threads < 1:
         raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     config = load_config(args.config)
-    overrides = {"master_seed": args.seed, "repetitions": args.reps, "th": args.threshold}
+    overrides = {"master_seed": args.seed, "repetitions": args.reps, "threshold": args.threshold}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _single_attacker_id(config: ScenarioConfig) -> int:
-    attackers = sorted(config.region.malicious_ids)
+    attackers = sorted(config.malicious_ids)
     if len(attackers) != 1:
         raise ConfigurationError(f"table1 needs exactly one attacker, got {len(attackers)}")
     return attackers[0]

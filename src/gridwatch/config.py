@@ -2,10 +2,11 @@
 
 The config format is an INI-style key = value file with five sections:
 ``[region]``, ``[attackers]``, ``[detection]``, ``[billing]`` and
-``[experiment]``.  Loading and writing both walk one key table, ``_KEYS``.
-Every key has a default except the free-form attacker entries;
-unknown sections or keys are hard errors so typos cannot silently change
-an experiment.  ``dumps_config`` emits the fully resolved form, and
+``[experiment]``.  Loading and writing both walk one key table, ``_KEYS``,
+which gives each key's section and type; the `ScenarioConfig` field of the
+key's name gives its default and limits.  ``[attackers]`` holds free-form
+entries; unknown sections or keys are hard errors so typos cannot silently
+change an experiment.  ``dumps_config`` emits the fully resolved form, and
 ``loads_config(dumps_config(c)) == c`` for every valid config.
 """
 
@@ -18,59 +19,45 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
 from .errors import ConfigurationError
-from .harness import ScenarioConfig, THRESHOLD_MODE
-from .model import (
-    Benign,
-    BehaviorModel,
-    DEFAULT_USAGE_MAX,
-    DEFAULT_USAGE_MIN,
-    FixedOffset,
-    Multiplicative,
-    RandomOffset,
-    RegionConfig,
-)
+from .harness import ScenarioConfig
+from .model import Benign, BehaviorModel, FixedOffset, Multiplicative, RandomOffset
 
 _OPTIONAL_FLOAT = "optional float"  # a float, or none/off/empty for None
 
 
 class _Key(NamedTuple):
-    name: str
+    name: str  # also the ScenarioConfig field it sets
     kind: type | str  # int, float, str or _OPTIONAL_FLOAT
-    default: object
-    minimum: int | None = None
-    field: str | None = None  # the ScenarioConfig field it sets; a region key sets its namesake
 
 
 # Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
 _KEYS: dict[str, tuple[_Key, ...]] = {
     "region": (
-        _Key("region_id", int, 0),
-        _Key("consumers", int, 100, 2),
-        _Key("periods_per_day", int, 96, 1),
-        _Key("usage_min", float, DEFAULT_USAGE_MIN),
-        _Key("usage_max", float, DEFAULT_USAGE_MAX),
+        _Key("region_id", int),
+        _Key("consumers", int),
+        _Key("periods_per_day", int),
+        _Key("usage_min", float),
+        _Key("usage_max", float),
     ),
     "attackers": (),
     "detection": (
-        _Key("threshold", float, DEFAULT_THRESHOLD, field="th"),
-        _Key("min_samples", int, DEFAULT_MIN_SAMPLES, 2, "min_samples"),
-        _Key("mode", str, THRESHOLD_MODE, field="mode"),
-        _Key("low_report_quantile", _OPTIONAL_FLOAT, None, field="low_report_quantile"),
+        _Key("threshold", float),
+        _Key("min_samples", int),
+        _Key("mode", str),
+        _Key("low_report_quantile", _OPTIONAL_FLOAT),
     ),
     "billing": (
-        _Key("tariff", float, 1.0, field="tariff"),
-        _Key("elasticity_factor", _OPTIONAL_FLOAT, None, field="elasticity_factor"),
-        _Key("elasticity_level", _OPTIONAL_FLOAT, None, field="elasticity_level"),
+        _Key("tariff", float),
+        _Key("elasticity_factor", _OPTIONAL_FLOAT),
+        _Key("elasticity_level", _OPTIONAL_FLOAT),
     ),
     "experiment": (
-        _Key("months", int, 1, 1, "months"),
-        _Key("repetitions", int, 1000, 1, "repetitions"),
-        _Key("master_seed", int, 0, 0, "master_seed"),
+        _Key("months", int),
+        _Key("repetitions", int),
+        _Key("master_seed", int),
     ),
 }
-_FIELD_KEYS = [key for keys in _KEYS.values() for key in keys if key.field]
 
 
 def _parse(section: str, key: _Key, raw: str):
@@ -80,13 +67,10 @@ def _parse(section: str, key: _Key, raw: str):
     if key.kind == _OPTIONAL_FLOAT and raw.lower() in ("none", "off", ""):
         return None
     try:
-        value = int(raw) if key.kind is int else float(raw)
+        return int(raw) if key.kind is int else float(raw)
     except ValueError:
         noun = "an integer" if key.kind is int else "a number"
         raise ConfigurationError(f"[{section}] {key.name} = {raw!r} is not {noun}") from None
-    if key.minimum is not None and value < key.minimum:
-        raise ConfigurationError(f"[{section}] {key.name} = {value} must be >= {key.minimum}")
-    return value
 
 
 def _format(key: _Key, value) -> str:
@@ -130,7 +114,7 @@ def format_behavior(behavior: BehaviorModel) -> str:
 
 
 def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
-    """Parse and validate a config from text, filling all defaults."""
+    """Parse and validate a config from text; `ScenarioConfig` fills the keys it does not give."""
     # No header can name a section "\n", so [DEFAULT] is an ordinary, unknown section.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str  # keep attacker ids as written
@@ -145,11 +129,12 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
         unknown = [e for e in entries if e not in {key.name for key in _KEYS[name]}]
         if unknown and name != "attackers":
             raise ConfigurationError(f"unknown key {unknown[0]!r} in section [{name}]")
-    values = {}
-    for name, keys in _KEYS.items():
-        given = raw.get(name, {})
-        for key in keys:
-            values[key.name] = _parse(name, key, given[key.name]) if key.name in given else key.default
+    values = {
+        key.name: _parse(name, key, raw[name][key.name])
+        for name, keys in _KEYS.items()
+        for key in keys
+        if key.name in raw.get(name, {})
+    }
 
     attackers = []
     for entry, spec in raw.get("attackers", {}).items():
@@ -158,29 +143,25 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
         except ValueError:
             raise ConfigurationError(f"[attackers] key {entry!r} is not a consumer id") from None
         attackers.append((cid, parse_behavior(spec)))
-    region = RegionConfig(**{key.name: values[key.name] for key in _KEYS["region"]}, attackers=attackers)
-    fields = {key.field: values[key.name] for key in _FIELD_KEYS}
-    return ScenarioConfig(region=region, **fields)
+    return ScenarioConfig(**values, attackers=attackers)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return loads_config(text, source=str(path))
 
 
 def dumps_config(config: ScenarioConfig) -> str:
     """Fully resolved config text; round-trips through `loads_config`."""
-    values = {key.name: getattr(config, key.field) for key in _FIELD_KEYS}
-    values.update({key.name: getattr(config.region, key.name) for key in _KEYS["region"]})
     blocks = []
     for name, keys in _KEYS.items():
-        lines = [f"{key.name} = {_format(key, values[key.name])}\n" for key in keys]
+        lines = [f"{key.name} = {_format(key, getattr(config, key.name))}\n" for key in keys]
         if name == "attackers":
-            lines = [f"{cid} = {format_behavior(b)}\n" for cid, b in config.region.attackers]
+            lines = [f"{cid} = {format_behavior(b)}\n" for cid, b in config.attackers]
         blocks.append(f"[{name}]\n" + "".join(lines))
     return "\n".join(blocks)
 

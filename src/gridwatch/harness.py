@@ -41,11 +41,11 @@ from .detection import (
 )
 from .errors import ConfigurationError
 from .model import (
+    Benign,
     BehaviorModel,
     FixedOffset,
     Multiplicative,
     RandomOffset,
-    RegionConfig,
     apply_behavior,
     as_integer,
     as_real,
@@ -63,35 +63,75 @@ MOST_NEGATIVE_MODE = "most_negative"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    region: RegionConfig
-    months: int = 1
-    th: float = DEFAULT_THRESHOLD
+    """One aggregator's region and the experiment run on it; each field is the config key
+    of its name, in file order.  Consumer ids are positions ``0..consumers-1``, all draw
+    usage on one range, and ``attackers``, given as a mapping or as ``(id, behavior)``
+    pairs, is kept as pairs sorted by id, without `Benign` entries."""
+
+    region_id: int = 0
+    consumers: int = 100
+    periods_per_day: int = 96
+    usage_min: float = 0.5
+    usage_max: float = 1.5
+    attackers: tuple[tuple[int, BehaviorModel], ...] = ()
+    threshold: float = DEFAULT_THRESHOLD
     min_samples: int = DEFAULT_MIN_SAMPLES
     mode: str = THRESHOLD_MODE
     low_report_quantile: float | None = None
     tariff: float = 1.0
     elasticity_factor: float | None = None
     elasticity_level: float | None = None
-    master_seed: int = 0
+    months: int = 1
     repetitions: int = 1000
+    master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("months", "min_samples", "master_seed", "repetitions"):
+        for name in ("region_id", "consumers", "periods_per_day", "min_samples", "months", "repetitions",
+                     "master_seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         optional = ("low_report_quantile", "elasticity_factor", "elasticity_level")
-        for name in ("th", "tariff", *optional):
+        for name in ("usage_min", "usage_max", "threshold", "tariff", *optional):
             if getattr(self, name) is not None or name not in optional:
                 object.__setattr__(self, name, as_real(name, getattr(self, name)))
-        region = self.region
-        check_window_size(region.consumers, region.periods_per_day, self.total_periods)
+        pairs = self.attackers.items() if isinstance(self.attackers, dict) else self.attackers
+        pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
+        n, ids = self.consumers, [cid for cid, _ in pairs]
+        if n < 2:
+            raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError("attacker ids must be unique within a region")
+        for cid, behavior in pairs:
+            if not 0 <= cid < n:
+                raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
+            if not isinstance(behavior, BehaviorModel):
+                raise ConfigurationError(f"[attackers] id {cid} is not a behavior model: {behavior!r}")
+        if not (math.isfinite(self.usage_min) and math.isfinite(self.usage_max)):
+            raise ConfigurationError(
+                f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
+            )
+        if self.usage_min < 0:
+            raise ConfigurationError(
+                f"usage_min must be >= 0, got {self.usage_min}"
+            )
+        if not self.usage_min < self.usage_max:
+            raise ConfigurationError(
+                f"usage_min ({self.usage_min}) must be < usage_max ({self.usage_max})"
+            )
+        if self.periods_per_day <= 0:
+            raise ConfigurationError(
+                f"periods_per_day must be > 0, got {self.periods_per_day}"
+            )
+        attackers = (pair for pair in pairs if not isinstance(pair[1], Benign))
+        object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
+        check_window_size(self.consumers, self.periods_per_day, self.total_periods)
         if self.months < 1:
             raise ConfigurationError(f"months must be >= 1, got {self.months}")
         if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
             raise ConfigurationError(f"unknown detection mode {self.mode!r}")
         if self.min_samples < 2:
             raise ConfigurationError(f"min_samples must be >= 2, got {self.min_samples}")
-        if not 0.0 < self.th <= 1.0:
-            raise ConfigurationError(f"threshold must be in (0, 1], got {self.th}")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ConfigurationError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.repetitions < 1:
             raise ConfigurationError(
                 f"repetitions must be >= 1, got {self.repetitions}"
@@ -116,14 +156,18 @@ class ScenarioConfig:
         _check_sums_finite(self)
 
     @property
+    def malicious_ids(self) -> set[int]:
+        return {cid for cid, behavior in self.attackers if not is_benign(behavior)}
+
+    @property
     def total_periods(self) -> int:
-        return DAYS_PER_MONTH * self.region.periods_per_day * self.months
+        return DAYS_PER_MONTH * self.periods_per_day * self.months
 
     @property
     def usage_span(self) -> float:
         """The width of every period's usage range.  With elasticity set, a tariff above the
         level scales ``usage_max`` by the factor, and the top stays at least 1e-12 above ``usage_min``."""
-        low, high = self.region.usage_min, self.region.usage_max
+        low, high = self.usage_min, self.usage_max
         if self.elasticity_factor is None:
             return high - low
         factor = self.elasticity_factor if self.tariff > self.elasticity_level else 1.0
@@ -147,18 +191,17 @@ def _check_sums_finite(config: ScenarioConfig) -> None:
     as a total (the leakage is one).  Past ``float``'s range each would end
     as a silent inf or NaN in the output.
     """
-    region = config.region
-    usage = region.usage_min + config.usage_span
+    usage = config.usage_min + config.usage_span
     value = usage  # the largest usage or report of any consumer in any period
-    for _, b in region.attackers:
+    for _, b in config.attackers:
         if isinstance(b, Multiplicative):
             value = max(value, b.alpha * usage)
         elif isinstance(b, (FixedOffset, RandomOffset)) and b.direction == "add":
             value = max(value, usage + (b.eta if isinstance(b, FixedOffset) else b.theta_max))
-    total = value * region.consumers
+    total = value * config.consumers
     sums = {
         "regional totals": total,
-        "monthly bills": value * config.tariff * DAYS_PER_MONTH * region.periods_per_day,
+        "monthly bills": value * config.tariff * DAYS_PER_MONTH * config.periods_per_day,
         "correlation sums": total * total * config.total_periods,
     }
     for what, bound in sums.items():
@@ -178,9 +221,9 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
 class WindowData:
     """Whole-window simulation arrays (one entry per period).
 
-    Usage is ``u[t, c] * span + region.usage_min`` (`_scale`), where ``u``
-    is the ``(periods, n)`` block of uniforms that the generator in
-    ``state`` draws next (``draws``) and ``span`` is the config's `usage_span`.
+    Usage is ``u[t, c] * config.usage_span + config.usage_min`` (`_scale`),
+    where ``u`` is the ``(periods, n)`` block of uniforms that the generator
+    in ``state`` draws next (``draws``).
     ``dishonest`` maps each misreporting consumer's id to its reports, and
     ``sampled_pos`` holds the sampled consumer's id (ids are positions).
     `usage_months` and `report_months` draw the usage again from ``state``,
@@ -188,9 +231,8 @@ class WindowData:
     computed on first access.  A Monte-Carlo trial reads no totals.
     """
 
-    region: RegionConfig
+    config: ScenarioConfig
     state: dict
-    span: float
     dishonest: dict[int, np.ndarray]
     leakage: np.ndarray
     sampled_pos: np.ndarray
@@ -200,7 +242,7 @@ class WindowData:
     def sampled_reports(self) -> np.ndarray:
         """Each period's sampled report: the sampled entry of ``draws``, scaled,
         or the misreporting consumer's report."""
-        reports = _scale(self.draws.read(self.sampled_pos), self.region.usage_min, self.span)
+        reports = _scale(self.draws.read(self.sampled_pos), self.config.usage_min, self.config.usage_span)
         for pos, reported in self.dishonest.items():
             hit = self.sampled_pos == pos
             reports[hit] = reported[hit]
@@ -212,15 +254,15 @@ class WindowData:
         The draws come from a copy of the saved generator state."""
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = self.state
-        region = self.region
-        month_len = DAYS_PER_MONTH * region.periods_per_day
+        c = self.config
+        month_len = DAYS_PER_MONTH * c.periods_per_day
         for _ in range(len(self.leakage) // month_len):
-            yield _scale(rng.random((month_len, region.consumers)), region.usage_min, self.span)
+            yield _scale(rng.random((month_len, c.consumers)), c.usage_min, c.usage_span)
 
     def report_months(self) -> Iterator[np.ndarray]:
         """Each month's ``(periods, n)`` reports block, in period order: its
         fresh usage block with the misreporting columns written over in place."""
-        month_len = DAYS_PER_MONTH * self.region.periods_per_day
+        month_len = DAYS_PER_MONTH * self.config.periods_per_day
         for start, reports in zip(range(0, len(self.leakage), month_len), self.usage_months()):
             for pos, reported in self.dishonest.items():
                 reports[:, pos] = reported[start : start + month_len]
@@ -271,8 +313,7 @@ def simulate_window(
     consumer count share it (`UniformBlock`); by default this window
     computes its own.
     """
-    region = config.region
-    n, periods, low = region.consumers, config.total_periods, region.usage_min
+    n, periods, low = config.consumers, config.total_periods, config.usage_min
 
     # Scaled, the uniforms are bit for bit what rng.uniform(low, high,
     # size=(periods, n)) draws, where high - low is the one span of every
@@ -287,7 +328,7 @@ def simulate_window(
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
-    for cid, behavior in region.attackers:
+    for cid, behavior in config.attackers:
         if is_benign(behavior):
             continue
         actual = _scale(draws.column(cid)[:periods].copy(), low, span)
@@ -296,9 +337,8 @@ def simulate_window(
         leakage = leakage + (actual - reported)
 
     return WindowData(
-        region=region,
+        config=config,
         state=state,
-        span=span,
         dishonest=dishonest,
         leakage=leakage,
         sampled_pos=rng.integers(0, n, size=periods),
@@ -327,7 +367,7 @@ class TrialOutcome:
     def report(self) -> DetectionReport:
         c = self.config
         corr = _low_report_corr(c, self.counts, self.samples) if self.corr is None else self.corr
-        return detect_region(self.counts, corr, th=c.th, min_samples=c.min_samples)
+        return detect_region(self.counts, corr, th=c.threshold, min_samples=c.min_samples)
 
     @property
     def exact_match(self) -> bool:
@@ -367,14 +407,14 @@ def run_trial(
     ``low_report_quantile`` set, the threshold verdicts use each consumer's low-report
     pairs instead; most-negative selection always uses the unfiltered correlations and
     leaves the low-report ones to `TrialOutcome.report`.  Threshold mode flags every
-    consumer with evidence (`has_evidence`) and ``|corr| >= th``, as `detect_region`
+    consumer with evidence (`has_evidence`) and ``|corr| >= threshold``, as `detect_region`
     labels them; a most-negative trial without evidence selects None, a miss.
     ``draws`` is ``trial_seed``'s usage block when trials share it (`simulate_window`).
     """
     rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
     window = simulate_window(config, rng, draws)
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
-    counts, corr = correlate(*samples, config.region.consumers)
+    counts, corr = correlate(*samples, config.consumers)
     filtered = config.low_report_quantile is not None
     if config.mode == MOST_NEGATIVE_MODE:
         selected = most_negative(counts, corr, config.min_samples)
@@ -382,7 +422,7 @@ def run_trial(
         corr = None if filtered else corr
     else:
         corr = _low_report_corr(config, counts, samples) if filtered else corr
-        flagged = has_evidence(counts, corr, config.min_samples) & (np.abs(corr) >= config.th)
+        flagged = has_evidence(counts, corr, config.min_samples) & (np.abs(corr) >= config.threshold)
         detected = frozenset(np.flatnonzero(flagged).tolist())
     return TrialOutcome(
         true_malicious=frozenset(window.dishonest),
@@ -428,7 +468,7 @@ def _success(config: ScenarioConfig, seed: np.random.SeedSequence, draws: Unifor
     is flagged, so only its sampled periods are correlated, with `correlate`'s
     arithmetic (its low-report pairs with `pearson` when the filter is set), and
     no sampled entry is read.  Any other trial runs in full."""
-    attackers = config.region.malicious_ids
+    attackers = config.malicious_ids
     if config.mode != THRESHOLD_MODE or len(attackers) != 1:
         return trial_success(run_trial(config, seed, draws))
     (attacker,) = attackers
@@ -439,7 +479,7 @@ def _success(config: ScenarioConfig, seed: np.random.SeedSequence, draws: Unifor
     if config.low_report_quantile is not None:
         q = config.low_report_quantile
         corr = low_report_correlations([(reports, leakage)], counts, q, config.min_samples)
-    return bool(has_evidence(counts, corr, config.min_samples)[0] and abs(corr[0]) >= config.th)
+    return bool(has_evidence(counts, corr, config.min_samples)[0] and abs(corr[0]) >= config.threshold)
 
 
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
@@ -449,7 +489,7 @@ def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
     run in full (most-negative, or not one misreporting consumer) read sampled entries."""
     seed = derive_trial_seed(cells[0].master_seed, index)
     periods = max(c.total_periods for c in cells)
-    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
+    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].consumers)
     return [_success(c, seed, draws) for c in cells]
 
 
@@ -469,7 +509,7 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     count per config; they run longest first.  More workers than usable CPUs
     would only queue, so ``threads`` is capped at the CPUs this process may
     run on (its affinity where the platform has one, else the CPU count)."""
-    if len({(c.master_seed, c.region.consumers, c.repetitions) for c in configs}) > 1:
+    if len({(c.master_seed, c.consumers, c.repetitions) for c in configs}) > 1:
         raise ValueError("estimated configs must share the master seed, consumer count and repetitions")
     if not configs:
         return []
@@ -507,7 +547,7 @@ def run_billing(
 
     Returns the window and the `issue_bills` columns."""
     window = simulate_window(config, np.random.default_rng(trial_seed))
-    month_len = DAYS_PER_MONTH * config.region.periods_per_day
+    month_len = DAYS_PER_MONTH * config.periods_per_day
     costs = np.array([accrue(reports, config.tariff) for reports in window.report_months()])
     return window, issue_bills(costs, month_len)
 
@@ -540,9 +580,9 @@ def duration_sweep(
 # midpoint of the region's usage range, so the fixed offset clips the
 # report to zero on roughly half the periods and the random offset's
 # variance is large enough to dominate the benign correlation spread.
-def case_behavior(case: str, region: RegionConfig) -> BehaviorModel:
+def case_behavior(case: str, config: ScenarioConfig) -> BehaviorModel:
     """Standard attacker behavior for the three benchmark cases."""
-    midpoint = 0.5 * (region.usage_min + region.usage_max)
+    midpoint = 0.5 * (config.usage_min + config.usage_max)
     if case == "I":
         return Multiplicative(alpha=0.1)
     if case == "II":
@@ -558,9 +598,8 @@ def case_config(base: ScenarioConfig, case: str, attacker_id: int) -> ScenarioCo
     Case III uses the most-negative selection rule; Cases I and II use the
     correlation threshold.
     """
-    region = replace(base.region, attackers={attacker_id: case_behavior(case, base.region)})
     mode = MOST_NEGATIVE_MODE if case == "III" else THRESHOLD_MODE
-    return replace(base, region=region, mode=mode)
+    return replace(base, attackers={attacker_id: case_behavior(case, base)}, mode=mode)
 
 
 def probability_table(

@@ -1,6 +1,6 @@
-"""Grid entities: reporting behaviors and regions.
+"""Reporting behaviors, and the checks that read a config value as an int or a float.
 
-Every consumer's usage is i.i.d. uniform on the region's
+Every consumer's usage is i.i.d. uniform on the config's
 ``[usage_min, usage_max]`` per period (no temporal correlation, the
 hardest setting for the detector); `harness.simulate_window` computes
 the entries a trial reads from the generator's state, bit for bit what a
@@ -20,9 +20,6 @@ from typing import Literal, Union
 import numpy as np
 
 from .errors import ConfigurationError
-
-DEFAULT_USAGE_MIN = 0.5
-DEFAULT_USAGE_MAX = 1.5
 
 Direction = Literal["subtract", "add"]
 
@@ -116,61 +113,6 @@ def is_benign(behavior: BehaviorModel) -> bool:
     if isinstance(behavior, Benign):
         return True
     return isinstance(behavior, Multiplicative) and behavior.alpha == 1.0
-
-
-@dataclass(frozen=True)
-class RegionConfig:
-    """One aggregator's region: consumers with ids ``0..consumers-1``, all
-    drawing usage on one range, and the misreporting ones.
-
-    ``attackers`` is given as a mapping or as ``(id, behavior)`` pairs and
-    kept as pairs sorted by id, without `Benign` entries.
-    """
-
-    region_id: int
-    consumers: int
-    usage_min: float = DEFAULT_USAGE_MIN
-    usage_max: float = DEFAULT_USAGE_MAX
-    attackers: tuple[tuple[int, BehaviorModel], ...] = ()
-    periods_per_day: int = 96
-
-    def __post_init__(self):
-        for name in ("region_id", "consumers", "periods_per_day"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        for name in ("usage_min", "usage_max"):
-            object.__setattr__(self, name, as_real(name, getattr(self, name)))
-        pairs = self.attackers.items() if isinstance(self.attackers, dict) else self.attackers
-        pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
-        n, ids = self.consumers, [cid for cid, _ in pairs]
-        if n < 2:
-            raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("attacker ids must be unique within a region")
-        for cid in ids:
-            if not 0 <= cid < n:
-                raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
-        if not (math.isfinite(self.usage_min) and math.isfinite(self.usage_max)):
-            raise ConfigurationError(
-                f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
-            )
-        if self.usage_min < 0:
-            raise ConfigurationError(
-                f"usage_min must be >= 0, got {self.usage_min}"
-            )
-        if not self.usage_min < self.usage_max:
-            raise ConfigurationError(
-                f"usage_min ({self.usage_min}) must be < usage_max ({self.usage_max})"
-            )
-        if self.periods_per_day <= 0:
-            raise ConfigurationError(
-                f"periods_per_day must be > 0, got {self.periods_per_day}"
-            )
-        attackers = (pair for pair in pairs if not isinstance(pair[1], Benign))
-        object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
-
-    @property
-    def malicious_ids(self) -> set[int]:
-        return {cid for cid, behavior in self.attackers if not is_benign(behavior)}
 
 
 def apply_behavior(

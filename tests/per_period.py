@@ -45,10 +45,9 @@ def full_matrix_window(config, rng) -> FullWindow:
     scaled as one matrix in place, by per-consumer bounds, and reports kept
     as a second matrix.  Elasticity scales the bounds of every period when
     the flat tariff is above the level."""
-    region = config.region
-    n, periods = region.consumers, config.total_periods
-    lows = np.full(n, region.usage_min)
-    highs = np.full(n, region.usage_max)
+    n, periods = config.consumers, config.total_periods
+    lows = np.full(n, config.usage_min)
+    highs = np.full(n, config.usage_max)
     usage = rng.random((periods, n))
     if config.elasticity_factor is None:
         usage *= highs - lows
@@ -58,7 +57,7 @@ def full_matrix_window(config, rng) -> FullWindow:
     usage += lows
     reports = usage.copy()
     leakage = np.zeros(periods)
-    behaviors = dict(region.attackers)
+    behaviors = dict(config.attackers)
     for pos in range(n):  # every consumer, in position order
         behavior = behaviors.get(pos, Benign())
         if not is_benign(behavior):

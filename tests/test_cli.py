@@ -43,12 +43,12 @@ class TestLoadConfig:
         path = tmp_path / "c.cfg"
         path.write_text(MINIMAL)
         cfg = load_config(path)
-        assert cfg.region.consumers == 100
-        assert cfg.region.periods_per_day == 96
-        assert cfg.th == 0.5
-        assert cfg.region.usage_min == 0.5
-        assert cfg.region.usage_max == 1.5
-        assert cfg.region.attackers == ((25, Multiplicative(0.1)),)
+        assert cfg.consumers == 100
+        assert cfg.periods_per_day == 96
+        assert cfg.threshold == 0.5
+        assert cfg.usage_min == 0.5
+        assert cfg.usage_max == 1.5
+        assert cfg.attackers == ((25, Multiplicative(0.1)),)
 
     def test_attacker_out_of_range_names_id(self):
         with pytest.raises(ConfigurationError, match="200"):
@@ -151,6 +151,13 @@ class TestCli:
         path.write_text("[attackers]\n200 = multiplicative 0.1\n")
         assert main(["simulate", "--config", str(path)]) == 1
         assert "200" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[region]\nconsumers = \xff\n")
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, f"cannot read config {path}")
+        assert not (tmp_path / "detection.csv").exists()
 
     @pytest.mark.parametrize("region", ["", "[region]\nperiods_per_day = 4\n"])
     def test_default_section_is_one_error_line(self, tmp_path, capsys, region):

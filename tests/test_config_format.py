@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gridwatch.config import dumps_config, loads_config
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
-from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset, RegionConfig
+from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
 
@@ -105,13 +105,13 @@ def test_written_text_is_exact(text, expected):
     "text, message",
     [
         ("[region]\nconsumers = x\n", "[region] consumers = 'x' is not an integer"),
-        ("[region]\nconsumers = 1\n", "[region] consumers = 1 must be >= 2"),
+        ("[region]\nconsumers = 1\n", "a region needs at least 2 consumers, got 1"),
         ("[region]\nconsumers = 1.5\n", "[region] consumers = '1.5' is not an integer"),
         ("[region]\nusage_min = abc\n", "[region] usage_min = 'abc' is not a number"),
-        ("[detection]\nmin_samples = 1\n", "[detection] min_samples = 1 must be >= 2"),
-        ("[experiment]\nmonths = 0\n", "[experiment] months = 0 must be >= 1"),
-        ("[experiment]\nmaster_seed = -1\n", "[experiment] master_seed = -1 must be >= 0"),
-        ("[experiment]\nrepetitions = 0\n", "[experiment] repetitions = 0 must be >= 1"),
+        ("[detection]\nmin_samples = 1\n", "min_samples must be >= 2, got 1"),
+        ("[experiment]\nmonths = 0\n", "months must be >= 1, got 0"),
+        ("[experiment]\nmaster_seed = -1\n", "master_seed must be >= 0, got -1"),
+        ("[experiment]\nrepetitions = 0\n", "repetitions must be >= 1, got 0"),
         ("[billing]\ntariff = none\n", "[billing] tariff = 'none' is not a number"),
         ("[detection]\nlow_report_quantile = foo\n",
          "[detection] low_report_quantile = 'foo' is not a number"),
@@ -154,7 +154,8 @@ def api_configs(draw):
     a float field may be given an int."""
     n = draw(st.integers(2, 2000))
     usage_min = draw(st.floats(0.0, 1e6) | int_valued(0, 10**6))
-    region = RegionConfig(
+    elastic = draw(st.booleans())
+    return ScenarioConfig(
         region_id=draw(st.integers(-(2**70), 2**70)),
         consumers=n,
         usage_min=usage_min,
@@ -162,12 +163,8 @@ def api_configs(draw):
                        | int_valued(math.floor(usage_min) + 1, 10**9)),
         attackers=draw(st.dictionaries(st.integers(0, n - 1), BEHAVIORS, max_size=6)),
         periods_per_day=draw(st.integers(1, 200)),
-    )
-    elastic = draw(st.booleans())
-    return ScenarioConfig(
-        region=region,
         months=draw(st.integers(1, 12)),
-        th=draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1)),
+        threshold=draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1)),
         min_samples=draw(st.integers(2, 10**6)),
         mode=draw(st.sampled_from([THRESHOLD_MODE, MOST_NEGATIVE_MODE])),
         low_report_quantile=draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
@@ -189,21 +186,21 @@ def test_every_config_round_trips(config):
     assert dumps_config(loads_config(text)) == text
 
 
-def region(**fields):
-    return RegionConfig(**{"region_id": 0, "consumers": 10, **fields})
+def scenario(**fields):
+    return ScenarioConfig(**{"consumers": 10, **fields})
 
 
 @pytest.mark.parametrize("build", [
-    lambda: region(region_id=0.0),
-    lambda: region(consumers=10.0),
-    lambda: region(periods_per_day=4.0),
-    lambda: region(attackers={3.0: Multiplicative(0.1)}),
-    lambda: region(attackers=[("3", Multiplicative(0.1))]),
-    lambda: ScenarioConfig(region(), months=1.5),
-    lambda: ScenarioConfig(region(), months=2.0),
-    lambda: ScenarioConfig(region(), min_samples=5.0),
-    lambda: ScenarioConfig(region(), master_seed=1.0),
-    lambda: ScenarioConfig(region(), repetitions=10.0),
+    lambda: scenario(region_id=0.0),
+    lambda: scenario(consumers=10.0),
+    lambda: scenario(periods_per_day=4.0),
+    lambda: scenario(attackers={3.0: Multiplicative(0.1)}),
+    lambda: scenario(attackers=[("3", Multiplicative(0.1))]),
+    lambda: scenario(months=1.5),
+    lambda: scenario(months=2.0),
+    lambda: scenario(min_samples=5.0),
+    lambda: scenario(master_seed=1.0),
+    lambda: scenario(repetitions=10.0),
 ], ids=["region_id", "consumers", "periods_per_day", "attacker_id", "attacker_id_text",
         "months", "months_integral", "min_samples", "master_seed", "repetitions"])
 def test_an_integer_field_takes_only_integers(build):
@@ -214,17 +211,17 @@ def test_an_integer_field_takes_only_integers(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: region(usage_min="0.5"),
-    lambda: region(usage_max="1.5"),
-    lambda: ScenarioConfig(region(), th="0.5"),
-    lambda: ScenarioConfig(region(), tariff=None),
-    lambda: ScenarioConfig(region(), low_report_quantile="0.25"),
-    lambda: ScenarioConfig(region(), elasticity_factor="0.8", elasticity_level=0.5),
-    lambda: ScenarioConfig(region(), elasticity_factor=0.8, elasticity_level=[0.5]),
+    lambda: scenario(usage_min="0.5"),
+    lambda: scenario(usage_max="1.5"),
+    lambda: scenario(threshold="0.5"),
+    lambda: scenario(tariff=None),
+    lambda: scenario(low_report_quantile="0.25"),
+    lambda: scenario(elasticity_factor="0.8", elasticity_level=0.5),
+    lambda: scenario(elasticity_factor=0.8, elasticity_level=[0.5]),
     lambda: Multiplicative("2"),
     lambda: FixedOffset(eta=None),
     lambda: RandomOffset(theta_max=b"0.7"),
-    lambda: ScenarioConfig(region(), tariff=10**400),
+    lambda: scenario(tariff=10**400),
 ], ids=["usage_min", "usage_max", "th", "tariff", "low_report_quantile", "elasticity_factor",
         "elasticity_level", "alpha", "eta", "theta_max", "tariff_past_float"])
 def test_a_float_field_takes_only_numbers(build):
@@ -233,20 +230,28 @@ def test_a_float_field_takes_only_numbers(build):
         build()
 
 
+@pytest.mark.parametrize("behavior", ["multiplicative 0.1", None, 0.1, Multiplicative],
+                         ids=["text", "none", "float", "class"])
+def test_an_attacker_must_be_a_behavior_model(behavior):
+    # refused when the config is built, naming the id, not as a TypeError in the first trial
+    with pytest.raises(ConfigurationError, match=r"^\[attackers\] id 3 is not a behavior model"):
+        scenario(attackers={3: behavior})
+
+
 def test_real_numbers_are_floats():
-    config = ScenarioConfig(
-        region(usage_max=np.float32(1.5), attackers={3: Multiplicative(np.int64(2))}),
-        th=np.float64(0.5), tariff=2, elasticity_factor=1, elasticity_level=np.int8(0),
+    config = scenario(
+        usage_max=np.float32(1.5), attackers={3: Multiplicative(np.int64(2))},
+        threshold=np.float64(0.5), tariff=2, elasticity_factor=1, elasticity_level=np.int8(0),
     )
     assert loads_config(dumps_config(config)) == config
-    assert type(config.tariff) is float and type(config.region.usage_max) is float
-    assert type(config.region.attackers[0][1].alpha) is float
+    assert type(config.tariff) is float and type(config.usage_max) is float
+    assert type(config.attackers[0][1].alpha) is float
 
 
 def test_numpy_integers_are_integers():
-    config = ScenarioConfig(
-        region(consumers=np.int64(10), attackers={np.int32(3): Multiplicative(0.1)}),
+    config = scenario(
+        consumers=np.int64(10), attackers={np.int32(3): Multiplicative(0.1)},
         months=np.int64(2), master_seed=np.uint64(7), repetitions=np.int16(5),
     )
     assert loads_config(dumps_config(config)) == config
-    assert type(config.months) is int and config.region.attackers[0][0] == 3
+    assert type(config.months) is int and config.attackers[0][0] == 3

@@ -104,10 +104,9 @@ class TestSimulateWindow:
     def assert_usage_draw_is_uniform(high, tariff, elasticity, scale):
         # the region's one range against numpy's draw with per-consumer bound arrays
         base = tiny_config(periods_per_day=24)
-        region = dataclasses.replace(base.region, usage_min=0.3, usage_max=high)
         factor, level = elasticity or (None, None)
         cfg = dataclasses.replace(
-            base, region=region, tariff=tariff, elasticity_factor=factor, elasticity_level=level
+            base, usage_min=0.3, usage_max=high, tariff=tariff, elasticity_factor=factor, elasticity_level=level
         )
         lows, highs = np.full(5, 0.3), np.full(5, high * scale)
         if elasticity:
@@ -369,7 +368,7 @@ class TestEstimates:
         assert lengths == sorted(lengths, reverse=True)
 
     @pytest.mark.parametrize("change", [
-        {"master_seed": 1}, {"repetitions": 4}, {"region": tiny_config(consumers=6).region},
+        {"master_seed": 1}, {"repetitions": 4}, {"consumers": 6},
     ])
     def test_configs_of_mixed_groups_are_refused(self, monkeypatch, change):
         # one estimate is one group: its cells share a master seed, a
@@ -433,14 +432,14 @@ class TestScenarioBuilders:
         c1 = case_config(base, "I", 25)
         c2 = case_config(base, "II", 25)
         c3 = case_config(base, "III", 25)
-        assert c1.region.attackers == ((25, Multiplicative(0.1)),)
+        assert c1.attackers == ((25, Multiplicative(0.1)),)
         # offsets default to the midpoint of the [0.5, 1.5] usage range
-        assert c2.region.attackers == ((25, FixedOffset(1.0, "subtract")),)
-        assert c3.region.attackers == ((25, RandomOffset(1.0, "subtract")),)
+        assert c2.attackers == ((25, FixedOffset(1.0, "subtract")),)
+        assert c3.attackers == ((25, RandomOffset(1.0, "subtract")),)
         assert c3.mode == MOST_NEGATIVE_MODE
-        assert c1.region.malicious_ids == {25}
+        assert c1.malicious_ids == {25}
         # the case attacker replaces the base's attackers
-        assert case_config(make_config("3 = multiplicative 2.0"), "I", 25).region == c1.region
+        assert case_config(make_config("3 = multiplicative 2.0"), "I", 25) == c1
 
     def test_table1_job_pickles_small(self, monkeypatch):
         # a pool job carries every cell of its group: all 12 of table1's
@@ -460,7 +459,7 @@ class TestScenarioBuilders:
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, mode="psychic")
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(cfg, th=0.0)
+            dataclasses.replace(cfg, threshold=0.0)
         with pytest.raises(ConfigurationError):
             dataclasses.replace(cfg, repetitions=0)
         with pytest.raises(ConfigurationError, match="min_samples"):
@@ -492,14 +491,12 @@ class TestScenarioBuilders:
     def test_window_size_limits(self):
         # a window built through the API is checked like a loaded one, before any draw
         cfg = make_config()
-        long_region = dataclasses.replace(cfg.region, periods_per_day=4096)
         with pytest.raises(ConfigurationError, match="4300800 periods, above the limit"):
-            dataclasses.replace(cfg, region=long_region, months=35)
-        longest = dataclasses.replace(cfg, region=long_region, months=34)  # 4,177,920 periods
+            dataclasses.replace(cfg, periods_per_day=4096, months=35)
+        longest = dataclasses.replace(cfg, periods_per_day=4096, months=34)  # 4,177,920 periods
         assert harness.MAX_PERIODS - 30 * 4096 < longest.total_periods <= harness.MAX_PERIODS
-        wide = dataclasses.replace(cfg.region, periods_per_day=4370, consumers=1024)
         with pytest.raises(ConfigurationError, match="values a month, above the limit"):
-            dataclasses.replace(cfg, region=wide)
+            dataclasses.replace(cfg, periods_per_day=4370, consumers=1024)
 
     def test_largest_finite_sums_are_accepted(self):
         # (5 x 1e150)^2 x 120 periods is finite

@@ -15,7 +15,6 @@ from gridwatch.model import (
     FixedOffset,
     Multiplicative,
     RandomOffset,
-    RegionConfig,
     apply_behavior,
     is_benign,
 )
@@ -26,7 +25,7 @@ def usage_of(config, seed):
 
 
 class TestDrawUsage:
-    """The window's usage draw: uniform on the region's [usage_min, usage_max]."""
+    """The window's usage draw: uniform on the config's [usage_min, usage_max]."""
 
     def test_support_bounds(self):
         usage = usage_of(tiny_config(attackers="", periods_per_day=48), 12345)
@@ -127,11 +126,11 @@ class TestApplyBehavior:
 class TestValidation:
     def test_usage_range_must_be_increasing(self):
         with pytest.raises(ConfigurationError, match="must be <"):
-            RegionConfig(0, 2, usage_min=1.0, usage_max=1.0)
+            ScenarioConfig(consumers=2, usage_min=1.0, usage_max=1.0)
 
     def test_negative_usage_min(self):
         with pytest.raises(ConfigurationError, match="usage_min must be >= 0"):
-            RegionConfig(0, 2, usage_min=-0.1, usage_max=1.0)
+            ScenarioConfig(consumers=2, usage_min=-0.1, usage_max=1.0)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -153,28 +152,28 @@ class TestValidation:
 
     def test_region_needs_two_consumers(self):
         with pytest.raises(ConfigurationError):
-            RegionConfig(0, consumers=1)
+            ScenarioConfig(consumers=1)
 
     def test_region_rejects_duplicate_ids(self):
         # one id given twice is an error, not the last behavior silently kept
         with pytest.raises(ConfigurationError, match="unique"):
-            RegionConfig(0, 3, attackers=((1, Multiplicative(0.1)), (1, Multiplicative(10.0))))
+            ScenarioConfig(consumers=3, attackers=((1, Multiplicative(0.1)), (1, Multiplicative(10.0))))
         with pytest.raises(ConfigurationError, match="unique"):
             loads_config("[region]\nconsumers = 3\n[attackers]\n1 = multiplicative 0.1\n01 = benign\n")
 
     @pytest.mark.parametrize("cid", [-1, 2])
     def test_attacker_ids_are_positions(self, cid):
         with pytest.raises(ConfigurationError, match=f"id {cid} is outside the region's 0..1 consumers"):
-            RegionConfig(0, 2, attackers={cid: Multiplicative(0.1)})
+            ScenarioConfig(consumers=2, attackers={cid: Multiplicative(0.1)})
 
     def test_attackers_sorted_by_id_without_benign(self):
-        region = RegionConfig(0, 5, attackers={4: FixedOffset(0.3), 0: Benign(), 2: Multiplicative(1.0)})
-        assert region.attackers == ((2, Multiplicative(1.0)), (4, FixedOffset(0.3)))
-        assert region == RegionConfig(0, 5, attackers=[(2, Multiplicative(1.0)), (4, FixedOffset(0.3))])
-        assert hash(region) == hash(RegionConfig(0, 5, attackers=dict(region.attackers)))
-        assert region.malicious_ids == {4}  # alpha = 1 reports truthfully
+        config = ScenarioConfig(consumers=5, attackers={4: FixedOffset(0.3), 0: Benign(), 2: Multiplicative(1.0)})
+        assert config.attackers == ((2, Multiplicative(1.0)), (4, FixedOffset(0.3)))
+        assert config == ScenarioConfig(consumers=5, attackers=[(2, Multiplicative(1.0)), (4, FixedOffset(0.3))])
+        assert hash(config) == hash(ScenarioConfig(consumers=5, attackers=dict(config.attackers)))
+        assert config.malicious_ids == {4}  # alpha = 1 reports truthfully
 
     def test_total_periods(self):
-        config = ScenarioConfig(RegionConfig(0, consumers=2, periods_per_day=96))
+        config = ScenarioConfig(consumers=2, periods_per_day=96)
         assert config.total_periods == 2880
         assert dataclasses.replace(config, months=12).total_periods == 12 * 2880

@@ -117,7 +117,7 @@ def test_month_blocks_match_full_matrix_bit_for_bit(scenario):
     reports = list(window.report_months())
     usage = list(window.usage_months())
     assert rng.bit_generator.state == after  # the blocks come from a copy of the state
-    month_len = DAYS_PER_MONTH * config.region.periods_per_day
+    month_len = DAYS_PER_MONTH * config.periods_per_day
     assert [(len(u), len(r)) for u, r in zip(usage, reports)] == [(month_len, month_len)] * config.months
     ref = full_matrix_window(config, np.random.default_rng(seed))
     assert np.concatenate(reports).tobytes() == ref.reports.tobytes()
@@ -162,13 +162,13 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
     # reads its own sampled entries
     cells, seed = group
     periods = max(c.total_periods for c in cells)
-    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].region.consumers)
+    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].consumers)
     for cell in cells:
         shared_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         shared, fresh = simulate_window(cell, shared_rng, draws), simulate_window(cell, fresh_rng)
         for name in ("leakage", "sampled_pos", "sampled_reports"):
             assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
-        assert list(shared.dishonest) == list(fresh.dishonest) == sorted(cell.region.malicious_ids)
+        assert list(shared.dishonest) == list(fresh.dishonest) == sorted(cell.malicious_ids)
         for pos, reported in fresh.dishonest.items():
             assert shared.dishonest[pos].tobytes() == reported.tobytes()
         assert shared_rng.bit_generator.state == fresh_rng.bit_generator.state
@@ -212,8 +212,8 @@ EXACT = "[region]\nconsumers = 2\nperiods_per_day = 2\n[attackers]\n0 = multipli
 def test_monte_carlo_verdict_is_the_full_trial_verdict(cell):
     # on a block sized for a longer cell, as an estimate shares it
     config, seed = cell
-    periods = 2 * DAYS_PER_MONTH * config.region.periods_per_day
-    draws = UniformBlock(np.random.PCG64(seed).state, periods, config.region.consumers)
+    periods = 2 * DAYS_PER_MONTH * config.periods_per_day
+    draws = UniformBlock(np.random.PCG64(seed).state, periods, config.consumers)
     assert _success(config, seed, draws) == trial_success(run_trial(config, seed, draws))
     assert _success(config, seed, draws) == trial_success(run_trial(config, seed))
 
@@ -264,11 +264,11 @@ def test_window_needs_a_pcg64_generator():
 def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_samples):
     config, seed = scenario
     config = dataclasses.replace(
-        config, low_report_quantile=quantile, th=th, min_samples=min_samples
+        config, low_report_quantile=quantile, threshold=th, min_samples=min_samples
     )
     outcome = run_trial(config, seed)
     assert outcome.detected == outcome.report.malicious_ids
-    assert outcome.true_malicious == config.region.malicious_ids
+    assert outcome.true_malicious == config.malicious_ids
 
 
 @given(scenarios())
@@ -289,7 +289,7 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
 @settings(max_examples=60, deadline=None)
 def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
     config, seed = scenario
-    month_len = DAYS_PER_MONTH * config.region.periods_per_day
+    month_len = DAYS_PER_MONTH * config.periods_per_day
     window, bills = run_billing(config, seed)
     ledger = ledger_bills(matrices(window).reports, config.tariff, month_len)
     assert [column.tolist() for column in bills] == ledger
@@ -299,7 +299,7 @@ def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
 @settings(max_examples=60, deadline=None)
 def test_series_match_per_period_fold(scenario):
     config, window = scenario
-    n = config.region.consumers
+    n = config.consumers
     folded = accumulate_samples(
         zip(range(len(window.leakage)), window.sampled_pos, window.sampled_reports,
             window.leakage),

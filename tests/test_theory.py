@@ -4,6 +4,8 @@ Criterion 7's region (x0.1 under-reporters at 25 and 75, a x10
 over-reporter at 50) fails by design: each under-reporter's population
 correlation is far below the threshold.  These tests pin that number,
 so the failure is shown to be the statistic's and not the code's.
+Benign consumers' correlations are checked against their exact
+permutation moments in every attack case.
 """
 
 import dataclasses
@@ -13,11 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from gridwatch.harness import derive_trial_seed, run_trial
-from theory import multiplicative_correlations
+from gridwatch.harness import case_config, derive_trial_seed, run_trial
+from theory import benign_moments, multiplicative_correlations
 
 ATTACKERS = {25: 0.1, 50: 10.0, 75: 0.1}
 SEEDS = [derive_trial_seed(42, i) for i in range(20)]  # fixed before the first run
+BENIGN_SEEDS = [derive_trial_seed(2024, i) for i in range(20)]  # fixed before the first run
 
 
 def test_closed_form_of_criterion_7():
@@ -35,4 +38,21 @@ def test_criterion_7_attackers_match_their_population_correlations():
     for cid, mean, stderr, rho in zip(ATTACKERS, means, stderrs, expected):
         assert abs(mean - rho) <= 4 * stderr, (cid, mean, stderr, rho)
     under = [i for i, a in enumerate(ATTACKERS.values()) if a < 1]
-    assert (means[under] < config.th).all()
+    assert (means[under] < config.threshold).all()
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III"])
+def test_benign_correlations_have_their_permutation_moments(case):
+    # z = r * sqrt(m - 1), pooled over the 99 benign consumers of every seed,
+    # has mean 0 and mean square 1
+    config = dataclasses.replace(case_config(make_config(attackers=""), case, 25), months=12)
+    benign = np.arange(100) != 25
+    z = []
+    for seed in BENIGN_SEEDS:
+        outcome = run_trial(config, seed)
+        mean, mean_square = benign_moments(outcome.counts[benign])
+        z.append((outcome.corr[benign] - mean) / np.sqrt(mean_square))
+    z = np.concatenate(z)
+    for values, expected in ((z, 0.0), (z**2, 1.0)):
+        stderr = values.std(ddof=1) / math.sqrt(len(values))
+        assert abs(values.mean() - expected) <= 4 * stderr, (case, values.mean(), stderr)
