@@ -16,12 +16,22 @@ The block is drawn period-major, so the block of a shorter window from the
 same state is a prefix of a longer one's.  Monte-Carlo cells (attack cases
 and durations) seed trial ``i`` alike, so one block per trial index serves
 them all: its row starts and each column it is asked for are computed once,
-and every cell reads prefixes.  No stream changes: each cell still moves its
-own generator past its own rows, draws its own offsets and sampled positions
-after them, and reads its own sampled entries, if it reads any.
+and every cell reads prefixes.  No stream changes: each cell's draws are the
+ones its own generator makes after `skip` past its own rows.  Cells whose
+attacks draw nothing and whose windows are as long are in one state there, so
+they share one generator and one draw of sampled positions
+(`harness._attacker_pairs`); every other cell draws its own offsets and
+positions and reads its own sampled entries, if it reads any.
 
 A 128-bit number is a ``(hi, lo)`` pair of ``uint64`` values or arrays; products
-wrap mod 2**64 as numpy integer arithmetic does.
+wrap mod 2**64 as numpy integer arithmetic does.  Each numpy operation is one
+pass over a chunk of ``_BLOCK`` rows, so `_mul_add` takes the 32-bit halves of
+the low words split once (cached for the step table, per block for the row
+starts) and sums the high word in place: Warren's multiply-high (*Hacker's
+Delight*, 2nd ed., §8-2), the cross terms and the addend.  Row starts past the
+first chunk are the chunk before them jumped ``_BLOCK`` rows on.  The first
+block of a process checks two rows against ``Generator.random``, so a numpy
+whose draws differ fails with one `GridwatchError`.
 """
 
 from __future__ import annotations
@@ -29,13 +39,16 @@ from __future__ import annotations
 from functools import lru_cache
 import numpy as np
 
+from .errors import GridwatchError
+
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MOD = 1 << 128
 _LOW = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
+_ZERO, _11, _32, _58, _64 = (np.uint64(k) for k in (0, 11, 32, 58, 64))
 # Rows per pass.  Whole-window temporaries (276 KB each at 34,560 rows) go back to
 # the OS and are faulted in again on every trial; 32 KB ones are reused.
 _BLOCK = 4096
+_checked = False  # whether a block of this process has matched numpy's own draws
 
 
 @lru_cache(maxsize=64)
@@ -55,27 +68,48 @@ def _pairs(values) -> np.ndarray:
     return np.array([[v >> 64 for v in values], [v & 0xFFFFFFFFFFFFFFFF for v in values]], np.uint64)
 
 
-def _mul(a, b):
-    """``a·b mod 2**128``: the low halves' full product, plus the cross terms mod 2**64."""
-    (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a0, a1, b0, b1 = a_lo & _LOW, a_lo >> _32, b_lo & _LOW, b_lo >> _32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> _32) + (p01 & _LOW) + (p10 & _LOW)
-    hi = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32) + a_hi * b_lo + a_lo * b_hi
-    return hi, a_lo * b_lo
+def _words(hi, lo) -> tuple:
+    """``(hi, lo)`` as ``(hi, lo, lo & 0xFFFFFFFF, lo >> 32)``: `_mul_add` multiplies
+    the 32-bit halves of the low words."""
+    return hi, lo, lo & _LOW, lo >> _32
 
 
-def _add(a, b):
-    """``a + b mod 2**128``: the low halves carry when their sum wraps."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
+def _mul_add(a_hi, a_lo, a0, a1, b_hi, b_lo, b0, b1, c_hi=_ZERO, c_lo=_ZERO):
+    """``a·b + c mod 2**128`` as ``(hi, lo)``, from `_words` of ``a`` and ``b``.
+
+    The high word sums the low words' multiply-high (Warren's form: no partial
+    sum can wrap), the cross terms mod 2**64, ``c``'s high word and the carry
+    out of the low word.  Each partial sum is taken in place, which saves a new
+    array per term."""
+    lo = a_lo * b_lo
+    lo += c_lo
+    t = a0 * b0
+    t >>= _32
+    t += a1 * b0
+    w = t & _LOW
+    w += a0 * b1
+    t >>= _32
+    w >>= _32
+    hi = a1 * b1
+    hi += t
+    hi += w
+    hi += a_hi * b_lo
+    hi += a_lo * b_hi
+    hi += c_hi
+    hi += lo < c_lo
+    return hi, lo
 
 
-def _uniforms(s) -> np.ndarray:
-    """``Generator.random``'s double from each state: XSL-RR output, top 53 bits."""
-    x, rot = s[0] ^ s[1], s[0] >> np.uint64(58)
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)) * 2.0**-53
+def _to_unit(hi, lo, out=None) -> np.ndarray:
+    """``Generator.random``'s double from each state ``(hi, lo)``, which it overwrites:
+    XSL-RR output, top 53 bits.  A rotation by 0 shifts left by 64, which numpy
+    defines as 0."""
+    rot = hi >> _58
+    hi ^= lo
+    lo = hi >> rot
+    lo |= hi << (_64 - rot)
+    lo >>= _11
+    return np.multiply(lo, 2.0**-53, out=out)
 
 
 @lru_cache(maxsize=8)
@@ -89,29 +123,47 @@ def _cached_tables(n: int) -> list[np.ndarray]:
     return [_pairs([1]), _pairs([0]), *map(_pairs, zip(*steps))]
 
 
+@lru_cache(maxsize=8)
+def _step_words(n: int) -> np.ndarray:
+    """`_words` of the in-row steps ``A_j``, ``j <= n``, as rows."""
+    return np.array(_words(*_cached_tables(n)[2]))
+
+
 def _tables(periods: int, n: int) -> list[np.ndarray]:
     """The tables for ``periods`` rows: a shorter window reads a prefix of a longer one's."""
     tables = _cached_tables(n)
     # Rows m.. from rows 0..: A_{t+m} = A_t·A_m and G_{t+m} = A_t·G_m + G_t.
     while (m := tables[0].shape[1]) < periods:
         head_a, head_g = (t[:, : min(m, periods - m)] for t in tables[:2])
-        a_m, g_m = _pairs(_jump(m * n)).T
-        tables[0] = np.concatenate([tables[0], _mul(head_a, a_m)], axis=1)
-        tables[1] = np.concatenate([tables[1], _add(_mul(head_a, g_m), head_g)], axis=1)
+        a_m, g_m = (_words(*pair) for pair in _pairs(_jump(m * n)).T)
+        tables[0] = np.concatenate([tables[0], _mul_add(*_words(*head_a), *a_m)], axis=1)
+        tables[1] = np.concatenate([tables[1], _mul_add(*_words(*head_a), *g_m, *head_g)], axis=1)
     return [tables[0][:, :periods], tables[1][:, :periods], tables[2], tables[3]]
 
 
-def _blocks(periods: int):
-    return (slice(r, min(r + _BLOCK, periods)) for r in range(0, periods, _BLOCK))
+def _blocks(periods: int) -> list[slice]:
+    return [slice(r, min(r + _BLOCK, periods)) for r in range(0, periods, _BLOCK)]
 
 
 def _row_starts(s0: int, inc: int, periods: int, n: int) -> np.ndarray:
-    """The states ``s_{t·n}`` that rows ``t < periods`` start from, as ``(hi, lo)`` rows."""
-    row_a, row_g = _tables(periods, n)[:2]
-    s0_pair, inc_pair = _pairs([s0, inc]).T
-    starts = np.empty((2, periods), np.uint64)
-    for rows in _blocks(periods):
-        starts[:, rows] = _add(_mul(row_a[:, rows], s0_pair), _mul(row_g[:, rows], inc_pair))
+    """The states ``s_{t·n}`` that rows ``t < periods`` start from, as `_words` rows.
+
+    The first chunk of rows is ``A_{t·n}·s0 + G_{t·n}·inc`` from the tables; each
+    later chunk is the one before it jumped ``_BLOCK`` rows on,
+    ``s_{(t+B)·n} = A_{B·n}·s_{t·n} + G_{B·n}·inc``: one product a row, not two."""
+    chunks = _blocks(periods)
+    row_a, row_g = _tables(chunks[0].stop, n)[:2]
+    s0_words, inc_words = (_words(*pair) for pair in _pairs([s0, inc]).T)
+    a_jump, g_jump = _jump(_BLOCK * n)
+    jump_words, jump_add = _words(*_pairs([a_jump])[:, 0]), _pairs([g_jump * inc % _MOD])[:, 0]
+    starts = np.empty((4, periods), np.uint64)
+    hi_lo = _mul_add(*_words(*row_a), *s0_words, *_mul_add(*_words(*row_g), *inc_words))
+    for rows in chunks:
+        if rows.start:
+            hi_lo = _mul_add(*starts[:, rows.start - _BLOCK : rows.stop - _BLOCK], *jump_words, *jump_add)
+        starts[0, rows], starts[1, rows] = hi_lo
+        np.bitwise_and(hi_lo[1], _LOW, out=starts[2, rows])
+        np.right_shift(hi_lo[1], _32, out=starts[3, rows])
     return starts
 
 
@@ -132,9 +184,28 @@ class UniformBlock:
         self.state, self.periods, self.n = state, periods, n
         self._s0, self._inc = state["state"]["state"], state["state"]["inc"]
         self._starts = _row_starts(self._s0, self._inc, periods, n)
-        self._step_a, step_g = _cached_tables(n)[2:]
-        self._step_inc = np.array(_mul(step_g, _pairs([self._inc])[:, 0]))  # G_j·inc
+        # Step j's words of A_j, then G_j·inc: one take gathers a read's factors.
+        step_inc = _mul_add(*_words(*_cached_tables(n)[3]), *_words(*_pairs([self._inc])[:, 0]))
+        self._steps = np.concatenate([_step_words(n), step_inc])
         self._columns: dict[int, np.ndarray] = {}
+        if not _checked:
+            self._check_numpy()
+
+    def _check_numpy(self) -> None:
+        """Compare the block's first two rows with ``Generator.random`` from ``state``."""
+        global _checked
+        rows = min(2, self.periods)
+        bits = np.random.PCG64()
+        bits.state = self.state
+        expected = np.random.Generator(bits).random((rows, self.n))
+        steps = np.tile(self._steps[:, 1 : self.n + 1], rows)
+        got = _to_unit(*_mul_add(*steps[:4], *np.repeat(self._starts[:, :rows], self.n, axis=1), *steps[4:]))
+        if got.tobytes() != expected.tobytes():
+            raise GridwatchError(
+                f"numpy {np.__version__}: Generator.random from a PCG64 state differs from the "
+                "jump-ahead reads of that state, so seeded results would not be its draws"
+            )
+        _checked = True
 
     def column(self, col: int) -> np.ndarray:
         """``block[:, col]``, every row, read-only: copy it before scaling."""
@@ -143,15 +214,17 @@ class UniformBlock:
             self._columns[col].flags.writeable = False
         return self._columns[col]
 
-    def read(self, cols: int | np.ndarray) -> np.ndarray:
-        """``block[t, cols]`` for every row, or ``block[t, cols[t]]`` for rows ``t < len(cols)``."""
+    def read(self, cols: int | np.ndarray, low: float = 0.0, span: float = 1.0) -> np.ndarray:
+        """``low + span·block[t, cols]`` for every row, or ``low + span·block[t, cols[t]]``
+        for rows ``t < len(cols)``, scaled as `harness._scale` scales usage."""
         after = np.asarray(cols) + 1  # draw j of a row comes from state s_{t·n + j + 1}
         periods = self.periods if after.ndim == 0 else len(after)
         out = np.empty(periods)
         for rows in _blocks(periods):
-            step = after if after.ndim == 0 else after[rows]
-            a, g = (np.take(table, step, axis=1) for table in (self._step_a, self._step_inc))
-            out[rows] = _uniforms(_add(_mul(a, self._starts[:, rows]), g))
+            steps = self._steps[:, after] if after.ndim == 0 else self._steps.take(after[rows], axis=1)
+            unit = _to_unit(*_mul_add(*steps[:4], *self._starts[:, rows], *steps[4:]), out=out[rows])
+            unit *= span
+            unit += low
         return out
 
     def skip(self, bit_generator: np.random.BitGenerator, periods: int) -> None:

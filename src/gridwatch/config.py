@@ -108,9 +108,7 @@ def format_behavior(behavior: BehaviorModel) -> str:
         return f"multiplicative {float(behavior.alpha)!r}"
     if isinstance(behavior, FixedOffset):
         return f"fixed_offset {float(behavior.eta)!r} {behavior.direction}"
-    if isinstance(behavior, RandomOffset):
-        return f"random_offset {float(behavior.theta_max)!r} {behavior.direction}"
-    raise ConfigurationError(f"unknown behavior model {behavior!r}")
+    return f"random_offset {float(behavior.theta_max)!r} {behavior.direction}"
 
 
 def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:

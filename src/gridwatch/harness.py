@@ -10,9 +10,11 @@ in any order or in parallel without changing the result.  The cells
 (attack case and duration) of one estimate share the master seed and the
 consumer count, and trial ``i`` of every cell reads one shared usage
 block, whose entries are computed once for them all.  A Monte-Carlo cell
-reads only what its verdict depends on: a threshold cell with one
-misreporting consumer correlates that consumer alone and reads no sampled
-entry (`_success`).  Every stream is the one a lone trial draws.
+reads only what its verdict depends on: the threshold cells with one
+misreporting consumer correlate that consumer alone, all in one batch, and
+read no sampled entry (`_batch_successes`); those whose attacks draw nothing
+and whose windows are as long share one draw of sampled positions, the draw
+each would make alone.  Every stream is the one a lone trial draws.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .model import (
     apply_behavior,
     as_integer,
     as_real,
-    is_benign,
 )
 
 DAYS_PER_MONTH = 30
@@ -66,7 +67,8 @@ class ScenarioConfig:
     """One aggregator's region and the experiment run on it; each field is the config key
     of its name, in file order.  Consumer ids are positions ``0..consumers-1``, all draw
     usage on one range, and ``attackers``, given as a mapping or as ``(id, behavior)``
-    pairs, is kept as pairs sorted by id, without `Benign` entries."""
+    pairs, is kept as pairs sorted by id, without the entries that report truthfully
+    (`Benign` and ``Multiplicative(1.0)``): every attacker left misreports."""
 
     region_id: int = 0
     consumers: int = 100
@@ -121,7 +123,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"periods_per_day must be > 0, got {self.periods_per_day}"
             )
-        attackers = (pair for pair in pairs if not isinstance(pair[1], Benign))
+        attackers = (pair for pair in pairs if pair[1] not in (Benign(), Multiplicative(1.0)))
         object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
         check_window_size(self.consumers, self.periods_per_day, self.total_periods)
         if self.months < 1:
@@ -157,7 +159,7 @@ class ScenarioConfig:
 
     @property
     def malicious_ids(self) -> set[int]:
-        return {cid for cid, behavior in self.attackers if not is_benign(behavior)}
+        return {cid for cid, _ in self.attackers}
 
     @property
     def total_periods(self) -> int:
@@ -242,7 +244,7 @@ class WindowData:
     def sampled_reports(self) -> np.ndarray:
         """Each period's sampled report: the sampled entry of ``draws``, scaled,
         or the misreporting consumer's report."""
-        reports = _scale(self.draws.read(self.sampled_pos), self.config.usage_min, self.config.usage_span)
+        reports = self.draws.read(self.sampled_pos, self.config.usage_min, self.config.usage_span)
         for pos, reported in self.dishonest.items():
             hit = self.sampled_pos == pos
             reports[hit] = reported[hit]
@@ -290,8 +292,9 @@ class WindowData:
 
 
 def _scale(uniforms: np.ndarray, low: float, span: float) -> np.ndarray:
-    """Usage from its uniforms, in place.  Sparse reads and month blocks
-    both take it, so they agree bit for bit."""
+    """Usage from its uniforms, in place.  Columns and month blocks take it, and a
+    sampled read scales in the same two steps (`UniformBlock.read`), so they agree
+    bit for bit."""
     uniforms *= span
     uniforms += low
     return uniforms
@@ -329,8 +332,6 @@ def simulate_window(
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
     for cid, behavior in config.attackers:
-        if is_benign(behavior):
-            continue
         actual = _scale(draws.column(cid)[:periods].copy(), low, span)
         reported = apply_behavior(behavior, actual, rng)
         dishonest[cid] = reported
@@ -461,36 +462,70 @@ class ProbabilityEstimate:
         return math.sqrt(p * (1.0 - p) / self.repetitions)
 
 
-def _success(config: ScenarioConfig, seed: np.random.SeedSequence, draws: UniformBlock) -> bool:
-    """``trial_success(run_trial(config, seed, draws))`` from only what it reads.
+def _attacker_pairs(
+    cells: Sequence[ScenarioConfig], seed: np.random.SeedSequence, draws: UniformBlock
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each one-attacker cell's attacker reports and leakage on the periods the attacker
+    is sampled, in period order, bit for bit those of `simulate_window`.  An attack that
+    draws nothing leaves the generator where `UniformBlock.skip` put it, so such cells of
+    one window length share one generator and one draw of sampled positions, and each
+    misreports only the attacker's sampled rows.  A random offset cell draws its offsets
+    before the positions, so it simulates its own window."""
+    positions: dict[int, np.ndarray] = {}
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    pairs = []
+    for c in cells:
+        ((cid, behavior),) = c.attackers
+        periods = c.total_periods
+        if isinstance(behavior, RandomOffset):
+            window = simulate_window(c, np.random.default_rng(seed), draws)
+            hit = window.sampled_pos == cid
+            pairs.append((window.dishonest[cid][hit], window.leakage[hit]))
+            continue
+        if periods not in positions:
+            rng = np.random.default_rng(seed)
+            draws.skip(rng.bit_generator, periods)
+            positions[periods] = rng.integers(0, draws.n, size=periods)
+        if (periods, cid) not in rows:
+            rows[periods, cid] = np.flatnonzero(positions[periods] == cid)
+        actual = _scale(draws.column(cid)[rows[periods, cid]], c.usage_min, c.usage_span)
+        reported = apply_behavior(behavior, actual, None)  # draws nothing
+        pairs.append((reported, actual - reported))
+    return pairs
 
-    A threshold trial with one misreporting consumer succeeds when that consumer
-    is flagged, so only its sampled periods are correlated, with `correlate`'s
-    arithmetic (its low-report pairs with `pearson` when the filter is set), and
-    no sampled entry is read.  Any other trial runs in full."""
-    attackers = config.malicious_ids
-    if config.mode != THRESHOLD_MODE or len(attackers) != 1:
-        return trial_success(run_trial(config, seed, draws))
-    (attacker,) = attackers
-    window = simulate_window(config, np.random.default_rng(seed), draws)
-    hit = window.sampled_pos == attacker
-    reports, leakage = window.dishonest[attacker][hit], window.leakage[hit]
-    counts, corr = correlate(np.zeros(len(reports), np.intp), reports, leakage, 1)
-    if config.low_report_quantile is not None:
-        q = config.low_report_quantile
-        corr = low_report_correlations([(reports, leakage)], counts, q, config.min_samples)
-    return bool(has_evidence(counts, corr, config.min_samples)[0] and abs(corr[0]) >= config.threshold)
+
+def _batch_successes(
+    cells: Sequence[ScenarioConfig], seed: np.random.SeedSequence, draws: UniformBlock
+) -> list[bool]:
+    """``trial_success(run_trial(c, seed, draws))`` for threshold cells with one
+    misreporting consumer: its attacker flagged.  Only the attacker's sampled periods are
+    correlated (`_attacker_pairs`), one group per cell in one `correlate` call, which sums
+    each group in period order and so gives a cell the bits a lone call gives it; a cell
+    with the low-report filter takes its low-report pairs with `pearson`."""
+    pairs = _attacker_pairs(cells, seed, draws)
+    groups = np.repeat(np.arange(len(cells)), [len(reports) for reports, _ in pairs])
+    reports, leakage = (np.concatenate(column) for column in zip(*pairs))
+    counts, corr = correlate(groups, reports, leakage, len(cells))
+    for k, c in enumerate(cells):
+        if c.low_report_quantile is not None:
+            corr[k] = low_report_correlations(pairs[k : k + 1], counts[k : k + 1], c.low_report_quantile,
+                                              c.min_samples)[0]
+    min_samples, threshold = np.array([c.min_samples for c in cells]), np.array([c.threshold for c in cells])
+    return (has_evidence(counts, corr, min_samples) & (np.abs(corr) >= threshold)).tolist()
 
 
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
-    """Trial ``index`` of every cell (`_success`), in the order given.  The cells share
-    the master seed and the consumer count, so one usage block serves them all for this
-    call: its row starts and each attacker's column are computed once.  Only cells that
-    run in full (most-negative, or not one misreporting consumer) read sampled entries."""
+    """Trial ``index`` of every cell, in the order given.  The cells share the master seed
+    and the consumer count, so one usage block serves them all: its row starts and each
+    attacker's column are computed once.  Threshold cells with one misreporting consumer
+    are scored together (`_batch_successes`); only the others run in full."""
     seed = derive_trial_seed(cells[0].master_seed, index)
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].consumers)
-    return [_success(c, seed, draws) for c in cells]
+    batched = [c.mode == THRESHOLD_MODE and len(c.attackers) == 1 for c in cells]
+    batch = [c for c, b in zip(cells, batched) if b]
+    oks = iter(_batch_successes(batch, seed, draws) if batch else [])
+    return [next(oks) if b else trial_success(run_trial(c, seed, draws)) for c, b in zip(cells, batched)]
 
 
 def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[int]:
@@ -552,18 +587,14 @@ def run_billing(
     return window, issue_bills(costs, month_len)
 
 
-def _at_durations(config: ScenarioConfig, durations: Iterable[int]) -> list[ScenarioConfig]:
-    """``config`` at each duration (months), every one built and checked before any trial."""
-    return [replace(config, months=m) for m in durations]
-
-
 def concentration_experiment(
     config: ScenarioConfig, durations: Iterable[int]
 ) -> dict[int, DetectionReport]:
-    """Per-consumer correlations from one seeded trial at each duration (months)."""
+    """Per-consumer correlations from one seeded trial at each duration (months); every
+    duration's config is built and checked before the first trial."""
     return {
         c.months: run_trial(c, derive_trial_seed(config.master_seed, c.months)).report
-        for c in _at_durations(config, durations)
+        for c in [replace(config, months=m) for m in durations]
     }
 
 
@@ -573,7 +604,7 @@ def duration_sweep(
     threads: int = 1,
 ) -> dict[int, ProbabilityEstimate]:
     """Detection probability at each measurement duration (months)."""
-    return dict(zip(durations, _estimate(_at_durations(config, durations), threads)))
+    return dict(zip(durations, _estimate([replace(config, months=m) for m in durations], threads)))
 
 
 # Documented defaults for the offset attacks: both offsets are sized at the
@@ -611,7 +642,5 @@ def probability_table(
 ) -> list[tuple[str, int, ProbabilityEstimate]]:
     """Correct-detection probability for each case and duration."""
     cells = [(case, months) for case in cases for months in durations]
-    scenarios = [
-        c for case in cases for c in _at_durations(case_config(base, case, attacker_id), durations)
-    ]
+    scenarios = [replace(case_config(base, case, attacker_id), months=m) for case in cases for m in durations]
     return [(*cell, est) for cell, est in zip(cells, _estimate(scenarios, threads))]

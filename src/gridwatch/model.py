@@ -34,7 +34,7 @@ class Multiplicative:
     """Reports a fixed fraction or multiple of actual usage.
 
     ``alpha`` in (0, 1) under-reports, ``alpha`` > 1 over-reports;
-    ``alpha`` = 1 is accepted but behaves exactly like `Benign`.
+    ``alpha`` = 1 reports truthfully, and a config drops it as it drops `Benign`.
     """
 
     alpha: float
@@ -108,13 +108,6 @@ def _check_direction(direction: str) -> None:
         )
 
 
-def is_benign(behavior: BehaviorModel) -> bool:
-    """True when the behavior reports truthfully (includes alpha == 1)."""
-    if isinstance(behavior, Benign):
-        return True
-    return isinstance(behavior, Multiplicative) and behavior.alpha == 1.0
-
-
 def apply_behavior(
     behavior: BehaviorModel, actual: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -131,9 +124,7 @@ def apply_behavior(
         if behavior.direction == "subtract":
             return np.maximum(actual - behavior.eta, 0.0)
         return actual + behavior.eta
-    if isinstance(behavior, RandomOffset):
-        theta = rng.uniform(0.0, behavior.theta_max, size=actual.shape)
-        if behavior.direction == "subtract":
-            return np.maximum(actual - theta, 0.0)
-        return actual + theta
-    raise TypeError(f"unknown behavior model: {behavior!r}")
+    theta = rng.uniform(0.0, behavior.theta_max, size=actual.shape)  # RandomOffset
+    if behavior.direction == "subtract":
+        return np.maximum(actual - theta, 0.0)
+    return actual + theta

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from gridwatch.model import Benign, apply_behavior, is_benign
+from gridwatch.model import apply_behavior
 
 
 class Matrices(NamedTuple):
@@ -57,11 +57,10 @@ def full_matrix_window(config, rng) -> FullWindow:
     usage += lows
     reports = usage.copy()
     leakage = np.zeros(periods)
-    behaviors = dict(config.attackers)
+    behaviors = dict(config.attackers)  # the misreporting consumers
     for pos in range(n):  # every consumer, in position order
-        behavior = behaviors.get(pos, Benign())
-        if not is_benign(behavior):
-            reports[:, pos] = apply_behavior(behavior, usage[:, pos], rng)
+        if pos in behaviors:
+            reports[:, pos] = apply_behavior(behaviors[pos], usage[:, pos], rng)
             leakage = leakage + (usage[:, pos] - reports[:, pos])
     sampled_pos = rng.integers(0, n, size=periods)
     sampled_reports = reports[np.arange(periods), sampled_pos]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gridwatch import harness
+from gridwatch import _pcg64, harness
 from gridwatch.cli import main
 from gridwatch.config import (
     RunManifest,
@@ -157,6 +157,16 @@ class TestCli:
         path.write_bytes(b"[region]\nconsumers = \xff\n")
         assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert_one_error_line(capsys, f"cannot read config {path}")
+        assert not (tmp_path / "detection.csv").exists()
+
+    def test_numpy_draws_that_differ_are_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a numpy whose double conversion is not the one the jump-ahead reads follow
+        monkeypatch.setattr(_pcg64, "_checked", False)
+        monkeypatch.setattr(_pcg64, "_to_unit", lambda hi, lo, out=None: np.multiply(hi ^ lo, 2.0**-64, out=out))
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY)
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, f"numpy {np.__version__}")
         assert not (tmp_path / "detection.csv").exists()
 
     @pytest.mark.parametrize("region", ["", "[region]\nperiods_per_day = 4\n"])

@@ -379,17 +379,27 @@ class TestEstimates:
             harness._estimate([base, dataclasses.replace(base, months=2, **change)], threads=1)
 
     def test_a_job_shares_one_block_per_trial_index(self, monkeypatch):
-        # six cells (three cases x two durations) of one seed: a job computes
-        # the row starts and the attacker's column once per trial index, for
-        # the longest cell, and holds one index's block at a time; cases I and
-        # II are scored on the attacker's periods alone and read no sampled
-        # entry, so only case III reads them
-        starts, columns, sampled, alive, peak = [], [], [], [], []
-        real_starts = _pcg64._row_starts
+        # table1's twelve cells (three cases x four durations) of one seed: per
+        # trial index a job computes the row starts and the attacker's column
+        # once, for the longest cell, and holds one index's block at a time.
+        # Cases I and II are scored on the attacker's periods alone: their
+        # attacks draw nothing, so at each duration they share one generator,
+        # and all eight take one correlate call; only case III's four cells
+        # make their own generators, correlate calls and sampled reads.
+        starts, columns, sampled, alive, peak, generators, correlated = [], [], [], [], [], [], []
+        real_starts, real_rng, real_correlate = _pcg64._row_starts, np.random.default_rng, harness.correlate
 
         def counting_starts(s0, inc, periods, n):
             starts.append((periods, n))
             return real_starts(s0, inc, periods, n)
+
+        def counting_rng(seed):
+            generators.append(seed)
+            return real_rng(seed)
+
+        def counting_correlate(positions, x, y, n):
+            correlated.append(n)
+            return real_correlate(positions, x, y, n)
 
         class Tracked(_pcg64.UniformBlock):
             def __init__(self, *args):
@@ -397,22 +407,26 @@ class TestEstimates:
                 alive.append(weakref.ref(self))
                 peak.append(sum(ref() is not None for ref in alive))
 
-            def read(self, cols):
+            def read(self, cols, *scale):
                 if np.ndim(cols) == 0:
                     columns.append(int(cols))
                 else:
                     sampled.append(len(cols))
-                return super().read(cols)
+                return super().read(cols, *scale)
 
         monkeypatch.setattr(_pcg64, "_row_starts", counting_starts)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(harness, "correlate", counting_correlate)
         monkeypatch.setattr(harness, "UniformBlock", Tracked)
         base = dataclasses.replace(tiny_config(attackers=""), repetitions=3)
-        table = probability_table(base, 1, durations=(1, 2))
-        assert len(table) == 6
-        assert starts == [(2 * 30 * 4, 5)] * 3
+        table = probability_table(base, 1)
+        assert len(table) == 12
+        assert starts == [(12 * 30 * 4, 5)] * 3
         assert columns == [1] * 3
-        assert sampled == [30 * 4, 2 * 30 * 4] * 3
+        assert sampled == [30 * 4 * months for months in (1, 3, 6, 12)] * 3
         assert peak == [1] * 3
+        assert len(generators) == 8 * 3
+        assert correlated == [8, 5, 5, 5, 5] * 3  # a group per batched cell, then case III's trials
 
     def test_thread_count_does_not_change_result(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)

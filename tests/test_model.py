@@ -16,7 +16,6 @@ from gridwatch.model import (
     Multiplicative,
     RandomOffset,
     apply_behavior,
-    is_benign,
 )
 
 
@@ -143,8 +142,10 @@ class TestValidation:
             model(value)
 
     def test_alpha_one_is_behaviorally_benign(self):
-        assert is_benign(Multiplicative(1.0))
-        assert not is_benign(Multiplicative(0.999))
+        # a x1.0 entry reports truthfully: the config drops it, as it drops a benign one
+        config = ScenarioConfig(consumers=3, attackers={0: Multiplicative(1.0), 1: Multiplicative(0.999)})
+        assert config.attackers == ((1, Multiplicative(0.999)),)
+        assert config.malicious_ids == {1}
 
     def test_bad_direction(self):
         with pytest.raises(ConfigurationError):
@@ -167,11 +168,12 @@ class TestValidation:
             ScenarioConfig(consumers=2, attackers={cid: Multiplicative(0.1)})
 
     def test_attackers_sorted_by_id_without_benign(self):
-        config = ScenarioConfig(consumers=5, attackers={4: FixedOffset(0.3), 0: Benign(), 2: Multiplicative(1.0)})
-        assert config.attackers == ((2, Multiplicative(1.0)), (4, FixedOffset(0.3)))
-        assert config == ScenarioConfig(consumers=5, attackers=[(2, Multiplicative(1.0)), (4, FixedOffset(0.3))])
+        attackers = {4: FixedOffset(0.3), 0: Benign(), 2: Multiplicative(1.0), 1: Multiplicative(0.5)}
+        config = ScenarioConfig(consumers=5, attackers=attackers)
+        assert config.attackers == ((1, Multiplicative(0.5)), (4, FixedOffset(0.3)))
+        assert config == ScenarioConfig(consumers=5, attackers=[(1, Multiplicative(0.5)), (4, FixedOffset(0.3))])
         assert hash(config) == hash(ScenarioConfig(consumers=5, attackers=dict(config.attackers)))
-        assert config.malicious_ids == {4}  # alpha = 1 reports truthfully
+        assert config.malicious_ids == {1, 4}  # alpha = 1 reports truthfully, so it is dropped
 
     def test_total_periods(self):
         config = ScenarioConfig(consumers=2, periods_per_day=96)

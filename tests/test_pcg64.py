@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gridwatch import _pcg64
+from gridwatch.errors import GridwatchError
 
 MASK = (1 << 128) - 1
 
@@ -117,3 +118,16 @@ def test_block_columns_are_read_only():
     assert block.column(1) is block.column(1)
     with pytest.raises(ValueError):
         block.column(1)[0] = 0.0
+
+
+def test_a_numpy_whose_draws_differ_fails_at_the_first_block(monkeypatch):
+    # the first block of a process checks its first two rows against Generator.random
+    monkeypatch.setattr(_pcg64, "_checked", False)
+    monkeypatch.setattr(_pcg64, "_to_unit", lambda hi, lo, out=None: np.multiply(hi ^ lo, 2.0**-64, out=out))
+    for _ in range(2):  # a failed check is made again by the next block
+        with pytest.raises(GridwatchError, match=f"numpy {np.__version__}"):
+            _pcg64.UniformBlock(np.random.PCG64(3).state, 4, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(_pcg64, "_checked", False)
+    _pcg64.UniformBlock(np.random.PCG64(3).state, 1, 2)
+    assert _pcg64._checked

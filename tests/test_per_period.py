@@ -18,7 +18,7 @@ from gridwatch.config import loads_config
 from gridwatch.detection import correlate, series_from_arrays
 from gridwatch._pcg64 import UniformBlock
 from gridwatch.harness import (
-    DAYS_PER_MONTH, _estimate, _success, derive_trial_seed, run_billing, run_trial,
+    DAYS_PER_MONTH, _estimate, _index_successes, derive_trial_seed, run_billing, run_trial,
     simulate_window, trial_success,
 )
 from per_period import (
@@ -176,46 +176,79 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
     assert _estimate(cells, threads=1) == [_estimate([c], threads=1)[0] for c in cells]
 
 
-@st.composite
-def verdict_cells(draw):
-    """A Monte-Carlo cell and its trial seed: either mode, the low-report filter
-    on or off, 0 to 3 attackers (``multiplicative 1.0`` misreports nothing), 1 or
-    2 months, and a threshold and minimum sample count up to where no consumer
+def verdict_cell(draw, n):
+    """The text of one cell of a `verdict_groups` group: either mode, the low-report
+    filter on or off, 0 to 3 attackers (``multiplicative 1.0`` misreports nothing),
+    1 or 2 months, and a threshold and minimum sample count up to where no consumer
     has evidence (a consumer has at most 180 sampled periods)."""
-    n = draw(st.integers(2, 8))
-    count = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))  # mostly one: the threshold fast path
+    count = draw(st.sampled_from([0, 1, 1, 1, 2, 3]))  # mostly one: the batched verdict
     ids = draw(st.lists(st.integers(0, n - 1), min_size=min(count, n), max_size=min(count, n), unique=True))
     behaviors = (*ATTACKS, "multiplicative 1.0", "random_offset 0.7")
     attackers = "".join(f"{i} = {draw(st.sampled_from(behaviors))}\n" for i in ids)
     quantile = draw(st.sampled_from(["", "low_report_quantile = 0.25\n", "low_report_quantile = 0.6\n"]))
-    config = loads_config(
-        f"[region]\nconsumers = {n}\nperiods_per_day = {draw(st.integers(1, 3))}\n"
+    return (
         f"[attackers]\n{attackers}"
         f"[detection]\nmode = {draw(st.sampled_from(['threshold', 'threshold', 'most_negative']))}\n"
         f"threshold = {draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.9, 1.0]))}\n"
         f"min_samples = {draw(st.sampled_from([2, 5, 5, 30, 181]))}\n{quantile}"
         f"[experiment]\nmonths = {draw(st.integers(1, 2))}\n"
     )
-    return config, derive_trial_seed(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3)))
+
+
+def group(head, master_seed, *cells):
+    """Configs from one ``[region]`` section ``head`` and each cell's ``[attackers]``,
+    ``[detection]`` and ``[experiment]`` text, all with one master seed."""
+    return [dataclasses.replace(loads_config(head + cell), master_seed=master_seed) for cell in cells]
+
+
+@st.composite
+def verdict_groups(draw):
+    """Up to six Monte-Carlo cells (`verdict_cell`) that share a master seed and a
+    region size, in any order, and a trial index."""
+    n = draw(st.integers(2, 8))
+    head = f"[region]\nconsumers = {n}\nperiods_per_day = {draw(st.integers(1, 3))}\n"
+    cells = [verdict_cell(draw, n) for _ in range(draw(st.integers(1, 6)))]
+    return group(head, draw(st.integers(0, 2**32 - 1)), *cells), draw(st.integers(0, 3))
 
 
 # A x0.1 attacker's correlation is exactly 1.0 in these trials: at threshold 1.0
 # it is flagged, with the low-report filter or without.
-EXACT = "[region]\nconsumers = 2\nperiods_per_day = 2\n[attackers]\n0 = multiplicative 0.1\n" \
-    "[detection]\nthreshold = 1.0\n"
+EXACT = "[region]\nconsumers = 2\nperiods_per_day = 2\n"
+THRESHOLD_1 = "[attackers]\n0 = multiplicative 0.1\n[detection]\nthreshold = 1.0\n"
+SMALL = "[region]\nconsumers = 3\nperiods_per_day = 2\n"
+TWO_MONTHS = "[experiment]\nmonths = 2\n"
 
 
-@given(verdict_cells())
-@example((loads_config(EXACT), derive_trial_seed(0, 0)))
-@example((loads_config(EXACT + "low_report_quantile = 0.25\n"), derive_trial_seed(3, 0)))
-@settings(max_examples=200, deadline=None)
-def test_monte_carlo_verdict_is_the_full_trial_verdict(cell):
-    # on a block sized for a longer cell, as an estimate shares it
-    config, seed = cell
-    periods = 2 * DAYS_PER_MONTH * config.periods_per_day
-    draws = UniformBlock(np.random.PCG64(seed).state, periods, config.consumers)
-    assert _success(config, seed, draws) == trial_success(run_trial(config, seed, draws))
-    assert _success(config, seed, draws) == trial_success(run_trial(config, seed))
+@given(verdict_groups())
+@example((group(EXACT, 0, THRESHOLD_1), 0))
+@example((group(EXACT, 3, THRESHOLD_1 + "low_report_quantile = 0.25\n"), 0))
+@example((group(  # table1's cells on one attacker, shuffled: same-length no-draw pairs, the filter on and off
+    SMALL, 11,
+    "[attackers]\n1 = fixed_offset 1.0\n" + TWO_MONTHS,
+    "[attackers]\n1 = random_offset 1.0\n[detection]\nmode = most_negative\n",
+    "[attackers]\n1 = multiplicative 0.1\n",
+    "[attackers]\n1 = fixed_offset 1.0\n[detection]\nlow_report_quantile = 0.25\n",
+    "[attackers]\n1 = multiplicative 0.1\n" + TWO_MONTHS,
+    "[attackers]\n1 = random_offset 1.0\n[detection]\nmode = most_negative\n" + TWO_MONTHS,
+), 2))
+@example((group(  # two attackers of one length, a threshold random offset, a two-attacker cell
+    SMALL, 11,
+    "[attackers]\n2 = multiplicative 3.0\n",
+    "[attackers]\n0 = random_offset 0.7\n[detection]\nthreshold = 0.3\n",
+    "[attackers]\n0 = multiplicative 0.1\n1 = multiplicative 1.0\n",
+    "[attackers]\n0 = multiplicative 0.1\n2 = fixed_offset 0.6\n",
+    "[attackers]\n0 = fixed_offset 0.6\n[detection]\nmode = most_negative\n",
+), 1))
+@settings(max_examples=150, deadline=None)
+def test_monte_carlo_verdict_is_the_full_trial_verdict(cells_index):
+    # each cell's verdict among the others of its trial index, on the block sized
+    # for the longest cell, as an estimate shares it, and on the cell's own block
+    cells, index = cells_index
+    seed = derive_trial_seed(cells[0].master_seed, index)
+    draws = UniformBlock(np.random.PCG64(seed).state, max(c.total_periods for c in cells), cells[0].consumers)
+    verdicts = _index_successes(cells, index)
+    assert verdicts == [trial_success(run_trial(c, seed, draws)) for c in cells]
+    assert verdicts == [trial_success(run_trial(c, seed)) for c in cells]
 
 
 SPECIAL = (0.0, 0.1, 1.0, 1e-300, 1e300, -2.5)
