@@ -26,12 +26,13 @@ positions and reads its own sampled entries, if it reads any.
 A 128-bit number is a ``(hi, lo)`` pair of ``uint64`` values or arrays; products
 wrap mod 2**64 as numpy integer arithmetic does.  Each numpy operation is one
 pass over a chunk of ``_BLOCK`` rows, so `_mul_add` takes the 32-bit halves of
-the low words split once (cached for the step table, per block for the row
-starts) and sums the high word in place: Warren's multiply-high (*Hacker's
-Delight*, 2nd ed., §8-2), the cross terms and the addend.  Row starts past the
-first chunk are the chunk before them jumped ``_BLOCK`` rows on.  The first
-block of a process checks two rows against ``Generator.random``, so a numpy
-whose draws differ fails with one `GridwatchError`.
+the low words split once (in the tables, cached per row length; per block for
+the row starts) and sums the high word in place: Warren's multiply-high
+(*Hacker's Delight*, 2nd ed., §8-2), the cross terms and the addend.  The
+tables hold one chunk's row starts; later chunks are the chunk before them
+jumped ``_BLOCK`` rows on.  The first block of a process checks its `read` of
+the diagonal of its first rows against ``Generator.random``, so a numpy whose
+draws differ fails with one `GridwatchError`.
 """
 
 from __future__ import annotations
@@ -112,33 +113,31 @@ def _to_unit(hi, lo, out=None) -> np.ndarray:
     return np.multiply(lo, 2.0**-53, out=out)
 
 
-@lru_cache(maxsize=8)
-def _cached_tables(n: int) -> list[np.ndarray]:
-    """``[row_a, row_g, step_a, step_g]`` for rows of ``n`` draws: ``A`` and ``G``
-    at row starts ``t·n`` (grown by `_tables`) and at in-row steps ``j <= n``."""
-    steps = [(1, 0)]
-    for _ in range(n):
-        a, g = steps[-1]
-        steps.append((a * MULT % _MOD, (g * MULT + 1) % _MOD))
-    return [_pairs([1]), _pairs([0]), *map(_pairs, zip(*steps))]
+def _strided(stride: int, count: int) -> list[np.ndarray]:
+    """`_words` rows of ``A_{k·stride}`` and ``G_{k·stride}``, ``k < count``.  Rows ``m..``
+    come from rows ``0..``: ``A_{k+m} = A_k·A_m`` and ``G_{k+m} = A_k·G_m + G_k``, in strides."""
+    a, g = _pairs([1]), _pairs([0])
+    while (m := a.shape[1]) < count:
+        head_a, head_g = a[:, : count - m], g[:, : count - m]
+        a_m, g_m = (_words(*pair) for pair in _pairs(_jump(m * stride)).T)
+        a = np.concatenate([a, _mul_add(*_words(*head_a), *a_m)], axis=1)
+        g = np.concatenate([g, _mul_add(*_words(*head_a), *g_m, *head_g)], axis=1)
+    return [np.array(_words(*pairs)) for pairs in (a, g)]
 
 
 @lru_cache(maxsize=8)
-def _step_words(n: int) -> np.ndarray:
-    """`_words` of the in-row steps ``A_j``, ``j <= n``, as rows."""
-    return np.array(_words(*_cached_tables(n)[2]))
+def _tables(n: int) -> tuple[np.ndarray, ...]:
+    """``(row_a, row_g, step_a, step_g)`` for rows of ``n`` draws: at the row starts
+    ``t·n``, ``t < _BLOCK`` (all that `_row_starts` reads), and the in-row steps ``j <= n``."""
+    return (*_strided(n, _BLOCK), *_strided(1, n + 1))
 
 
-def _tables(periods: int, n: int) -> list[np.ndarray]:
-    """The tables for ``periods`` rows: a shorter window reads a prefix of a longer one's."""
-    tables = _cached_tables(n)
-    # Rows m.. from rows 0..: A_{t+m} = A_t·A_m and G_{t+m} = A_t·G_m + G_t.
-    while (m := tables[0].shape[1]) < periods:
-        head_a, head_g = (t[:, : min(m, periods - m)] for t in tables[:2])
-        a_m, g_m = (_words(*pair) for pair in _pairs(_jump(m * n)).T)
-        tables[0] = np.concatenate([tables[0], _mul_add(*_words(*head_a), *a_m)], axis=1)
-        tables[1] = np.concatenate([tables[1], _mul_add(*_words(*head_a), *g_m, *head_g)], axis=1)
-    return [tables[0][:, :periods], tables[1][:, :periods], tables[2], tables[3]]
+def _scale(uniforms: np.ndarray, low: float, span: float) -> np.ndarray:
+    """Usage from its uniforms, in place, in ``Generator.uniform``'s two steps: bit for
+    bit what ``uniform(low, low + span)`` draws from the same state."""
+    uniforms *= span
+    uniforms += low
+    return uniforms
 
 
 def _blocks(periods: int) -> list[slice]:
@@ -152,12 +151,12 @@ def _row_starts(s0: int, inc: int, periods: int, n: int) -> np.ndarray:
     later chunk is the one before it jumped ``_BLOCK`` rows on,
     ``s_{(t+B)·n} = A_{B·n}·s_{t·n} + G_{B·n}·inc``: one product a row, not two."""
     chunks = _blocks(periods)
-    row_a, row_g = _tables(chunks[0].stop, n)[:2]
+    row_a, row_g = (words[:, : chunks[0].stop] for words in _tables(n)[:2])
     s0_words, inc_words = (_words(*pair) for pair in _pairs([s0, inc]).T)
     a_jump, g_jump = _jump(_BLOCK * n)
     jump_words, jump_add = _words(*_pairs([a_jump])[:, 0]), _pairs([g_jump * inc % _MOD])[:, 0]
     starts = np.empty((4, periods), np.uint64)
-    hi_lo = _mul_add(*_words(*row_a), *s0_words, *_mul_add(*_words(*row_g), *inc_words))
+    hi_lo = _mul_add(*row_a, *s0_words, *_mul_add(*row_g, *inc_words))
     for rows in chunks:
         if rows.start:
             hi_lo = _mul_add(*starts[:, rows.start - _BLOCK : rows.stop - _BLOCK], *jump_words, *jump_add)
@@ -185,22 +184,21 @@ class UniformBlock:
         self._s0, self._inc = state["state"]["state"], state["state"]["inc"]
         self._starts = _row_starts(self._s0, self._inc, periods, n)
         # Step j's words of A_j, then G_j·inc: one take gathers a read's factors.
-        step_inc = _mul_add(*_words(*_cached_tables(n)[3]), *_words(*_pairs([self._inc])[:, 0]))
-        self._steps = np.concatenate([_step_words(n), step_inc])
+        step_a, step_g = _tables(n)[2:]
+        self._steps = np.concatenate([step_a, _mul_add(*step_g, *_words(*_pairs([self._inc])[:, 0]))])
         self._columns: dict[int, np.ndarray] = {}
         if not _checked:
             self._check_numpy()
 
     def _check_numpy(self) -> None:
-        """Compare the block's first two rows with ``Generator.random`` from ``state``."""
+        """Compare `read` with ``Generator.random`` from ``state`` on the diagonal of the
+        block's first ``min(periods, n)`` rows: each row start, and each in-row step."""
         global _checked
-        rows = min(2, self.periods)
+        k = min(self.periods, self.n)
         bits = np.random.PCG64()
         bits.state = self.state
-        expected = np.random.Generator(bits).random((rows, self.n))
-        steps = np.tile(self._steps[:, 1 : self.n + 1], rows)
-        got = _to_unit(*_mul_add(*steps[:4], *np.repeat(self._starts[:, :rows], self.n, axis=1), *steps[4:]))
-        if got.tobytes() != expected.tobytes():
+        expected = np.random.Generator(bits).random((k, self.n)).diagonal()
+        if self.read(np.arange(k)).tobytes() != expected.tobytes():
             raise GridwatchError(
                 f"numpy {np.__version__}: Generator.random from a PCG64 state differs from the "
                 "jump-ahead reads of that state, so seeded results would not be its draws"
@@ -216,15 +214,14 @@ class UniformBlock:
 
     def read(self, cols: int | np.ndarray, low: float = 0.0, span: float = 1.0) -> np.ndarray:
         """``low + span·block[t, cols]`` for every row, or ``low + span·block[t, cols[t]]``
-        for rows ``t < len(cols)``, scaled as `harness._scale` scales usage."""
+        for rows ``t < len(cols)``, scaled by `_scale`."""
         after = np.asarray(cols) + 1  # draw j of a row comes from state s_{t·n + j + 1}
         periods = self.periods if after.ndim == 0 else len(after)
         out = np.empty(periods)
         for rows in _blocks(periods):
             steps = self._steps[:, after] if after.ndim == 0 else self._steps.take(after[rows], axis=1)
             unit = _to_unit(*_mul_add(*steps[:4], *self._starts[:, rows], *steps[4:]), out=out[rows])
-            unit *= span
-            unit += low
+            _scale(unit, low, span)
         return out
 
     def skip(self, bit_generator: np.random.BitGenerator, periods: int) -> None:

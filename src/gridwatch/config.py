@@ -3,11 +3,11 @@
 The config format is an INI-style key = value file with five sections:
 ``[region]``, ``[attackers]``, ``[detection]``, ``[billing]`` and
 ``[experiment]``.  Loading and writing both walk one key table, ``_KEYS``,
-which gives each key's section and type; the `ScenarioConfig` field of the
-key's name gives its default and limits.  ``[attackers]`` holds free-form
-entries; unknown sections or keys are hard errors so typos cannot silently
-change an experiment.  ``dumps_config`` emits the fully resolved form, and
-``loads_config(dumps_config(c)) == c`` for every valid config.
+which gives each key's section; the `ScenarioConfig` field of the key's name
+gives its type (`harness.FIELD_TYPES`), default and limits.  ``[attackers]``
+holds free-form entries; unknown sections or keys are hard errors so typos
+cannot silently change an experiment.  ``dumps_config`` emits the fully
+resolved form, and ``loads_config(dumps_config(c)) == c`` for every valid config.
 """
 
 from __future__ import annotations
@@ -16,68 +16,41 @@ import configparser
 import dataclasses
 import json
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .errors import ConfigurationError
-from .harness import ScenarioConfig
+from .harness import FIELD_TYPES, ScenarioConfig
 from .model import Benign, BehaviorModel, FixedOffset, Multiplicative, RandomOffset
 
-_OPTIONAL_FLOAT = "optional float"  # a float, or none/off/empty for None
-
-
-class _Key(NamedTuple):
-    name: str  # also the ScenarioConfig field it sets
-    kind: type | str  # int, float, str or _OPTIONAL_FLOAT
-
-
 # Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
-_KEYS: dict[str, tuple[_Key, ...]] = {
-    "region": (
-        _Key("region_id", int),
-        _Key("consumers", int),
-        _Key("periods_per_day", int),
-        _Key("usage_min", float),
-        _Key("usage_max", float),
-    ),
+_KEYS: dict[str, tuple[str, ...]] = {
+    "region": ("region_id", "consumers", "periods_per_day", "usage_min", "usage_max"),
     "attackers": (),
-    "detection": (
-        _Key("threshold", float),
-        _Key("min_samples", int),
-        _Key("mode", str),
-        _Key("low_report_quantile", _OPTIONAL_FLOAT),
-    ),
-    "billing": (
-        _Key("tariff", float),
-        _Key("elasticity_factor", _OPTIONAL_FLOAT),
-        _Key("elasticity_level", _OPTIONAL_FLOAT),
-    ),
-    "experiment": (
-        _Key("months", int),
-        _Key("repetitions", int),
-        _Key("master_seed", int),
-    ),
+    "detection": ("threshold", "min_samples", "mode", "low_report_quantile"),
+    "billing": ("tariff", "elasticity_factor", "elasticity_level"),
+    "experiment": ("months", "repetitions", "master_seed"),
 }
 
 
-def _parse(section: str, key: _Key, raw: str):
-    """One raw value as its key's type; the error names the section and key."""
-    if key.kind is str:
+def _parse(section: str, name: str, raw: str):
+    """One raw value as its field's type (`FIELD_TYPES`); the error names the section and key."""
+    kind = FIELD_TYPES[name]
+    if kind is str:
         return raw
-    if key.kind == _OPTIONAL_FLOAT and raw.lower() in ("none", "off", ""):
+    if kind == float | None and raw.lower() in ("none", "off", ""):
         return None
     try:
-        return int(raw) if key.kind is int else float(raw)
+        return int(raw) if kind is int else float(raw)
     except ValueError:
-        noun = "an integer" if key.kind is int else "a number"
-        raise ConfigurationError(f"[{section}] {key.name} = {raw!r} is not {noun}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"[{section}] {name} = {raw!r} is not {noun}") from None
 
 
-def _format(key: _Key, value) -> str:
-    """A value as its key's type writes it: a float field as a float even when given an int."""
+def _format(name: str, value) -> str:
+    """A value as its field's type writes it: a float field as a float even when given an int."""
     if value is None:
         return "none"
-    return repr(float(value)) if key.kind in (float, _OPTIONAL_FLOAT) else str(value)
+    return repr(float(value)) if FIELD_TYPES[name] in (float, float | None) else str(value)
 
 
 def parse_behavior(text: str) -> BehaviorModel:
@@ -124,14 +97,14 @@ def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:
     for name, entries in raw.items():
         if name not in _KEYS:
             raise ConfigurationError(f"unknown section [{name}]")
-        unknown = [e for e in entries if e not in {key.name for key in _KEYS[name]}]
+        unknown = [e for e in entries if e not in _KEYS[name]]
         if unknown and name != "attackers":
             raise ConfigurationError(f"unknown key {unknown[0]!r} in section [{name}]")
     values = {
-        key.name: _parse(name, key, raw[name][key.name])
+        key: _parse(name, key, raw[name][key])
         for name, keys in _KEYS.items()
         for key in keys
-        if key.name in raw.get(name, {})
+        if key in raw.get(name, {})
     }
 
     attackers = []
@@ -157,7 +130,7 @@ def dumps_config(config: ScenarioConfig) -> str:
     """Fully resolved config text; round-trips through `loads_config`."""
     blocks = []
     for name, keys in _KEYS.items():
-        lines = [f"{key.name} = {_format(key, getattr(config, key.name))}\n" for key in keys]
+        lines = [f"{key} = {_format(key, getattr(config, key))}\n" for key in keys]
         if name == "attackers":
             lines = [f"{cid} = {format_behavior(b)}\n" for cid, b in config.attackers]
         blocks.append(f"[{name}]\n" + "".join(lines))

@@ -4,9 +4,9 @@ The detector computes, per consumer, the Pearson correlation between its
 sampled reports and the regional leakage values observed on the same
 periods.  An honest consumer's reports are independent of the leakage, so
 its correlation concentrates around zero; a consumer scaling its reports
-down (up) drives the correlation toward +1 (-1).  Classification is a
-symmetric threshold on the correlation; the random-offset attack is
-instead found by taking the most negative correlation in the region.
+down (up) drives the correlation toward +1 (-1).  Classification is one
+symmetric threshold rule on the correlation (`flagged`); the random-offset
+attack is instead found by taking the most negative correlation in the region.
 
 `correlate` computes every consumer's correlation at once from the
 whole-window arrays; `pearson` is the scalar form, used by the
@@ -190,6 +190,12 @@ def has_evidence(counts: np.ndarray, corr: np.ndarray, min_samples: int) -> np.n
     return (counts >= min_samples) & ~np.isnan(corr)
 
 
+def flagged(counts: np.ndarray, corr: np.ndarray, th, min_samples) -> np.ndarray:
+    """The threshold rule: where a consumer has evidence (`has_evidence`) and
+    ``|corr| >= th``.  Elementwise, in ``th`` and ``min_samples`` too when they are arrays."""
+    return has_evidence(counts, corr, min_samples) & (np.abs(corr) >= th)
+
+
 def detect_region(
     counts: np.ndarray,
     corr: np.ndarray,
@@ -200,18 +206,18 @@ def detect_region(
 
     ``counts`` and ``corr`` are indexed by position, as `correlate` returns
     them; NaN marks an undefined correlation.  A consumer without evidence
-    (`has_evidence`) is INSUFFICIENT_DATA with a NaN correlation; otherwise
-    ``corr >= th`` is under-reporting, ``corr <= -th`` over-reporting.
+    (`has_evidence`) is INSUFFICIENT_DATA with a NaN correlation; a `flagged`
+    one is under-reporting when its correlation is positive, else over-reporting.
     """
     if min_samples < 2:
         raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
     if not 0.0 < th <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
     counts, corr = np.asarray(counts), np.asarray(corr, dtype=float)
-    evidence = has_evidence(counts, corr, min_samples)
+    evidence, flags = has_evidence(counts, corr, min_samples), flagged(counts, corr, th, min_samples)
     corr = np.where(evidence, corr, np.nan)
     labels = np.select(
-        [~evidence, corr >= th, corr <= -th],
+        [~evidence, flags & (corr > 0), flags],
         [Label.INSUFFICIENT_DATA, Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER],
         Label.BENIGN,
     )

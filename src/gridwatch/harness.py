@@ -24,11 +24,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from ._pcg64 import UniformBlock
+from ._pcg64 import UniformBlock, _scale
 from .billing import accrue, issue_bills
 from .detection import (
     DEFAULT_MIN_SAMPLES,
@@ -36,7 +36,7 @@ from .detection import (
     DetectionReport,
     correlate,
     detect_region,
-    has_evidence,
+    flagged,
     low_report_correlations,
     most_negative,
     series_from_arrays,
@@ -88,13 +88,12 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("region_id", "consumers", "periods_per_day", "min_samples", "months", "repetitions",
-                     "master_seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        optional = ("low_report_quantile", "elasticity_factor", "elasticity_level")
-        for name in ("usage_min", "usage_max", "threshold", "tariff", *optional):
-            if getattr(self, name) is not None or name not in optional:
-                object.__setattr__(self, name, as_real(name, getattr(self, name)))
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is int:
+                object.__setattr__(self, name, as_integer(name, value))
+            elif kind is float or (kind == float | None and value is not None):
+                object.__setattr__(self, name, as_real(name, value))
         pairs = self.attackers.items() if isinstance(self.attackers, dict) else self.attackers
         pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
         n, ids = self.consumers, [cid for cid, _ in pairs]
@@ -176,6 +175,10 @@ class ScenarioConfig:
         return max(high * factor, low + 1e-12) - low
 
 
+# Each field's type: `__post_init__` coerces by it and `config` reads and writes by it.
+FIELD_TYPES = get_type_hints(ScenarioConfig)
+
+
 def check_window_size(consumers: int, periods_per_day: int, periods: int) -> None:
     """Reject a window whose month block or per-period arrays exceed the size limits."""
     month = DAYS_PER_MONTH * periods_per_day * consumers
@@ -224,17 +227,16 @@ class WindowData:
     """Whole-window simulation arrays (one entry per period).
 
     Usage is ``u[t, c] * config.usage_span + config.usage_min`` (`_scale`),
-    where ``u`` is the ``(periods, n)`` block of uniforms that the generator
-    in ``state`` draws next (``draws``).
+    where ``u`` is ``draws``, the ``(periods, n)`` block of uniforms that the
+    generator in ``draws.state`` draws next.
     ``dishonest`` maps each misreporting consumer's id to its reports, and
     ``sampled_pos`` holds the sampled consumer's id (ids are positions).
-    `usage_months` and `report_months` draw the usage again from ``state``,
+    `usage_months` and `report_months` draw the usage again from that state,
     one month at a time; the sampled reports and the regional totals are
     computed on first access.  A Monte-Carlo trial reads no totals.
     """
 
     config: ScenarioConfig
-    state: dict
     dishonest: dict[int, np.ndarray]
     leakage: np.ndarray
     sampled_pos: np.ndarray
@@ -255,7 +257,7 @@ class WindowData:
 
         The draws come from a copy of the saved generator state."""
         rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = self.state
+        rng.bit_generator.state = self.draws.state
         c = self.config
         month_len = DAYS_PER_MONTH * c.periods_per_day
         for _ in range(len(self.leakage) // month_len):
@@ -291,15 +293,6 @@ class WindowData:
         )
 
 
-def _scale(uniforms: np.ndarray, low: float, span: float) -> np.ndarray:
-    """Usage from its uniforms, in place.  Columns and month blocks take it, and a
-    sampled read scales in the same two steps (`UniformBlock.read`), so they agree
-    bit for bit."""
-    uniforms *= span
-    uniforms += low
-    return uniforms
-
-
 def simulate_window(
     config: ScenarioConfig, rng: np.random.Generator, draws: UniformBlock | None = None
 ) -> WindowData:
@@ -318,16 +311,13 @@ def simulate_window(
     """
     n, periods, low = config.consumers, config.total_periods, config.usage_min
 
-    # Scaled, the uniforms are bit for bit what rng.uniform(low, high,
-    # size=(periods, n)) draws, where high - low is the one span of every
-    # period (`ScenarioConfig.usage_span`).
     state = rng.bit_generator.state
     if draws is None:
         draws = UniformBlock(state, periods, n)
     elif (draws.state, draws.n) != (state, n):
         raise ValueError("the shared usage draws come from another generator state or region size")
     draws.skip(rng.bit_generator, periods)
-    span = config.usage_span
+    span = config.usage_span  # every period's: `_scale` gives the uniform draws on it bit for bit
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
@@ -339,7 +329,6 @@ def simulate_window(
 
     return WindowData(
         config=config,
-        state=state,
         dishonest=dishonest,
         leakage=leakage,
         sampled_pos=rng.integers(0, n, size=periods),
@@ -407,9 +396,9 @@ def run_trial(
     Every consumer's correlation comes from one `correlate` pass over the window.  With
     ``low_report_quantile`` set, the threshold verdicts use each consumer's low-report
     pairs instead; most-negative selection always uses the unfiltered correlations and
-    leaves the low-report ones to `TrialOutcome.report`.  Threshold mode flags every
-    consumer with evidence (`has_evidence`) and ``|corr| >= threshold``, as `detect_region`
-    labels them; a most-negative trial without evidence selects None, a miss.
+    leaves the low-report ones to `TrialOutcome.report`.  Threshold mode detects the
+    `flagged` consumers, those `detect_region` labels malicious; a most-negative trial
+    without evidence selects None, a miss.
     ``draws`` is ``trial_seed``'s usage block when trials share it (`simulate_window`).
     """
     rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
@@ -423,8 +412,8 @@ def run_trial(
         corr = None if filtered else corr
     else:
         corr = _low_report_corr(config, counts, samples) if filtered else corr
-        flagged = has_evidence(counts, corr, config.min_samples) & (np.abs(corr) >= config.threshold)
-        detected = frozenset(np.flatnonzero(flagged).tolist())
+        flags = flagged(counts, corr, config.threshold, config.min_samples)
+        detected = frozenset(np.flatnonzero(flags).tolist())
     return TrialOutcome(
         true_malicious=frozenset(window.dishonest),
         detected=detected,
@@ -511,7 +500,7 @@ def _batch_successes(
             corr[k] = low_report_correlations(pairs[k : k + 1], counts[k : k + 1], c.low_report_quantile,
                                               c.min_samples)[0]
     min_samples, threshold = np.array([c.min_samples for c in cells]), np.array([c.threshold for c in cells])
-    return (has_evidence(counts, corr, min_samples) & (np.abs(corr) >= threshold)).tolist()
+    return flagged(counts, corr, threshold, min_samples).tolist()
 
 
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:

@@ -5,6 +5,7 @@ A run is replayed from the manifest's ``config_text``, so a change to the
 loader or writer must leave both byte-identical.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.config import dumps_config, loads_config
+from gridwatch.config import _KEYS, dumps_config, loads_config
 from gridwatch.errors import ConfigurationError
-from gridwatch.harness import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
+from gridwatch.harness import FIELD_TYPES, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
 from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
@@ -184,6 +185,21 @@ def test_every_config_round_trips(config):
     text = dumps_config(config)
     assert loads_config(text) == config
     assert dumps_config(loads_config(text)) == text
+
+
+def test_every_key_is_one_field_in_one_section():
+    # a key's type comes from its field, so adding a key is one field and one entry here;
+    # every key is a field, and every field but the free-form attackers is in one section
+    keys = [key for section in _KEYS.values() for key in section]
+    fields = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "attackers"]
+    assert sorted(keys) == sorted(fields)
+
+
+def test_every_key_has_a_type_the_file_can_hold():
+    # the types `_parse` and `_format` know; anything else would be written as str()
+    for section in _KEYS.values():
+        for key in section:
+            assert FIELD_TYPES[key] in (int, float, str, float | None), key
 
 
 def scenario(**fields):

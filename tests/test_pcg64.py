@@ -69,14 +69,15 @@ def test_jump_is_the_lcg_iterated():
 
 def test_tables_hold_every_row_start_and_in_row_step():
     n = 5
-    _pcg64._cached_tables.cache_clear()
-    _pcg64._tables(3, n)  # grown again below from a 3-row table
-    row_a, row_g, step_a, step_g = _pcg64._tables(37, n)
+    row_a, row_g, step_a, step_g = _pcg64._tables(n)
 
-    def ints(pairs):
-        return [int(hi) << 64 | int(lo) for hi, lo in pairs.T]
+    def ints(words):
+        hi, lo, lo_low, lo_high = words
+        assert lo_low.tolist() == (lo & 0xFFFFFFFF).tolist() and lo_high.tolist() == (lo >> 32).tolist()
+        return [int(h) << 64 | int(low) for h, low in zip(hi, lo)]
 
-    assert list(zip(ints(row_a), ints(row_g))) == [_pcg64._jump(t * n) for t in range(37)]
+    rows = _pcg64._BLOCK  # all that a block's row starts read; later rows jump from these
+    assert list(zip(ints(row_a), ints(row_g))) == [_pcg64._jump(t * n) for t in range(rows)]
     assert list(zip(ints(step_a), ints(step_g))) == [_pcg64._jump(j) for j in range(n + 1)]
 
 

@@ -172,7 +172,7 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
         for pos, reported in fresh.dishonest.items():
             assert shared.dishonest[pos].tobytes() == reported.tobytes()
         assert shared_rng.bit_generator.state == fresh_rng.bit_generator.state
-        assert shared.state == fresh.state
+        assert shared.draws.state == fresh.draws.state
     assert _estimate(cells, threads=1) == [_estimate([c], threads=1)[0] for c in cells]
 
 
