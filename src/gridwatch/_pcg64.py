@@ -30,9 +30,9 @@ the low words split once (in the tables, cached per row length; per block for
 the row starts) and sums the high word in place: Warren's multiply-high
 (*Hacker's Delight*, 2nd ed., §8-2), the cross terms and the addend.  The
 tables hold one chunk's row starts; later chunks are the chunk before them
-jumped ``_BLOCK`` rows on.  The first block of a process checks its `read` of
-the diagonal of its first rows against ``Generator.random``, so a numpy whose
-draws differ fails with one `GridwatchError`.
+jumped ``_BLOCK`` rows on.  The first block of a process checks a `read` of one
+entry in each of its first rows, from the first column to the last, against
+``Generator.random``, so a numpy whose draws differ fails with one `GridwatchError`.
 """
 
 from __future__ import annotations
@@ -191,14 +191,14 @@ class UniformBlock:
             self._check_numpy()
 
     def _check_numpy(self) -> None:
-        """Compare `read` with ``Generator.random`` from ``state`` on the diagonal of the
-        block's first ``min(periods, n)`` rows: each row start, and each in-row step."""
+        """Compare `read` with ``Generator.random`` from ``state`` on up to 16 first rows, row
+        ``t`` at a column spread from 0 to ``n - 1``, drawn a row at a time: O(n) memory."""
         global _checked
-        k = min(self.periods, self.n)
-        bits = np.random.PCG64()
-        bits.state = self.state
-        expected = np.random.Generator(bits).random((k, self.n)).diagonal()
-        if self.read(np.arange(k)).tobytes() != expected.tobytes():
+        cols = np.linspace(0, self.n - 1, min(self.periods, 16)).astype(np.intp)
+        generator = np.random.Generator(np.random.PCG64())
+        generator.bit_generator.state = self.state
+        expected = np.array([generator.random(self.n)[col] for col in cols])
+        if self.read(cols).tobytes() != expected.tobytes():
             raise GridwatchError(
                 f"numpy {np.__version__}: Generator.random from a PCG64 state differs from the "
                 "jump-ahead reads of that state, so seeded results would not be its draws"

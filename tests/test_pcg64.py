@@ -8,6 +8,8 @@ below were drawn from numpy's own ``PCG64``; a numpy that changes any of
 them fails here by name, not only through the golden digests (NEP 19).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def test_block_columns_are_read_only():
 
 
 def test_a_numpy_whose_draws_differ_fails_at_the_first_block(monkeypatch):
-    # the first block of a process checks its first two rows against Generator.random
+    # the first block of a process checks a read of its first rows against Generator.random
     monkeypatch.setattr(_pcg64, "_checked", False)
     monkeypatch.setattr(_pcg64, "_to_unit", lambda hi, lo, out=None: np.multiply(hi ^ lo, 2.0**-64, out=out))
     for _ in range(2):  # a failed check is made again by the next block
@@ -132,3 +134,22 @@ def test_a_numpy_whose_draws_differ_fails_at_the_first_block(monkeypatch):
     monkeypatch.setattr(_pcg64, "_checked", False)
     _pcg64.UniformBlock(np.random.PCG64(3).state, 1, 2)
     assert _pcg64._checked
+
+
+def test_the_numpy_check_reads_the_last_column_and_holds_one_row(monkeypatch):
+    # a 2,000 x 2,000 block: the check draws one row at a time, never the
+    # (rows, n) matrix, and its entries reach the last in-row step
+    n = 2000
+    block = _pcg64.UniformBlock(np.random.PCG64(5).state, n, n)
+    monkeypatch.setattr(_pcg64, "_checked", False)
+    tracemalloc.start()
+    try:
+        block._check_numpy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _pcg64._checked and peak < 4 * 8 * n  # a few rows of n doubles
+    _pcg64._checked = False
+    block._steps[:, n] = block._steps[:, n - 1]  # step j = n - 1 now reads draw n - 2
+    with pytest.raises(GridwatchError, match=f"numpy {np.__version__}"):
+        block._check_numpy()
