@@ -24,7 +24,6 @@ from .harness import (
     run_trial,
 )
 from .model import (
-    Benign,
     BehaviorModel,
     FixedOffset,
     Multiplicative,
@@ -53,7 +52,6 @@ __all__ = [
     "estimate_detection_probability",
     "probability_table",
     "run_trial",
-    "Benign",
     "BehaviorModel",
     "FixedOffset",
     "Multiplicative",

@@ -9,19 +9,19 @@ Statistically Good Algorithms for Random Number Generation", 2014; F. Brown,
 "Random Number Generation with Arbitrary Strides", 1994).  `UniformBlock`
 computes any entry of the ``periods × n`` block of ``random()`` draws that a
 generator makes next, from its saved state and cached tables of ``A`` and
-``G``, so a caller pays only for the entries it reads; `UniformBlock.skip`
-moves a generator past the block.
+``G``, so a caller pays only for the entries it reads; `UniformBlock.generator`
+is the generator that the draw of a prefix of the block leaves.
 
 The block is drawn period-major, so the block of a shorter window from the
-same state is a prefix of a longer one's.  Monte-Carlo cells (attack cases
-and durations) seed trial ``i`` alike, so one block per trial index serves
-them all: its row starts and each column it is asked for are computed once,
-and every cell reads prefixes.  No stream changes: each cell's draws are the
-ones its own generator makes after `skip` past its own rows.  Cells whose
-attacks draw nothing and whose windows are as long are in one state there, so
-they share one generator and one draw of sampled positions
-(`harness._attacker_pairs`); every other cell draws its own offsets and
-positions and reads its own sampled entries, if it reads any.
+same state is a prefix of a longer one's.  Monte-Carlo cells (attack cases and
+durations) seed trial ``i`` alike, so one block per trial index serves them
+all: its row starts and each column it is asked for are computed once, and
+every cell reads prefixes.  No stream changes: each cell's draws are the ones
+its own `generator` makes after its own rows.  Cells whose attacks draw
+nothing and whose windows are as long are in one state there, so they share
+one draw of sampled positions (`harness._attacker_pairs`); every other cell
+draws its own offsets and positions and reads its own sampled entries, if it
+reads any.
 
 A 128-bit number is a ``(hi, lo)`` pair of ``uint64`` values or arrays; products
 wrap mod 2**64 as numpy integer arithmetic does.  Each numpy operation is one
@@ -173,8 +173,8 @@ class UniformBlock:
     The row starts are computed once, and each column once, the first time it
     is read.  The first ``p`` rows are the block that ``random((p, n))`` from
     the same state draws, so windows of any length up to ``periods`` from one
-    seed share one block: each reads prefixes of it and `skip` moves its own
-    generator past its own rows.
+    seed share one block: each reads prefixes of it and draws on from the
+    `generator` after its own rows.
     """
 
     def __init__(self, state: dict, periods: int, n: int):
@@ -195,8 +195,7 @@ class UniformBlock:
         ``t`` at a column spread from 0 to ``n - 1``, drawn a row at a time: O(n) memory."""
         global _checked
         cols = np.linspace(0, self.n - 1, min(self.periods, 16)).astype(np.intp)
-        generator = np.random.Generator(np.random.PCG64())
-        generator.bit_generator.state = self.state
+        generator = self.generator(0)
         expected = np.array([generator.random(self.n)[col] for col in cols])
         if self.read(cols).tobytes() != expected.tobytes():
             raise GridwatchError(
@@ -224,11 +223,13 @@ class UniformBlock:
             _scale(unit, low, span)
         return out
 
-    def skip(self, bit_generator: np.random.BitGenerator, periods: int) -> None:
-        """Put ``bit_generator`` in the state that ``random((periods, n))`` from
-        ``state`` leaves, its buffered uint32 kept (unlike ``advance``)."""
-        if periods > self.periods:
-            raise ValueError(f"a {periods}-row window does not fit in a {self.periods}-row block")
-        a_end, g_end = _jump(periods * self.n)
+    def generator(self, rows: int) -> np.random.Generator:
+        """The generator that ``random((rows, n))`` from ``state`` leaves, its buffered
+        uint32 kept (unlike ``advance``)."""
+        if rows > self.periods:
+            raise ValueError(f"a {rows}-row window does not fit in a {self.periods}-row block")
+        a_end, g_end = _jump(rows * self.n)
         end = (a_end * self._s0 + g_end * self._inc) % _MOD
-        bit_generator.state = {**self.state, "state": {"state": end, "inc": self._inc}}
+        bits = np.random.PCG64(0)  # seeded, so no OS entropy is drawn for a state set next
+        bits.state = {**self.state, "state": {"state": end, "inc": self._inc}}
+        return np.random.Generator(bits)

@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, csvio, harness
 from .config import RunManifest, dumps_config, load_config, write_manifest
 from .errors import ConfigurationError, GridwatchError
@@ -70,8 +68,7 @@ def _single_attacker_id(config: ScenarioConfig) -> int:
 def _cmd_simulate(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
     # Trial 0's stream, as `detect` and `bill` draw it.  Looked up on the
     # harness module so that a wrapper installed on it sees this call too.
-    rng = np.random.default_rng(derive_trial_seed(config.master_seed, 0))
-    window = harness.simulate_window(config, rng)
+    window = harness.simulate_window(config, derive_trial_seed(config.master_seed, 0))
     return csvio.export_records(window.to_records(), out_dir / "records.csv")
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigurationError
 from .harness import FIELD_TYPES, ScenarioConfig
-from .model import Benign, BehaviorModel, FixedOffset, Multiplicative, RandomOffset
+from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset
 
 # Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
 _KEYS: dict[str, tuple[str, ...]] = {
@@ -62,7 +62,7 @@ def parse_behavior(text: str) -> BehaviorModel:
     kind, args = parts[0], parts[1:]
     try:
         if kind == "benign" and not args:
-            return Benign()
+            return Multiplicative(alpha=1.0)
         if kind == "multiplicative" and len(args) == 1:
             return Multiplicative(alpha=float(args[0]))
         if kind == "fixed_offset" and len(args) in (1, 2):
@@ -75,8 +75,6 @@ def parse_behavior(text: str) -> BehaviorModel:
 
 
 def format_behavior(behavior: BehaviorModel) -> str:
-    if isinstance(behavior, Benign):
-        return "benign"
     if isinstance(behavior, Multiplicative):
         return f"multiplicative {float(behavior.alpha)!r}"
     if isinstance(behavior, FixedOffset):

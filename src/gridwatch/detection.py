@@ -49,6 +49,15 @@ def _has_spread(ss, m, mean):
     return ((m * _EPS) ** 2 * (ss + m * mean * mean) < ss) & (ss < np.inf)
 
 
+def _vector_pair(name: str, x, y, x_type=float) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` (as ``x_type``) and ``y`` (as floats) as arrays; `InputError` unless both
+    are 1-D and of one length, so that numpy never broadcasts one onto the other."""
+    x, y = np.asarray(x, dtype=x_type), np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise InputError(f"{name} needs two equal-length vectors, got shapes {x.shape} and {y.shape}")
+    return x, y
+
+
 def pearson(x, y) -> float | None:
     """Pearson correlation of two equal-length vectors, or None when undefined.
 
@@ -57,12 +66,7 @@ def pearson(x, y) -> float | None:
     sum is finite too.  The result is clamped into [-1, 1]; rounding
     overshoot never exceeds 1e-9 before clamping.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InputError(
-            f"pearson needs two equal-length vectors, got shapes {x.shape} and {y.shape}"
-        )
+    x, y = _vector_pair("pearson", x, y)
     m = x.shape[0]
     if m < 2:
         return None
@@ -115,8 +119,7 @@ def low_report_filter(
     """
     if not 0.0 < q < 1.0:
         raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
-    reports = np.asarray(reports, dtype=float)
-    leakages = np.asarray(leakages, dtype=float)
+    reports, leakages = _vector_pair("low_report_filter", reports, leakages)
     if reports.size == 0:
         raise InputError("low_report_filter needs a nonempty series")
     cutoff = np.quantile(reports, q)
@@ -190,10 +193,10 @@ def has_evidence(counts: np.ndarray, corr: np.ndarray, min_samples: int) -> np.n
     return (counts >= min_samples) & ~np.isnan(corr)
 
 
-def flagged(counts: np.ndarray, corr: np.ndarray, th, min_samples) -> np.ndarray:
-    """The threshold rule: where a consumer has evidence (`has_evidence`) and
-    ``|corr| >= th``.  Elementwise, in ``th`` and ``min_samples`` too when they are arrays."""
-    return has_evidence(counts, corr, min_samples) & (np.abs(corr) >= th)
+def flagged(evidence: np.ndarray, corr: np.ndarray, th) -> np.ndarray:
+    """The threshold rule: where a consumer has evidence (the `has_evidence` mask) and
+    ``|corr| >= th``.  Elementwise, in ``th`` too when it is an array."""
+    return evidence & (np.abs(corr) >= th)
 
 
 def detect_region(
@@ -204,17 +207,19 @@ def detect_region(
 ) -> DetectionReport:
     """Label every consumer from its sample count and correlation.
 
-    ``counts`` and ``corr`` are indexed by position, as `correlate` returns
-    them; NaN marks an undefined correlation.  A consumer without evidence
-    (`has_evidence`) is INSUFFICIENT_DATA with a NaN correlation; a `flagged`
-    one is under-reporting when its correlation is positive, else over-reporting.
+    ``counts`` and ``corr`` are equal-length vectors indexed by position, as
+    `correlate` returns them; NaN marks an undefined correlation.  A consumer
+    without evidence (`has_evidence`) is INSUFFICIENT_DATA with a NaN
+    correlation; a `flagged` one is under-reporting when its correlation is
+    positive, else over-reporting.
     """
     if min_samples < 2:
         raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
     if not 0.0 < th <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
-    counts, corr = np.asarray(counts), np.asarray(corr, dtype=float)
-    evidence, flags = has_evidence(counts, corr, min_samples), flagged(counts, corr, th, min_samples)
+    counts, corr = _vector_pair("detect_region", counts, corr, None)
+    evidence = has_evidence(counts, corr, min_samples)
+    flags = flagged(evidence, corr, th)
     corr = np.where(evidence, corr, np.nan)
     labels = np.select(
         [~evidence, flags & (corr > 0), flags],
@@ -232,5 +237,6 @@ def most_negative(
 
     Arguments are indexed by position, as for `detect_region`.
     """
+    counts, corr = _vector_pair("most_negative", counts, corr, None)
     eligible = has_evidence(counts, corr, min_samples)
     return int(np.argmin(np.where(eligible, corr, np.inf))) if eligible.any() else None

@@ -1,20 +1,21 @@
 """Scenario orchestration: seeded end-to-end trials and Monte-Carlo estimates.
 
-A trial computes only the usage entries it reads, correlates every
-consumer's sampled reports with the leakage in one pass, runs the
-configured detector, and scores the result against the known attacker
-set; billing and records read the usage a month at a time.  Trials
-are deterministic given their seed; Monte-Carlo repetitions use seeds
-derived injectively from ``(master_seed, trial_index)`` so they can run
-in any order or in parallel without changing the result.  The cells
-(attack case and duration) of one estimate share the master seed and the
-consumer count, and trial ``i`` of every cell reads one shared usage
-block, whose entries are computed once for them all.  A Monte-Carlo cell
-reads only what its verdict depends on: the threshold cells with one
-misreporting consumer correlate that consumer alone, all in one batch, and
-read no sampled entry (`_batch_successes`); those whose attacks draw nothing
-and whose windows are as long share one draw of sampled positions, the draw
-each would make alone.  Every stream is the one a lone trial draws.
+A trial computes only the usage entries it reads, correlates every consumer's
+sampled reports with the leakage in one pass, runs the configured detector,
+and scores the result against the known attacker set; billing and records read
+the usage a month at a time.  A window is a function of its config and its
+seed alone: its stream is the seed's usage block and the
+`UniformBlock.generator` after it.  Monte-Carlo repetitions use seeds derived
+injectively from ``(master_seed, trial_index)`` so they can run in any order
+or in parallel without changing the result.  The cells (attack case and
+duration) of one estimate share the master seed and the consumer count, and
+trial ``i`` of every cell reads one shared usage block, whose entries are
+computed once for them all.  A Monte-Carlo cell reads only what its verdict
+depends on: the threshold cells with one misreporting consumer correlate that
+consumer alone, all in one batch, and read no sampled entry
+(`_batch_successes`); those whose attacks draw nothing and whose windows are
+as long share one draw of sampled positions, the draw each would make alone.
+Every stream is the one a lone trial draws.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -37,13 +38,13 @@ from .detection import (
     correlate,
     detect_region,
     flagged,
+    has_evidence,
     low_report_correlations,
     most_negative,
     series_from_arrays,
 )
 from .errors import ConfigurationError
 from .model import (
-    Benign,
     BehaviorModel,
     FixedOffset,
     Multiplicative,
@@ -67,8 +68,8 @@ class ScenarioConfig:
     """One aggregator's region and the experiment run on it; each field is the config key
     of its name, in file order.  Consumer ids are positions ``0..consumers-1``, all draw
     usage on one range, and ``attackers``, given as a mapping or as ``(id, behavior)``
-    pairs, is kept as pairs sorted by id, without the entries that report truthfully
-    (`Benign` and ``Multiplicative(1.0)``): every attacker left misreports."""
+    pairs, is kept as pairs sorted by id, without the entries that report truthfully,
+    ``Multiplicative(1.0)``: every attacker left misreports."""
 
     region_id: int = 0
     consumers: int = 100
@@ -94,8 +95,13 @@ class ScenarioConfig:
                 object.__setattr__(self, name, as_integer(name, value))
             elif kind is float or (kind == float | None and value is not None):
                 object.__setattr__(self, name, as_real(name, value))
-        pairs = self.attackers.items() if isinstance(self.attackers, dict) else self.attackers
-        pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
+        pairs = self.attackers.items() if isinstance(self.attackers, Mapping) else self.attackers
+        try:
+            pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"attackers must be a mapping or (id, behavior) pairs, got {self.attackers!r}"
+            ) from None
         n, ids = self.consumers, [cid for cid, _ in pairs]
         if n < 2:
             raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")
@@ -122,7 +128,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"periods_per_day must be > 0, got {self.periods_per_day}"
             )
-        attackers = (pair for pair in pairs if pair[1] not in (Benign(), Multiplicative(1.0)))
+        attackers = (pair for pair in pairs if pair[1] != Multiplicative(1.0))
         object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
         check_window_size(self.consumers, self.periods_per_day, self.total_periods)
         if self.months < 1:
@@ -253,11 +259,9 @@ class WindowData:
         return reports
 
     def usage_months(self) -> Iterator[np.ndarray]:
-        """Each month's ``(periods, n)`` usage block, new each time, in period order.
-
-        The draws come from a copy of the saved generator state."""
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = self.draws.state
+        """Each month's ``(periods, n)`` usage block, new each time, in period order,
+        drawn from the block's state."""
+        rng = self.draws.generator(0)
         c = self.config
         month_len = DAYS_PER_MONTH * c.periods_per_day
         for _ in range(len(self.leakage) // month_len):
@@ -294,29 +298,30 @@ class WindowData:
 
 
 def simulate_window(
-    config: ScenarioConfig, rng: np.random.Generator, draws: UniformBlock | None = None
+    config: ScenarioConfig,
+    trial_seed: int | np.random.SeedSequence,
+    draws: UniformBlock | None = None,
 ) -> WindowData:
     """Generate usage and reports for every period and aggregate them.
 
-    Draw order is fixed: the usage matrix first (period-major), then each
-    misreporting consumer's random offsets in consumer order, then the
-    per-period sampled indices.  The usage matrix is not drawn: ``rng``
-    (a ``PCG64`` generator, else `TypeError`) jumps past it, and only the
-    misreporting consumers' columns, and the sampled entries once
-    `WindowData.sampled_reports` is read, are computed from its saved
-    state, bit for bit the values the draw would give.  ``draws`` is the
-    usage block of ``rng``'s state when windows of the same seed and
-    consumer count share it (`UniformBlock`); by default this window
-    computes its own.
+    The window's stream is the ``PCG64`` generator of ``trial_seed`` (an int ``n`` seeds it
+    as ``SeedSequence([n])`` would).  Draw order is fixed: the usage matrix first
+    (period-major), then each misreporting consumer's random offsets in consumer order, then
+    the per-period sampled indices.  The usage matrix is not drawn: the offsets and
+    positions come from `UniformBlock.generator` after it, and only the misreporting
+    consumers' columns, and the sampled entries once `WindowData.sampled_reports` is read,
+    are computed from the seed's state, bit for bit the values the draw would give.
+    ``draws`` is that state's usage block when windows of the same seed and consumer count
+    share it; by default this window computes its own.
     """
     n, periods, low = config.consumers, config.total_periods, config.usage_min
 
-    state = rng.bit_generator.state
+    state = np.random.PCG64(trial_seed).state
     if draws is None:
         draws = UniformBlock(state, periods, n)
     elif (draws.state, draws.n) != (state, n):
         raise ValueError("the shared usage draws come from another generator state or region size")
-    draws.skip(rng.bit_generator, periods)
+    rng = draws.generator(periods)
     span = config.usage_span  # every period's: `_scale` gives the uniform draws on it bit for bit
 
     leakage = np.zeros(periods)
@@ -401,8 +406,7 @@ def run_trial(
     without evidence selects None, a miss.
     ``draws`` is ``trial_seed``'s usage block when trials share it (`simulate_window`).
     """
-    rng = np.random.default_rng(trial_seed)  # an int n seeds as SeedSequence([n]) would
-    window = simulate_window(config, rng, draws)
+    window = simulate_window(config, trial_seed, draws)
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
     counts, corr = correlate(*samples, config.consumers)
     filtered = config.low_report_quantile is not None
@@ -412,7 +416,7 @@ def run_trial(
         corr = None if filtered else corr
     else:
         corr = _low_report_corr(config, counts, samples) if filtered else corr
-        flags = flagged(counts, corr, config.threshold, config.min_samples)
+        flags = flagged(has_evidence(counts, corr, config.min_samples), corr, config.threshold)
         detected = frozenset(np.flatnonzero(flags).tolist())
     return TrialOutcome(
         true_malicious=frozenset(window.dishonest),
@@ -455,9 +459,9 @@ def _attacker_pairs(
     cells: Sequence[ScenarioConfig], seed: np.random.SeedSequence, draws: UniformBlock
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each one-attacker cell's attacker reports and leakage on the periods the attacker
-    is sampled, in period order, bit for bit those of `simulate_window`.  An attack that
-    draws nothing leaves the generator where `UniformBlock.skip` put it, so such cells of
-    one window length share one generator and one draw of sampled positions, and each
+    is sampled, in period order, bit for bit those of `simulate_window`.  After an attack
+    that draws nothing the positions come from `UniformBlock.generator` past the usage
+    rows, so such cells of one window length share one draw of them, and each
     misreports only the attacker's sampled rows.  A random offset cell draws its offsets
     before the positions, so it simulates its own window."""
     positions: dict[int, np.ndarray] = {}
@@ -467,14 +471,12 @@ def _attacker_pairs(
         ((cid, behavior),) = c.attackers
         periods = c.total_periods
         if isinstance(behavior, RandomOffset):
-            window = simulate_window(c, np.random.default_rng(seed), draws)
+            window = simulate_window(c, seed, draws)
             hit = window.sampled_pos == cid
             pairs.append((window.dishonest[cid][hit], window.leakage[hit]))
             continue
         if periods not in positions:
-            rng = np.random.default_rng(seed)
-            draws.skip(rng.bit_generator, periods)
-            positions[periods] = rng.integers(0, draws.n, size=periods)
+            positions[periods] = draws.generator(periods).integers(0, draws.n, size=periods)
         if (periods, cid) not in rows:
             rows[periods, cid] = np.flatnonzero(positions[periods] == cid)
         actual = _scale(draws.column(cid)[rows[periods, cid]], c.usage_min, c.usage_span)
@@ -500,7 +502,7 @@ def _batch_successes(
             corr[k] = low_report_correlations(pairs[k : k + 1], counts[k : k + 1], c.low_report_quantile,
                                               c.min_samples)[0]
     min_samples, threshold = np.array([c.min_samples for c in cells]), np.array([c.threshold for c in cells])
-    return flagged(counts, corr, threshold, min_samples).tolist()
+    return flagged(has_evidence(counts, corr, min_samples), corr, threshold).tolist()
 
 
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
@@ -570,7 +572,7 @@ def run_billing(
     """Simulate one window and bill it month by month from reports only.
 
     Returns the window and the `issue_bills` columns."""
-    window = simulate_window(config, np.random.default_rng(trial_seed))
+    window = simulate_window(config, trial_seed)
     month_len = DAYS_PER_MONTH * config.periods_per_day
     costs = np.array([accrue(reports, config.tariff) for reports in window.report_months()])
     return window, issue_bills(costs, month_len)

@@ -3,8 +3,8 @@
 Every consumer's usage is i.i.d. uniform on the config's
 ``[usage_min, usage_max]`` per period (no temporal correlation, the
 hardest setting for the detector); `harness.simulate_window` computes
-the entries a trial reads from the generator's state, bit for bit what a
-full draw would give.
+the entries a trial reads from its seed's generator state, bit for bit
+what a full draw would give.  Truthful reporting is ``Multiplicative(1.0)``.
 Reported values are derived from actual usage by the consumer's behavior
 model and are clipped at zero so reports stay physical.
 """
@@ -25,16 +25,11 @@ Direction = Literal["subtract", "add"]
 
 
 @dataclass(frozen=True)
-class Benign:
-    """Reports actual usage unchanged."""
-
-
-@dataclass(frozen=True)
 class Multiplicative:
     """Reports a fixed fraction or multiple of actual usage.
 
     ``alpha`` in (0, 1) under-reports, ``alpha`` > 1 over-reports;
-    ``alpha`` = 1 reports truthfully, and a config drops it as it drops `Benign`.
+    ``alpha`` = 1 reports truthfully (a config's ``benign``), and a config drops it.
     """
 
     alpha: float
@@ -71,7 +66,7 @@ class RandomOffset:
         _check_direction(self.direction)
 
 
-BehaviorModel = Union[Benign, Multiplicative, FixedOffset, RandomOffset]
+BehaviorModel = Union[Multiplicative, FixedOffset, RandomOffset]
 
 
 def _check_positive_finite(behavior: BehaviorModel, name: str) -> None:
@@ -116,8 +111,6 @@ def apply_behavior(
     The returned report has the same shape and is always >= 0.
     `RandomOffset` draws one offset per element from ``rng``.
     """
-    if isinstance(behavior, Benign):
-        return actual
     if isinstance(behavior, Multiplicative):
         return behavior.alpha * actual
     if isinstance(behavior, FixedOffset):

@@ -133,7 +133,7 @@ def test_criterion_6_property_battery(capfd):
 
     # per-period conservation on a simulated window
     cfg = make_config("25 = multiplicative 0.1\n50 = random_offset 1.0 subtract")
-    window = simulate_window(cfg, np.random.default_rng(derive_trial_seed(MASTER_SEED, 0)))
+    window = simulate_window(cfg, derive_trial_seed(MASTER_SEED, 0))
     conservation_ok = np.allclose(
         window.actual_total, window.reported_total + window.leakage, rtol=1e-12, atol=0
     )

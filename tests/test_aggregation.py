@@ -17,7 +17,7 @@ from per_period import accumulate_samples, aggregate_period, matrices, window_re
 
 
 def window_of(config, seed=0):
-    return simulate_window(config, np.random.default_rng(seed))
+    return simulate_window(config, seed)
 
 
 class TestAggregatePeriod:
@@ -103,7 +103,7 @@ class TestSamplingUniformity:
     def test_chi_square_over_month(self):
         # 2880 periods over 100 consumers: expected 28.8 samples each
         cfg = tiny_config(attackers="", consumers=100, periods_per_day=96)
-        window = simulate_window(cfg, np.random.default_rng(2024))
+        window = simulate_window(cfg, 2024)
         counts = np.bincount(window.sampled_pos, minlength=100)
         assert counts.sum() == 2880
         assert counts.mean() == pytest.approx(28.8)
@@ -112,7 +112,7 @@ class TestSamplingUniformity:
 
     def test_sampling_independent_across_periods(self):
         # identical consumers every period, yet the sampled position varies
-        window = simulate_window(tiny_config(attackers="", consumers=10), np.random.default_rng(0))
+        window = simulate_window(tiny_config(attackers="", consumers=10), 0)
         assert len(set(window.sampled_pos[:100].tolist())) > 1
 
 

@@ -13,7 +13,7 @@ from gridwatch.config import (
     parse_behavior,
 )
 from gridwatch.errors import ConfigurationError
-from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
+from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
 from test_cli_errors import finite_cells
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
@@ -104,7 +104,7 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.cfg")
 
     def test_behavior_specs(self):
-        assert parse_behavior("benign") == Benign()
+        assert parse_behavior("benign") == Multiplicative(1.0)
         assert parse_behavior("fixed_offset 0.7") == FixedOffset(0.7, "subtract")
         assert parse_behavior("random_offset 0.3 add") == RandomOffset(0.3, "add")
         with pytest.raises(ConfigurationError):

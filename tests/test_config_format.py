@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gridwatch.config import _KEYS, dumps_config, loads_config
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import FIELD_TYPES, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
-from gridwatch.model import Benign, FixedOffset, Multiplicative, RandomOffset
+from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
 
@@ -142,7 +142,7 @@ def int_valued(low, high):
 POSITIVE = st.floats(0.0, 1e6, exclude_min=True) | int_valued(1, 10**6)
 DIRECTIONS = st.sampled_from(["subtract", "add"])
 BEHAVIORS = st.one_of(
-    st.builds(Benign),
+    st.just(Multiplicative(1.0)),
     st.builds(Multiplicative, POSITIVE),
     st.builds(FixedOffset, POSITIVE, DIRECTIONS),
     st.builds(RandomOffset, POSITIVE, DIRECTIONS),
@@ -252,6 +252,14 @@ def test_an_attacker_must_be_a_behavior_model(behavior):
     # refused when the config is built, naming the id, not as a TypeError in the first trial
     with pytest.raises(ConfigurationError, match=r"^\[attackers\] id 3 is not a behavior model"):
         scenario(attackers={3: behavior})
+
+
+@pytest.mark.parametrize("attackers", [5, None, "ab", [1, 2], [(1,)], [(1, Multiplicative(0.5), 3)]],
+                         ids=["int", "none", "text", "bare_ids", "short_pair", "long_pair"])
+def test_attackers_must_be_a_mapping_or_pairs(attackers):
+    # one ConfigurationError naming the field, not a TypeError or ValueError from unpacking
+    with pytest.raises(ConfigurationError, match="^attackers must be a mapping or"):
+        scenario(attackers=attackers)
 
 
 def test_real_numbers_are_floats():

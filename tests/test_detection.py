@@ -49,6 +49,11 @@ def correlations_of(pairs_by_pos):
     return correlate(pos, x, y, n)
 
 
+# Inputs that are not two equal-length vectors: numpy would broadcast one onto the other.
+MISMATCHED = [([5, 5], [0.1]), ([5], [0.1, -0.2]), ([[5, 5]], [[0.1, -0.2]]), (5, 0.1)]
+MISMATCH_IDS = ["short_corr", "short_counts", "2d", "scalars"]
+
+
 class TestPearson:
     def test_exact_positive_relation(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
@@ -292,6 +297,12 @@ class TestDetectRegion:
             want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else None
             assert (math.isnan(corr[p]) if want is None else corr[p] == want)
 
+    @pytest.mark.parametrize("counts, corr", MISMATCHED, ids=MISMATCH_IDS)
+    def test_mismatched_inputs_are_refused(self, counts, corr):
+        # [5, 5] against [0.1] once gave consumer 1 consumer 0's correlation
+        with pytest.raises(InputError, match="detect_region needs two equal-length vectors"):
+            detect_region(np.array(counts), np.array(corr))
+
 
 class TestMostNegative:
     def test_argmin(self):
@@ -323,6 +334,11 @@ class TestMostNegative:
     def test_no_qualified_consumer(self):
         assert most_negative(*correlations_of({0: ([1.0], [1.0])}), min_samples=5) is None
         assert most_negative(*correlations_of({}), min_samples=5) is None
+
+    @pytest.mark.parametrize("counts, corr", MISMATCHED, ids=MISMATCH_IDS)
+    def test_mismatched_inputs_are_refused(self, counts, corr):
+        with pytest.raises(InputError, match="most_negative needs two equal-length vectors"):
+            most_negative(np.array(counts), np.array(corr))
 
 
 class TestLowReportFilter:
@@ -364,3 +380,12 @@ class TestLowReportFilter:
             if filtered is not None and filtered >= full:
                 improved += 1
         assert improved >= 0.9 * trials
+
+    @pytest.mark.parametrize("reports, leakages", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([1.0], [1.0, 2.0]),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),  # not flattened
+    ], ids=["short_leakages", "short_reports", "2d"])
+    def test_mismatched_inputs_are_refused(self, reports, leakages):
+        with pytest.raises(InputError, match="low_report_filter needs two equal-length vectors"):
+            low_report_filter(reports, leakages, q=0.5)

@@ -75,6 +75,22 @@ TWO_ATTACKER_SWEEP_CONFIG = """[attackers]
 repetitions = 20
 master_seed = 42
 """
+# One random-offset attacker in threshold mode: its Monte-Carlo verdict draws the
+# offsets before the sampled positions, so each cell simulates its own window
+# on the shared block.  At threshold 0.65 the counts sit between 0 and 6.
+RANDOM_OFFSET_SWEEP_CONFIG = """[region]
+consumers = 30
+
+[attackers]
+7 = random_offset 0.9
+
+[detection]
+threshold = 0.65
+
+[experiment]
+repetitions = 6
+master_seed = 42
+"""
 # Two periods a day: at 1 month most consumers have fewer than min_samples
 # sampled reports, so the concentration CSV has empty corr cells and
 # insufficient_data labels beside defined ones.
@@ -96,7 +112,7 @@ def _array_digest(array: np.ndarray) -> str:
 
 
 def _window_digests(name, config):
-    window = simulate_window(config, np.random.default_rng(derive_trial_seed(SEED, 0)))
+    window = simulate_window(config, derive_trial_seed(SEED, 0))
     arrays = {**matrices(window)._asdict(), "sampled_ids": window.sampled_pos,
               **{attr: getattr(window, attr) for attr in ARRAYS[2:] if attr != "sampled_ids"}}
     return {f"{name}/{attr}": _array_digest(arrays[attr]) for attr in ARRAYS}
@@ -115,6 +131,8 @@ def _cli_digests(tmp_dir: Path):
         ("fig_duration_sweep-low-report.csv", LOW_REPORT_SWEEP_CONFIG, "fig-duration-sweep",
          "fig_duration_sweep.csv"),
         ("fig_duration_sweep-two-attackers.csv", TWO_ATTACKER_SWEEP_CONFIG, "fig-duration-sweep",
+         "fig_duration_sweep.csv"),
+        ("fig_duration_sweep-random-offset.csv", RANDOM_OFFSET_SWEEP_CONFIG, "fig-duration-sweep",
          "fig_duration_sweep.csv"),
     )
     out = {}

@@ -70,34 +70,34 @@ class TestSeeding:
 class TestSimulateWindow:
     def test_period_conservation(self):
         cfg = tiny_config(periods_per_day=8)
-        window = simulate_window(cfg, np.random.default_rng(0))
+        window = simulate_window(cfg, 0)
         np.testing.assert_allclose(
             window.actual_total, window.reported_total + window.leakage, rtol=1e-12
         )
 
     def test_all_benign_zero_leakage(self):
         cfg = tiny_config(attackers="")
-        window = simulate_window(cfg, np.random.default_rng(0))
+        window = simulate_window(cfg, 0)
         assert np.all(window.leakage == 0.0)
 
     def test_single_multiplicative_leakage_identity(self):
         # leakage(t) = (1 - alpha) * attacker_usage(t) for every period
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=8)
-        window = simulate_window(cfg, np.random.default_rng(0))
+        window = simulate_window(cfg, 0)
         np.testing.assert_allclose(
             window.leakage, 0.9 * matrices(window).usage[:, 1], rtol=1e-9
         )
 
     def test_sampled_report_matches_reports_matrix(self):
         cfg = tiny_config(attackers="0 = fixed_offset 0.4 subtract\n2 = random_offset 0.3 add")
-        window = simulate_window(cfg, np.random.default_rng(1))
+        window = simulate_window(cfg, 1)
         periods = cfg.total_periods
         expected = matrices(window).reports[np.arange(periods), window.sampled_pos]
         np.testing.assert_array_equal(window.sampled_reports, expected)
 
     def test_reports_never_negative(self):
         cfg = tiny_config(attackers="0 = fixed_offset 5.0 subtract\n1 = random_offset 5.0 subtract")
-        window = simulate_window(cfg, np.random.default_rng(2))
+        window = simulate_window(cfg, 2)
         assert np.all(matrices(window).reports >= 0.0)
 
     @staticmethod
@@ -111,7 +111,7 @@ class TestSimulateWindow:
         lows, highs = np.full(5, 0.3), np.full(5, high * scale)
         if elasticity:
             highs = np.maximum(highs, lows + 1e-12)
-        window = simulate_window(cfg, np.random.default_rng(9))
+        window = simulate_window(cfg, 9)
         expected = np.random.default_rng(9).uniform(lows, highs, size=(cfg.total_periods, 5))
         assert matrices(window).usage.tobytes() == expected.tobytes()
 
@@ -137,7 +137,7 @@ class TestSimulateWindow:
     def test_elasticity_hook_caps_usage(self):
         base = tiny_config(extra="[billing]\ntariff = 2.0\n")
         elastic = dataclasses.replace(base, elasticity_factor=0.6, elasticity_level=1.0)
-        window = simulate_window(elastic, np.random.default_rng(3))
+        window = simulate_window(elastic, 3)
         assert matrices(window).usage.max() <= 1.5 * 0.6 + 1e-12
 
 
@@ -215,8 +215,7 @@ class TestRunTrial:
         def run(index):
             if output == "bills":
                 return run_billing(cfg, derive_trial_seed(0, index))
-            rng = np.random.default_rng(derive_trial_seed(0, index))
-            return simulate_window(cfg, rng).to_records()
+            return simulate_window(cfg, derive_trial_seed(0, index)).to_records()
 
         run(0)  # builds the cached jump tables
         tracemalloc.start()
@@ -387,15 +386,11 @@ class TestEstimates:
         # and all eight take one correlate call; only case III's four cells
         # make their own generators, correlate calls and sampled reads.
         starts, columns, sampled, alive, peak, generators, correlated = [], [], [], [], [], [], []
-        real_starts, real_rng, real_correlate = _pcg64._row_starts, np.random.default_rng, harness.correlate
+        real_starts, real_correlate = _pcg64._row_starts, harness.correlate
 
         def counting_starts(s0, inc, periods, n):
             starts.append((periods, n))
             return real_starts(s0, inc, periods, n)
-
-        def counting_rng(seed):
-            generators.append(seed)
-            return real_rng(seed)
 
         def counting_correlate(positions, x, y, n):
             correlated.append(n)
@@ -414,8 +409,12 @@ class TestEstimates:
                     sampled.append(len(cols))
                 return super().read(cols, *scale)
 
+            def generator(self, rows):
+                generators.append(rows)
+                return super().generator(rows)
+
         monkeypatch.setattr(_pcg64, "_row_starts", counting_starts)
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(_pcg64, "_checked", True)  # the numpy check draws from a generator too
         monkeypatch.setattr(harness, "correlate", counting_correlate)
         monkeypatch.setattr(harness, "UniformBlock", Tracked)
         base = dataclasses.replace(tiny_config(attackers=""), repetitions=3)

@@ -1,4 +1,5 @@
 import dataclasses
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from gridwatch.errors import ConfigurationError
 from gridwatch.harness import ScenarioConfig, simulate_window
 from per_period import matrices
 from gridwatch.model import (
-    Benign,
     FixedOffset,
     Multiplicative,
     RandomOffset,
@@ -20,7 +20,7 @@ from gridwatch.model import (
 
 
 def usage_of(config, seed):
-    return matrices(simulate_window(config, np.random.default_rng(seed))).usage
+    return matrices(simulate_window(config, seed)).usage
 
 
 class TestDrawUsage:
@@ -55,7 +55,7 @@ def one(behavior, actual, rng):
 class TestApplyBehavior:
     def test_benign_identity(self, rng):
         actual = np.array([7.2, 0.0, 3.5])
-        assert apply_behavior(Benign(), actual, rng) is actual
+        assert apply_behavior(Multiplicative(1.0), actual, rng).tobytes() == actual.tobytes()
 
     def test_multiplicative_tenth(self, rng):
         assert one(Multiplicative(0.1), 10.0, rng) == pytest.approx(1.0)
@@ -86,7 +86,7 @@ class TestApplyBehavior:
     def test_vectorized_matches_scalar(self):
         # elementwise: the whole array gives what each element gives alone
         actuals = np.array([0.0, 0.5, 1.0, 10.0])
-        for behavior in (Benign(), Multiplicative(0.3), Multiplicative(2.0),
+        for behavior in (Multiplicative(1.0), Multiplicative(0.3), Multiplicative(2.0),
                          FixedOffset(0.7), FixedOffset(0.7, "add")):
             rng = np.random.default_rng(0)
             vec = np.asarray(apply_behavior(behavior, actuals, rng))
@@ -103,7 +103,7 @@ class TestApplyBehavior:
     def test_reports_never_negative(self, actual, eta, alpha, seed):
         rng = np.random.default_rng(seed)
         behaviors = [
-            Benign(),
+            Multiplicative(1.0),
             Multiplicative(alpha),
             FixedOffset(eta, "subtract"),
             FixedOffset(eta, "add"),
@@ -168,11 +168,12 @@ class TestValidation:
             ScenarioConfig(consumers=2, attackers={cid: Multiplicative(0.1)})
 
     def test_attackers_sorted_by_id_without_benign(self):
-        attackers = {4: FixedOffset(0.3), 0: Benign(), 2: Multiplicative(1.0), 1: Multiplicative(0.5)}
+        attackers = {4: FixedOffset(0.3), 0: Multiplicative(1), 2: Multiplicative(1.0), 1: Multiplicative(0.5)}
         config = ScenarioConfig(consumers=5, attackers=attackers)
         assert config.attackers == ((1, Multiplicative(0.5)), (4, FixedOffset(0.3)))
         assert config == ScenarioConfig(consumers=5, attackers=[(1, Multiplicative(0.5)), (4, FixedOffset(0.3))])
         assert hash(config) == hash(ScenarioConfig(consumers=5, attackers=dict(config.attackers)))
+        assert config == ScenarioConfig(consumers=5, attackers=MappingProxyType(attackers))  # any mapping
         assert config.malicious_ids == {1, 4}  # alpha = 1 reports truthfully, so it is dropped
 
     def test_total_periods(self):

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import bit_generator
 
 from gridwatch import _pcg64
 from gridwatch.errors import GridwatchError
@@ -84,15 +85,15 @@ def test_tables_hold_every_row_start_and_in_row_step():
 
 
 @pytest.mark.parametrize("warmup", [0, 1, 2])
-def test_skip_leaves_the_state_a_full_draw_leaves(warmup):
+def test_generator_is_in_the_state_a_full_draw_leaves(warmup):
     # One 0..9 integer leaves half a raw draw buffered; a second one uses it.
-    full, skipped = (np.random.default_rng([42, 3]) for _ in range(2))
-    for rng in (full, skipped):
+    full, used = (np.random.default_rng([42, 3]) for _ in range(2))
+    for rng in (full, used):
         rng.integers(0, 10, size=warmup)
     assert full.bit_generator.state["has_uint32"] == warmup % 2
     matrix = full.random((50, 7))
-    block = _pcg64.UniformBlock(skipped.bit_generator.state, 50, 7)
-    block.skip(skipped.bit_generator, 50)
+    block = _pcg64.UniformBlock(used.bit_generator.state, 50, 7)
+    skipped = block.generator(50)
     assert skipped.bit_generator.state == full.bit_generator.state
     assert skipped.integers(0, 10, size=9).tolist() == full.integers(0, 10, size=9).tolist()
     cols = np.arange(50) % 7
@@ -103,17 +104,23 @@ def test_skip_leaves_the_state_a_full_draw_leaves(warmup):
 @pytest.mark.parametrize("periods", [1, 20, 50])
 def test_a_shorter_window_reads_a_prefix_of_the_block(periods):
     # a window of the same seed and fewer rows: the same entries, and its
-    # generator left where its own shorter draw leaves it
-    full, skipped = np.random.default_rng([7, 1]), np.random.default_rng([7, 1])
-    block = _pcg64.UniformBlock(skipped.bit_generator.state, 50, 7)
+    # generator where its own shorter draw leaves it
+    full = np.random.default_rng([7, 1])
+    block = _pcg64.UniformBlock(full.bit_generator.state, 50, 7)
     matrix = full.random((periods, 7))
-    block.skip(skipped.bit_generator, periods)
-    assert skipped.bit_generator.state == full.bit_generator.state
+    assert block.generator(periods).bit_generator.state == full.bit_generator.state
     cols = np.arange(periods) * 3 % 7
     assert block.read(cols).tobytes() == matrix[np.arange(periods), cols].tobytes()
     assert block.column(2)[:periods].tobytes() == matrix[:, 2].tobytes()
     with pytest.raises(ValueError, match="does not fit"):
-        block.skip(skipped.bit_generator, 51)
+        block.generator(51)
+
+
+def test_a_generator_draws_no_os_entropy(monkeypatch):
+    # its state is set as soon as it is built, so it takes no seed from the OS
+    monkeypatch.setattr(bit_generator, "randbits", lambda bits: pytest.fail("OS entropy drawn"))
+    block = _pcg64.UniformBlock(np.random.PCG64(3).state, 4, 2)
+    assert block.generator(4).bit_generator.state["state"]["inc"] == block.state["state"]["inc"]
 
 
 def test_block_columns_are_read_only():
