@@ -46,10 +46,17 @@ MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MOD = 1 << 128
 _LOW = np.uint64(0xFFFFFFFF)
 _ZERO, _11, _32, _58, _64 = (np.uint64(k) for k in (0, 11, 32, 58, 64))
-# Rows per pass.  Whole-window temporaries (276 KB each at 34,560 rows) go back to
-# the OS and are faulted in again on every trial; 32 KB ones are reused.
+# Rows per pass, so each operation's temporaries are 32 KB.  Whole-window arrays (276 KB at
+# 34,560 rows) are reused from the heap where `harness._keep_freed_heap` set the thresholds.
 _BLOCK = 4096
 _checked = False  # whether a block of this process has matched numpy's own draws
+
+
+@lru_cache(maxsize=1)
+def _no_entropy() -> np.random.SeedSequence:
+    """A seed for bit generators whose state is set next: no OS entropy, hashed once.
+    Built on first use, as importing ``numpy.random`` takes about 10 ms."""
+    return np.random.SeedSequence(0)
 
 
 @lru_cache(maxsize=64)
@@ -177,10 +184,10 @@ class UniformBlock:
     `generator` after its own rows.
     """
 
-    def __init__(self, state: dict, periods: int, n: int):
+    def __init__(self, state: dict, periods: int, n: int, seed=None):
         if state["bit_generator"] != "PCG64":
             raise TypeError(f"jump-ahead draws need a PCG64 generator, got {state['bit_generator']}")
-        self.state, self.periods, self.n = state, periods, n
+        self.state, self.periods, self.n, self.seed = state, periods, n, seed
         self._s0, self._inc = state["state"]["state"], state["state"]["inc"]
         self._starts = _row_starts(self._s0, self._inc, periods, n)
         # Step j's words of A_j, then G_j·inc: one take gathers a read's factors.
@@ -189,6 +196,11 @@ class UniformBlock:
         self._columns: dict[int, np.ndarray] = {}
         if not _checked:
             self._check_numpy()
+
+    @classmethod
+    def of_seed(cls, seed, periods: int, n: int) -> UniformBlock:
+        """The block of ``PCG64(seed)``, kept as ``seed``: windows sharing it need not hash it again."""
+        return cls(np.random.PCG64(seed).state, periods, n, seed)
 
     def _check_numpy(self) -> None:
         """Compare `read` with ``Generator.random`` from ``state`` on up to 16 first rows, row
@@ -230,6 +242,6 @@ class UniformBlock:
             raise ValueError(f"a {rows}-row window does not fit in a {self.periods}-row block")
         a_end, g_end = _jump(rows * self.n)
         end = (a_end * self._s0 + g_end * self._inc) % _MOD
-        bits = np.random.PCG64(0)  # seeded, so no OS entropy is drawn for a state set next
+        bits = np.random.PCG64(_no_entropy())
         bits.state = {**self.state, "state": {"state": end, "inc": self._inc}}
         return np.random.Generator(bits)

@@ -124,6 +124,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    heap_kept = harness._keep_freed_heap()  # this process and the workers it forks
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -138,6 +139,7 @@ def main(argv=None) -> int:
             config_text=dumps_config(config),
             outputs=[str(output)],
             wall_clock_seconds=elapsed,
+            heap="glibc thresholds set" if heap_kept else "default",
         )
         manifest_path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
         write_manifest(manifest, manifest_path)

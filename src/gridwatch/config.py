@@ -15,11 +15,14 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import platform
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError
-from .harness import FIELD_TYPES, ScenarioConfig
+from .harness import FIELD_TYPES, ScenarioConfig, usable_cpus
 from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset
 
 # Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
@@ -137,7 +140,7 @@ def dumps_config(config: ScenarioConfig) -> str:
 
 @dataclasses.dataclass
 class RunManifest:
-    """Everything needed to re-run an experiment bit-identically."""
+    """Everything needed to re-run an experiment bit-identically, and where it ran."""
 
     command: str
     master_seed: int
@@ -145,6 +148,10 @@ class RunManifest:
     outputs: list[str]
     wall_clock_seconds: float
     version: str = __version__
+    python: str = platform.python_version()
+    numpy: str = np.__version__
+    cpu_count: int = dataclasses.field(default_factory=usable_cpus)
+    heap: str = "default"
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2) + "\n"

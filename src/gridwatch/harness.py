@@ -20,6 +20,7 @@ Every stream is the one a lone trial draws.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -97,6 +98,8 @@ class ScenarioConfig:
                 object.__setattr__(self, name, as_real(name, value))
         pairs = self.attackers.items() if isinstance(self.attackers, Mapping) else self.attackers
         try:
+            if isinstance(pairs, (str, bytes)):  # "" would iterate to no pairs
+                raise TypeError
             pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
         except (TypeError, ValueError):
             raise ConfigurationError(
@@ -312,14 +315,14 @@ def simulate_window(
     consumers' columns, and the sampled entries once `WindowData.sampled_reports` is read,
     are computed from the seed's state, bit for bit the values the draw would give.
     ``draws`` is that state's usage block when windows of the same seed and consumer count
-    share it; by default this window computes its own.
+    share it (`UniformBlock.of_seed` of this very seed, else checked); by default this
+    window computes its own.
     """
     n, periods, low = config.consumers, config.total_periods, config.usage_min
 
-    state = np.random.PCG64(trial_seed).state
     if draws is None:
-        draws = UniformBlock(state, periods, n)
-    elif (draws.state, draws.n) != (state, n):
+        draws = UniformBlock.of_seed(trial_seed, periods, n)
+    elif draws.n != n or (draws.seed is not trial_seed and draws.state != np.random.PCG64(trial_seed).state):
         raise ValueError("the shared usage draws come from another generator state or region size")
     rng = draws.generator(periods)
     span = config.usage_span  # every period's: `_scale` gives the uniform draws on it bit for bit
@@ -512,7 +515,7 @@ def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
     are scored together (`_batch_successes`); only the others run in full."""
     seed = derive_trial_seed(cells[0].master_seed, index)
     periods = max(c.total_periods for c in cells)
-    draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].consumers)
+    draws = UniformBlock.of_seed(seed, periods, cells[0].consumers)
     batched = [c.mode == THRESHOLD_MODE and len(c.attackers) == 1 for c in cells]
     batch = [c for c, b in zip(cells, batched) if b]
     oks = iter(_batch_successes(batch, seed, draws) if batch else [])
@@ -525,6 +528,20 @@ def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[i
     return [sum(oks) for oks in zip(*(_index_successes(cells, i) for i in range(start, stop)))]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _keep_freed_heap() -> bool:
+    """Where glibc's ``mallopt`` exists, set ``M_MMAP_THRESHOLD`` (-3) to 4 MB and
+    ``M_TRIM_THRESHOLD`` (-1) to 64 MB, so that freed whole-window arrays (276 KB at 34,560
+    rows) stay in this process's heap, not go back to the OS and fault in again; return
+    whether it did.  Either alone would freeze the dynamic mmap threshold at 128 KiB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    return mallopt is not None and mallopt(-3, 4_000_000) == 1 and mallopt(-1, 64_000_000) == 1
+
+
 def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[ProbabilityEstimate]:
     """One estimate per config; all their trials share one pool when 2+ workers run.
 
@@ -533,21 +550,20 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     reads one shared usage block (`_index_successes`).  Jobs are trial-index
     ranges, up to ``4 * threads``, over every config, and return one success
     count per config; they run longest first.  More workers than usable CPUs
-    would only queue, so ``threads`` is capped at the CPUs this process may
-    run on (its affinity where the platform has one, else the CPU count)."""
+    would only queue, so ``threads`` is capped at `usable_cpus`.  Each worker
+    keeps its freed heap (`_keep_freed_heap`), however it is started."""
     if len({(c.master_seed, c.consumers, c.repetitions) for c in configs}) > 1:
         raise ValueError("estimated configs must share the master seed, consumer count and repetitions")
     if not configs:
         return []
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(threads, cpus or 1)
+    threads = min(threads, usable_cpus())
     reps = configs[0].repetitions
     parts = min(reps, 4 * max(threads, 1))
     bounds = [reps * k // parts for k in range(parts + 1)]
     ranges = sorted(zip(bounds, bounds[1:]), key=lambda r: r[1] - r[0], reverse=True)
     jobs = [(tuple(configs), a, b) for a, b in ranges]
     if min(threads, len(jobs)) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)), initializer=_keep_freed_heap) as pool:
             counts = list(pool.map(_count_successes, jobs))
     else:
         counts = list(map(_count_successes, jobs))

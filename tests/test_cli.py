@@ -1,8 +1,15 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridwatch
 from gridwatch import _pcg64, harness
 from gridwatch.cli import main
 from gridwatch.config import (
@@ -315,6 +322,16 @@ class TestCli:
         assert self.run_cli("detect", "--config", str(replay_cfg), "--out-dir", str(out2)) == 0
         assert (out1 / "detection.csv").read_bytes() == (out2 / "detection.csv").read_bytes()
 
+    def test_manifest_records_the_environment(self, tmp_path):
+        cfg = self.write_tiny(tmp_path)
+        assert self.run_cli("detect", "--config", cfg, "--out-dir", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "detect_manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["cpu_count"] == harness.usable_cpus() >= 1
+        glibc = platform.libc_ver()[0] == "glibc"
+        assert manifest["heap"] == ("glibc thresholds set" if glibc else "default")
+
     def test_table1_layout(self, tmp_path):
         cfg = self.write_tiny(tmp_path)
         assert self.run_cli("table1", "--config", cfg, "--reps", "2", "--out-dir", str(tmp_path)) == 0
@@ -379,3 +396,29 @@ class TestManifest:
         parsed = json.loads(manifest.to_json())
         assert loads_config(parsed["config_text"]) == cfg
         assert parsed["version"]
+
+
+REPEAT_TABLE1 = textwrap.dedent("""\
+    import resource, sys
+    from gridwatch.cli import main
+
+    argv = ["table1", "--config", sys.argv[1], "--out-dir", sys.argv[2]]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_a_repeated_table1_pass_faults_in_no_freed_heap(tmp_path):
+    # A second 20-repetition pass in one process reuses the heap that the first one
+    # freed.  Handed back to the OS, its whole-window arrays fault in ~15,600 pages a pass.
+    config = tmp_path / "table1.cfg"
+    config.write_text(MINIMAL + "[experiment]\nrepetitions = 20\nmaster_seed = 42\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = str(Path(gridwatch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", REPEAT_TABLE1, str(config), str(tmp_path)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert int(result.stdout) <= 500

@@ -254,8 +254,9 @@ def test_an_attacker_must_be_a_behavior_model(behavior):
         scenario(attackers={3: behavior})
 
 
-@pytest.mark.parametrize("attackers", [5, None, "ab", [1, 2], [(1,)], [(1, Multiplicative(0.5), 3)]],
-                         ids=["int", "none", "text", "bare_ids", "short_pair", "long_pair"])
+@pytest.mark.parametrize("attackers", [5, None, "ab", "", b"", [1, 2], [(1,)], [(1, Multiplicative(0.5), 3)]],
+                         ids=["int", "none", "text", "empty_text", "empty_bytes", "bare_ids", "short_pair",
+                              "long_pair"])
 def test_attackers_must_be_a_mapping_or_pairs(attackers):
     # one ConfigurationError naming the field, not a TypeError or ValueError from unpacking
     with pytest.raises(ConfigurationError, match="^attackers must be a mapping or"):

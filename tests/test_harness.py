@@ -268,12 +268,15 @@ class TestOutcomeScoring:
 def install_inline_pool(monkeypatch, cpus=64):
     """Replace the process pool with one that runs its jobs inline: no process
     starts.  The process may run on ``cpus`` CPUs, and the machine reports as
-    many.  Returns the list of worker counts the pools were built with."""
+    many.  Returns the list of worker counts the pools were built with.  A pool
+    runs its initializer once, as its one worker."""
     asked = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             asked.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -337,6 +340,18 @@ class TestEstimates:
         ]
         assert probability_table(base, 1, cases=(), threads=2) == []
         assert duration_sweep(base, [], threads=2) == {}
+
+    def test_pool_workers_keep_their_freed_heap(self, monkeypatch):
+        # every worker sets the malloc thresholds first, whatever its start method;
+        # a serial estimate leaves the caller's process as it is
+        install_inline_pool(monkeypatch)
+        calls = []
+        monkeypatch.setattr(harness, "_keep_freed_heap", lambda: calls.append("set"))
+        base = dataclasses.replace(tiny_config(attackers=""), repetitions=3, master_seed=4)
+        probability_table(base, 1, threads=1)
+        assert calls == []
+        probability_table(base, 1, threads=2)
+        assert calls == ["set"]
 
     @settings(max_examples=60, deadline=None)
     @given(reps=st.integers(1, 50), threads=st.integers(1, 4))
@@ -564,3 +579,22 @@ class TestConcentration:
         outcome = run_trial(cfg, derive_trial_seed(42, 1))
         std = benign_corr_std(outcome.report, {25})
         assert 0.0 < std < 1.0
+
+
+class TestHeap:
+    def test_both_thresholds_are_set_alike_on_every_call(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: Libc())
+        assert harness._keep_freed_heap() is harness._keep_freed_heap() is True
+        assert calls == [(-3, 4_000_000), (-1, 64_000_000)] * 2
+
+    def test_without_mallopt_nothing_is_set(self, monkeypatch):
+        # musl and macOS: no error, and the manifest says "default"
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: object())
+        assert harness._keep_freed_heap() is False

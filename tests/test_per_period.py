@@ -271,6 +271,17 @@ def test_shared_draws_must_come_from_the_window_stream():
         simulate_window(longer, 1, draws)
 
 
+def test_a_block_built_from_the_seed_is_shared_without_hashing_it_again(monkeypatch):
+    config = loads_config("[region]\nconsumers = 3\nperiods_per_day = 1\n")
+    seed = derive_trial_seed(5, 0)
+    draws = UniformBlock.of_seed(seed, config.total_periods, 3)
+    fresh = simulate_window(config, seed)
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda s: pytest.fail("seed hashed again") if s is seed else pcg64(s))
+    shared = simulate_window(config, seed, draws)
+    assert shared.sampled_pos.tobytes() == fresh.sampled_pos.tobytes()
+
+
 def test_window_needs_a_pcg64_generator():
     # a window's usage block is the jump-ahead of a PCG64 state, and of no other
     with pytest.raises(TypeError, match="PCG64"):
