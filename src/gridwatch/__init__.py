@@ -4,6 +4,7 @@ detection, privacy-preserving aggregation, and aggregator-side billing."""
 __version__ = "0.1.0"
 
 from .billing import accrue, issue_bills
+from .config import ScenarioConfig
 from .detection import (
     DetectionReport,
     Label,
@@ -15,7 +16,6 @@ from .detection import (
 from .errors import ConfigurationError, GridwatchError, InputError
 from .harness import (
     ProbabilityEstimate,
-    ScenarioConfig,
     TrialOutcome,
     concentration_experiment,
     derive_trial_seed,

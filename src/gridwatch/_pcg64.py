@@ -184,10 +184,10 @@ class UniformBlock:
     `generator` after its own rows.
     """
 
-    def __init__(self, state: dict, periods: int, n: int, seed=None):
+    def __init__(self, state: dict, periods: int, n: int):
         if state["bit_generator"] != "PCG64":
             raise TypeError(f"jump-ahead draws need a PCG64 generator, got {state['bit_generator']}")
-        self.state, self.periods, self.n, self.seed = state, periods, n, seed
+        self.state, self.periods, self.n = state, periods, n
         self._s0, self._inc = state["state"]["state"], state["state"]["inc"]
         self._starts = _row_starts(self._s0, self._inc, periods, n)
         # Step j's words of A_j, then G_j·inc: one take gathers a read's factors.
@@ -199,8 +199,8 @@ class UniformBlock:
 
     @classmethod
     def of_seed(cls, seed, periods: int, n: int) -> UniformBlock:
-        """The block of ``PCG64(seed)``, kept as ``seed``: windows sharing it need not hash it again."""
-        return cls(np.random.PCG64(seed).state, periods, n, seed)
+        """The block of ``PCG64(seed)``."""
+        return cls(np.random.PCG64(seed).state, periods, n)
 
     def _check_numpy(self) -> None:
         """Compare `read` with ``Generator.random`` from ``state`` on up to 16 first rows, row

@@ -16,10 +16,9 @@ import time
 from pathlib import Path
 
 from . import __version__, csvio, harness
-from .config import RunManifest, dumps_config, load_config, write_manifest
+from .config import RunManifest, ScenarioConfig, dumps_config, load_config, write_manifest
 from .errors import ConfigurationError, GridwatchError
 from .harness import (
-    ScenarioConfig,
     concentration_experiment,
     derive_trial_seed,
     duration_sweep,

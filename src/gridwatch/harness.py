@@ -1,13 +1,15 @@
-"""Scenario orchestration: seeded end-to-end trials and Monte-Carlo estimates.
+"""Scenario orchestration: seeded windows, trials, Monte-Carlo estimates and
+the paper's experiments, all run on a `config.ScenarioConfig`.
 
 A trial computes only the usage entries it reads, correlates every consumer's
 sampled reports with the leakage in one pass, runs the configured detector,
 and scores the result against the known attacker set; billing and records read
 the usage a month at a time.  A window is a function of its config and its
 seed alone: its stream is the seed's usage block and the
-`UniformBlock.generator` after it.  Monte-Carlo repetitions use seeds derived
-injectively from ``(master_seed, trial_index)`` so they can run in any order
-or in parallel without changing the result.  The cells (attack case and
+`UniformBlock.generator` after it, and it takes the seed or that block.
+Monte-Carlo repetitions use seeds derived injectively from
+``(master_seed, trial_index)`` so they can run in any order or in parallel
+without changing the result.  The cells (attack case and
 duration) of one estimate share the master seed and the consumer count, and
 trial ``i`` of every cell reads one shared usage block, whose entries are
 computed once for them all.  A Monte-Carlo cell reads only what its verdict
@@ -26,15 +28,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._pcg64 import UniformBlock, _scale
 from .billing import accrue, issue_bills
+from .config import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, usable_cpus
 from .detection import (
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_THRESHOLD,
     DetectionReport,
     correlate,
     detect_region,
@@ -45,185 +46,7 @@ from .detection import (
     series_from_arrays,
 )
 from .errors import ConfigurationError
-from .model import (
-    BehaviorModel,
-    FixedOffset,
-    Multiplicative,
-    RandomOffset,
-    apply_behavior,
-    as_integer,
-    as_real,
-)
-
-DAYS_PER_MONTH = 30
-# Size limits (`check_window_size`): one month's float64 usage block up to 1 GiB
-MAX_MONTH_ENTRIES = 2**27
-MAX_PERIODS = 2**22
-
-THRESHOLD_MODE = "threshold"
-MOST_NEGATIVE_MODE = "most_negative"
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One aggregator's region and the experiment run on it; each field is the config key
-    of its name, in file order.  Consumer ids are positions ``0..consumers-1``, all draw
-    usage on one range, and ``attackers``, given as a mapping or as ``(id, behavior)``
-    pairs, is kept as pairs sorted by id, without the entries that report truthfully,
-    ``Multiplicative(1.0)``: every attacker left misreports."""
-
-    region_id: int = 0
-    consumers: int = 100
-    periods_per_day: int = 96
-    usage_min: float = 0.5
-    usage_max: float = 1.5
-    attackers: tuple[tuple[int, BehaviorModel], ...] = ()
-    threshold: float = DEFAULT_THRESHOLD
-    min_samples: int = DEFAULT_MIN_SAMPLES
-    mode: str = THRESHOLD_MODE
-    low_report_quantile: float | None = None
-    tariff: float = 1.0
-    elasticity_factor: float | None = None
-    elasticity_level: float | None = None
-    months: int = 1
-    repetitions: int = 1000
-    master_seed: int = 0
-
-    def __post_init__(self):
-        for name, kind in FIELD_TYPES.items():
-            value = getattr(self, name)
-            if kind is int:
-                object.__setattr__(self, name, as_integer(name, value))
-            elif kind is float or (kind == float | None and value is not None):
-                object.__setattr__(self, name, as_real(name, value))
-        pairs = self.attackers.items() if isinstance(self.attackers, Mapping) else self.attackers
-        try:
-            if isinstance(pairs, (str, bytes)):  # "" would iterate to no pairs
-                raise TypeError
-            pairs = [(as_integer("attacker id", cid), behavior) for cid, behavior in pairs]
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"attackers must be a mapping or (id, behavior) pairs, got {self.attackers!r}"
-            ) from None
-        n, ids = self.consumers, [cid for cid, _ in pairs]
-        if n < 2:
-            raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("attacker ids must be unique within a region")
-        for cid, behavior in pairs:
-            if not 0 <= cid < n:
-                raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
-            if not isinstance(behavior, BehaviorModel):
-                raise ConfigurationError(f"[attackers] id {cid} is not a behavior model: {behavior!r}")
-        if not (math.isfinite(self.usage_min) and math.isfinite(self.usage_max)):
-            raise ConfigurationError(
-                f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
-            )
-        if self.usage_min < 0:
-            raise ConfigurationError(
-                f"usage_min must be >= 0, got {self.usage_min}"
-            )
-        if not self.usage_min < self.usage_max:
-            raise ConfigurationError(
-                f"usage_min ({self.usage_min}) must be < usage_max ({self.usage_max})"
-            )
-        if self.periods_per_day <= 0:
-            raise ConfigurationError(
-                f"periods_per_day must be > 0, got {self.periods_per_day}"
-            )
-        attackers = (pair for pair in pairs if pair[1] != Multiplicative(1.0))
-        object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
-        check_window_size(self.consumers, self.periods_per_day, self.total_periods)
-        if self.months < 1:
-            raise ConfigurationError(f"months must be >= 1, got {self.months}")
-        if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
-            raise ConfigurationError(f"unknown detection mode {self.mode!r}")
-        if self.min_samples < 2:
-            raise ConfigurationError(f"min_samples must be >= 2, got {self.min_samples}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ConfigurationError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.repetitions < 1:
-            raise ConfigurationError(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
-        if self.master_seed < 0:
-            raise ConfigurationError(
-                f"master_seed must be >= 0, got {self.master_seed}"
-            )
-        q = self.low_report_quantile
-        if q is not None and not 0.0 < q < 1.0:
-            raise ConfigurationError(f"low_report_quantile must be finite and in (0, 1), got {q}")
-        if (self.elasticity_factor is None) != (self.elasticity_level is None):
-            raise ConfigurationError(
-                "elasticity_factor and elasticity_level must be set together"
-            )
-        if self.elasticity_factor is not None and not (
-            0 < self.elasticity_factor < math.inf and math.isfinite(self.elasticity_level)
-        ):
-            raise ConfigurationError("elasticity factor and level must be finite, the factor > 0")
-        if not 0.0 <= self.tariff < math.inf:
-            raise ConfigurationError(f"tariff must be finite and >= 0, got {self.tariff}")
-        _check_sums_finite(self)
-
-    @property
-    def malicious_ids(self) -> set[int]:
-        return {cid for cid, _ in self.attackers}
-
-    @property
-    def total_periods(self) -> int:
-        return DAYS_PER_MONTH * self.periods_per_day * self.months
-
-    @property
-    def usage_span(self) -> float:
-        """The width of every period's usage range.  With elasticity set, a tariff above the
-        level scales ``usage_max`` by the factor, and the top stays at least 1e-12 above ``usage_min``."""
-        low, high = self.usage_min, self.usage_max
-        if self.elasticity_factor is None:
-            return high - low
-        factor = self.elasticity_factor if self.tariff > self.elasticity_level else 1.0
-        return max(high * factor, low + 1e-12) - low
-
-
-# Each field's type: `__post_init__` coerces by it and `config` reads and writes by it.
-FIELD_TYPES = get_type_hints(ScenarioConfig)
-
-
-def check_window_size(consumers: int, periods_per_day: int, periods: int) -> None:
-    """Reject a window whose month block or per-period arrays exceed the size limits."""
-    month = DAYS_PER_MONTH * periods_per_day * consumers
-    limits = ((month, "values a month", MAX_MONTH_ENTRIES), (periods, "periods", MAX_PERIODS))
-    for size, what, limit in limits:
-        if size > limit:
-            raise ConfigurationError(f"the window has {size} {what}, above the limit of {limit}")
-
-
-def _check_sums_finite(config: ScenarioConfig) -> None:
-    """Reject values whose regional totals, monthly bills or correlation sums overflow.
-
-    A total adds up to n values; a bill up to a month of values times the
-    rate; a correlation sums up to ``periods`` squares of values as large
-    as a total (the leakage is one).  Past ``float``'s range each would end
-    as a silent inf or NaN in the output.
-    """
-    usage = config.usage_min + config.usage_span
-    value = usage  # the largest usage or report of any consumer in any period
-    for _, b in config.attackers:
-        if isinstance(b, Multiplicative):
-            value = max(value, b.alpha * usage)
-        elif isinstance(b, (FixedOffset, RandomOffset)) and b.direction == "add":
-            value = max(value, usage + (b.eta if isinstance(b, FixedOffset) else b.theta_max))
-    total = value * config.consumers
-    sums = {
-        "regional totals": total,
-        "monthly bills": value * config.tariff * DAYS_PER_MONTH * config.periods_per_day,
-        "correlation sums": total * total * config.total_periods,
-    }
-    for what, bound in sums.items():
-        if not math.isfinite(bound):
-            raise ConfigurationError(
-                f"usage and reports up to {value!r} overflow the {what}; "
-                "lower usage_max, the attack sizes, the elasticity factor or the tariff"
-            )
+from .model import FixedOffset, Multiplicative, RandomOffset, apply_behavior
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
@@ -266,22 +89,23 @@ class WindowData:
         drawn from the block's state."""
         rng = self.draws.generator(0)
         c = self.config
-        month_len = DAYS_PER_MONTH * c.periods_per_day
-        for _ in range(len(self.leakage) // month_len):
-            yield _scale(rng.random((month_len, c.consumers)), c.usage_min, c.usage_span)
+        for _ in range(c.months):
+            yield _scale(rng.random((c.month_periods, c.consumers)), c.usage_min, c.usage_span)
 
     def report_months(self) -> Iterator[np.ndarray]:
         """Each month's ``(periods, n)`` reports block, in period order: its
         fresh usage block with the misreporting columns written over in place."""
-        month_len = DAYS_PER_MONTH * self.config.periods_per_day
-        for start, reports in zip(range(0, len(self.leakage), month_len), self.usage_months()):
+        month_len = self.config.month_periods
+        for month, reports in enumerate(self.usage_months()):
             for pos, reported in self.dishonest.items():
-                reports[:, pos] = reported[start : start + month_len]
+                reports[:, pos] = reported[month * month_len : (month + 1) * month_len]
             yield reports
 
     @cached_property
     def actual_total(self) -> np.ndarray:
-        return np.concatenate([usage.sum(axis=1) for usage in self.usage_months()])
+        # `map` holds no month block while the next one is drawn, where a comprehension's loop
+        # variable would, so the sum needs one month block of memory, not two.
+        return np.concatenate(list(map(lambda usage: usage.sum(axis=1), self.usage_months())))
 
     @cached_property
     def reported_total(self) -> np.ndarray:
@@ -302,8 +126,7 @@ class WindowData:
 
 def simulate_window(
     config: ScenarioConfig,
-    trial_seed: int | np.random.SeedSequence,
-    draws: UniformBlock | None = None,
+    trial_seed: int | np.random.SeedSequence | UniformBlock,
 ) -> WindowData:
     """Generate usage and reports for every period and aggregate them.
 
@@ -314,16 +137,15 @@ def simulate_window(
     positions come from `UniformBlock.generator` after it, and only the misreporting
     consumers' columns, and the sampled entries once `WindowData.sampled_reports` is read,
     are computed from the seed's state, bit for bit the values the draw would give.
-    ``draws`` is that state's usage block when windows of the same seed and consumer count
-    share it (`UniformBlock.of_seed` of this very seed, else checked); by default this
-    window computes its own.
+    ``trial_seed`` may be the seed's usage block itself (`UniformBlock.of_seed`), which
+    windows of the same seed and consumer count share; a seed gets a block of its own.
     """
     n, periods, low = config.consumers, config.total_periods, config.usage_min
 
-    if draws is None:
-        draws = UniformBlock.of_seed(trial_seed, periods, n)
-    elif draws.n != n or (draws.seed is not trial_seed and draws.state != np.random.PCG64(trial_seed).state):
-        raise ValueError("the shared usage draws come from another generator state or region size")
+    draws = (trial_seed if isinstance(trial_seed, UniformBlock)
+             else UniformBlock.of_seed(trial_seed, periods, n))
+    if draws.n != n:
+        raise ValueError(f"a usage block of {draws.n} consumers cannot serve a region of {n}")
     rng = draws.generator(periods)
     span = config.usage_span  # every period's: `_scale` gives the uniform draws on it bit for bit
 
@@ -396,8 +218,7 @@ def _low_report_corr(config: ScenarioConfig, counts: np.ndarray, samples) -> np.
 
 def run_trial(
     config: ScenarioConfig,
-    trial_seed: int | np.random.SeedSequence,
-    draws: UniformBlock | None = None,
+    trial_seed: int | np.random.SeedSequence | UniformBlock,
 ) -> TrialOutcome:
     """One fully deterministic end-to-end trial.
 
@@ -407,9 +228,9 @@ def run_trial(
     leaves the low-report ones to `TrialOutcome.report`.  Threshold mode detects the
     `flagged` consumers, those `detect_region` labels malicious; a most-negative trial
     without evidence selects None, a miss.
-    ``draws`` is ``trial_seed``'s usage block when trials share it (`simulate_window`).
+    ``trial_seed`` is a seed or its shared usage block (`simulate_window`).
     """
-    window = simulate_window(config, trial_seed, draws)
+    window = simulate_window(config, trial_seed)
     samples = (window.sampled_pos, window.sampled_reports, window.leakage)
     counts, corr = correlate(*samples, config.consumers)
     filtered = config.low_report_quantile is not None
@@ -459,7 +280,7 @@ class ProbabilityEstimate:
 
 
 def _attacker_pairs(
-    cells: Sequence[ScenarioConfig], seed: np.random.SeedSequence, draws: UniformBlock
+    cells: Sequence[ScenarioConfig], draws: UniformBlock
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each one-attacker cell's attacker reports and leakage on the periods the attacker
     is sampled, in period order, bit for bit those of `simulate_window`.  After an attack
@@ -474,7 +295,7 @@ def _attacker_pairs(
         ((cid, behavior),) = c.attackers
         periods = c.total_periods
         if isinstance(behavior, RandomOffset):
-            window = simulate_window(c, seed, draws)
+            window = simulate_window(c, draws)
             hit = window.sampled_pos == cid
             pairs.append((window.dishonest[cid][hit], window.leakage[hit]))
             continue
@@ -488,15 +309,13 @@ def _attacker_pairs(
     return pairs
 
 
-def _batch_successes(
-    cells: Sequence[ScenarioConfig], seed: np.random.SeedSequence, draws: UniformBlock
-) -> list[bool]:
-    """``trial_success(run_trial(c, seed, draws))`` for threshold cells with one
+def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> list[bool]:
+    """``trial_success(run_trial(c, draws))`` for threshold cells with one
     misreporting consumer: its attacker flagged.  Only the attacker's sampled periods are
     correlated (`_attacker_pairs`), one group per cell in one `correlate` call, which sums
     each group in period order and so gives a cell the bits a lone call gives it; a cell
     with the low-report filter takes its low-report pairs with `pearson`."""
-    pairs = _attacker_pairs(cells, seed, draws)
+    pairs = _attacker_pairs(cells, draws)
     groups = np.repeat(np.arange(len(cells)), [len(reports) for reports, _ in pairs])
     reports, leakage = (np.concatenate(column) for column in zip(*pairs))
     counts, corr = correlate(groups, reports, leakage, len(cells))
@@ -518,19 +337,14 @@ def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
     draws = UniformBlock.of_seed(seed, periods, cells[0].consumers)
     batched = [c.mode == THRESHOLD_MODE and len(c.attackers) == 1 for c in cells]
     batch = [c for c, b in zip(cells, batched) if b]
-    oks = iter(_batch_successes(batch, seed, draws) if batch else [])
-    return [next(oks) if b else trial_success(run_trial(c, seed, draws)) for c, b in zip(cells, batched)]
+    oks = iter(_batch_successes(batch, draws) if batch else [])
+    return [next(oks) if b else trial_success(run_trial(c, draws)) for c, b in zip(cells, batched)]
 
 
 def _count_successes(job: tuple[tuple[ScenarioConfig, ...], int, int]) -> list[int]:
     """Each cell's successes over trial indices ``start..stop-1``."""
     cells, start, stop = job
     return [sum(oks) for oks in zip(*(_index_successes(cells, i) for i in range(start, stop)))]
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity where the platform has one, else the CPU count."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _keep_freed_heap() -> bool:
@@ -589,9 +403,8 @@ def run_billing(
 
     Returns the window and the `issue_bills` columns."""
     window = simulate_window(config, trial_seed)
-    month_len = DAYS_PER_MONTH * config.periods_per_day
     costs = np.array([accrue(reports, config.tariff) for reports in window.report_months()])
-    return window, issue_bills(costs, month_len)
+    return window, issue_bills(costs, config.month_periods)
 
 
 def concentration_experiment(
@@ -614,30 +427,27 @@ def duration_sweep(
     return dict(zip(durations, _estimate([replace(config, months=m) for m in durations], threads)))
 
 
-# Documented defaults for the offset attacks: both offsets are sized at the
-# midpoint of the region's usage range, so the fixed offset clips the
-# report to zero on roughly half the periods and the random offset's
-# variance is large enough to dominate the benign correlation spread.
-def case_behavior(case: str, config: ScenarioConfig) -> BehaviorModel:
-    """Standard attacker behavior for the three benchmark cases."""
-    midpoint = 0.5 * (config.usage_min + config.usage_max)
-    if case == "I":
-        return Multiplicative(alpha=0.1)
-    if case == "II":
-        return FixedOffset(eta=midpoint, direction="subtract")
-    if case == "III":
-        return RandomOffset(theta_max=midpoint, direction="subtract")
-    raise ConfigurationError(f"unknown case {case!r}")
-
-
 def case_config(base: ScenarioConfig, case: str, attacker_id: int) -> ScenarioConfig:
     """Single-attacker benchmark scenario for one case, all others benign.
 
-    Case III uses the most-negative selection rule; Cases I and II use the
-    correlation threshold.
+    Case I under-reports by ×0.1 and Case II subtracts a fixed offset, both
+    under the correlation threshold; Case III subtracts a random offset under
+    the most-negative selection rule.
     """
-    mode = MOST_NEGATIVE_MODE if case == "III" else THRESHOLD_MODE
-    return replace(base, attackers={attacker_id: case_behavior(case, base)}, mode=mode)
+    # Both offsets are sized at the midpoint of the region's usage range, so
+    # the fixed offset clips the report to zero on roughly half the periods
+    # and the random offset's variance is large enough to dominate the benign
+    # correlation spread.
+    midpoint = 0.5 * (base.usage_min + base.usage_max)
+    cases = {
+        "I": (Multiplicative(alpha=0.1), THRESHOLD_MODE),
+        "II": (FixedOffset(eta=midpoint, direction="subtract"), THRESHOLD_MODE),
+        "III": (RandomOffset(theta_max=midpoint, direction="subtract"), MOST_NEGATIVE_MODE),
+    }
+    if case not in cases:
+        raise ConfigurationError(f"unknown case {case!r}")
+    behavior, mode = cases[case]
+    return replace(base, attackers={attacker_id: behavior}, mode=mode)
 
 
 def probability_table(

@@ -13,11 +13,13 @@ import gridwatch
 from gridwatch import _pcg64, harness
 from gridwatch.cli import main
 from gridwatch.config import (
+    MAX_PERIODS,
     RunManifest,
     dumps_config,
     load_config,
     loads_config,
     parse_behavior,
+    usable_cpus,
 )
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
@@ -104,7 +106,7 @@ class TestLoadConfig:
     ])
     def test_windows_at_the_size_limits_load(self, text):
         # loading checks sums; nothing of the window's size is allocated
-        assert loads_config(text).total_periods <= harness.MAX_PERIODS
+        assert loads_config(text).total_periods <= MAX_PERIODS
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -328,7 +330,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "detect_manifest.json").read_text())
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
-        assert manifest["cpu_count"] == harness.usable_cpus() >= 1
+        assert manifest["cpu_count"] == usable_cpus() >= 1
         glibc = platform.libc_ver()[0] == "glibc"
         assert manifest["heap"] == ("glibc thresholds set" if glibc else "default")
 

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.config import _KEYS, dumps_config, loads_config
+from gridwatch.config import (
+    _FIELD_TYPES, _KEYS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
+)
 from gridwatch.errors import ConfigurationError
-from gridwatch.harness import FIELD_TYPES, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
@@ -120,6 +121,11 @@ def test_written_text_is_exact(text, expected):
         ("[attackers]\nx = multiplicative 0.1\n", "[attackers] key 'x' is not a consumer id"),
         ("[attackers]\n-1 = multiplicative 0.1\n",
          "[attackers] id -1 is outside the region's 0..99 consumers"),
+        ("[attackers]\n25 =\n", "empty behavior spec"),
+        ("[attackers]\n25 = multiplicative abc\n",
+         "bad behavior spec 'multiplicative abc': could not convert string to float: 'abc'"),
+        ("[region]\nusage_max = inf\n", "usage bounds must be finite, got [0.5, inf]"),
+        ("[region]\nusage_min = nan\n", "usage bounds must be finite, got [nan, 1.5]"),
         ("[detection]\nthresold = 0.5\n", "unknown key 'thresold' in section [detection]"),
         ("[creds]\nuser = x\n", "unknown section [creds]"),
         ("consumers = 5\n",
@@ -199,7 +205,7 @@ def test_every_key_has_a_type_the_file_can_hold():
     # the types `_parse` and `_format` know; anything else would be written as str()
     for section in _KEYS.values():
         for key in section:
-            assert FIELD_TYPES[key] in (int, float, str, float | None), key
+            assert _FIELD_TYPES[key] in (int, float, str, float | None), key
 
 
 def scenario(**fields):

@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config, tiny_config
-from gridwatch.config import loads_config
+from gridwatch.config import MAX_PERIODS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, loads_config
 from gridwatch.detection import Label
 from gridwatch import _pcg64, harness
 from gridwatch.errors import ConfigurationError
 from gridwatch.harness import (
-    MOST_NEGATIVE_MODE,
-    ScenarioConfig,
-    THRESHOLD_MODE,
     TrialOutcome,
     case_config,
     concentration_experiment,
@@ -225,6 +222,19 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_regional_totals_hold_one_month_block(self):
+        # no month block is held while the next one is drawn
+        cfg = dataclasses.replace(make_config(), months=12)
+        simulate_window(cfg, derive_trial_seed(0, 0)).actual_total  # builds the cached jump tables
+        window = simulate_window(cfg, derive_trial_seed(0, 1))
+        tracemalloc.start()
+        try:
+            window.actual_total
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cfg.month_periods * cfg.consumers * 8
 
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
@@ -522,7 +532,7 @@ class TestScenarioBuilders:
         with pytest.raises(ConfigurationError, match="4300800 periods, above the limit"):
             dataclasses.replace(cfg, periods_per_day=4096, months=35)
         longest = dataclasses.replace(cfg, periods_per_day=4096, months=34)  # 4,177,920 periods
-        assert harness.MAX_PERIODS - 30 * 4096 < longest.total_periods <= harness.MAX_PERIODS
+        assert MAX_PERIODS - 30 * 4096 < longest.total_periods <= MAX_PERIODS
         with pytest.raises(ConfigurationError, match="values a month, above the limit"):
             dataclasses.replace(cfg, periods_per_day=4370, consumers=1024)
 
@@ -552,6 +562,10 @@ class TestDurationSweeps:
     def test_probability_table_checks_every_duration_first(self, no_trial):
         with pytest.raises(ConfigurationError, match="months must be >= 1"):
             probability_table(tiny_config(), 1, durations=(1, 0))
+
+    def test_probability_table_checks_every_case_first(self, no_trial):
+        with pytest.raises(ConfigurationError, match="^unknown case 'IV'$"):
+            probability_table(tiny_config(), 1, cases=("I", "IV"))
 
     def test_a_one_duration_sweep_is_its_config(self):
         cfg = dataclasses.replace(tiny_config(extra="[billing]\ntariff = 0.5\n"), repetitions=2)

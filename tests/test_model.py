@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from gridwatch.config import loads_config
+from gridwatch.config import ScenarioConfig, loads_config
 from gridwatch.errors import ConfigurationError
-from gridwatch.harness import ScenarioConfig, simulate_window
+from gridwatch.harness import simulate_window
 from per_period import matrices
 from gridwatch.model import (
     FixedOffset,

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridwatch.config import loads_config
+from gridwatch.config import DAYS_PER_MONTH, loads_config
 from gridwatch.detection import correlate, series_from_arrays
-from gridwatch._pcg64 import UniformBlock
+from gridwatch._pcg64 import UniformBlock, _no_entropy
 from gridwatch.harness import (
-    DAYS_PER_MONTH, _estimate, _index_successes, derive_trial_seed, run_billing, run_trial,
-    simulate_window, trial_success,
+    _estimate, _index_successes, derive_trial_seed, run_billing, run_trial, simulate_window,
+    trial_success,
 )
 from per_period import (
     accumulate_samples, full_matrix_window, ledger_bills, matrices, window_records,
@@ -150,7 +150,7 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock(np.random.PCG64(seed).state, periods, cells[0].consumers)
     for cell in cells:
-        shared, fresh = simulate_window(cell, seed, draws), simulate_window(cell, seed)
+        shared, fresh = simulate_window(cell, draws), simulate_window(cell, seed)
         for name in ("leakage", "sampled_pos", "sampled_reports"):
             assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert list(shared.dishonest) == list(fresh.dishonest) == sorted(cell.malicious_ids)
@@ -233,7 +233,7 @@ def test_monte_carlo_verdict_is_the_full_trial_verdict(cells_index):
     seed = derive_trial_seed(cells[0].master_seed, index)
     draws = UniformBlock(np.random.PCG64(seed).state, max(c.total_periods for c in cells), cells[0].consumers)
     verdicts = _index_successes(cells, index)
-    assert verdicts == [trial_success(run_trial(c, seed, draws)) for c in cells]
+    assert verdicts == [trial_success(run_trial(c, draws)) for c in cells]
     assert verdicts == [trial_success(run_trial(c, seed)) for c in cells]
 
 
@@ -261,24 +261,28 @@ def test_one_group_correlation_is_the_region_entry_bit_for_bit(data):
     assert one_corr.tobytes() == corr[group : group + 1].tobytes()
 
 
-def test_shared_draws_must_come_from_the_window_stream():
+def test_a_shared_block_must_fit_the_window():
     config = loads_config("[region]\nconsumers = 3\nperiods_per_day = 1\n")
     draws = UniformBlock(np.random.PCG64(1).state, config.total_periods, 3)
-    with pytest.raises(ValueError, match="another generator state"):
-        simulate_window(config, 2, draws)
     longer = dataclasses.replace(config, months=2)
     with pytest.raises(ValueError, match="does not fit"):
-        simulate_window(longer, 1, draws)
+        simulate_window(longer, draws)
+    wider = dataclasses.replace(config, consumers=4)
+    with pytest.raises(ValueError, match="cannot serve a region of 4"):
+        simulate_window(wider, draws)
 
 
 def test_a_block_built_from_the_seed_is_shared_without_hashing_it_again(monkeypatch):
+    # a window given a block seeds no PCG64: the only one it builds is the
+    # generator whose state `UniformBlock.generator` sets
     config = loads_config("[region]\nconsumers = 3\nperiods_per_day = 1\n")
     seed = derive_trial_seed(5, 0)
     draws = UniformBlock.of_seed(seed, config.total_periods, 3)
     fresh = simulate_window(config, seed)
-    pcg64 = np.random.PCG64
-    monkeypatch.setattr(np.random, "PCG64", lambda s: pytest.fail("seed hashed again") if s is seed else pcg64(s))
-    shared = simulate_window(config, seed, draws)
+    pcg64, unseeded = np.random.PCG64, _no_entropy()
+    monkeypatch.setattr(np.random, "PCG64",
+                        lambda s: pcg64(s) if s is unseeded else pytest.fail("a PCG64 was seeded"))
+    shared = simulate_window(config, draws)
     assert shared.sampled_pos.tobytes() == fresh.sampled_pos.tobytes()
 
 

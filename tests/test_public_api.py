@@ -1,7 +1,11 @@
 """The package's public names, pinned: adding or removing one is a deliberate
-edit of this list, not a side effect of a refactor."""
+edit of this list, not a side effect of a refactor; and the module layering."""
+
+import ast
+from pathlib import Path
 
 import gridwatch
+import gridwatch.config
 
 PUBLIC = [
     "BehaviorModel",
@@ -39,3 +43,15 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in gridwatch.__all__ if not hasattr(gridwatch, name)]
     assert not missing, f"names in gridwatch.__all__ that the package does not define: {missing}"
+
+
+def test_config_does_not_import_the_simulation():
+    # the config owns its fields, types and checks; the harness imports it, never the reverse
+    tree = ast.parse(Path(gridwatch.config.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not [name for name in names if "harness" in name.split(".")]
