@@ -11,15 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def accrue(reports: np.ndarray, rate: float) -> np.ndarray:
-    """One month's cost of each consumer: ``reports`` is ``(periods, consumers)``
-    and ``rate`` the price per energy unit.
+def accrue(reports: np.ndarray, rate: float, carry: float | np.ndarray = 0.0) -> np.ndarray:
+    """One month's cost of each consumer: ``reports`` is ``(periods, consumers)``,
+    ``rate`` the price per energy unit and ``carry`` the month's cost so far.
 
-    Each sum runs period by period for every consumer, so a cost is the
-    float a running per-period total reaches (``einsum`` or ``matmul`` may
-    reorder the sum).
+    Each sum runs period by period for every consumer from ``carry``, so a cost is
+    the float a running per-period total reaches, a month's in chunks of rows too
+    (``einsum`` or ``matmul`` may reorder the sum).
     """
-    return (rate * reports).sum(axis=0)
+    costs = np.empty((len(reports) + 1, reports.shape[1]))
+    costs[0] = carry
+    np.multiply(rate, reports, out=costs[1:])
+    return costs.sum(axis=0)
 
 
 def issue_bills(costs: np.ndarray, month_len: int) -> tuple[np.ndarray, ...]:

@@ -12,6 +12,8 @@ attack is instead found by taking the most negative correlation in the region.
 whole-window arrays; `pearson` is the scalar form, used by the
 low-report filter path and kept as the reference the kernel is tested
 against.  Both treat a series whose spread is rounding noise as constant.
+The low-report cutoff is ``np.quantile``'s, from one partition and numpy's rule in
+Python floats (`_quantile`): ``np.quantile`` would import `numpy.ma`.
 """
 
 from __future__ import annotations
@@ -109,6 +111,21 @@ def correlate(
     return counts, np.where(defined, np.clip(corr, -1.0, 1.0), np.nan)
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit: the same partition of a copy, then
+    numpy's rule on the two neighbours of ``(n - 1) * q``.  Past the last index both are
+    the last value, at index -1; a NaN, which partitions last, is the result."""
+    n = len(values)
+    v = (n - 1) * q
+    i, j = (math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+    s = np.partition(values, sorted({0, i % n, j % n, n - 1}))
+    if math.isnan(s[-1]):
+        return s[-1]
+    a, b = float(s[i]), float(s[j])
+    g, d = v - i, b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def low_report_filter(
     reports, leakages, q: float = DEFAULT_LOW_REPORT_QUANTILE
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +139,7 @@ def low_report_filter(
     reports, leakages = _vector_pair("low_report_filter", reports, leakages)
     if reports.size == 0:
         raise InputError("low_report_filter needs a nonempty series")
-    cutoff = np.quantile(reports, q)
+    cutoff = _quantile(reports, q)
     keep = reports <= cutoff
     return reports[keep], leakages[keep]
 

@@ -4,8 +4,8 @@ the paper's experiments, all run on a `config.ScenarioConfig`.
 A trial computes only the usage entries it reads, correlates every consumer's
 sampled reports with the leakage in one pass, runs the configured detector,
 and scores the result against the known attacker set; billing and records read
-the usage a month at a time.  A window is a function of its config and its
-seed alone: its stream is the seed's usage block and the
+the usage a bounded row chunk at a time.  A window is a function of its config
+and its seed alone: its stream is the seed's usage block and the
 `UniformBlock.generator` after it, and it takes the seed or that block.
 Monte-Carlo repetitions use seeds derived injectively from
 ``(master_seed, trial_index)`` so they can run in any order or in parallel
@@ -54,6 +54,10 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
     return np.random.SeedSequence([master_seed, trial_index])
 
 
+# The most entries (384 KiB of floats) of a usage or reports block that `WindowData.chunks` yields.
+_CHUNK_ENTRIES = 49_152
+
+
 @dataclass(frozen=True)
 class WindowData:
     """Whole-window simulation arrays (one entry per period).
@@ -63,9 +67,9 @@ class WindowData:
     generator in ``draws.state`` draws next.
     ``dishonest`` maps each misreporting consumer's id to its reports, and
     ``sampled_pos`` holds the sampled consumer's id (ids are positions).
-    `usage_months` and `report_months` draw the usage again from that state,
-    one month at a time; the sampled reports and the regional totals are
-    computed on first access.  A Monte-Carlo trial reads no totals.
+    `chunks` draws the usage again from that state, a bounded row chunk at a
+    time; the sampled reports and the regional totals are computed on first
+    access.  A Monte-Carlo trial reads no totals.
     """
 
     config: ScenarioConfig
@@ -84,28 +88,28 @@ class WindowData:
             reports[hit] = reported[hit]
         return reports
 
-    def usage_months(self) -> Iterator[np.ndarray]:
-        """Each month's ``(periods, n)`` usage block, new each time, in period order,
-        drawn from the block's state."""
+    def chunks(self, reports: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, block)`` pairs in period order: the usage of periods ``start`` on, or
+        with ``reports`` their reports (the misreporting columns written over in place),
+        drawn again from the block's state.  Each block is new, of at most `_CHUNK_ENTRIES`
+        entries but one row at least, and within one month."""
         rng = self.draws.generator(0)
         c = self.config
-        for _ in range(c.months):
-            yield _scale(rng.random((c.month_periods, c.consumers)), c.usage_min, c.usage_span)
-
-    def report_months(self) -> Iterator[np.ndarray]:
-        """Each month's ``(periods, n)`` reports block, in period order: its
-        fresh usage block with the misreporting columns written over in place."""
-        month_len = self.config.month_periods
-        for month, reports in enumerate(self.usage_months()):
-            for pos, reported in self.dishonest.items():
-                reports[:, pos] = reported[month * month_len : (month + 1) * month_len]
-            yield reports
+        rows = max(1, _CHUNK_ENTRIES // c.consumers)
+        for month in range(0, c.total_periods, c.month_periods):
+            for start in range(month, month + c.month_periods, rows):
+                k = min(rows, month + c.month_periods - start)
+                block = _scale(rng.random((k, c.consumers)), c.usage_min, c.usage_span)
+                for pos, reported in self.dishonest.items() if reports else ():
+                    block[:, pos] = reported[start : start + k]
+                yield start, block
 
     @cached_property
     def actual_total(self) -> np.ndarray:
-        # `map` holds no month block while the next one is drawn, where a comprehension's loop
-        # variable would, so the sum needs one month block of memory, not two.
-        return np.concatenate(list(map(lambda usage: usage.sum(axis=1), self.usage_months())))
+        total = np.empty(self.config.total_periods)
+        for start, usage in self.chunks():
+            total[start : start + len(usage)] = usage.sum(axis=1)
+        return total
 
     @cached_property
     def reported_total(self) -> np.ndarray:
@@ -401,9 +405,13 @@ def run_billing(
 ) -> tuple[WindowData, tuple[np.ndarray, ...]]:
     """Simulate one window and bill it month by month from reports only.
 
-    Returns the window and the `issue_bills` columns."""
+    Returns the window and the `issue_bills` columns.  Each month's costs are accrued
+    chunk by chunk (`WindowData.chunks`), each chunk continuing the month's sum."""
     window = simulate_window(config, trial_seed)
-    costs = np.array([accrue(reports, config.tariff) for reports in window.report_months()])
+    costs = np.empty((config.months, config.consumers))
+    for start, reports in window.chunks(reports=True):
+        month, offset = divmod(start, config.month_periods)
+        costs[month] = accrue(reports, config.tariff, costs[month] if offset else 0.0)
     return window, issue_bills(costs, config.month_periods)
 
 

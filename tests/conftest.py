@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridwatch
 from gridwatch.config import loads_config
 
 
@@ -20,3 +24,11 @@ def tiny_config(attackers="1 = multiplicative 0.1", consumers=5, periods_per_day
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def python_env(environ=os.environ) -> dict[str, str]:
+    """``environ`` with this checkout's ``src`` first on ``PYTHONPATH``, for a subprocess."""
+    env = dict(environ)
+    src = str(Path(gridwatch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -8,8 +8,8 @@ against them, the way `oracle_pearson` backs `pearson`.
 
 `full_matrix_window` is the reference for the window itself: it scales
 the whole usage matrix before reading any of it, where `simulate_window`
-scales only the entries a trial reads and `WindowData.usage_months` one
-month at a time.  `matrices` joins a window's month blocks into the two
+scales only the entries a trial reads and `WindowData.chunks` a bounded
+row chunk at a time.  `matrices` joins a window's chunks into the two
 whole matrices, so that tests read the package's blocks.
 """
 
@@ -26,10 +26,10 @@ class Matrices(NamedTuple):
 
 
 def matrices(window) -> Matrices:
-    """The window's ``(periods, consumers)`` usage and reports: its
-    `usage_months` and `report_months` blocks, joined."""
-    usage, reports = window.usage_months(), window.report_months()
-    return Matrices(np.concatenate(list(usage)), np.concatenate(list(reports)))
+    """The window's ``(periods, consumers)`` usage and reports: its usage and
+    reports `WindowData.chunks`, joined."""
+    usage, reports = ([block for _, block in window.chunks(r)] for r in (False, True))
+    return Matrices(np.concatenate(usage), np.concatenate(reports))
 
 
 class FullWindow(NamedTuple):

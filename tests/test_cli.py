@@ -4,12 +4,10 @@ import platform
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gridwatch
 from gridwatch import _pcg64, harness
 from gridwatch.cli import main
 from gridwatch.config import (
@@ -23,6 +21,7 @@ from gridwatch.config import (
 )
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
+from conftest import python_env
 from test_cli_errors import finite_cells
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
@@ -418,9 +417,34 @@ def test_a_repeated_table1_pass_faults_in_no_freed_heap(tmp_path):
     # freed.  Handed back to the OS, its whole-window arrays fault in ~15,600 pages a pass.
     config = tmp_path / "table1.cfg"
     config.write_text(MINIMAL + "[experiment]\nrepetitions = 20\nmaster_seed = 42\n")
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-    src = str(Path(gridwatch.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = python_env({k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")})
     argv = [sys.executable, "-c", REPEAT_TABLE1, str(config), str(tmp_path)]
     result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     assert int(result.stdout) <= 500
+
+
+ALL_COMMANDS = textwrap.dedent("""\
+    import sys
+    from gridwatch import cli, detection
+
+    calls = []
+    low_report_filter = detection.low_report_filter
+    detection.low_report_filter = lambda *args: calls.append(args) or low_report_filter(*args)
+    for command in cli._COMMANDS:
+        assert cli.main([command, "--config", sys.argv[1], "--out-dir", sys.argv[2]]) == 0, command
+    print(len(calls), "numpy.ma" in sys.modules)
+""")
+
+
+def test_no_command_imports_masked_arrays(tmp_path):
+    # np.quantile's first call imports numpy.ma (about 10 ms and 1.9 MB); the low-report
+    # cutoff is computed without it
+    config = tmp_path / "low_report.cfg"
+    config.write_text(
+        "[region]\nconsumers = 10\nperiods_per_day = 4\n[attackers]\n1 = fixed_offset 0.6 subtract\n"
+        "[detection]\nlow_report_quantile = 0.25\n[experiment]\nrepetitions = 3\n"
+    )
+    argv = [sys.executable, "-c", ALL_COMMANDS, str(config), str(tmp_path)]
+    result = subprocess.run(argv, env=python_env(), capture_output=True, text=True, timeout=300, check=True)
+    calls, imported = result.stdout.split()
+    assert int(calls) > 0 and imported == "False"

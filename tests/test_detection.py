@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch.detection import (
     Label,
+    _quantile,
     correlate,
     detect_region,
     low_report_correlations,
@@ -342,6 +343,32 @@ class TestMostNegative:
 
 
 class TestLowReportFilter:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0]),
+                st.floats(-3, 3).map(lambda v: round(v, 1)),  # ties
+                st.floats(),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.one_of(
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+            st.sampled_from([5e-324, 1e-300, 1e-17, 1 - 1e-12, 1 - 2**-53]),
+        ),
+    )
+    @example([-0.0], 0.25)
+    @example([0.0, -0.0, -0.0], 0.75)
+    @example([math.inf, -math.inf], 0.5)
+    @example([1.0] * 7 + [math.nan], 0.25)
+    @settings(max_examples=500, deadline=None)
+    def test_cutoff_is_numpys_quantile_bit_for_bit(self, values, q):
+        x = np.array(values)
+        with np.errstate(all="ignore"):  # inf - inf
+            want = np.quantile(x, q)
+        assert np.float64(_quantile(x, q)).tobytes() == np.float64(want).tobytes()
+
     def test_all_equal_reports_all_retained(self):
         r, l = low_report_filter([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], q=0.5)
         assert len(r) == 3

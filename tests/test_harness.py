@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import multiprocessing
 import pickle
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config, tiny_config
+from conftest import make_config, python_env, tiny_config
 from gridwatch.config import MAX_PERIODS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, loads_config
 from gridwatch.detection import Label
 from gridwatch import _pcg64, harness
@@ -202,10 +206,23 @@ class TestRunTrial:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @staticmethod
+    def traced_peak(run):
+        """tracemalloc's peak over ``run(1)``, after ``run(0)`` has built the cached jump tables."""
+        run(0)
+        tracemalloc.start()
+        try:
+            run(1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("output", ["bills", "records"])
     def test_twelve_month_outputs_hold_one_month_at_a_time(self, output):
-        # The (34,560, 100) usage and reports matrices would be 27.6 MB each;
-        # bills and records read the window a month block (2.3 MB) at a time.
+        # The (34,560, 100) usage and reports matrices would be 27.6 MB each and a month
+        # block 2.3 MB; bills and records read the window a chunk (384 KiB) at a time.
+        # Beyond the window's own peak they hold a few chunks, and the records their new
+        # whole-window columns (totals, sampled reports, periods).
         cfg = make_config("25 = fixed_offset 0.6 subtract", extra=(
             "[billing]\nelasticity_factor = 0.8\nelasticity_level = 0.5\n[experiment]\nmonths = 12\n"))
 
@@ -214,17 +231,13 @@ class TestRunTrial:
                 return run_billing(cfg, derive_trial_seed(0, index))
             return simulate_window(cfg, derive_trial_seed(0, index)).to_records()
 
-        run(0)  # builds the cached jump tables
-        tracemalloc.start()
-        try:
-            run(1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        window_peak = self.traced_peak(lambda index: simulate_window(cfg, derive_trial_seed(0, index)))
+        new_columns = 4 if output == "records" else 0
+        extra = (new_columns * cfg.total_periods + 3 * harness._CHUNK_ENTRIES) * 8
+        assert self.traced_peak(run) < window_peak + extra
 
     def test_regional_totals_hold_one_month_block(self):
-        # no month block is held while the next one is drawn
+        # the totals and a few chunks, no month block
         cfg = dataclasses.replace(make_config(), months=12)
         simulate_window(cfg, derive_trial_seed(0, 0)).actual_total  # builds the cached jump tables
         window = simulate_window(cfg, derive_trial_seed(0, 1))
@@ -234,7 +247,7 @@ class TestRunTrial:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * cfg.month_periods * cfg.consumers * 8
+        assert peak < (cfg.total_periods + 3 * harness._CHUNK_ENTRIES) * 8
 
     def test_most_negative_mode_selects_one(self):
         cfg = make_config("25 = random_offset 1.0 subtract",
@@ -303,6 +316,24 @@ def install_inline_pool(monkeypatch, cpus=64):
     return asked
 
 
+START_METHOD_TABLE = textwrap.dedent("""\
+    import multiprocessing, sys
+    from gridwatch import harness
+    from gridwatch.config import loads_config
+
+    class Recorded(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            print(self._mp_context.get_start_method())
+
+    harness.ProcessPoolExecutor, harness.usable_cpus = Recorded, lambda: 2  # two workers on any host
+    multiprocessing.set_start_method(sys.argv[1])
+    base = loads_config("[region]\\nconsumers = 10\\nperiods_per_day = 4\\n[experiment]\\nrepetitions = 4\\n")
+    tables = [harness.probability_table(base, 1, durations=(1, 2), threads=t) for t in (1, 2)]
+    assert tables[0] == tables[1], tables
+""")
+
+
 class TestEstimates:
     def test_probability_and_stderr(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
@@ -362,6 +393,16 @@ class TestEstimates:
         assert calls == []
         probability_table(base, 1, threads=2)
         assert calls == ["set"]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_a_pool_started_any_way_counts_as_the_serial_run(self, method):
+        # Python 3.14 starts pools with forkserver on Linux; spawned workers import
+        # gridwatch afresh and still draw every stream as the serial run does
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        argv = [sys.executable, "-c", START_METHOD_TABLE, method]
+        result = subprocess.run(argv, env=python_env(), capture_output=True, text=True, timeout=300, check=True)
+        assert result.stdout.split() == [method]
 
     @settings(max_examples=60, deadline=None)
     @given(reps=st.integers(1, 50), threads=st.integers(1, 4))

@@ -8,6 +8,7 @@ region sizes, attacker mixes, durations, tariffs and seeds.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gridwatch.config import DAYS_PER_MONTH, loads_config
 from gridwatch.detection import correlate, series_from_arrays
+from gridwatch import harness
 from gridwatch._pcg64 import UniformBlock, _no_entropy
 from gridwatch.harness import (
     _estimate, _index_successes, derive_trial_seed, run_billing, run_trial, simulate_window,
@@ -93,23 +95,43 @@ def test_jump_ahead_window_matches_full_matrix_at_full_size(months):
     assert_same_window(config, np.random.SeedSequence([42, 3]), ("leakage", "sampled_pos", "sampled_reports"))
 
 
-@given(configs(max_n=40))
+def assert_chunks_tile_the_window(chunks, config, entries):
+    """Chunks of at most ``entries`` entries (one row at least) that follow each other
+    from period 0 to the end, each within one month."""
+    rows, month_len = max(1, entries // config.consumers), config.month_periods
+    starts = [start for start, _ in chunks]
+    assert starts == np.cumsum([0] + [len(block) for _, block in chunks])[:-1].tolist()
+    assert starts[-1] + len(chunks[-1][1]) == config.total_periods
+    for start, block in chunks:
+        assert block.shape[1] == config.consumers and 1 <= len(block) <= rows
+        assert start // month_len == (start + len(block) - 1) // month_len
+
+
+@given(configs(max_n=40), st.one_of(st.integers(1, 7), st.none()))
 @settings(max_examples=60, deadline=None)
-def test_month_blocks_match_full_matrix_bit_for_bit(scenario):
-    # reports are written into fresh usage blocks: read first and held, they
-    # must leave every later usage block, and each other, untouched
+def test_month_blocks_match_full_matrix_bit_for_bit(scenario, rows):
+    # reports are written into fresh usage chunks: read first and held, they
+    # must leave every later usage chunk, and each other, untouched; chunks of a few
+    # rows split months mid-day, and each month's costs continue across them to
+    # the bits of one sum over the whole month block
     config, seed = scenario
+    entries = harness._CHUNK_ENTRIES if rows is None else rows * config.consumers
     window = simulate_window(config, seed)
-    reports = list(window.report_months())
-    usage = list(window.usage_months())
-    assert window.draws.state == np.random.PCG64(seed).state  # reading the blocks leaves the saved state
-    month_len = DAYS_PER_MONTH * config.periods_per_day
-    assert [(len(u), len(r)) for u, r in zip(usage, reports)] == [(month_len, month_len)] * config.months
+    with mock.patch.object(harness, "_CHUNK_ENTRIES", entries):
+        reports = list(window.chunks(reports=True))
+        usage = list(window.chunks())
+        total = window.actual_total
+        bills = run_billing(config, seed)[1]
+    assert window.draws.state == np.random.PCG64(seed).state  # reading the chunks leaves the saved state
+    for chunks in reports, usage:
+        assert_chunks_tile_the_window(chunks, config, entries)
     ref = full_matrix_window(config, np.random.default_rng(seed))
-    assert np.concatenate(reports).tobytes() == ref.reports.tobytes()
-    assert np.concatenate(usage).tobytes() == ref.usage.tobytes()
-    assert window.actual_total.tobytes() == ref.usage.sum(axis=1).tobytes()
-    assert np.concatenate(list(window.report_months())).tobytes() == ref.reports.tobytes()
+    assert np.concatenate([block for _, block in reports]).tobytes() == ref.reports.tobytes()
+    assert np.concatenate([block for _, block in usage]).tobytes() == ref.usage.tobytes()
+    assert total.tobytes() == ref.usage.sum(axis=1).tobytes()
+    costs = [(config.tariff * month).sum(axis=0) for month in np.split(ref.reports, config.months)]
+    assert bills[3].tobytes() == np.concatenate(costs).tobytes()
+    assert matrices(window).reports.tobytes() == ref.reports.tobytes()
 
 
 NO_DRAW_ATTACKS = ("multiplicative 0.1", "multiplicative 3.0", "fixed_offset 0.6")
