@@ -3,7 +3,7 @@
 Every subcommand loads a config file, applies command-line overrides,
 runs the corresponding experiment, writes plot-ready CSV files into the
 output directory, and drops a run manifest beside them.  Exit codes:
-0 success, 1 runtime error, 2 usage error.
+0 success, 1 runtime error, 2 usage error, 130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -145,6 +145,9 @@ def main(argv=None) -> int:
     except (GridwatchError, OSError) as exc:
         print(f"gridwatch: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("gridwatch: error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

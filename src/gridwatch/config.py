@@ -15,19 +15,20 @@ experiment.  ``dumps_config`` emits the fully resolved form, and
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import platform
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import BinaryIO, Iterator, Mapping, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GridwatchError
 from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset, as_integer, as_real
 
 DAYS_PER_MONTH = 30
@@ -337,5 +338,27 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` (``os.replace``) once the block has written it all.
+
+    The file is a temporary one beside ``path``.  If the block or the write fails, it is
+    removed and ``path`` is left as it was; an `OSError` becomes one `GridwatchError`."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(temporary, "wb") as fh:
+                yield fh
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise GridwatchError(f"cannot write {path}: {exc}") from exc
+
+
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    Path(path).write_text(manifest.to_json(), encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(manifest.to_json().encode("utf-8"))

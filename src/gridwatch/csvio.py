@@ -5,6 +5,16 @@ written in shortest round-trip form; records keep the period order they
 come in, and per-consumer rows are sorted by consumer id (within each
 window or duration), so a fixed (config, seed) pair re-creates each file
 byte for byte.
+
+One writer, `write_columns`, renders `_CHUNK_ROWS` rows at a time as one byte
+matrix.  A float cell is ``repr`` of the float: `_floattext.float_cells` finds
+the digits of ±0.0 and of every finite ``|x|`` in ``[1e-4, 2**50)`` in
+vectorised integer arithmetic, and calls ``repr`` itself, per value, only for
+the rest (exponent form, subnormals, ``>= 2**50``, inf, nan).  Integer cells
+are vectorised digits too (`int_cells`); text and optional cells (labels, case
+names, ``None``) go through ``str``, ``None`` as an empty cell.  A file is
+written to a temporary file beside it and moved over it whole
+(`config.replacing`), so a failed write leaves the earlier file as it was.
 """
 
 from __future__ import annotations
@@ -14,8 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._floattext import float_cells, int_cells, padded
+from .config import replacing
 from .detection import DetectionReport
-from .errors import GridwatchError
 from .harness import ProbabilityEstimate
 
 RECORDS_HEADER = ["period", "actual_total", "reported_total", "leakage", "sampled_id", "sampled_report"]
@@ -24,38 +35,51 @@ BILLS_HEADER = ["consumer_id", "window_start", "window_end", "amount"]
 TABLE_HEADER = ["case", "months", "probability", "stderr", "reps"]
 CONCENTRATION_HEADER = ["months", "consumer_id", "sample_count", "corr", "label"]
 
-# Rows formatted at a time (a month of 15-minute periods): a whole window's
-# cell texts at once would raise the peak memory of writing records.csv.
-_CHUNK_ROWS = 2880
+# Rows rendered at a time: the text of a whole window's rows at once would raise
+# the peak memory of writing records.csv.
+_CHUNK_ROWS = 1024
+_RENDER = {"f": float_cells, "i": int_cells, "u": int_cells}
 
 
-def _cells(column: np.ndarray) -> Iterable[str]:
-    """Cell texts: floats in shortest round-trip form (`repr`), None empty, else `str`."""
-    values = column.tolist()
-    if column.dtype.kind == "f":
-        return map(repr, values)
-    if column.dtype.kind != "O":
-        return map(str, values)
-    return ("" if v is None else str(v) for v in values)  # str(float) is its repr
+def _lines(columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of equal-length ``columns``.
+
+    Each column's cells are the rows of a NUL-padded byte matrix, made by one
+    `float_cells` or `int_cells` call for all columns of a dtype, or through
+    ``str``.  The lines are those matrices side by side, a comma or a line break
+    after each cell, with the NULs dropped."""
+    rows = len(columns[0])
+    cells: dict[int, np.ndarray] = {}
+    by_dtype: dict[np.dtype, list[int]] = {}
+    for i, column in enumerate(columns):
+        if column.dtype.kind in _RENDER:
+            by_dtype.setdefault(column.dtype, []).append(i)
+        else:
+            cells[i] = padded(["" if v is None else str(v) for v in column.tolist()])
+    for dtype, picked in by_dtype.items():
+        text = _RENDER[dtype.kind](np.concatenate([columns[i] for i in picked]))
+        cells.update((i, text[j * rows : (j + 1) * rows]) for j, i in enumerate(picked))
+    comma, newline = (np.full((rows, 1), ord(end), np.uint8) for end in ",\n")
+    parts = [part for i in range(len(columns)) for part in (cells[i], comma)]
+    parts[-1] = newline
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
     """Write equal-length columns (arrays, or sequences of one type each) under ``header``.
 
-    Optional values make an object column.  No cell is quoted: no header or
-    value written here holds a comma, a quote or a line break.
+    The file is written whole or not at all (`config.replacing`).  Optional values
+    make an object column.  No cell is quoted: no header or value written here holds
+    a comma, a quote or a line break.
     """
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
-                chunk = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
-                fh.write("".join(",".join(row) + "\n" for row in zip(*chunk, strict=True)))
-    except OSError as exc:
-        raise GridwatchError(f"cannot write {path}: {exc}") from exc
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    with replacing(path) as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+            fh.write(_lines([c[start : start + _CHUNK_ROWS] for c in columns]))
     return path
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import platform
@@ -8,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from gridwatch import _pcg64, harness
+from gridwatch import _pcg64, cli, config, harness
 from gridwatch.cli import main
 from gridwatch.config import (
     MAX_PERIODS,
@@ -382,6 +383,46 @@ class TestCli:
         cfg = self.write_tiny(tmp_path)
         bad = main(["detect", "--config", cfg, "--threshold", "0.0", "--out-dir", str(tmp_path)])
         assert bad == 1
+
+    def test_a_write_that_fails_partway_leaves_the_earlier_file(self, tmp_path, capsys, monkeypatch):
+        # 2,880 periods: records.csv is three chunks, and its second chunk's write fails
+        cfg, out = tmp_path / "minimal.cfg", tmp_path / "out"
+        cfg.write_text(MINIMAL)
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        real_open = open
+
+        class FullDisk:
+            """A file whose third write (the header, then chunk 1, then chunk 2) fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.file, self.writes = real_open(*args, **kwargs), 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.file.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+        monkeypatch.setattr(config, "open", FullDisk, raising=False)
+        assert main([*argv, "--seed", "2"]) == 1
+        assert_one_error_line(capsys, f"cannot write {out / 'records.csv'}")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+
+    def test_an_interrupt_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(config, out_dir, threads):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "detect", ("interrupted", interrupted))
+        assert main(["detect", "--config", self.write_tiny(tmp_path), "--out-dir", str(tmp_path)]) == 130
+        assert capsys.readouterr().err == "gridwatch: error: interrupted\n"
 
 
 class TestManifest:

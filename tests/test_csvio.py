@@ -6,19 +6,37 @@ tables: `csv.writer` quotes the one empty cell of a one-column row, which
 the column writer never writes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.csvio import _CHUNK_ROWS, write_columns
+from conftest import make_config
+from gridwatch.csvio import _CHUNK_ROWS, RECORDS_HEADER, export_records, write_columns
 from gridwatch.detection import Label
 from gridwatch.errors import GridwatchError
+from gridwatch.harness import derive_trial_seed, simulate_window
 from reference import write_rows
 
+
+def neighbours(x: float) -> list[float]:
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+# The edges of `_floattext.float_cells`, which writes |x| in [1e-4, 2**50) itself:
+# the range's ends, every power of two in and beside it with both neighbours, the
+# doubles just below 0.6, and short decimals.
+EDGES = [
+    float(np.nextafter(1e-4, 0)), 1e-4, *neighbours(2.0**50),
+    *(v for k in range(-14, 50) for v in neighbours(2.0**k)),
+    *(0.6 - k * 2**-53 for k in range(16)),
+    0.1, 0.3, 100.0, -0.0,
+]
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, np.nan,
-                     np.inf, 0.1, 1.0, 1e16, 1e-5]),
+                     np.inf, 0.1, 1.0, 1e16, 1e-5, *EDGES]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 TEXTS = st.sampled_from([
@@ -69,7 +87,28 @@ def test_column_writer_takes_numpy_columns(tmp_path):
     )
 
 
+def test_columns_of_unequal_lengths_write_nothing(tmp_path):
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_columns(tmp_path / "a.csv", ["a", "b"], [[1, 2], [3]])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_path_is_a_gridwatch_error(tmp_path):
     (tmp_path / "file").write_text("")
     with pytest.raises(GridwatchError, match="cannot write"):
         write_columns(tmp_path / "file" / "out.csv", ["a", "b"], [[1], [2]])
+
+
+def test_records_export_holds_a_few_chunks_of_rows(tmp_path):
+    # A chunk buffer is 1,024 rows of the six records columns, 8 bytes a value.  The
+    # 12-month window's 34,560 rows would be 34 of them before any text is made.
+    config = make_config(extra="[experiment]\nmonths = 12\n")
+    columns = simulate_window(config, derive_trial_seed(0, 0)).to_records()
+    export_records(columns, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        export_records(columns, tmp_path / "records.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 1024 * len(RECORDS_HEADER) * 8
