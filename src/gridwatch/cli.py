@@ -19,6 +19,7 @@ from . import __version__, csvio, harness
 from .config import RunManifest, ScenarioConfig, dumps_config, load_config, write_manifest
 from .errors import ConfigurationError, GridwatchError
 from .harness import (
+    STANDARD_DURATIONS,
     concentration_experiment,
     derive_trial_seed,
     duration_sweep,
@@ -27,7 +28,6 @@ from .harness import (
     run_trial,
 )
 
-STANDARD_DURATIONS = (1, 3, 6, 12)
 CONCENTRATION_DURATIONS = (1, 12)
 
 
@@ -82,12 +82,7 @@ def _cmd_bill(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
 
 
 def _cmd_table1(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
-    rows = probability_table(
-        config,
-        _single_attacker_id(config),
-        durations=STANDARD_DURATIONS,
-        threads=threads,
-    )
+    rows = probability_table(config, _single_attacker_id(config), threads=threads)
     return csvio.export_probability_table(rows, out_dir / "table1.csv")
 
 

@@ -6,10 +6,12 @@ checked when it is built, before any draw.  The config format is an INI-style
 key = value file with five sections: ``[region]``, ``[attackers]``,
 ``[detection]``, ``[billing]`` and ``[experiment]``.  Loading and writing both
 walk one key table, ``_KEYS``, which gives each key's section, so adding a key
-is one field and one ``_KEYS`` entry.  ``[attackers]`` holds free-form entries;
-unknown sections or keys are hard errors so typos cannot silently change an
-experiment.  ``dumps_config`` emits the fully resolved form, and
-``loads_config(dumps_config(c)) == c`` for every valid config.
+is one field and one ``_KEYS`` entry.  ``[attackers]`` holds free-form
+``<consumer id> = <behavior spec>`` entries; a spec is read and written by one
+behavior table, ``_BEHAVIORS``, which maps its name to its model, whose fields
+follow the name in order.  Unknown sections or keys are hard errors so typos
+cannot silently change an experiment.  ``dumps_config`` emits the fully
+resolved form, and ``loads_config(dumps_config(c)) == c`` for every valid config.
 """
 
 from __future__ import annotations
@@ -232,6 +234,11 @@ def _format(name: str, value) -> str:
     return repr(float(value)) if _FIELD_TYPES[name] in (float, float | None) else str(value)
 
 
+# Every behavior spec's name and model; the model's fields follow the name in order
+# (the size, then the direction).  'benign' is `Multiplicative(1.0)`.
+_BEHAVIORS = {"multiplicative": Multiplicative, "fixed_offset": FixedOffset, "random_offset": RandomOffset}
+
+
 def parse_behavior(text: str) -> BehaviorModel:
     """Parse a behavior spec: 'multiplicative A' | 'fixed_offset E [DIR]' |
     'random_offset T [DIR]' | 'benign'."""
@@ -239,26 +246,21 @@ def parse_behavior(text: str) -> BehaviorModel:
     if not parts:
         raise ConfigurationError("empty behavior spec")
     kind, args = parts[0], parts[1:]
-    try:
-        if kind == "benign" and not args:
-            return Multiplicative(alpha=1.0)
-        if kind == "multiplicative" and len(args) == 1:
-            return Multiplicative(alpha=float(args[0]))
-        if kind == "fixed_offset" and len(args) in (1, 2):
-            return FixedOffset(eta=float(args[0]), direction=args[1] if len(args) == 2 else "subtract")
-        if kind == "random_offset" and len(args) in (1, 2):
-            return RandomOffset(theta_max=float(args[0]), direction=args[1] if len(args) == 2 else "subtract")
-    except ValueError as exc:
-        raise ConfigurationError(f"bad behavior spec {text!r}: {exc}") from exc
+    if kind == "benign" and not args:
+        return Multiplicative(alpha=1.0)
+    model = _BEHAVIORS.get(kind)
+    if model is not None and 1 <= len(args) <= len(dataclasses.fields(model)):
+        try:
+            return model(float(args[0]), *args[1:])
+        except ValueError as exc:
+            raise ConfigurationError(f"bad behavior spec {text!r}: {exc}") from exc
     raise ConfigurationError(f"bad behavior spec {text!r}")
 
 
 def format_behavior(behavior: BehaviorModel) -> str:
-    if isinstance(behavior, Multiplicative):
-        return f"multiplicative {float(behavior.alpha)!r}"
-    if isinstance(behavior, FixedOffset):
-        return f"fixed_offset {float(behavior.eta)!r} {behavior.direction}"
-    return f"random_offset {float(behavior.theta_max)!r} {behavior.direction}"
+    name = next(name for name, model in _BEHAVIORS.items() if isinstance(behavior, model))
+    size, *direction = (getattr(behavior, f.name) for f in dataclasses.fields(behavior))
+    return " ".join([name, repr(float(size)), *direction])
 
 
 def loads_config(text: str, source: str = "<string>") -> ScenarioConfig:

@@ -172,100 +172,79 @@ def simulate_window(
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One trial's verdict against the known attacker set.
+    """One trial's verdict against the known attacker set, and the window it was taken on.
 
     ``counts`` and ``corr`` (by position) are the evidence the threshold
-    labels are taken on; `report` builds the labels on first access, from
-    ``samples`` (sampled positions, reports, leakage) when ``corr`` is None.  They
-    stay out of ``==``, so equal outcomes are equal verdicts.
+    labels are taken on; `report` builds the labels on first access, from the
+    window's sampled pairs when ``corr`` is None.  Only the two sets take part
+    in ``==``, so equal outcomes are equal verdicts.
     """
 
     true_malicious: frozenset[int]
     detected: frozenset[int]
-    config: ScenarioConfig = field(compare=False, repr=False)
+    window: WindowData = field(compare=False, repr=False)
     counts: np.ndarray = field(compare=False, repr=False)
     corr: np.ndarray | None = field(compare=False, repr=False)
-    samples: tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @cached_property
     def report(self) -> DetectionReport:
-        c = self.config
-        corr = _low_report_corr(c, self.counts, self.samples) if self.corr is None else self.corr
+        c = self.window.config
+        corr = _low_report_corr(self.window, self.counts) if self.corr is None else self.corr
         return detect_region(self.counts, corr, th=c.threshold, min_samples=c.min_samples)
-
-    @property
-    def exact_match(self) -> bool:
-        return self.detected == self.true_malicious
-
-    @property
-    def false_positive_count(self) -> int:
-        return len(self.detected - self.true_malicious)
-
-    @property
-    def all_attackers_found(self) -> bool:
-        return self.true_malicious <= self.detected
 
     @property
     def outcome_class(self) -> str:
         """'exact', 'extra_benign', or 'missed_attacker' (trumps extra labels)."""
-        if not self.all_attackers_found:
+        if not self.true_malicious <= self.detected:
             return "missed_attacker"
-        if self.false_positive_count > 0:
-            return "extra_benign"
-        return "exact"
+        return "extra_benign" if self.detected - self.true_malicious else "exact"
 
 
-def _low_report_corr(config: ScenarioConfig, counts: np.ndarray, samples) -> np.ndarray:
-    series = series_from_arrays(*samples, len(counts))
-    return low_report_correlations(series, counts, config.low_report_quantile, config.min_samples)
+def _low_report_corr(window: WindowData, counts: np.ndarray) -> np.ndarray:
+    c = window.config
+    series = series_from_arrays(window.sampled_pos, window.sampled_reports, window.leakage, len(counts))
+    return low_report_correlations(series, counts, c.low_report_quantile, c.min_samples)
 
 
 def run_trial(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence | UniformBlock,
 ) -> TrialOutcome:
-    """One fully deterministic end-to-end trial.
+    """One fully deterministic end-to-end trial, kept with its window.
 
-    Every consumer's correlation comes from one `correlate` pass over the window.  With
-    ``low_report_quantile`` set, the threshold verdicts use each consumer's low-report
-    pairs instead; most-negative selection always uses the unfiltered correlations and
-    leaves the low-report ones to `TrialOutcome.report`.  Threshold mode detects the
-    `flagged` consumers, those `detect_region` labels malicious; a most-negative trial
-    without evidence selects None, a miss.
+    Every consumer's correlation comes from one `correlate` pass over the window's
+    sampled pairs.  With ``low_report_quantile`` set, the threshold verdicts use each
+    consumer's low-report pairs instead; most-negative selection always uses the
+    unfiltered correlations and leaves the low-report ones to `TrialOutcome.report`,
+    which reads them from the same window.  Threshold mode detects the `flagged`
+    consumers, those `detect_region` labels malicious; a most-negative trial without
+    evidence selects None, a miss.
     ``trial_seed`` is a seed or its shared usage block (`simulate_window`).
     """
     window = simulate_window(config, trial_seed)
-    samples = (window.sampled_pos, window.sampled_reports, window.leakage)
-    counts, corr = correlate(*samples, config.consumers)
+    counts, corr = correlate(window.sampled_pos, window.sampled_reports, window.leakage, config.consumers)
     filtered = config.low_report_quantile is not None
     if config.mode == MOST_NEGATIVE_MODE:
         selected = most_negative(counts, corr, config.min_samples)
         detected = frozenset() if selected is None else frozenset({selected})
         corr = None if filtered else corr
     else:
-        corr = _low_report_corr(config, counts, samples) if filtered else corr
+        corr = _low_report_corr(window, counts) if filtered else corr
         flags = flagged(has_evidence(counts, corr, config.min_samples), corr, config.threshold)
         detected = frozenset(np.flatnonzero(flags).tolist())
-    return TrialOutcome(
-        true_malicious=frozenset(window.dishonest),
-        detected=detected,
-        config=config,
-        counts=counts,
-        corr=corr,
-        samples=samples,
-    )
+    return TrialOutcome(frozenset(window.dishonest), detected, window, counts, corr)
 
 
 def trial_success(outcome: TrialOutcome) -> bool:
     """Correct-detection criterion for probability estimates.
 
-    Single-attacker scenarios count a trial correct when the attacker is
-    identified (threshold mode: labeled malicious; most-negative mode:
-    selected).  Multi-attacker scenarios require the exact set.
+    Single-attacker scenarios count a trial correct when the attacker is among the
+    detected (threshold mode: labeled malicious; most-negative mode: selected).
+    Multi-attacker scenarios require the detected set to be the attacker set.
     """
     if len(outcome.true_malicious) == 1:
-        return outcome.all_attackers_found
-    return outcome.exact_match
+        return outcome.true_malicious <= outcome.detected
+    return outcome.detected == outcome.true_malicious
 
 
 @dataclass(frozen=True)
@@ -458,11 +437,15 @@ def case_config(base: ScenarioConfig, case: str, attacker_id: int) -> ScenarioCo
     return replace(base, attackers={attacker_id: behavior}, mode=mode)
 
 
+# Table 1's measurement durations (months).
+STANDARD_DURATIONS = (1, 3, 6, 12)
+
+
 def probability_table(
     base: ScenarioConfig,
     attacker_id: int,
     cases: Sequence[str] = ("I", "II", "III"),
-    durations: Sequence[int] = (1, 3, 6, 12),
+    durations: Sequence[int] = STANDARD_DURATIONS,
     threads: int = 1,
 ) -> list[tuple[str, int, ProbabilityEstimate]]:
     """Correct-detection probability for each case and duration."""

@@ -108,16 +108,13 @@ def apply_behavior(
 ) -> np.ndarray:
     """Turn an array of actual usage into the reported values, elementwise.
 
-    The returned report has the same shape and is always >= 0.
-    `RandomOffset` draws one offset per element from ``rng``.
+    The returned report has the same shape and is always >= 0.  An offset is
+    ``eta`` or, for `RandomOffset`, one draw per element from ``rng``.
     """
     if isinstance(behavior, Multiplicative):
         return behavior.alpha * actual
-    if isinstance(behavior, FixedOffset):
-        if behavior.direction == "subtract":
-            return np.maximum(actual - behavior.eta, 0.0)
-        return actual + behavior.eta
-    theta = rng.uniform(0.0, behavior.theta_max, size=actual.shape)  # RandomOffset
+    offset = (behavior.eta if isinstance(behavior, FixedOffset)
+              else rng.uniform(0.0, behavior.theta_max, size=actual.shape))  # RandomOffset
     if behavior.direction == "subtract":
-        return np.maximum(actual - theta, 0.0)
-    return actual + theta
+        return np.maximum(actual - offset, 0.0)
+    return actual + offset

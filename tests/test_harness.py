@@ -62,7 +62,7 @@ class TestSeeding:
     def test_int_seed_is_its_one_entry_seed_sequence(self, seed):
         cfg = tiny_config(periods_per_day=8)
         as_int, as_sequence = run_trial(cfg, seed), run_trial(cfg, np.random.SeedSequence([seed]))
-        assert as_int.samples[2].tobytes() == as_sequence.samples[2].tobytes()
+        assert as_int.window.leakage.tobytes() == as_sequence.window.leakage.tobytes()
         assert as_int.report == as_sequence.report
         bills = run_billing(cfg, seed)[1], run_billing(cfg, np.random.SeedSequence([seed]))[1]
         assert [c.tobytes() for c in bills[0]] == [c.tobytes() for c in bills[1]]
@@ -148,7 +148,7 @@ class TestRunTrial:
         outcome = run_trial(cfg, derive_trial_seed(46, 0))
         assert outcome.report.corr(25) == pytest.approx(1.0, abs=1e-9)
         assert outcome.report.labels[25] == Label.MALICIOUS_UNDER
-        assert 25 in outcome.detected and outcome.all_attackers_found
+        assert 25 in outcome.detected and outcome.true_malicious <= outcome.detected
 
     def test_overreporting_attacker_anticorrelated(self):
         cfg = make_config("25 = multiplicative 10.0")
@@ -192,6 +192,26 @@ class TestRunTrial:
         eager = run_trial(dataclasses.replace(cfg, mode=THRESHOLD_MODE), derive_trial_seed(0, 0))
         assert len(calls) == 2
         assert report == eager.report
+
+    @pytest.mark.parametrize("mode", [THRESHOLD_MODE, MOST_NEGATIVE_MODE])
+    def test_reading_the_report_reads_no_usage_entry_again(self, monkeypatch, mode):
+        # the report is built from the window the verdict was taken on, not from a new draw
+        reads = []
+        real = _pcg64.UniformBlock.read
+
+        def counting(self, *args, **kwargs):
+            reads.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(_pcg64, "_checked", True)  # the numpy check reads once per process
+        monkeypatch.setattr(_pcg64.UniformBlock, "read", counting)
+        cfg = make_config("25 = random_offset 1.0 subtract",
+                          extra=f"[detection]\nmode = {mode}\nlow_report_quantile = 0.25\n")
+        run_trial(cfg, derive_trial_seed(0, 0))
+        alone = len(reads)
+        reads.clear()
+        run_trial(cfg, derive_trial_seed(0, 0)).report
+        assert 0 < alone == len(reads)
 
     def test_twelve_month_trial_allocates_no_usage_matrix(self):
         # The (34,560, 100) usage matrix alone would be 27.6 MB; a trial reads
@@ -261,17 +281,18 @@ class TestOutcomeScoring:
         return TrialOutcome(
             true_malicious=frozenset(true_malicious),
             detected=frozenset(detected),
-            config=None,
+            window=None,
             counts=None,
             corr=None,
-            samples=None,
         )
 
     def test_derived_fields(self):
-        outcome = self._outcome({1, 2}, {2, 9})
-        assert not outcome.exact_match and self._outcome({1, 2}, {2, 1}).exact_match
-        assert not outcome.all_attackers_found and outcome.true_malicious & outcome.detected == {2}
-        assert outcome.false_positive_count == 1
+        # exact match, every attacker found and the false positives, through the verdicts
+        missed, extra = self._outcome({1, 2}, {2, 9}), self._outcome({2}, {2, 9})
+        assert not trial_success(missed) and trial_success(self._outcome({1, 2}, {2, 1}))
+        assert missed.outcome_class == "missed_attacker" and missed.true_malicious & missed.detected == {2}
+        assert len(missed.detected - missed.true_malicious) == 1
+        assert trial_success(extra) and extra.outcome_class == "extra_benign"
 
     def test_outcome_classes(self):
         assert self._outcome({1, 2}, {1, 2}).outcome_class == "exact"
