@@ -16,7 +16,8 @@ import time
 from pathlib import Path
 
 from . import __version__, csvio, harness
-from .config import RunManifest, ScenarioConfig, dumps_config, load_config, write_manifest
+from .config import ScenarioConfig, dumps_config, load_config
+from .csvio import RunManifest, write_manifest
 from .errors import ConfigurationError, GridwatchError
 from .harness import (
     STANDARD_DURATIONS,
@@ -58,10 +59,9 @@ def _load(args) -> ScenarioConfig:
 
 
 def _single_attacker_id(config: ScenarioConfig) -> int:
-    attackers = sorted(config.malicious_ids)
-    if len(attackers) != 1:
-        raise ConfigurationError(f"table1 needs exactly one attacker, got {len(attackers)}")
-    return attackers[0]
+    if len(config.attackers) != 1:
+        raise ConfigurationError(f"table1 needs exactly one attacker, got {len(config.attackers)}")
+    return config.attackers[0][0]
 
 
 def _cmd_simulate(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
@@ -127,6 +127,8 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         output = _COMMANDS[args.command][1](config, out_dir, args.threads)
         elapsed = time.perf_counter() - start
+        manifest_path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
+        manifest_path.unlink(missing_ok=True)  # the CSV is replaced: the old manifest no longer describes it
         manifest = RunManifest(
             command=args.command,
             master_seed=config.master_seed,
@@ -135,7 +137,6 @@ def main(argv=None) -> int:
             wall_clock_seconds=elapsed,
             heap="glibc thresholds set" if heap_kept else "default",
         )
-        manifest_path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
         write_manifest(manifest, manifest_path)
     except (GridwatchError, OSError) as exc:
         print(f"gridwatch: error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Scenario configs: the one config object, its file format, and run manifests.
+"""Scenario configs: the one config object and its file format.
 
 `ScenarioConfig` holds a region and the experiment run on it, one field per
 config key, with the key's type (its annotation), default and limits; it is
@@ -12,25 +12,20 @@ behavior table, ``_BEHAVIORS``, which maps its name to its model, whose fields
 follow the name in order.  Unknown sections or keys are hard errors so typos
 cannot silently change an experiment.  ``dumps_config`` emits the fully
 resolved form, and ``loads_config(dumps_config(c)) == c`` for every valid config.
+This module only reads files; `csvio` writes every output file, the run
+manifest included.
 """
 
 from __future__ import annotations
 
 import configparser
-import contextlib
 import dataclasses
-import json
 import math
-import os
-import platform
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, get_type_hints
+from typing import Mapping, get_type_hints
 
-import numpy as np
-
-from . import __version__
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
-from .errors import ConfigurationError, GridwatchError
+from .errors import ConfigurationError
 from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset, as_integer, as_real
 
 DAYS_PER_MONTH = 30
@@ -146,10 +141,6 @@ class ScenarioConfig:
         if not 0.0 <= self.tariff < math.inf:
             raise ConfigurationError(f"tariff must be finite and >= 0, got {self.tariff}")
         _check_sums_finite(self)
-
-    @property
-    def malicious_ids(self) -> set[int]:
-        return {cid for cid, _ in self.attackers}
 
     @property
     def month_periods(self) -> int:
@@ -314,53 +305,3 @@ def dumps_config(config: ScenarioConfig) -> str:
             lines = [f"{cid} = {format_behavior(b)}\n" for cid, b in config.attackers]
         blocks.append(f"[{name}]\n" + "".join(lines))
     return "\n".join(blocks)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity where the platform has one, else the CPU count."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Everything needed to re-run an experiment bit-identically, and where it ran."""
-
-    command: str
-    master_seed: int
-    config_text: str
-    outputs: list[str]
-    wall_clock_seconds: float
-    version: str = __version__
-    python: str = platform.python_version()
-    numpy: str = np.__version__
-    cpu_count: int = dataclasses.field(default_factory=usable_cpus)
-    heap: str = "default"
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
-
-
-@contextlib.contextmanager
-def replacing(path: str | Path) -> Iterator[BinaryIO]:
-    """A binary file that replaces ``path`` (``os.replace``) once the block has written it all.
-
-    The file is a temporary one beside ``path``.  If the block or the write fails, it is
-    removed and ``path`` is left as it was; an `OSError` becomes one `GridwatchError`."""
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(temporary, "wb") as fh:
-                yield fh
-            os.replace(temporary, path)
-        except BaseException:
-            temporary.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise GridwatchError(f"cannot write {path}: {exc}") from exc
-
-
-def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    with replacing(path) as fh:
-        fh.write(manifest.to_json().encode("utf-8"))

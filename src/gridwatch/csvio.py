@@ -1,10 +1,13 @@
-"""Deterministic CSV emission for records, detection reports, bills and tables.
+"""Every output file: deterministic CSVs of records, detection reports, bills and
+tables, and the run manifest beside them.
 
-All files are UTF-8 with a header row and '\n' line endings; floats are
-written in shortest round-trip form; records keep the period order they
-come in, and per-consumer rows are sorted by consumer id (within each
-window or duration), so a fixed (config, seed) pair re-creates each file
-byte for byte.
+Each file is written to a temporary file beside it and moved over it whole
+(`replacing`), so a failed write leaves the earlier file as it was and one
+`GridwatchError`.  CSVs are UTF-8 with a header row and '\n' line endings;
+floats are written in shortest round-trip form; records keep the period order
+they come in, and per-consumer rows are sorted by consumer id (within each
+window or duration), so a fixed (config, seed) pair re-creates each file byte
+for byte.
 
 One writer, `write_columns`, renders `_CHUNK_ROWS` rows at a time as one byte
 matrix.  A float cell is ``repr`` of the float: `_floattext.float_cells` finds
@@ -12,22 +15,27 @@ the digits of ±0.0 and of every finite ``|x|`` in ``[1e-4, 2**50)`` in
 vectorised integer arithmetic, and calls ``repr`` itself, per value, only for
 the rest (exponent form, subnormals, ``>= 2**50``, inf, nan).  Integer cells
 are vectorised digits too (`int_cells`); text and optional cells (labels, case
-names, ``None``) go through ``str``, ``None`` as an empty cell.  A file is
-written to a temporary file beside it and moved over it whole
-(`config.replacing`), so a failed write leaves the earlier file as it was.
+names, ``None``) go through ``str``, ``None`` as an empty cell.  A
+`RunManifest` is JSON (`write_manifest`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import json
+import os
+import platform
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import __version__
 from ._floattext import float_cells, int_cells, padded
-from .config import replacing
 from .detection import DetectionReport
-from .harness import ProbabilityEstimate
+from .errors import GridwatchError
+from .harness import ProbabilityEstimate, usable_cpus
 
 RECORDS_HEADER = ["period", "actual_total", "reported_total", "leakage", "sampled_id", "sampled_report"]
 DETECTION_HEADER = ["consumer_id", "sample_count", "corr", "label"]
@@ -39,6 +47,27 @@ CONCENTRATION_HEADER = ["months", "consumer_id", "sample_count", "corr", "label"
 # the peak memory of writing records.csv.
 _CHUNK_ROWS = 1024
 _RENDER = {"f": float_cells, "i": int_cells, "u": int_cells}
+
+
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` (``os.replace``) once the block has written it all.
+
+    The file is a temporary one beside ``path``.  If the block or the write fails, it is
+    removed and ``path`` is left as it was; an `OSError` becomes one `GridwatchError`."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(temporary, "wb") as fh:
+                yield fh
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise GridwatchError(f"cannot write {path}: {exc}") from exc
 
 
 def _lines(columns: list[np.ndarray]) -> bytes:
@@ -68,7 +97,7 @@ def _lines(columns: list[np.ndarray]) -> bytes:
 def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
     """Write equal-length columns (arrays, or sequences of one type each) under ``header``.
 
-    The file is written whole or not at all (`config.replacing`).  Optional values
+    The file is written whole or not at all (`replacing`).  Optional values
     make an object column.  No cell is quoted: no header or value written here holds
     a comma, a quote or a line break.
     """
@@ -90,7 +119,7 @@ def export_records(columns: Sequence[np.ndarray], path: str | Path) -> Path:
 
 def _report_columns(report: DetectionReport) -> tuple[np.ndarray, ...]:
     corrs = np.where(np.isnan(report.corrs), None, report.corrs)  # no evidence: empty
-    return report.ids, report.counts, corrs, report.labels
+    return np.arange(len(report.counts)), report.counts, corrs, report.labels
 
 
 def export_detection(report: DetectionReport, path: str | Path) -> Path:
@@ -116,3 +145,27 @@ def export_concentration(
     parts = [_report_columns(reports_by_months[m]) for m in months]
     months_column = np.repeat(months, [len(ids) for ids, *_ in parts])
     return write_columns(path, CONCENTRATION_HEADER, [months_column, *map(np.concatenate, zip(*parts))])
+
+
+@dataclasses.dataclass
+class RunManifest:
+    """Everything needed to re-run an experiment bit-identically, and where it ran."""
+
+    command: str
+    master_seed: int
+    config_text: str
+    outputs: list[str]
+    wall_clock_seconds: float
+    version: str = __version__
+    python: str = platform.python_version()
+    numpy: str = np.__version__
+    cpu_count: int = dataclasses.field(default_factory=usable_cpus)
+    heap: str = "default"
+
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
+
+
+def write_manifest(manifest: RunManifest, path: str | Path) -> None:
+    with replacing(path) as fh:
+        fh.write(manifest.to_json().encode("utf-8"))

@@ -28,7 +28,6 @@ from .errors import ConfigurationError, InputError
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_SAMPLES = 5
-DEFAULT_LOW_REPORT_QUANTILE = 0.25
 _EPS = np.finfo(float).eps
 
 
@@ -126,9 +125,7 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
-def low_report_filter(
-    reports, leakages, q: float = DEFAULT_LOW_REPORT_QUANTILE
-) -> tuple[np.ndarray, np.ndarray]:
+def low_report_filter(reports, leakages, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Keep the pairs whose report is at or below the q-quantile of reports.
 
     Used for the fixed-offset attack, where only the periods with small
@@ -162,21 +159,12 @@ class DetectionReport:
             for a, b in zip(vars(self).values(), vars(other).values())
         )
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(len(self.counts))
-
     def corr(self, consumer_id: int) -> float | None:
         """The consumer's correlation, or None when it has no evidence."""
         if consumer_id not in range(len(self.corrs)):
             raise KeyError(consumer_id)
         value = float(self.corrs[int(consumer_id)])
         return None if math.isnan(value) else value
-
-    @property
-    def malicious_ids(self) -> set[int]:
-        flagged = np.isin(self.labels, (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER))
-        return set(np.flatnonzero(flagged).tolist())
 
 
 def series_from_arrays(

@@ -9,7 +9,8 @@ and its seed alone: its stream is the seed's usage block and the
 `UniformBlock.generator` after it, and it takes the seed or that block.
 Monte-Carlo repetitions use seeds derived injectively from
 ``(master_seed, trial_index)`` so they can run in any order or in parallel
-without changing the result.  The cells (attack case and
+without changing the result; a pool runs at most `usable_cpus` workers, the
+CPUs this process may run on.  The cells (attack case and
 duration) of one estimate share the master seed and the consumer count, and
 trial ``i`` of every cell reads one shared usage block, whose entries are
 computed once for them all.  A Monte-Carlo cell reads only what its verdict
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._pcg64 import UniformBlock, _scale
 from .billing import accrue, issue_bills
-from .config import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, usable_cpus
+from .config import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
 from .detection import (
     DetectionReport,
     correlate,
@@ -337,6 +338,11 @@ def _keep_freed_heap() -> bool:
     whether it did.  Either alone would freeze the dynamic mmap threshold at 128 KiB."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
     return mallopt is not None and mallopt(-3, 4_000_000) == 1 and mallopt(-1, 64_000_000) == 1
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[ProbabilityEstimate]:

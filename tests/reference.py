@@ -53,5 +53,5 @@ def write_rows(path, header, rows):
 
 def benign_corr_std(report, attacker_ids) -> float:
     """Sample standard deviation of the benign consumers' defined correlations."""
-    benign = ~np.isin(report.ids, list(attacker_ids)) & ~np.isnan(report.corrs)
+    benign = ~np.isin(np.arange(len(report.counts)), list(attacker_ids)) & ~np.isnan(report.corrs)
     return float(np.std(report.corrs[benign], ddof=1))

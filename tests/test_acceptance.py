@@ -45,7 +45,7 @@ def check(capfd, number, description, passed):
 
 
 def benign_corrs(report, attacker_ids):
-    benign = ~np.isin(report.ids, list(attacker_ids)) & ~np.isnan(report.corrs)
+    benign = ~np.isin(np.arange(len(report.counts)), list(attacker_ids)) & ~np.isnan(report.corrs)
     return report.corrs[benign].tolist()
 
 

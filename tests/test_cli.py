@@ -9,17 +9,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from gridwatch import _pcg64, cli, config, harness
+from gridwatch import _pcg64, cli, csvio, harness
 from gridwatch.cli import main
-from gridwatch.config import (
-    MAX_PERIODS,
-    RunManifest,
-    dumps_config,
-    load_config,
-    loads_config,
-    parse_behavior,
-    usable_cpus,
-)
+from gridwatch.config import MAX_PERIODS, dumps_config, load_config, loads_config, parse_behavior
+from gridwatch.csvio import RunManifest
+from gridwatch.harness import usable_cpus
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
 from conftest import python_env
@@ -411,10 +405,35 @@ class TestCli:
             def __exit__(self, *exc):
                 self.file.close()
 
-        monkeypatch.setattr(config, "open", FullDisk, raising=False)
+        monkeypatch.setattr(csvio, "open", FullDisk, raising=False)
         assert main([*argv, "--seed", "2"]) == 1
         assert_one_error_line(capsys, f"cannot write {out / 'records.csv'}")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+
+    def test_a_failed_manifest_write_leaves_no_manifest_of_another_run(self, tmp_path, capsys, monkeypatch):
+        # the seed-2 run replaces records.csv, then cannot move its manifest into place
+        cfg, out, fresh = tmp_path / "minimal.cfg", tmp_path / "out", tmp_path / "fresh"
+        cfg.write_text(MINIMAL)
+        argv = ["simulate", "--config", str(cfg)]
+        assert main([*argv, "--seed", "2", "--out-dir", str(fresh)]) == 0
+        assert main([*argv, "--seed", "1", "--out-dir", str(out)]) == 0
+        real_replace = os.replace
+
+        def full_disk(source, target):
+            if str(target).endswith("_manifest.json"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        assert main([*argv, "--seed", "2", "--out-dir", str(out)]) == 1
+        assert_one_error_line(capsys, f"cannot write {out / 'simulate_manifest.json'}")
+        assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+        assert (out / "records.csv").read_bytes() == (fresh / "records.csv").read_bytes()
+        want = json.loads((fresh / "simulate_manifest.json").read_text())
+        for path in out.glob("*_manifest.json"):
+            manifest = json.loads(path.read_text())
+            assert manifest["master_seed"] == want["master_seed"], path.name
+            assert manifest["config_text"] == want["config_text"], path.name
 
     def test_an_interrupt_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def interrupted(config, out_dir, threads):

@@ -99,6 +99,18 @@ def test_unwritable_path_is_a_gridwatch_error(tmp_path):
         write_columns(tmp_path / "file" / "out.csv", ["a", "b"], [[1], [2]])
 
 
+def test_a_replace_that_fails_leaves_the_target_and_no_temporary_file(tmp_path):
+    # the temporary file is written whole, and os.replace cannot move it over a directory
+    (tmp_path / "out.csv").mkdir()
+    (tmp_path / "out.csv" / "kept").write_text("earlier")
+    with pytest.raises(GridwatchError, match="cannot write") as raised:
+        write_columns(tmp_path / "out.csv", ["a", "b"], [[1], [2]])
+    assert isinstance(raised.value.__cause__, OSError)
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+    assert [path.name for path in (tmp_path / "out.csv").iterdir()] == ["kept"]
+    assert (tmp_path / "out.csv" / "kept").read_text() == "earlier"
+
+
 def test_records_export_holds_a_few_chunks_of_rows(tmp_path):
     # A chunk buffer is 1,024 rows of the six records columns, 8 bytes a value.  The
     # 12-month window's 34,560 rows would be 34 of them before any text is made.

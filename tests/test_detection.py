@@ -252,11 +252,12 @@ class TestDetectRegion:
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         data = {7: (x[:7], x[:7]), 3: (x[:3], x[:3]), 5: (x[:5], x[:5])}
         report = detect_region(*correlations_of(data), min_samples=5)
-        assert report.ids.tolist() == list(range(8))
+        assert len(report.labels) == len(report.corrs) == 8
         assert report.counts.tolist() == [0, 0, 0, 3, 0, 5, 0, 7]
         under, none = Label.MALICIOUS_UNDER, Label.INSUFFICIENT_DATA
         assert report.labels.tolist() == [none] * 5 + [under, none, under]
-        assert report.malicious_ids == {5, 7}
+        flags = np.isin(report.labels, (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER))
+        assert np.flatnonzero(flags).tolist() == [5, 7]
         assert report.corr(4) is None and report.corr(np.int64(7)) == pytest.approx(1.0)
         for outside in (-1, 8, 2.5):  # a negative position does not wrap around
             with pytest.raises(KeyError):
@@ -271,7 +272,7 @@ class TestDetectRegion:
         values = st.one_of(edge, st.floats(-1.0, 1.0))
         corr = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
         report = detect_region(counts, corr, th=th, min_samples=min_samples)
-        assert report.ids.tolist() == list(range(n))
+        assert len(report.labels) == len(report.corrs) == n
         for pos in range(n):
             count, value = int(counts[pos]), float(corr[pos])
             evidence = count >= min_samples and not math.isnan(value)

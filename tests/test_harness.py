@@ -537,7 +537,7 @@ class TestScenarioBuilders:
         assert c2.attackers == ((25, FixedOffset(1.0, "subtract")),)
         assert c3.attackers == ((25, RandomOffset(1.0, "subtract")),)
         assert c3.mode == MOST_NEGATIVE_MODE
-        assert c1.malicious_ids == {25}
+        assert [cid for cid, _ in c1.attackers] == [25]
         # the case attacker replaces the base's attackers
         assert case_config(make_config("3 = multiplicative 2.0"), "I", 25) == c1
 

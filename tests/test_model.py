@@ -145,7 +145,7 @@ class TestValidation:
         # a x1.0 entry reports truthfully: the config drops it, as it drops a benign one
         config = ScenarioConfig(consumers=3, attackers={0: Multiplicative(1.0), 1: Multiplicative(0.999)})
         assert config.attackers == ((1, Multiplicative(0.999)),)
-        assert config.malicious_ids == {1}
+        assert [cid for cid, _ in config.attackers] == [1]
 
     def test_bad_direction(self):
         with pytest.raises(ConfigurationError):
@@ -174,7 +174,7 @@ class TestValidation:
         assert config == ScenarioConfig(consumers=5, attackers=[(1, Multiplicative(0.5)), (4, FixedOffset(0.3))])
         assert hash(config) == hash(ScenarioConfig(consumers=5, attackers=dict(config.attackers)))
         assert config == ScenarioConfig(consumers=5, attackers=MappingProxyType(attackers))  # any mapping
-        assert config.malicious_ids == {1, 4}  # alpha = 1 reports truthfully, so it is dropped
+        assert [cid for cid, _ in config.attackers] == [1, 4]  # alpha = 1 reports truthfully, so it is dropped
 
     def test_total_periods(self):
         config = ScenarioConfig(consumers=2, periods_per_day=96)

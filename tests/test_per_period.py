@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch.config import DAYS_PER_MONTH, loads_config
-from gridwatch.detection import correlate, series_from_arrays
+from gridwatch.detection import Label, correlate, series_from_arrays
 from gridwatch import harness
 from gridwatch._pcg64 import UniformBlock, _no_entropy
 from gridwatch.harness import (
@@ -175,7 +175,7 @@ def test_shared_draws_match_a_fresh_window_bit_for_bit(group):
         shared, fresh = simulate_window(cell, draws), simulate_window(cell, seed)
         for name in ("leakage", "sampled_pos", "sampled_reports"):
             assert getattr(shared, name).tobytes() == getattr(fresh, name).tobytes(), name
-        assert list(shared.dishonest) == list(fresh.dishonest) == sorted(cell.malicious_ids)
+        assert list(shared.dishonest) == list(fresh.dishonest) == [cid for cid, _ in cell.attackers]
         for pos, reported in fresh.dishonest.items():
             assert shared.dishonest[pos].tobytes() == reported.tobytes()
         after = [window.draws.generator(cell.total_periods).bit_generator.state for window in (shared, fresh)]
@@ -323,8 +323,9 @@ def test_threshold_mask_matches_detect_region(scenario, quantile, th, min_sample
         config, low_report_quantile=quantile, threshold=th, min_samples=min_samples
     )
     outcome = run_trial(config, seed)
-    assert outcome.detected == outcome.report.malicious_ids
-    assert outcome.true_malicious == config.malicious_ids
+    flags = np.isin(outcome.report.labels, (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER))
+    assert outcome.detected == set(np.flatnonzero(flags).tolist())
+    assert outcome.true_malicious == {cid for cid, _ in config.attackers}
 
 
 @given(scenarios())

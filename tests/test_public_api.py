@@ -5,7 +5,6 @@ import ast
 from pathlib import Path
 
 import gridwatch
-import gridwatch.config
 
 PUBLIC = [
     "BehaviorModel",
@@ -45,13 +44,47 @@ def test_every_public_name_resolves():
     assert not missing, f"names in gridwatch.__all__ that the package does not define: {missing}"
 
 
-def test_config_does_not_import_the_simulation():
-    # the config owns its fields, types and checks; the harness imports it, never the reverse
-    tree = ast.parse(Path(gridwatch.config.__file__).read_text(encoding="utf-8"))
+PACKAGE = Path(gridwatch.__file__).parent
+
+
+def imported_names(module: str) -> list[str]:
+    """What ``gridwatch.<module>`` imports: ``json``, ``errors.GridwatchError``, ``.__version__``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
-    assert not [name for name in names if "harness" in name.split(".")]
+    return names
+
+
+def test_config_does_not_import_the_simulation():
+    # the config owns its fields, types and checks; the harness imports it, never the reverse
+    assert not [name for name in imported_names("config") if "harness" in name.split(".")]
+
+
+def test_config_reads_and_csvio_writes():
+    # config only reads configs; every output file, the manifest included, is csvio's
+    writing = {"contextlib", "json", "os", "platform", "numpy", "__version__", "GridwatchError"}
+    assert not [name for name in imported_names("config") if set(name.split(".")) & writing]
+    assert not [name for name in imported_names("csvio") if "config" in name.split(".")]
+
+
+def opens_or_replaces(tree: ast.AST) -> bool:
+    """Whether ``tree`` calls ``open``, ``os.replace``, ``.write_text`` or ``.write_bytes``."""
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return any(
+        isinstance(f, ast.Name) and f.id == "open"
+        or isinstance(f, ast.Attribute) and f.attr in ("write_text", "write_bytes")
+        or isinstance(f, ast.Attribute) and f.attr == "replace" and getattr(f.value, "id", None) == "os"
+        for f in calls
+    )
+
+
+def test_only_csvio_opens_or_replaces_a_file():
+    writers = {
+        path.stem for path in PACKAGE.glob("*.py")
+        if opens_or_replaces(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {"csvio"}
