@@ -13,15 +13,8 @@ generator makes next, from its saved state and cached tables of ``A`` and
 is the generator that the draw of a prefix of the block leaves.
 
 The block is drawn period-major, so the block of a shorter window from the
-same state is a prefix of a longer one's.  Monte-Carlo cells (attack cases and
-durations) seed trial ``i`` alike, so one block per trial index serves them
-all: its row starts and each column it is asked for are computed once, and
-every cell reads prefixes.  No stream changes: each cell's draws are the ones
-its own `generator` makes after its own rows.  Cells whose attacks draw
-nothing and whose windows are as long are in one state there, so they share
-one draw of sampled positions (`harness._attacker_pairs`); every other cell
-draws its own offsets and positions and reads its own sampled entries, if it
-reads any.
+same state is a prefix of a longer one's: one block serves windows of every
+length up to its own, and each draws on from the `generator` after its rows.
 
 A 128-bit number is a ``(hi, lo)`` pair of ``uint64`` values or arrays; products
 wrap mod 2**64 as numpy integer arithmetic does.  Each numpy operation is one
@@ -139,14 +132,6 @@ def _tables(n: int) -> tuple[np.ndarray, ...]:
     return (*_strided(n, _BLOCK), *_strided(1, n + 1))
 
 
-def _scale(uniforms: np.ndarray, low: float, span: float) -> np.ndarray:
-    """Usage from its uniforms, in place, in ``Generator.uniform``'s two steps: bit for
-    bit what ``uniform(low, low + span)`` draws from the same state."""
-    uniforms *= span
-    uniforms += low
-    return uniforms
-
-
 def _blocks(periods: int) -> list[slice]:
     return [slice(r, min(r + _BLOCK, periods)) for r in range(0, periods, _BLOCK)]
 
@@ -217,22 +202,21 @@ class UniformBlock:
         _checked = True
 
     def column(self, col: int) -> np.ndarray:
-        """``block[:, col]``, every row, read-only: copy it before scaling."""
+        """``block[:, col]``, every row, read-only."""
         if col not in self._columns:
             self._columns[col] = self.read(col)
             self._columns[col].flags.writeable = False
         return self._columns[col]
 
-    def read(self, cols: int | np.ndarray, low: float = 0.0, span: float = 1.0) -> np.ndarray:
-        """``low + span·block[t, cols]`` for every row, or ``low + span·block[t, cols[t]]``
-        for rows ``t < len(cols)``, scaled by `_scale`."""
+    def read(self, cols: int | np.ndarray) -> np.ndarray:
+        """``block[t, cols]`` for every row, or ``block[t, cols[t]]`` for rows
+        ``t < len(cols)``: unit draws, each in a new array."""
         after = np.asarray(cols) + 1  # draw j of a row comes from state s_{t·n + j + 1}
         periods = self.periods if after.ndim == 0 else len(after)
         out = np.empty(periods)
         for rows in _blocks(periods):
             steps = self._steps[:, after] if after.ndim == 0 else self._steps.take(after[rows], axis=1)
-            unit = _to_unit(*_mul_add(*steps[:4], *self._starts[:, rows], *steps[4:]), out=out[rows])
-            _scale(unit, low, span)
+            _to_unit(*_mul_add(*steps[:4], *self._starts[:, rows], *steps[4:]), out=out[rows])
         return out
 
     def generator(self, rows: int) -> np.random.Generator:

@@ -179,15 +179,15 @@ def series_from_arrays(
     return [(reports[g], leakages[g]) for g in np.split(order, ends[:-1])]
 
 
-def low_report_correlations(series, counts: np.ndarray, q: float, min_samples: int) -> np.ndarray:
+def low_report_correlations(series, q: float, min_samples: int) -> np.ndarray:
     """Each group's correlation over its low-report pairs only (NaN: undefined).
 
-    ``series`` comes from `series_from_arrays`; groups with fewer than
-    ``min_samples`` pairs are left undefined.
+    ``series`` holds each group's ``(reports, leakages)``, as `series_from_arrays`
+    returns them; a group of fewer than ``min_samples`` pairs is left undefined.
     """
-    corr = np.full(len(counts), np.nan)
-    for pos in np.flatnonzero(counts >= min_samples):
-        r = pearson(*low_report_filter(*series[pos], q))
+    corr = np.full(len(series), np.nan)
+    for pos, (reports, leakages) in enumerate(series):
+        r = pearson(*low_report_filter(reports, leakages, q)) if len(reports) >= min_samples else None
         if r is not None:
             corr[pos] = r
     return corr

@@ -6,19 +6,22 @@ sampled reports with the leakage in one pass, runs the configured detector,
 and scores the result against the known attacker set; billing and records read
 the usage a bounded row chunk at a time.  A window is a function of its config
 and its seed alone: its stream is the seed's usage block and the
-`UniformBlock.generator` after it, and it takes the seed or that block.
+`UniformBlock.generator` after it, and it takes the seed or that block.  The
+block holds unit draws; `_usage` puts them on the region's usage range.
+
 Monte-Carlo repetitions use seeds derived injectively from
 ``(master_seed, trial_index)`` so they can run in any order or in parallel
 without changing the result; a pool runs at most `usable_cpus` workers, the
-CPUs this process may run on.  The cells (attack case and
-duration) of one estimate share the master seed and the consumer count, and
-trial ``i`` of every cell reads one shared usage block, whose entries are
-computed once for them all.  A Monte-Carlo cell reads only what its verdict
-depends on: the threshold cells with one misreporting consumer correlate that
-consumer alone, all in one batch, and read no sampled entry
-(`_batch_successes`); those whose attacks draw nothing and whose windows are
-as long share one draw of sampled positions, the draw each would make alone.
-Every stream is the one a lone trial draws.
+CPUs this process may run on.  The cells (attack case and duration) of one
+estimate share the master seed and the consumer count, so trial ``i`` of every
+cell reads one shared usage block: its row starts and each column it is asked
+for are computed once, and every cell reads prefixes.  A cell reads only what
+its verdict depends on (`_index_successes`): a threshold cell whose one
+attacker draws nothing correlates that attacker alone, all such cells in one
+batch, and reads no sampled entry (`_batch_successes`).  Those cells of one
+window length are in one state after the usage rows, so they share one draw of
+sampled positions.  Every other cell runs the full trial, with its own offsets,
+positions and sampled entries.  Every stream is the one a lone trial draws.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._pcg64 import UniformBlock, _scale
+from ._pcg64 import UniformBlock
 from .billing import accrue, issue_bills
 from .config import MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig
 from .detection import (
@@ -55,6 +60,14 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSeque
     return np.random.SeedSequence([master_seed, trial_index])
 
 
+def _usage(config: ScenarioConfig, uniforms: np.ndarray) -> np.ndarray:
+    """Usage from its uniforms, in place, in ``Generator.uniform``'s two steps: bit for
+    bit what ``uniform(usage_min, usage_min + usage_span)`` draws from the same state."""
+    uniforms *= config.usage_span
+    uniforms += config.usage_min
+    return uniforms
+
+
 # The most entries (384 KiB of floats) of a usage or reports block that `WindowData.chunks` yields.
 _CHUNK_ENTRIES = 49_152
 
@@ -63,9 +76,8 @@ _CHUNK_ENTRIES = 49_152
 class WindowData:
     """Whole-window simulation arrays (one entry per period).
 
-    Usage is ``u[t, c] * config.usage_span + config.usage_min`` (`_scale`),
-    where ``u`` is ``draws``, the ``(periods, n)`` block of uniforms that the
-    generator in ``draws.state`` draws next.
+    Usage is `_usage` of ``draws``, the ``(periods, n)`` block of uniforms that
+    the generator in ``draws.state`` draws next.
     ``dishonest`` maps each misreporting consumer's id to its reports, and
     ``sampled_pos`` holds the sampled consumer's id (ids are positions).
     `chunks` draws the usage again from that state, a bounded row chunk at a
@@ -81,9 +93,9 @@ class WindowData:
 
     @cached_property
     def sampled_reports(self) -> np.ndarray:
-        """Each period's sampled report: the sampled entry of ``draws``, scaled,
-        or the misreporting consumer's report."""
-        reports = self.draws.read(self.sampled_pos, self.config.usage_min, self.config.usage_span)
+        """Each period's sampled report: the sampled entry's usage, or the
+        misreporting consumer's report."""
+        reports = _usage(self.config, self.draws.read(self.sampled_pos))
         for pos, reported in self.dishonest.items():
             hit = self.sampled_pos == pos
             reports[hit] = reported[hit]
@@ -100,7 +112,7 @@ class WindowData:
         for month in range(0, c.total_periods, c.month_periods):
             for start in range(month, month + c.month_periods, rows):
                 k = min(rows, month + c.month_periods - start)
-                block = _scale(rng.random((k, c.consumers)), c.usage_min, c.usage_span)
+                block = _usage(c, rng.random((k, c.consumers)))
                 for pos, reported in self.dishonest.items() if reports else ():
                     block[:, pos] = reported[start : start + k]
                 yield start, block
@@ -145,19 +157,18 @@ def simulate_window(
     ``trial_seed`` may be the seed's usage block itself (`UniformBlock.of_seed`), which
     windows of the same seed and consumer count share; a seed gets a block of its own.
     """
-    n, periods, low = config.consumers, config.total_periods, config.usage_min
+    n, periods = config.consumers, config.total_periods
 
     draws = (trial_seed if isinstance(trial_seed, UniformBlock)
              else UniformBlock.of_seed(trial_seed, periods, n))
     if draws.n != n:
         raise ValueError(f"a usage block of {draws.n} consumers cannot serve a region of {n}")
     rng = draws.generator(periods)
-    span = config.usage_span  # every period's: `_scale` gives the uniform draws on it bit for bit
 
     leakage = np.zeros(periods)
     dishonest: dict[int, np.ndarray] = {}
     for cid, behavior in config.attackers:
-        actual = _scale(draws.column(cid)[:periods].copy(), low, span)
+        actual = _usage(config, draws.column(cid)[:periods].copy())
         reported = apply_behavior(behavior, actual, rng)
         dishonest[cid] = reported
         leakage = leakage + (actual - reported)
@@ -190,7 +201,7 @@ class TrialOutcome:
     @cached_property
     def report(self) -> DetectionReport:
         c = self.window.config
-        corr = _low_report_corr(self.window, self.counts) if self.corr is None else self.corr
+        corr = _low_report_corr(self.window) if self.corr is None else self.corr
         return detect_region(self.counts, corr, th=c.threshold, min_samples=c.min_samples)
 
     @property
@@ -201,10 +212,10 @@ class TrialOutcome:
         return "extra_benign" if self.detected - self.true_malicious else "exact"
 
 
-def _low_report_corr(window: WindowData, counts: np.ndarray) -> np.ndarray:
+def _low_report_corr(window: WindowData) -> np.ndarray:
     c = window.config
-    series = series_from_arrays(window.sampled_pos, window.sampled_reports, window.leakage, len(counts))
-    return low_report_correlations(series, counts, c.low_report_quantile, c.min_samples)
+    series = series_from_arrays(window.sampled_pos, window.sampled_reports, window.leakage, c.consumers)
+    return low_report_correlations(series, c.low_report_quantile, c.min_samples)
 
 
 def run_trial(
@@ -230,7 +241,7 @@ def run_trial(
         detected = frozenset() if selected is None else frozenset({selected})
         corr = None if filtered else corr
     else:
-        corr = _low_report_corr(window, counts) if filtered else corr
+        corr = _low_report_corr(window) if filtered else corr
         flags = flagged(has_evidence(counts, corr, config.min_samples), corr, config.threshold)
         detected = frozenset(np.flatnonzero(flags).tolist())
     return TrialOutcome(frozenset(window.dishonest), detected, window, counts, corr)
@@ -266,36 +277,30 @@ class ProbabilityEstimate:
 def _attacker_pairs(
     cells: Sequence[ScenarioConfig], draws: UniformBlock
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each one-attacker cell's attacker reports and leakage on the periods the attacker
-    is sampled, in period order, bit for bit those of `simulate_window`.  After an attack
-    that draws nothing the positions come from `UniformBlock.generator` past the usage
-    rows, so such cells of one window length share one draw of them, and each
-    misreports only the attacker's sampled rows.  A random offset cell draws its offsets
-    before the positions, so it simulates its own window."""
+    """Each cell's attacker reports and leakage on the periods the attacker is sampled,
+    in period order, bit for bit those of `simulate_window`.  Each cell's one attack
+    draws nothing, so its positions are the first draw of `UniformBlock.generator` past
+    the usage rows: cells of one window length share one draw of them, and each
+    misreports only the attacker's sampled rows."""
     positions: dict[int, np.ndarray] = {}
     rows: dict[tuple[int, int], np.ndarray] = {}
     pairs = []
     for c in cells:
         ((cid, behavior),) = c.attackers
         periods = c.total_periods
-        if isinstance(behavior, RandomOffset):
-            window = simulate_window(c, draws)
-            hit = window.sampled_pos == cid
-            pairs.append((window.dishonest[cid][hit], window.leakage[hit]))
-            continue
         if periods not in positions:
             positions[periods] = draws.generator(periods).integers(0, draws.n, size=periods)
         if (periods, cid) not in rows:
             rows[periods, cid] = np.flatnonzero(positions[periods] == cid)
-        actual = _scale(draws.column(cid)[rows[periods, cid]], c.usage_min, c.usage_span)
+        actual = _usage(c, draws.column(cid)[rows[periods, cid]])
         reported = apply_behavior(behavior, actual, None)  # draws nothing
         pairs.append((reported, actual - reported))
     return pairs
 
 
 def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> list[bool]:
-    """``trial_success(run_trial(c, draws))`` for threshold cells with one
-    misreporting consumer: its attacker flagged.  Only the attacker's sampled periods are
+    """``trial_success(run_trial(c, draws))`` for threshold cells whose one attacker
+    draws nothing: that attacker flagged.  Only the attacker's sampled periods are
     correlated (`_attacker_pairs`), one group per cell in one `correlate` call, which sums
     each group in period order and so gives a cell the bits a lone call gives it; a cell
     with the low-report filter takes its low-report pairs with `pearson`."""
@@ -305,8 +310,7 @@ def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> li
     counts, corr = correlate(groups, reports, leakage, len(cells))
     for k, c in enumerate(cells):
         if c.low_report_quantile is not None:
-            corr[k] = low_report_correlations(pairs[k : k + 1], counts[k : k + 1], c.low_report_quantile,
-                                              c.min_samples)[0]
+            corr[k] = low_report_correlations(pairs[k : k + 1], c.low_report_quantile, c.min_samples)[0]
     min_samples, threshold = np.array([c.min_samples for c in cells]), np.array([c.threshold for c in cells])
     return flagged(has_evidence(counts, corr, min_samples), corr, threshold).tolist()
 
@@ -314,12 +318,14 @@ def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> li
 def _index_successes(cells: Sequence[ScenarioConfig], index: int) -> list[bool]:
     """Trial ``index`` of every cell, in the order given.  The cells share the master seed
     and the consumer count, so one usage block serves them all: its row starts and each
-    attacker's column are computed once.  Threshold cells with one misreporting consumer
-    are scored together (`_batch_successes`); only the others run in full."""
+    attacker's column are computed once.  A cell is batched (`_batch_successes`) exactly
+    when it is in threshold mode and has one attacker, which draws nothing (it is not a
+    `RandomOffset`); every other cell runs the full trial."""
     seed = derive_trial_seed(cells[0].master_seed, index)
     periods = max(c.total_periods for c in cells)
     draws = UniformBlock.of_seed(seed, periods, cells[0].consumers)
-    batched = [c.mode == THRESHOLD_MODE and len(c.attackers) == 1 for c in cells]
+    batched = [c.mode == THRESHOLD_MODE and len(c.attackers) == 1
+               and not isinstance(c.attackers[0][1], RandomOffset) for c in cells]
     batch = [c for c, b in zip(cells, batched) if b]
     oks = iter(_batch_successes(batch, draws) if batch else [])
     return [next(oks) if b else trial_success(run_trial(c, draws)) for c, b in zip(cells, batched)]
@@ -340,6 +346,28 @@ def _keep_freed_heap() -> bool:
     return mallopt is not None and mallopt(-3, 4_000_000) == 1 and mallopt(-1, 64_000_000) == 1
 
 
+def _start_worker() -> None:
+    """Pool initializer: keep the freed heap, and leave SIGINT to the parent, which
+    stops the workers itself (`_estimate`)."""
+    _keep_freed_heap()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Cancel ``pool``'s queued jobs and end its workers without waiting for the jobs they
+    hold, as Python 3.14's ``terminate_workers`` does, then wait for its manager thread.
+    The workers end once that thread has dropped the cancelled jobs: before 3.12 it
+    raises on a cancelled job when it finds a worker gone."""
+    workers, manager = list(pool._processes.values()), pool._executor_manager_thread
+    pool.shutdown(wait=False, cancel_futures=True)
+    while pool._cancel_pending_futures and manager is not None and manager.is_alive():
+        time.sleep(0.001)
+    for worker in workers:
+        worker.terminate()
+    if manager is not None:
+        manager.join()
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity where the platform has one, else the CPU count."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -354,7 +382,9 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     ranges, up to ``4 * threads``, over every config, and return one success
     count per config; they run longest first.  More workers than usable CPUs
     would only queue, so ``threads`` is capped at `usable_cpus`.  Each worker
-    keeps its freed heap (`_keep_freed_heap`), however it is started."""
+    keeps its freed heap (`_keep_freed_heap`), however it is started, and ignores
+    SIGINT: on any exception out of the pool, an interrupt among them, the parent
+    stops the workers at once (`_stop_workers`) and re-raises."""
     if len({(c.master_seed, c.consumers, c.repetitions) for c in configs}) > 1:
         raise ValueError("estimated configs must share the master seed, consumer count and repetitions")
     if not configs:
@@ -366,8 +396,12 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     ranges = sorted(zip(bounds, bounds[1:]), key=lambda r: r[1] - r[0], reverse=True)
     jobs = [(tuple(configs), a, b) for a, b in ranges]
     if min(threads, len(jobs)) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)), initializer=_keep_freed_heap) as pool:
-            counts = list(pool.map(_count_successes, jobs))
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)), initializer=_start_worker) as pool:
+            try:
+                counts = list(pool.map(_count_successes, jobs))
+            except BaseException:
+                _stop_workers(pool)
+                raise
     else:
         counts = list(map(_count_successes, jobs))
     return [ProbabilityEstimate(sum(per_job), c.repetitions) for per_job, c in zip(zip(*counts), configs)]

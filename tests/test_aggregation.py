@@ -135,4 +135,4 @@ class TestSeriesFromArrays:
     def test_empty_arrays(self):
         series = series_from_arrays(np.array([], dtype=int), np.array([]), np.array([]), 3)
         assert [len(r) for r, _ in series] == [0, 0, 0]
-        assert np.isnan(low_report_correlations(series, np.zeros(3), 0.25, 5)).all()
+        assert np.isnan(low_report_correlations(series, 0.25, 5)).all()

@@ -1,10 +1,13 @@
 import errno
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -481,6 +484,62 @@ def test_a_repeated_table1_pass_faults_in_no_freed_heap(tmp_path):
     argv = [sys.executable, "-c", REPEAT_TABLE1, str(config), str(tmp_path)]
     result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
     assert int(result.stdout) <= 500
+
+
+INTERRUPTED_TABLE1 = textwrap.dedent("""\
+    import multiprocessing, os, signal, sys, time
+    from gridwatch import cli, harness
+
+    def stalled(job):
+        # every job records its worker's pid, the first to start interrupts the run
+        with open(sys.argv[3], "a") as pids:
+            print(os.getpid(), file=pids, flush=True)
+        try:
+            os.close(os.open(sys.argv[4], os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
+
+    multiprocessing.set_start_method("fork")
+    harness._count_successes, harness.usable_cpus = stalled, lambda: 2  # two workers on any host
+    sys.exit(cli.main(["table1", "--config", sys.argv[1], "--out-dir", sys.argv[2], "--threads", "2"]))
+""")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the workers are forked")
+def test_an_interrupted_pool_stops_its_workers_at_once(tmp_path):
+    # Each job sleeps 60 s once the first has sent SIGINT; leaving the pool used to
+    # wait for the jobs its workers held.  No worker may print a traceback.
+    config = tmp_path / "table1.cfg"
+    config.write_text(TINY)
+    pids, lock = tmp_path / "pids", tmp_path / "lock"
+    argv = [sys.executable, "-c", INTERRUPTED_TABLE1, str(config), str(tmp_path), str(pids), str(lock)]
+    child = subprocess.Popen(argv, env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, start_new_session=True)
+    try:
+        _, err = child.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)  # the run and its workers: a new session each
+        child.communicate()
+        pytest.fail("the interrupted run waited for the jobs its workers held")
+    assert (child.returncode, err) == (130, "gridwatch: error: interrupted\n")
+    workers = [int(pid) for pid in pids.read_text().split()]
+    assert workers
+    deadline = time.monotonic() + 5
+    while workers and time.monotonic() < deadline:
+        workers = [pid for pid in workers if _running(pid)]
+        time.sleep(0.05)
+    assert workers == []
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 ALL_COMMANDS = textwrap.dedent("""\

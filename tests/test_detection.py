@@ -292,9 +292,8 @@ class TestDetectRegion:
         }
         data[4] = ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # below min_samples
         n, pos, x, y = arrays_of(data)
-        counts, _ = correlate(pos, x, y, n)
         series = series_from_arrays(pos, x, y, n)
-        corr = low_report_correlations(series, counts, 0.25, 5)
+        corr = low_report_correlations(series, 0.25, 5)
         for p, (r, l) in enumerate(data.values()):
             want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else None
             assert (math.isnan(corr[p]) if want is None else corr[p] == want)

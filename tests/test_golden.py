@@ -76,8 +76,8 @@ repetitions = 20
 master_seed = 42
 """
 # One random-offset attacker in threshold mode: its Monte-Carlo verdict draws the
-# offsets before the sampled positions, so each cell simulates its own window
-# on the shared block.  At threshold 0.65 the counts sit between 0 and 6.
+# offsets before the sampled positions, so each cell runs the full trial on the
+# shared block.  At threshold 0.65 the counts sit between 0 and 6.
 RANDOM_OFFSET_SWEEP_CONFIG = """[region]
 consumers = 30
 

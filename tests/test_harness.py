@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
@@ -313,14 +314,17 @@ def install_inline_pool(monkeypatch, cpus=64):
     """Replace the process pool with one that runs its jobs inline: no process
     starts.  The process may run on ``cpus`` CPUs, and the machine reports as
     many.  Returns the list of worker counts the pools were built with.  A pool
-    runs its initializer once, as its one worker."""
+    runs its initializer once, as its one worker, and then gives this process
+    back its SIGINT handler, which a worker's initializer sets to ignore."""
     asked = []
 
     class InlinePool:
         def __init__(self, max_workers, initializer=None, initargs=()):
             asked.append(max_workers)
             if initializer is not None:
+                handler = signal.getsignal(signal.SIGINT)
                 initializer(*initargs)
+                signal.signal(signal.SIGINT, handler)
 
         def __enter__(self):
             return self
@@ -489,12 +493,12 @@ class TestEstimates:
                 alive.append(weakref.ref(self))
                 peak.append(sum(ref() is not None for ref in alive))
 
-            def read(self, cols, *scale):
+            def read(self, cols):
                 if np.ndim(cols) == 0:
                     columns.append(int(cols))
                 else:
                     sampled.append(len(cols))
-                return super().read(cols, *scale)
+                return super().read(cols)
 
             def generator(self, rows):
                 generators.append(rows)
@@ -513,6 +517,26 @@ class TestEstimates:
         assert peak == [1] * 3
         assert len(generators) == 8 * 3
         assert correlated == [8, 5, 5, 5, 5] * 3  # a group per batched cell, then case III's trials
+
+    def test_only_cells_whose_one_attacker_draws_nothing_are_batched(self, monkeypatch):
+        # a threshold random-offset cell draws its offsets before the sampled positions,
+        # so it runs the full trial; the x0.1 cell beside it is scored in the batch
+        ran = []
+        real = harness.run_trial
+
+        def counting(config, trial_seed):
+            ran.append(config)
+            return real(config, trial_seed)
+
+        monkeypatch.setattr(harness, "run_trial", counting)
+        offset, scaled = (tiny_config(a, extra="[detection]\nthreshold = 0.3\n")
+                          for a in ("1 = random_offset 1.0", "1 = multiplicative 0.1"))
+        for index in range(3):
+            verdicts = harness._index_successes([offset, scaled], index)
+            assert ran == [offset]
+            ran.clear()
+            seed = derive_trial_seed(offset.master_seed, index)
+            assert verdicts == [trial_success(real(c, seed)) for c in (offset, scaled)]
 
     def test_thread_count_does_not_change_result(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)

@@ -5,18 +5,22 @@ over-reporter at 50) fails by design: each under-reporter's population
 correlation is far below the threshold.  These tests pin that number,
 so the failure is shown to be the statistic's and not the code's.
 Benign consumers' correlations are checked against their exact
-permutation moments in every attack case.
+permutation moments in every attack case, and the offset attackers of
+cases II and III against their population correlations.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import make_config
 from gridwatch.harness import case_config, derive_trial_seed, run_trial
-from theory import benign_moments, multiplicative_correlations
+from theory import (
+    benign_moments, fixed_offset_moments, multiplicative_correlations, random_offset_correlation,
+)
 
 ATTACKERS = {25: 0.1, 50: 10.0, 75: 0.1}
 SEEDS = [derive_trial_seed(42, i) for i in range(20)]  # fixed before the first run
@@ -56,3 +60,27 @@ def test_benign_correlations_have_their_permutation_moments(case):
     for values, expected in ((z, 0.0), (z**2, 1.0)):
         stderr = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - expected) <= 4 * stderr, (case, values.mean(), stderr)
+
+
+def test_closed_forms_of_the_offset_attacks():
+    # case_config's offsets on U(0.5, 1.5): eta = theta_max = 1, the range's midpoint
+    cov, var_r, var_d = fixed_offset_moments(Fraction(1, 2), Fraction(3, 2), 1)
+    assert (cov, var_r, var_d) == (Fraction(1, 64), Fraction(5, 192), Fraction(5, 192))
+    assert cov / var_r == Fraction(3, 5)
+    assert random_offset_correlation(0.5, 1.5, 1.0) == pytest.approx(-0.641544, abs=2e-6)
+    assert random_offset_correlation(0.5, 1.5, 1.0, grid=2000) == pytest.approx(-0.641544, abs=2e-6)
+
+
+@pytest.mark.parametrize("case", ["II", "III"])
+def test_offset_attackers_match_their_population_correlations(case):
+    # the 12-month attacker r over the criterion-7 seeds, within 4 standard errors
+    config = dataclasses.replace(case_config(make_config(attackers=""), case, 25), months=12)
+    ((_, behavior),) = config.attackers
+    if case == "II":
+        cov, var_r, var_d = fixed_offset_moments(config.usage_min, config.usage_max, behavior.eta)
+        expected = float(cov) / math.sqrt(var_r * var_d)
+    else:
+        expected = random_offset_correlation(config.usage_min, config.usage_max, behavior.theta_max)
+    corrs = np.array([run_trial(config, seed).corr[25] for seed in SEEDS])
+    stderr = corrs.std(ddof=1) / math.sqrt(len(SEEDS))
+    assert abs(corrs.mean() - expected) <= 4 * stderr, (case, corrs.mean(), stderr, expected)
