@@ -64,20 +64,20 @@ def _single_attacker_id(config: ScenarioConfig) -> int:
     return config.attackers[0][0]
 
 
+# A window command keeps only what it writes: its window is freed before the CSV renders.
 def _cmd_simulate(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
-    # Trial 0's stream, as `detect` and `bill` draw it.  Looked up on the
-    # harness module so that a wrapper installed on it sees this call too.
-    window = harness.simulate_window(config, derive_trial_seed(config.master_seed, 0))
-    return csvio.export_records(window.to_records(), out_dir / "records.csv")
+    # Trial 0's stream, as `detect` and `bill` draw it; looked up on `harness` so its wrappers see it.
+    records = harness.simulate_window(config, derive_trial_seed(config.master_seed, 0)).to_records()
+    return csvio.export_records(records, out_dir / "records.csv")
 
 
 def _cmd_detect(config: ScenarioConfig, out_dir: Path, threads: int, filename="detection.csv") -> Path:
-    outcome = run_trial(config, derive_trial_seed(config.master_seed, 0))
-    return csvio.export_detection(outcome.report, out_dir / filename)
+    report = run_trial(config, derive_trial_seed(config.master_seed, 0)).report
+    return csvio.export_detection(report, out_dir / filename)
 
 
 def _cmd_bill(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
-    _, bills = run_billing(config, derive_trial_seed(config.master_seed, 0))
+    bills = run_billing(config, derive_trial_seed(config.master_seed, 0))[1]
     return csvio.export_bills(bills, out_dir / "bills.csv")
 
 

@@ -45,7 +45,6 @@ class ScenarioConfig:
     pairs, is kept as pairs sorted by id, without the entries that report truthfully,
     ``Multiplicative(1.0)``: every attacker left misreports."""
 
-    region_id: int = 0
     consumers: int = 100
     periods_per_day: int = 96
     usage_min: float = 0.5
@@ -196,7 +195,7 @@ def _check_sums_finite(config: ScenarioConfig) -> None:
 
 # Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
 _KEYS: dict[str, tuple[str, ...]] = {
-    "region": ("region_id", "consumers", "periods_per_day", "usage_min", "usage_max"),
+    "region": ("consumers", "periods_per_day", "usage_min", "usage_max"),
     "attackers": (),
     "detection": ("threshold", "min_samples", "mode", "low_report_quantile"),
     "billing": ("tariff", "elasticity_factor", "elasticity_level"),

@@ -172,9 +172,10 @@ def series_from_arrays(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each of the ``n`` groups' ``(reports, leakages)`` pairs, in period order.
 
-    ``positions`` assigns pairs to groups as for `correlate`.
+    ``positions`` assigns pairs to groups as for `correlate`; their stable sort, as the
+    narrowest unsigned type holding ``n - 1``, is numpy's radix sort for ``n <= 65,536``.
     """
-    order = np.argsort(positions, kind="stable")
+    order = np.argsort(positions.astype(np.min_scalar_type(n - 1)), kind="stable")
     ends = np.cumsum(np.bincount(positions, minlength=n))
     return [(reports[g], leakages[g]) for g in np.split(order, ends[:-1])]
 

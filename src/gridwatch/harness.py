@@ -1,13 +1,13 @@
 """Scenario orchestration: seeded windows, trials, Monte-Carlo estimates and
 the paper's experiments, all run on a `config.ScenarioConfig`.
 
-A trial computes only the usage entries it reads, correlates every consumer's
-sampled reports with the leakage in one pass, runs the configured detector,
-and scores the result against the known attacker set; billing and records read
-the usage a bounded row chunk at a time.  A window is a function of its config
-and its seed alone: its stream is the seed's usage block and the
-`UniformBlock.generator` after it, and it takes the seed or that block.  The
-block holds unit draws; `_usage` puts them on the region's usage range.
+A trial computes only the usage entries it reads and the one correlation pass its
+detector reads (every sampled pair, or the low-report ones), and scores the result
+against the known attacker set; billing and records read the usage a bounded row
+chunk at a time.  A window is a function of its config and its seed alone: its
+stream is the seed's usage block and the `UniformBlock.generator` after it, and it
+takes the seed or that block.  The block holds unit draws; `_usage` puts them on
+the region's usage range.
 
 Monte-Carlo repetitions use seeds derived injectively from
 ``(master_seed, trial_index)`` so they can run in any order or in parallel
@@ -80,9 +80,9 @@ class WindowData:
     the generator in ``draws.state`` draws next.
     ``dishonest`` maps each misreporting consumer's id to its reports, and
     ``sampled_pos`` holds the sampled consumer's id (ids are positions).
-    `chunks` draws the usage again from that state, a bounded row chunk at a
-    time; the sampled reports and the regional totals are computed on first
-    access.  A Monte-Carlo trial reads no totals.
+    `chunks` draws the usage again from that state, a bounded row chunk at a time;
+    the sampled reports, the regional totals, `correlations` and `evidence` are
+    computed on first access.  A Monte-Carlo trial reads no totals.
     """
 
     config: ScenarioConfig
@@ -100,6 +100,22 @@ class WindowData:
             hit = self.sampled_pos == pos
             reports[hit] = reported[hit]
         return reports
+
+    @cached_property
+    def correlations(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every consumer's ``(counts, corr)``, from one `correlate` over the sampled pairs."""
+        return correlate(self.sampled_pos, self.sampled_reports, self.leakage, self.config.consumers)
+
+    @cached_property
+    def evidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(counts, corr)`` that threshold labels are taken on: `correlations`, or with
+        ``low_report_quantile`` set each consumer's correlation over its low-report pairs."""
+        c = self.config
+        if c.low_report_quantile is None:
+            return self.correlations
+        series = series_from_arrays(self.sampled_pos, self.sampled_reports, self.leakage, c.consumers)
+        counts = np.bincount(self.sampled_pos, minlength=c.consumers)
+        return counts, low_report_correlations(series, c.low_report_quantile, c.min_samples)
 
     def chunks(self, reports: bool = False) -> Iterator[tuple[int, np.ndarray]]:
         """``(start, block)`` pairs in period order: the usage of periods ``start`` on, or
@@ -186,23 +202,18 @@ def simulate_window(
 class TrialOutcome:
     """One trial's verdict against the known attacker set, and the window it was taken on.
 
-    ``counts`` and ``corr`` (by position) are the evidence the threshold
-    labels are taken on; `report` builds the labels on first access, from the
-    window's sampled pairs when ``corr`` is None.  Only the two sets take part
-    in ``==``, so equal outcomes are equal verdicts.
+    `report` labels every consumer on first access, from `WindowData.evidence`.  Only
+    the two sets take part in ``==``, so equal outcomes are equal verdicts.
     """
 
     true_malicious: frozenset[int]
     detected: frozenset[int]
     window: WindowData = field(compare=False, repr=False)
-    counts: np.ndarray = field(compare=False, repr=False)
-    corr: np.ndarray | None = field(compare=False, repr=False)
 
     @cached_property
     def report(self) -> DetectionReport:
         c = self.window.config
-        corr = _low_report_corr(self.window) if self.corr is None else self.corr
-        return detect_region(self.counts, corr, th=c.threshold, min_samples=c.min_samples)
+        return detect_region(*self.window.evidence, th=c.threshold, min_samples=c.min_samples)
 
     @property
     def outcome_class(self) -> str:
@@ -212,39 +223,27 @@ class TrialOutcome:
         return "extra_benign" if self.detected - self.true_malicious else "exact"
 
 
-def _low_report_corr(window: WindowData) -> np.ndarray:
-    c = window.config
-    series = series_from_arrays(window.sampled_pos, window.sampled_reports, window.leakage, c.consumers)
-    return low_report_correlations(series, c.low_report_quantile, c.min_samples)
-
-
 def run_trial(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence | UniformBlock,
 ) -> TrialOutcome:
     """One fully deterministic end-to-end trial, kept with its window.
 
-    Every consumer's correlation comes from one `correlate` pass over the window's
-    sampled pairs.  With ``low_report_quantile`` set, the threshold verdicts use each
-    consumer's low-report pairs instead; most-negative selection always uses the
-    unfiltered correlations and leaves the low-report ones to `TrialOutcome.report`,
-    which reads them from the same window.  Threshold mode detects the `flagged`
-    consumers, those `detect_region` labels malicious; a most-negative trial without
-    evidence selects None, a miss.
+    Most-negative mode selects from the window's `WindowData.correlations`, threshold
+    mode detects the `flagged` consumers of its `WindowData.evidence` (those
+    `detect_region` labels malicious); a most-negative trial leaves any low-report work
+    to `TrialOutcome.report`, and one without evidence selects None, a miss.
     ``trial_seed`` is a seed or its shared usage block (`simulate_window`).
     """
     window = simulate_window(config, trial_seed)
-    counts, corr = correlate(window.sampled_pos, window.sampled_reports, window.leakage, config.consumers)
-    filtered = config.low_report_quantile is not None
     if config.mode == MOST_NEGATIVE_MODE:
-        selected = most_negative(counts, corr, config.min_samples)
+        selected = most_negative(*window.correlations, config.min_samples)
         detected = frozenset() if selected is None else frozenset({selected})
-        corr = None if filtered else corr
     else:
-        corr = _low_report_corr(window) if filtered else corr
+        counts, corr = window.evidence
         flags = flagged(has_evidence(counts, corr, config.min_samples), corr, config.threshold)
         detected = frozenset(np.flatnonzero(flags).tolist())
-    return TrialOutcome(frozenset(window.dishonest), detected, window, counts, corr)
+    return TrialOutcome(frozenset(window.dishonest), detected, window)
 
 
 def trial_success(outcome: TrialOutcome) -> bool:

@@ -132,6 +132,23 @@ class TestSeriesFromArrays:
             assert ra.tolist() == rr
             assert la.tolist() == lr
 
+    @pytest.mark.parametrize("n", [2, 100, 256, 257, 65_536, 65_537])
+    def test_groups_follow_the_stable_sort_of_the_positions(self, rng, n):
+        # the narrow key's sort gives each group the pairs, in the order, that
+        # sorting the positions as given does; the pairs fall on even groups and
+        # the last, so every odd group below n - 1 is empty
+        positions = np.concatenate([rng.integers(0, n, size=3_000) // 2 * 2, [n - 1, 0, n - 1]])
+        reports = np.arange(len(positions), dtype=float)  # each pair's index
+        kept = positions.copy()
+        series = series_from_arrays(positions, reports, -reports, n)
+        assert np.array_equal(positions, kept)
+        counts = np.bincount(positions, minlength=n)
+        assert [len(r) for r, _ in series] == counts.tolist()
+        assert (counts[1:-1:2] == 0).all() and counts[-1] >= 2
+        order = np.argsort(positions, kind="stable")
+        assert np.array_equal(np.concatenate([r for r, _ in series]), order)
+        assert np.array_equal(np.concatenate([l for _, l in series]), -order)
+
     def test_empty_arrays(self):
         series = series_from_arrays(np.array([], dtype=int), np.array([]), np.array([]), 3)
         assert [len(r) for r, _ in series] == [0, 0, 0]

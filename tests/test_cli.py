@@ -175,6 +175,14 @@ class TestCli:
         assert_one_error_line(capsys, f"numpy {np.__version__}")
         assert not (tmp_path / "detection.csv").exists()
 
+    def test_a_config_setting_region_id_is_one_error_line(self, tmp_path, capsys):
+        # the key was dropped; a file that still sets it names it, and nothing is written
+        path = tmp_path / "old.cfg"
+        path.write_text(f"[region]\nregion_id = 0\n{MINIMAL}")
+        assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "gridwatch: error: unknown key 'region_id' in section [region]\n"
+        assert not (tmp_path / "detection.csv").exists()
+
     @pytest.mark.parametrize("region", ["", "[region]\nperiods_per_day = 4\n"])
     def test_default_section_is_one_error_line(self, tmp_path, capsys, region):
         path = tmp_path / "bad.cfg"

@@ -35,7 +35,6 @@ HOSTILE = (
     "0", "-0.0", "-0.5", "-1", "1e3", "none", "x",
 )
 TAME = {
-    "region_id": ("0", "3"),
     "consumers": ("2", "5", "10"),
     "periods_per_day": ("1", "2", "4"),
     "usage_min": ("0.5", "0.1", "0", "5e-324"),
@@ -52,7 +51,7 @@ TAME = {
     "master_seed": ("0", "7"),
 }
 KEYS = {
-    "region": ("region_id", "consumers", "periods_per_day", "usage_min", "usage_max"),
+    "region": ("consumers", "periods_per_day", "usage_min", "usage_max"),
     "detection": ("threshold", "min_samples", "mode", "low_report_quantile"),
     "billing": ("tariff", "elasticity_factor", "elasticity_level"),
     "experiment": ("months", "repetitions", "master_seed"),

@@ -35,7 +35,6 @@ repetitions = 3
 
 EVERY_KEY_SET = """\
 [region]
-region_id = 7
 consumers = 12
 periods_per_day = 8
 usage_min = 0.25
@@ -70,7 +69,7 @@ def resolved(region="consumers = 100\nperiods_per_day = 96", attackers="25 = mul
              billing="tariff = 1.0\nelasticity_factor = none\nelasticity_level = none",
              experiment="months = 1\nrepetitions = 1000\nmaster_seed = 0"):
     return (
-        f"[region]\nregion_id = 0\n{region}\nusage_min = 0.5\nusage_max = 1.5\n\n"
+        f"[region]\n{region}\nusage_min = 0.5\nusage_max = 1.5\n\n"
         f"[attackers]\n{attackers}\n\n"
         f"[detection]\nthreshold = 0.5\nmin_samples = 5\n{detection}\n\n"
         f"[billing]\n{billing}\n\n"
@@ -91,7 +90,7 @@ def resolved(region="consumers = 100\nperiods_per_day = 96", attackers="25 = mul
         (MINIMAL + "[experiment]\nmonths = 3\nmaster_seed = 99\n",
          resolved(experiment="months = 3\nrepetitions = 1000\nmaster_seed = 99")),
         (EVERY_KEY_SET,
-         "[region]\nregion_id = 7\nconsumers = 12\nperiods_per_day = 8\nusage_min = 0.25\nusage_max = 2.5\n\n"
+         "[region]\nconsumers = 12\nperiods_per_day = 8\nusage_min = 0.25\nusage_max = 2.5\n\n"
          "[attackers]\n0 = multiplicative 10.0\n3 = fixed_offset 0.7 add\n10 = random_offset 0.3 subtract\n\n"
          "[detection]\nthreshold = 0.35\nmin_samples = 7\nmode = most_negative\nlow_report_quantile = 0.2\n\n"
          "[billing]\ntariff = 1.75\nelasticity_factor = 0.8\nelasticity_level = 1.2\n\n"
@@ -127,6 +126,7 @@ def test_written_text_is_exact(text, expected):
         ("[region]\nusage_max = inf\n", "usage bounds must be finite, got [0.5, inf]"),
         ("[region]\nusage_min = nan\n", "usage bounds must be finite, got [nan, 1.5]"),
         ("[detection]\nthresold = 0.5\n", "unknown key 'thresold' in section [detection]"),
+        ("[region]\nregion_id = 0\n", "unknown key 'region_id' in section [region]"),
         ("[creds]\nuser = x\n", "unknown section [creds]"),
         ("consumers = 5\n",
          "cannot parse <string>: File contains no section headers.\n"
@@ -163,7 +163,6 @@ def api_configs(draw):
     usage_min = draw(st.floats(0.0, 1e6) | int_valued(0, 10**6))
     elastic = draw(st.booleans())
     return ScenarioConfig(
-        region_id=draw(st.integers(-(2**70), 2**70)),
         consumers=n,
         usage_min=usage_min,
         usage_max=draw(st.floats(usage_min, 1e9, exclude_min=True)
@@ -213,7 +212,6 @@ def scenario(**fields):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: scenario(region_id=0.0),
     lambda: scenario(consumers=10.0),
     lambda: scenario(periods_per_day=4.0),
     lambda: scenario(attackers={3.0: Multiplicative(0.1)}),
@@ -223,7 +221,7 @@ def scenario(**fields):
     lambda: scenario(min_samples=5.0),
     lambda: scenario(master_seed=1.0),
     lambda: scenario(repetitions=10.0),
-], ids=["region_id", "consumers", "periods_per_day", "attacker_id", "attacker_id_text",
+], ids=["consumers", "periods_per_day", "attacker_id", "attacker_id_text",
         "months", "months_integral", "min_samples", "master_seed", "repetitions"])
 def test_an_integer_field_takes_only_integers(build):
     # the config file holds only integers there, so a float (integral or not)

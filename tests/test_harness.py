@@ -283,8 +283,6 @@ class TestOutcomeScoring:
             true_malicious=frozenset(true_malicious),
             detected=frozenset(detected),
             window=None,
-            counts=None,
-            corr=None,
         )
 
     def test_derived_fields(self):

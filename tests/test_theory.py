@@ -36,7 +36,7 @@ def test_closed_form_of_criterion_7():
 def test_criterion_7_attackers_match_their_population_correlations():
     config = make_config("\n".join(f"{cid} = multiplicative {a}" for cid, a in ATTACKERS.items()))
     config = dataclasses.replace(config, months=12)
-    corrs = np.array([run_trial(config, seed).corr[list(ATTACKERS)] for seed in SEEDS])
+    corrs = np.array([run_trial(config, seed).window.evidence[1][list(ATTACKERS)] for seed in SEEDS])
     means, stderrs = corrs.mean(axis=0), corrs.std(axis=0, ddof=1) / math.sqrt(len(SEEDS))
     expected = multiplicative_correlations(ATTACKERS.values())
     for cid, mean, stderr, rho in zip(ATTACKERS, means, stderrs, expected):
@@ -53,9 +53,9 @@ def test_benign_correlations_have_their_permutation_moments(case):
     benign = np.arange(100) != 25
     z = []
     for seed in BENIGN_SEEDS:
-        outcome = run_trial(config, seed)
-        mean, mean_square = benign_moments(outcome.counts[benign])
-        z.append((outcome.corr[benign] - mean) / np.sqrt(mean_square))
+        counts, corr = run_trial(config, seed).window.evidence
+        mean, mean_square = benign_moments(counts[benign])
+        z.append((corr[benign] - mean) / np.sqrt(mean_square))
     z = np.concatenate(z)
     for values, expected in ((z, 0.0), (z**2, 1.0)):
         stderr = values.std(ddof=1) / math.sqrt(len(values))
@@ -81,6 +81,6 @@ def test_offset_attackers_match_their_population_correlations(case):
         expected = float(cov) / math.sqrt(var_r * var_d)
     else:
         expected = random_offset_correlation(config.usage_min, config.usage_max, behavior.theta_max)
-    corrs = np.array([run_trial(config, seed).corr[25] for seed in SEEDS])
+    corrs = np.array([run_trial(config, seed).window.evidence[1][25] for seed in SEEDS])
     stderr = corrs.std(ddof=1) / math.sqrt(len(SEEDS))
     assert abs(corrs.mean() - expected) <= 4 * stderr, (case, corrs.mean(), stderr, expected)
