@@ -19,7 +19,6 @@ from .harness import (
     TrialOutcome,
     concentration_experiment,
     derive_trial_seed,
-    estimate_detection_probability,
     probability_table,
     run_trial,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "TrialOutcome",
     "concentration_experiment",
     "derive_trial_seed",
-    "estimate_detection_probability",
     "probability_table",
     "run_trial",
     "BehaviorModel",

@@ -46,10 +46,16 @@ _checked = False  # whether a block of this process has matched numpy's own draw
 
 
 @lru_cache(maxsize=1)
-def _no_entropy() -> np.random.SeedSequence:
-    """A seed for bit generators whose state is set next: no OS entropy, hashed once.
-    Built on first use, as importing ``numpy.random`` takes about 10 ms."""
-    return np.random.SeedSequence(0)
+def _no_entropy() -> np.random.bit_generator.ISeedSequence:
+    """A seed for bit generators whose state is set next: zero words, with no OS entropy
+    and no hashing.  Built on first use, as importing ``numpy.random`` takes about 10 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class NoEntropy(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return NoEntropy()
 
 
 @lru_cache(maxsize=64)

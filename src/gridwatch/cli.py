@@ -77,7 +77,7 @@ def _cmd_detect(config: ScenarioConfig, out_dir: Path, threads: int, filename="d
 
 
 def _cmd_bill(config: ScenarioConfig, out_dir: Path, threads: int) -> Path:
-    bills = run_billing(config, derive_trial_seed(config.master_seed, 0))[1]
+    bills = run_billing(config, derive_trial_seed(config.master_seed, 0))
     return csvio.export_bills(bills, out_dir / "bills.csv")
 
 

@@ -159,13 +159,6 @@ class DetectionReport:
             for a, b in zip(vars(self).values(), vars(other).values())
         )
 
-    def corr(self, consumer_id: int) -> float | None:
-        """The consumer's correlation, or None when it has no evidence."""
-        if consumer_id not in range(len(self.corrs)):
-            raise KeyError(consumer_id)
-        value = float(self.corrs[int(consumer_id)])
-        return None if math.isnan(value) else value
-
 
 def series_from_arrays(
     positions: np.ndarray, reports: np.ndarray, leakages: np.ndarray, n: int

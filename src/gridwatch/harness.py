@@ -273,14 +273,15 @@ class ProbabilityEstimate:
         return math.sqrt(p * (1.0 - p) / self.repetitions)
 
 
-def _attacker_pairs(
-    cells: Sequence[ScenarioConfig], draws: UniformBlock
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each cell's attacker reports and leakage on the periods the attacker is sampled,
-    in period order, bit for bit those of `simulate_window`.  Each cell's one attack
-    draws nothing, so its positions are the first draw of `UniformBlock.generator` past
-    the usage rows: cells of one window length share one draw of them, and each
-    misreports only the attacker's sampled rows."""
+def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> list[bool]:
+    """``trial_success(run_trial(c, draws))`` for threshold cells whose one attacker
+    draws nothing: that attacker flagged.  Only the attacker's reports and leakage on the
+    periods it is sampled are correlated, bit for bit those of `simulate_window`.  No
+    cell's attack draws, so its positions are the first draw of `UniformBlock.generator`
+    past the usage rows: cells of one window length share one draw of them, and each
+    misreports only the attacker's sampled rows.  One `correlate` call takes one group
+    per cell and sums each group in period order, so a cell gets the bits a lone call
+    gives it; a cell with the low-report filter takes its low-report pairs with `pearson`."""
     positions: dict[int, np.ndarray] = {}
     rows: dict[tuple[int, int], np.ndarray] = {}
     pairs = []
@@ -294,16 +295,6 @@ def _attacker_pairs(
         actual = _usage(c, draws.column(cid)[rows[periods, cid]])
         reported = apply_behavior(behavior, actual, None)  # draws nothing
         pairs.append((reported, actual - reported))
-    return pairs
-
-
-def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> list[bool]:
-    """``trial_success(run_trial(c, draws))`` for threshold cells whose one attacker
-    draws nothing: that attacker flagged.  Only the attacker's sampled periods are
-    correlated (`_attacker_pairs`), one group per cell in one `correlate` call, which sums
-    each group in period order and so gives a cell the bits a lone call gives it; a cell
-    with the low-report filter takes its low-report pairs with `pearson`."""
-    pairs = _attacker_pairs(cells, draws)
     groups = np.repeat(np.arange(len(cells)), [len(reports) for reports, _ in pairs])
     reports, leakage = (np.concatenate(column) for column in zip(*pairs))
     counts, corr = correlate(groups, reports, leakage, len(cells))
@@ -406,31 +397,19 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     return [ProbabilityEstimate(sum(per_job), c.repetitions) for per_job, c in zip(zip(*counts), configs)]
 
 
-def estimate_detection_probability(
-    config: ScenarioConfig, threads: int = 1
-) -> ProbabilityEstimate:
-    """Fraction of seeded repetitions with correct detection, plus binomial stderr.
-
-    The result is independent of ``threads``: every trial's stream depends only
-    on (master_seed, trial_index), and success counts add up exactly in any order.
-    """
-    return _estimate([config], threads)[0]
-
-
 def run_billing(
     config: ScenarioConfig,
     trial_seed: int | np.random.SeedSequence,
-) -> tuple[WindowData, tuple[np.ndarray, ...]]:
-    """Simulate one window and bill it month by month from reports only.
-
-    Returns the window and the `issue_bills` columns.  Each month's costs are accrued
-    chunk by chunk (`WindowData.chunks`), each chunk continuing the month's sum."""
+) -> tuple[np.ndarray, ...]:
+    """The `issue_bills` columns of one simulated window, billed month by month from
+    reports only.  Each month's costs are accrued chunk by chunk (`WindowData.chunks`),
+    each chunk continuing the month's sum."""
     window = simulate_window(config, trial_seed)
     costs = np.empty((config.months, config.consumers))
     for start, reports in window.chunks(reports=True):
         month, offset = divmod(start, config.month_periods)
         costs[month] = accrue(reports, config.tariff, costs[month] if offset else 0.0)
-    return window, issue_bills(costs, config.month_periods)
+    return issue_bills(costs, config.month_periods)
 
 
 def concentration_experiment(

@@ -78,18 +78,20 @@ def _check_positive_finite(behavior: BehaviorModel, name: str) -> None:
 
 def as_integer(name: str, value) -> int:
     """``value`` as an ``int`` (numpy integers too); anything else, an integral float
-    among them, is a `ConfigurationError`, since the config file could not hold it."""
+    or a ``bool`` among them, is a `ConfigurationError`, since the config file could not hold it."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def as_real(name: str, value) -> float:
-    """``value`` as a ``float`` (ints and numpy numbers too); anything else, a string
-    or None among them, or an int past float's range, is a `ConfigurationError`."""
+    """``value`` as a ``float`` (ints and numpy numbers too); anything else, a string,
+    None or a ``bool`` among them, or an int past float's range, is a `ConfigurationError`."""
     try:
-        if isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return float(value)
     except OverflowError:
         pass

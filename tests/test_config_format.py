@@ -221,11 +221,15 @@ def scenario(**fields):
     lambda: scenario(min_samples=5.0),
     lambda: scenario(master_seed=1.0),
     lambda: scenario(repetitions=10.0),
+    lambda: scenario(months=True),
+    lambda: scenario(master_seed=False),
+    lambda: scenario(attackers={True: Multiplicative(0.1)}),
 ], ids=["consumers", "periods_per_day", "attacker_id", "attacker_id_text",
-        "months", "months_integral", "min_samples", "master_seed", "repetitions"])
+        "months", "months_integral", "min_samples", "master_seed", "repetitions",
+        "months_bool", "master_seed_bool", "attacker_id_bool"])
 def test_an_integer_field_takes_only_integers(build):
-    # the config file holds only integers there, so a float (integral or not)
-    # is refused when it is built, not after a run or when its manifest reloads
+    # the config file holds only integers there, so a float (integral or not) or a
+    # bool is refused when it is built, not after a run or when its manifest reloads
     with pytest.raises(ConfigurationError, match="must be an integer"):
         build()
 
@@ -242,10 +246,15 @@ def test_an_integer_field_takes_only_integers(build):
     lambda: FixedOffset(eta=None),
     lambda: RandomOffset(theta_max=b"0.7"),
     lambda: scenario(tariff=10**400),
+    lambda: scenario(threshold=True),
+    lambda: scenario(usage_min=False),
+    lambda: Multiplicative(True),
 ], ids=["usage_min", "usage_max", "th", "tariff", "low_report_quantile", "elasticity_factor",
-        "elasticity_level", "alpha", "eta", "theta_max", "tariff_past_float"])
+        "elasticity_level", "alpha", "eta", "theta_max", "tariff_past_float",
+        "th_bool", "usage_min_bool", "alpha_bool"])
 def test_a_float_field_takes_only_numbers(build):
-    # one ConfigurationError, not a TypeError from the first comparison
+    # one ConfigurationError, not a TypeError from the first comparison; a bool is
+    # no number the config file could hold
     with pytest.raises(ConfigurationError, match="must be a real number"):
         build()
 

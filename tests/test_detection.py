@@ -162,7 +162,7 @@ class TestClassify:
         value = np.nan if corr is None else corr
         report = detect_region(np.array([5]), np.array([value]), th=0.5, min_samples=5)
         assert report.labels.tolist() == [label]
-        assert report.corr(0) == corr
+        assert np.array_equal(report.corrs, [value], equal_nan=True)
         assert classify(corr, th=0.5) == label
 
     @pytest.mark.parametrize("th", [0.0, -0.1, 1.1])
@@ -230,9 +230,9 @@ class TestDetectRegion:
         data = {0: ([1.0, 2.0], [1.0, 2.0]), 1: ([1, 2, 3, 2, 1], [3, 1, 2, 2, 3])}
         report = detect_region(*correlations_of(data), th=0.5, min_samples=5)
         assert report.labels[0] == Label.INSUFFICIENT_DATA
-        assert report.corr(0) is None
+        assert math.isnan(report.corrs[0])
         assert report.counts[0] == 2
-        assert report.corr(1) is not None
+        assert not math.isnan(report.corrs[1])
 
     def test_constant_leakage_is_not_evidence(self):
         data = {0: ([1, 2, 3, 4, 5], [2, 2, 2, 2, 2])}
@@ -244,7 +244,7 @@ class TestDetectRegion:
         data = {0: (0.1 * c, 0.9 * c), 1: (rng.uniform(0.5, 1.5, 30), rng.normal(size=30))}
         report = detect_region(*correlations_of(data), th=0.5, min_samples=5)
         assert report.labels[0] == Label.MALICIOUS_UNDER
-        assert report.corr(0) == pytest.approx(1.0, abs=1e-9)
+        assert report.corrs[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_verdicts_in_position_order(self):
         # pairs of positions 7, 3, 5 in that order: n = 8, and the positions
@@ -258,10 +258,7 @@ class TestDetectRegion:
         assert report.labels.tolist() == [none] * 5 + [under, none, under]
         flags = np.isin(report.labels, (Label.MALICIOUS_UNDER, Label.MALICIOUS_OVER))
         assert np.flatnonzero(flags).tolist() == [5, 7]
-        assert report.corr(4) is None and report.corr(np.int64(7)) == pytest.approx(1.0)
-        for outside in (-1, 8, 2.5):  # a negative position does not wrap around
-            with pytest.raises(KeyError):
-                report.corr(outside)
+        assert math.isnan(report.corrs[4]) and report.corrs[np.int64(7)] == pytest.approx(1.0)
 
     @given(st.data(), st.sampled_from([0.05, 0.3, 0.5, 1.0]), st.integers(2, 8))
     @settings(max_examples=200, deadline=None)
@@ -277,7 +274,7 @@ class TestDetectRegion:
             count, value = int(counts[pos]), float(corr[pos])
             evidence = count >= min_samples and not math.isnan(value)
             want = value if evidence else None
-            assert report.corr(pos) == want
+            assert np.array_equal(report.corrs[pos], np.nan if want is None else want, equal_nan=True)
             assert report.labels[pos] == classify(want, th)
             assert report.counts[pos] == count
 

@@ -25,7 +25,6 @@ from gridwatch.harness import (
     concentration_experiment,
     derive_trial_seed,
     duration_sweep,
-    estimate_detection_probability,
     probability_table,
     run_billing,
     run_trial,
@@ -35,6 +34,11 @@ from gridwatch.harness import (
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
 from per_period import matrices
 from reference import benign_corr_std
+
+
+def estimate(cfg, threads=1):
+    """The config's own estimate: a sweep of its one duration."""
+    return duration_sweep(cfg, (cfg.months,), threads)[cfg.months]
 
 
 class TestSeeding:
@@ -65,7 +69,7 @@ class TestSeeding:
         as_int, as_sequence = run_trial(cfg, seed), run_trial(cfg, np.random.SeedSequence([seed]))
         assert as_int.window.leakage.tobytes() == as_sequence.window.leakage.tobytes()
         assert as_int.report == as_sequence.report
-        bills = run_billing(cfg, seed)[1], run_billing(cfg, np.random.SeedSequence([seed]))[1]
+        bills = run_billing(cfg, seed), run_billing(cfg, np.random.SeedSequence([seed]))
         assert [c.tobytes() for c in bills[0]] == [c.tobytes() for c in bills[1]]
 
 
@@ -147,14 +151,14 @@ class TestRunTrial:
     def test_underreporting_attacker_perfectly_correlated(self):
         cfg = make_config("25 = multiplicative 0.1")
         outcome = run_trial(cfg, derive_trial_seed(46, 0))
-        assert outcome.report.corr(25) == pytest.approx(1.0, abs=1e-9)
+        assert outcome.report.corrs[25] == pytest.approx(1.0, abs=1e-9)
         assert outcome.report.labels[25] == Label.MALICIOUS_UNDER
         assert 25 in outcome.detected and outcome.true_malicious <= outcome.detected
 
     def test_overreporting_attacker_anticorrelated(self):
         cfg = make_config("25 = multiplicative 10.0")
         outcome = run_trial(cfg, derive_trial_seed(46, 0))
-        assert outcome.report.corr(25) == pytest.approx(-1.0, abs=1e-9)
+        assert outcome.report.corrs[25] == pytest.approx(-1.0, abs=1e-9)
         assert outcome.report.labels[25] == Label.MALICIOUS_OVER
 
     def test_constant_leakage_selects_no_one(self):
@@ -184,7 +188,7 @@ class TestRunTrial:
         monkeypatch.setattr(harness, "low_report_correlations", counting)
         cfg = make_config("25 = random_offset 1.0 subtract",
                           extra="[detection]\nmode = most_negative\nlow_report_quantile = 0.25\n")
-        estimate_detection_probability(dataclasses.replace(cfg, repetitions=3))
+        estimate(dataclasses.replace(cfg, repetitions=3))
         outcome = run_trial(cfg, derive_trial_seed(0, 0))
         assert calls == []
         report = outcome.report
@@ -361,7 +365,7 @@ class TestEstimates:
     def test_probability_and_stderr(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
         cfg = dataclasses.replace(cfg, repetitions=20)
-        est = estimate_detection_probability(cfg)
+        est = estimate(cfg)
         assert 0.0 <= est.probability <= 1.0
         p = est.probability
         assert est.stderr == pytest.approx(np.sqrt(p * (1 - p) / 20))
@@ -371,10 +375,10 @@ class TestEstimates:
         asked = install_inline_pool(monkeypatch)
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
         cfg = dataclasses.replace(cfg, repetitions=3)
-        assert estimate_detection_probability(cfg, threads=4) == estimate_detection_probability(cfg)
-        assert estimate_detection_probability(cfg, threads=2) == estimate_detection_probability(cfg)
+        assert estimate(cfg, threads=4) == estimate(cfg)
+        assert estimate(cfg, threads=2) == estimate(cfg)
         one = dataclasses.replace(cfg, repetitions=1)
-        assert estimate_detection_probability(one, threads=2) == estimate_detection_probability(one)
+        assert estimate(one, threads=2) == estimate(one)
         assert asked == [3, 2]
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
@@ -539,8 +543,8 @@ class TestEstimates:
     def test_thread_count_does_not_change_result(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)
         cfg = dataclasses.replace(cfg, repetitions=8)
-        serial = estimate_detection_probability(cfg, threads=1)
-        parallel = estimate_detection_probability(cfg, threads=2)
+        serial = estimate(cfg, threads=1)
+        parallel = estimate(cfg, threads=2)
         assert serial == parallel
 
 
@@ -623,7 +627,7 @@ class TestScenarioBuilders:
     def test_largest_finite_sums_are_accepted(self):
         # (5 x 1e150)^2 x 120 periods is finite
         cfg = self.five_consumers(usage_max=1e150, attackers="3 = multiplicative 0.1")
-        assert run_trial(cfg, derive_trial_seed(0, 0)).report.corr(3) == pytest.approx(1.0)
+        assert run_trial(cfg, derive_trial_seed(0, 0)).report.corrs[3] == pytest.approx(1.0)
 
 
 class TestDurationSweeps:
@@ -653,19 +657,20 @@ class TestDurationSweeps:
 
     def test_a_one_duration_sweep_is_its_config(self):
         cfg = dataclasses.replace(tiny_config(extra="[billing]\ntariff = 0.5\n"), repetitions=2)
-        assert duration_sweep(cfg, (1,)) == {1: estimate_detection_probability(cfg)}
+        assert duration_sweep(cfg, (1,)) == {1: harness._estimate([cfg], 1)[0]}
         assert concentration_experiment(cfg, (1,))[1] == run_trial(cfg, derive_trial_seed(0, 1)).report
 
 
 class TestBillingPath:
     def test_bills_match_reported_totals(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1")
-        window, (_, _, _, amounts) = run_billing(cfg, derive_trial_seed(0, 0))
+        _, _, _, amounts = run_billing(cfg, derive_trial_seed(0, 0))
+        window = simulate_window(cfg, derive_trial_seed(0, 0))
         assert float(amounts.sum()) == pytest.approx(float(window.reported_total.sum()), rel=1e-9)
 
     def test_one_bill_per_consumer_per_month(self):
         cfg = dataclasses.replace(tiny_config(), months=2)
-        _, bills = run_billing(cfg, derive_trial_seed(0, 0))
+        bills = run_billing(cfg, derive_trial_seed(0, 0))
         assert all(len(column) == 2 * 5 for column in bills)
         starts = set(bills[1].tolist())
         assert starts == {0, 30 * 4}

@@ -121,7 +121,7 @@ def test_month_blocks_match_full_matrix_bit_for_bit(scenario, rows):
         reports = list(window.chunks(reports=True))
         usage = list(window.chunks())
         total = window.actual_total
-        bills = run_billing(config, seed)[1]
+        bills = run_billing(config, seed)
     assert window.draws.state == np.random.PCG64(seed).state  # reading the chunks leaves the saved state
     for chunks in reports, usage:
         assert_chunks_tile_the_window(chunks, config, entries)
@@ -308,6 +308,17 @@ def test_a_block_built_from_the_seed_is_shared_without_hashing_it_again(monkeypa
     assert shared.sampled_pos.tobytes() == fresh.sampled_pos.tobytes()
 
 
+def test_a_generator_past_the_block_hashes_no_seed_sequence():
+    # its state is set whole, so its bit generator is built from zero words, not from
+    # a SeedSequence hashed for a state that is overwritten at once
+    seed = derive_trial_seed(5, 0)
+    block = UniformBlock.of_seed(seed, 4, 3)
+    assert not isinstance(block.generator(0).bit_generator.seed_seq, np.random.SeedSequence)
+    drawn = np.random.default_rng(seed)
+    drawn.random((4, 3))
+    assert block.generator(4).random(8).tobytes() == drawn.random(8).tobytes()
+
+
 def test_window_needs_a_pcg64_generator():
     # a window's usage block is the jump-ahead of a PCG64 state, and of no other
     with pytest.raises(TypeError, match="PCG64"):
@@ -347,7 +358,7 @@ def test_simulate_window_matches_per_period_aggregation(scenario):
 def test_monthly_bills_match_ledger_loop_bit_for_bit(scenario):
     config, seed = scenario
     month_len = DAYS_PER_MONTH * config.periods_per_day
-    window, bills = run_billing(config, seed)
+    window, bills = simulate_window(config, seed), run_billing(config, seed)
     ledger = ledger_bills(matrices(window).reports, config.tariff, month_len)
     assert [column.tolist() for column in bills] == ledger
 

@@ -2,9 +2,12 @@
 edit of this list, not a side effect of a refactor; and the module layering."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import gridwatch
+from conftest import python_env
 
 PUBLIC = [
     "BehaviorModel",
@@ -25,7 +28,6 @@ PUBLIC = [
     "concentration_experiment",
     "derive_trial_seed",
     "detect_region",
-    "estimate_detection_probability",
     "issue_bills",
     "low_report_filter",
     "most_negative",
@@ -62,6 +64,15 @@ def imported_names(module: str) -> list[str]:
 def test_config_does_not_import_the_simulation():
     # the config owns its fields, types and checks; the harness imports it, never the reverse
     assert not [name for name in imported_names("config") if "harness" in name.split(".")]
+
+
+def test_the_cli_defers_numpy_random_and_numpy_ma():
+    # a fresh process: importing numpy.random costs about 10 ms of start-up, and only the
+    # first window or seed needs it; the low-report cutoff is computed without numpy.ma
+    probe = "import sys, gridwatch.cli; print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=python_env(), capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_config_reads_and_csvio_writes():

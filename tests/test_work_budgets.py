@@ -44,16 +44,52 @@ def products(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of `correlate` and `low_report_correlations` through the names `harness`
+    looks them up by, by name."""
+    counts = {"correlate": 0, "low_report_correlations": 0}
+    for name in counts:
+        real = getattr(harness, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    return counts
+
+
+# Case III's sampled entries over Table 1's durations: one a period of each full trial.
+SAMPLED = sum(2_880 * m for m in STANDARD_DURATIONS)
+
+
 @pytest.mark.parametrize("index", [0, 7])
-def test_a_table1_trial_index(products, index):
+def test_a_table1_trial_index(products, calls, index):
     # one shared block: its row starts and steps, the attacker's whole column
-    # (read by the batched cases I and II), and case III's sampled entries
+    # (read by the batched cases I and II), and case III's sampled entries; one
+    # `correlate` for the eight batched cells and one for each case III trial
     base = make_config()
     cells = [dataclasses.replace(case_config(base, case, 25), months=m)
              for case in ("I", "II", "III") for m in STANDARD_DURATIONS]
     harness._index_successes(cells, index)
-    sampled = sum(2_880 * m for m in STANDARD_DURATIONS)
-    assert sum(products) == row_starts(T_12) + 101 + T_12 + sampled == 136_677
+    assert sum(products) == row_starts(T_12) + 101 + T_12 + SAMPLED == 136_677
+    assert calls["correlate"] == 1 + len(STANDARD_DURATIONS) == 5
+
+
+@pytest.mark.parametrize("index", [0, 7])
+@pytest.mark.parametrize("attacker, sampled, total, correlates", [
+    ("multiplicative 0.1", 0, 73_317, 1),
+    ("random_offset 1.0 subtract", SAMPLED, 136_677, len(STANDARD_DURATIONS)),
+], ids=["batched", "full-trials"])
+def test_a_threshold_duration_sweep_trial_index(products, calls, index, attacker, sampled, total, correlates):
+    # a fig-duration-sweep group: an attacker that draws nothing is batched, one
+    # `correlate` for all four cells and no sampled entry read; a random offset
+    # runs each cell's full trial, reading every sampled entry
+    cfg = make_config(f"25 = {attacker}")
+    harness._index_successes([dataclasses.replace(cfg, months=m) for m in STANDARD_DURATIONS], index)
+    assert sum(products) == row_starts(T_12) + 101 + T_12 + sampled == total
+    assert calls == {"correlate": correlates, "low_report_correlations": 0}
 
 
 def test_the_twelve_month_low_report_detect_window(products):
@@ -70,19 +106,10 @@ def test_the_twelve_month_low_report_detect_window(products):
     (MOST_NEGATIVE_MODE, "none", (1, 0), (1, 0)),
     (MOST_NEGATIVE_MODE, "0.25", (1, 0), (1, 1)),
 ], ids=["threshold", "threshold-low-report", "most-negative", "most-negative-low-report"])
-def test_each_correlation_pass_runs_once_and_only_where_read(monkeypatch, mode, quantile, trial, report):
+def test_each_correlation_pass_runs_once_and_only_where_read(calls, mode, quantile, trial, report):
     # (correlate, low_report_correlations) calls after the trial and after its report:
     # threshold labels read only their evidence, and a most-negative trial leaves the
     # low-report pass to its report
-    calls = {"correlate": 0, "low_report_correlations": 0}
-    for name in calls:
-        real = getattr(harness, name)
-
-        def counting(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(harness, name, counting)
     cfg = make_config("25 = fixed_offset 0.6 subtract",
                       extra=f"[detection]\nmode = {mode}\nlow_report_quantile = {quantile}\n")
     outcome = run_trial(cfg, derive_trial_seed(0, 0))
