@@ -25,7 +25,9 @@ the row starts) and sums the high word in place: Warren's multiply-high
 tables hold one chunk's row starts; later chunks are the chunk before them
 jumped ``_BLOCK`` rows on.  The first block of a process checks a `read` of one
 entry in each of its first rows, from the first column to the last, against
-``Generator.random``, so a numpy whose draws differ fails with one `GridwatchError`.
+``Generator.random``, and the first ``integers`` and ``uniform`` draws of a fixed seed
+(the sampled positions and random offsets) against numpy 2.4.6's, so a numpy whose
+draws differ fails with one `GridwatchError`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ _ZERO, _11, _32, _58, _64 = (np.uint64(k) for k in (0, 11, 32, 58, 64))
 # 34,560 rows) are reused from the heap where `harness._keep_freed_heap` set the thresholds.
 _BLOCK = 4096
 _checked = False  # whether a block of this process has matched numpy's own draws
+# ``integers(0, 100, 8)``, then ``uniform(0, 0.7, 4)``, of ``default_rng(0)`` on numpy 2.4.6.
+_RECORDED_DRAWS = ([85, 63, 51, 26, 30, 4, 7, 1],
+                   [0.5692891674401906, 0.6389289040944052, 0.4246450430370259, 0.5106475926887989])
 
 
 @lru_cache(maxsize=1)
@@ -195,15 +200,19 @@ class UniformBlock:
 
     def _check_numpy(self) -> None:
         """Compare `read` with ``Generator.random`` from ``state`` on up to 16 first rows, row
-        ``t`` at a column spread from 0 to ``n - 1``, drawn a row at a time: O(n) memory."""
+        ``t`` at a column spread from 0 to ``n - 1``, drawn a row at a time: O(n) memory; and
+        the first ``integers`` and ``uniform`` draws of a fixed seed with `_RECORDED_DRAWS`."""
         global _checked
         cols = np.linspace(0, self.n - 1, min(self.periods, 16)).astype(np.intp)
         generator = self.generator(0)
         expected = np.array([generator.random(self.n)[col] for col in cols])
-        if self.read(cols).tobytes() != expected.tobytes():
+        fixed = np.random.default_rng(0)
+        drawn = fixed.integers(0, 100, 8).tolist(), fixed.uniform(0.0, 0.7, 4).tolist()
+        if self.read(cols).tobytes() != expected.tobytes() or drawn != _RECORDED_DRAWS:
             raise GridwatchError(
                 f"numpy {np.__version__}: Generator.random from a PCG64 state differs from the "
-                "jump-ahead reads of that state, so seeded results would not be its draws"
+                "jump-ahead reads of that state, or integers or uniform from numpy 2.4.6's draws, "
+                "so seeded results would not be its draws"
             )
         _checked = True
 

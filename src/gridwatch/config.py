@@ -24,9 +24,10 @@ import math
 from pathlib import Path
 from typing import Mapping, get_type_hints
 
-from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
+from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD, DETECTOR_LIMITS
 from .errors import ConfigurationError
 from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset, as_integer, as_real
+from .model import POSITIVE_FINITE, check_limit
 
 DAYS_PER_MONTH = 30
 # Size limits, checked when a config is built: one month's float64 usage block up to 1 GiB
@@ -35,6 +36,21 @@ MAX_PERIODS = 2**22
 
 THRESHOLD_MODE = "threshold"
 MOST_NEGATIVE_MODE = "most_negative"
+
+# Each numeric key's limit (see `check_limit`); an optional key left unset passes.  The
+# rules that join keys keep their own checks: `consumers` (at least 2, and the size
+# limits) and `usage_max` (the usage bounds finite and ordered).
+_LIMITS = {
+    "periods_per_day": ("> 0", lambda v: v > 0),
+    "usage_min": (">= 0", lambda v: v >= 0),
+    **DETECTOR_LIMITS,
+    "tariff": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "elasticity_factor": POSITIVE_FINITE,
+    "elasticity_level": ("finite", math.isfinite),
+    "months": (">= 1", lambda v: v >= 1),
+    "repetitions": (">= 1", lambda v: v >= 1),
+    "master_seed": (">= 0", lambda v: v >= 0),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,17 +107,12 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
             )
-        if self.usage_min < 0:
-            raise ConfigurationError(
-                f"usage_min must be >= 0, got {self.usage_min}"
-            )
+        for name, limit in _LIMITS.items():
+            if getattr(self, name) is not None:
+                check_limit(name, getattr(self, name), limit)
         if not self.usage_min < self.usage_max:
             raise ConfigurationError(
                 f"usage_min ({self.usage_min}) must be < usage_max ({self.usage_max})"
-            )
-        if self.periods_per_day <= 0:
-            raise ConfigurationError(
-                f"periods_per_day must be > 0, got {self.periods_per_day}"
             )
         attackers = (pair for pair in pairs if pair[1] != Multiplicative(1.0))
         object.__setattr__(self, "attackers", tuple(sorted(attackers, key=lambda pair: pair[0])))
@@ -110,35 +121,12 @@ class ScenarioConfig:
                                   (self.total_periods, "periods", MAX_PERIODS)):
             if size > limit:
                 raise ConfigurationError(f"the window has {size} {what}, above the limit of {limit}")
-        if self.months < 1:
-            raise ConfigurationError(f"months must be >= 1, got {self.months}")
         if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
             raise ConfigurationError(f"unknown detection mode {self.mode!r}")
-        if self.min_samples < 2:
-            raise ConfigurationError(f"min_samples must be >= 2, got {self.min_samples}")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ConfigurationError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.repetitions < 1:
-            raise ConfigurationError(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
-        if self.master_seed < 0:
-            raise ConfigurationError(
-                f"master_seed must be >= 0, got {self.master_seed}"
-            )
-        q = self.low_report_quantile
-        if q is not None and not 0.0 < q < 1.0:
-            raise ConfigurationError(f"low_report_quantile must be finite and in (0, 1), got {q}")
         if (self.elasticity_factor is None) != (self.elasticity_level is None):
             raise ConfigurationError(
                 "elasticity_factor and elasticity_level must be set together"
             )
-        if self.elasticity_factor is not None and not (
-            0 < self.elasticity_factor < math.inf and math.isfinite(self.elasticity_level)
-        ):
-            raise ConfigurationError("elasticity factor and level must be finite, the factor > 0")
-        if not 0.0 <= self.tariff < math.inf:
-            raise ConfigurationError(f"tariff must be finite and >= 0, got {self.tariff}")
         _check_sums_finite(self)
 
     @property

@@ -13,10 +13,10 @@ One writer, `write_columns`, renders `_CHUNK_ROWS` rows at a time as one byte
 matrix.  A float cell is ``repr`` of the float: `_floattext.float_cells` finds
 the digits of ±0.0 and of every finite ``|x|`` in ``[1e-4, 2**50)`` in
 vectorised integer arithmetic, and calls ``repr`` itself, per value, only for
-the rest (exponent form, subnormals, ``>= 2**50``, inf, nan).  Integer cells
-are vectorised digits too (`int_cells`); text and optional cells (labels, case
-names, ``None``) go through ``str``, ``None`` as an empty cell.  A
-`RunManifest` is JSON (`write_manifest`).
+the rest (exponent form, subnormals, ``>= 2**50``, inf); a NaN, an undefined
+value, is an empty cell.  Integer cells are vectorised digits too (`int_cells`);
+text cells (labels, case names) go through ``str``.  A `RunManifest` is JSON
+(`write_manifest`).
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def _lines(columns: list[np.ndarray]) -> bytes:
     """The CSV lines of equal-length ``columns``.
 
     Each column's cells are the rows of a NUL-padded byte matrix, made by one
-    `float_cells` or `int_cells` call for all columns of a dtype, or through
-    ``str``.  The lines are those matrices side by side, a comma or a line break
-    after each cell, with the NULs dropped."""
+    `float_cells` or `int_cells` call for all columns of a dtype (a NaN's row
+    all NUL), or through ``str``.  The lines are those matrices side by side, a
+    comma or a line break after each cell, with the NULs dropped."""
     rows = len(columns[0])
     cells: dict[int, np.ndarray] = {}
     by_dtype: dict[np.dtype, list[int]] = {}
@@ -84,9 +84,11 @@ def _lines(columns: list[np.ndarray]) -> bytes:
         if column.dtype.kind in _RENDER:
             by_dtype.setdefault(column.dtype, []).append(i)
         else:
-            cells[i] = padded(["" if v is None else str(v) for v in column.tolist()])
+            cells[i] = padded([str(v) for v in column.tolist()])
     for dtype, picked in by_dtype.items():
-        text = _RENDER[dtype.kind](np.concatenate([columns[i] for i in picked]))
+        values = np.concatenate([columns[i] for i in picked])
+        text = _RENDER[dtype.kind](values)
+        text[np.isnan(values)] = 0  # a NaN, an undefined value, is an empty cell
         cells.update((i, text[j * rows : (j + 1) * rows]) for j, i in enumerate(picked))
     comma, newline = (np.full((rows, 1), ord(end), np.uint8) for end in ",\n")
     parts = [part for i in range(len(columns)) for part in (cells[i], comma)]
@@ -97,9 +99,8 @@ def _lines(columns: list[np.ndarray]) -> bytes:
 def write_columns(path: str | Path, header: Sequence[str], columns: Sequence) -> Path:
     """Write equal-length columns (arrays, or sequences of one type each) under ``header``.
 
-    The file is written whole or not at all (`replacing`).  Optional values
-    make an object column.  No cell is quoted: no header or value written here holds
-    a comma, a quote or a line break.
+    The file is written whole or not at all (`replacing`).  No cell is quoted: no
+    header or value written here holds a comma, a quote or a line break.
     """
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
@@ -118,8 +119,7 @@ def export_records(columns: Sequence[np.ndarray], path: str | Path) -> Path:
 
 
 def _report_columns(report: DetectionReport) -> tuple[np.ndarray, ...]:
-    corrs = np.where(np.isnan(report.corrs), None, report.corrs)  # no evidence: empty
-    return np.arange(len(report.counts)), report.counts, corrs, report.labels
+    return np.arange(len(report.counts)), report.counts, report.corrs, report.labels
 
 
 def export_detection(report: DetectionReport, path: str | Path) -> Path:

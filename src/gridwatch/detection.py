@@ -24,10 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import InputError
+from .model import check_limit
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_SAMPLES = 5
+# The detector's limits (see `check_limit`) by config key: its functions and the config read them.
+DETECTOR_LIMITS = {
+    "threshold": ("in (0, 1]", lambda th: 0.0 < th <= 1.0),
+    "min_samples": (">= 2", lambda m: m >= 2),
+    "low_report_quantile": ("in (0, 1)", lambda q: 0.0 < q < 1.0),
+}
 _EPS = np.finfo(float).eps
 
 
@@ -59,8 +66,8 @@ def _vector_pair(name: str, x, y, x_type=float) -> tuple[np.ndarray, np.ndarray]
     return x, y
 
 
-def pearson(x, y) -> float | None:
-    """Pearson correlation of two equal-length vectors, or None when undefined.
+def pearson(x, y) -> float:
+    """Pearson correlation of two equal-length vectors, or NaN when undefined.
 
     Undefined means fewer than 2 points or no spread on either side (see
     `_has_spread`); with both centred sums of squares finite, the cross
@@ -70,14 +77,14 @@ def pearson(x, y) -> float | None:
     x, y = _vector_pair("pearson", x, y)
     m = x.shape[0]
     if m < 2:
-        return None
+        return math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         mx, my = x.mean(), y.mean()
         xc, yc = x - mx, y - my
         sxx, syy = float(xc @ xc), float(yc @ yc)
         den = math.sqrt(sxx) * math.sqrt(syy)  # 0 if the product underflows
         if not (den > 0 and _has_spread(sxx, m, mx) and _has_spread(syy, m, my)):
-            return None
+            return math.nan
         r = float(xc @ yc) / den
     return max(-1.0, min(1.0, r))
 
@@ -89,7 +96,7 @@ def correlate(
 
     ``positions[t]`` in ``0..n-1`` assigns pair ``t`` to a group.  Returns
     ``(counts, corr)``, both of length ``n``: the pairs per group and their
-    correlation, NaN where `pearson` would return None.  Each group's means
+    correlation, NaN where undefined (as `pearson`'s).  Each group's means
     come from one `np.bincount` pass and the centred sums from a second
     (the two-pass form), so results agree with `pearson` on the same pairs
     up to summation order.
@@ -131,8 +138,7 @@ def low_report_filter(reports, leakages, q: float) -> tuple[np.ndarray, np.ndarr
     Used for the fixed-offset attack, where only the periods with small
     (clipped) reports carry information about the attacker.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
+    check_limit("quantile", q, DETECTOR_LIMITS["low_report_quantile"])
     reports, leakages = _vector_pair("low_report_filter", reports, leakages)
     if reports.size == 0:
         raise InputError("low_report_filter needs a nonempty series")
@@ -146,18 +152,12 @@ class DetectionReport:
     """Every consumer's evidence and label, as columns by position (a consumer's id is its position).
 
     ``corrs`` is NaN where the consumer has no evidence (see `has_evidence`);
-    ``labels`` holds `Label` values.  Equal columns, NaN matching NaN, are equal reports.
+    ``labels`` holds `Label` values.
     """
 
     counts: np.ndarray
     corrs: np.ndarray
     labels: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, DetectionReport) and all(
-            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
-            for a, b in zip(vars(self).values(), vars(other).values())
-        )
 
 
 def series_from_arrays(
@@ -179,12 +179,10 @@ def low_report_correlations(series, q: float, min_samples: int) -> np.ndarray:
     ``series`` holds each group's ``(reports, leakages)``, as `series_from_arrays`
     returns them; a group of fewer than ``min_samples`` pairs is left undefined.
     """
-    corr = np.full(len(series), np.nan)
-    for pos, (reports, leakages) in enumerate(series):
-        r = pearson(*low_report_filter(reports, leakages, q)) if len(reports) >= min_samples else None
-        if r is not None:
-            corr[pos] = r
-    return corr
+    return np.array([
+        pearson(*low_report_filter(reports, leakages, q)) if len(reports) >= min_samples else math.nan
+        for reports, leakages in series
+    ])
 
 
 def has_evidence(counts: np.ndarray, corr: np.ndarray, min_samples: int) -> np.ndarray:
@@ -212,10 +210,8 @@ def detect_region(
     correlation; a `flagged` one is under-reporting when its correlation is
     positive, else over-reporting.
     """
-    if min_samples < 2:
-        raise ConfigurationError(f"min_samples must be >= 2, got {min_samples}")
-    if not 0.0 < th <= 1.0:
-        raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
+    check_limit("min_samples", min_samples, DETECTOR_LIMITS["min_samples"])
+    check_limit("threshold", th, DETECTOR_LIMITS["threshold"])
     counts, corr = _vector_pair("detect_region", counts, corr, None)
     evidence = has_evidence(counts, corr, min_samples)
     flags = flagged(evidence, corr, th)

@@ -1,4 +1,5 @@
-"""Reporting behaviors, and the checks that read a config value as an int or a float.
+"""Reporting behaviors, and the checks that read a config value as an int or a float
+and hold it to its limit.
 
 Every consumer's usage is i.i.d. uniform on the config's
 ``[usage_min, usage_max]`` per period (no temporal correlation, the
@@ -15,7 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Callable, Literal, Union
 
 import numpy as np
 
@@ -69,10 +70,20 @@ class RandomOffset:
 BehaviorModel = Union[Multiplicative, FixedOffset, RandomOffset]
 
 
+def check_limit(name: str, value, limit: tuple[str, Callable[[float], bool]]) -> None:
+    """A limit is a rule as its error states it, and its test: unless ``value`` passes the
+    test, ``<name> must be <rule>, got <value>`` is a `ConfigurationError`."""
+    rule, test = limit
+    if not test(value):
+        raise ConfigurationError(f"{name} must be {rule}, got {value}")
+
+
+POSITIVE_FINITE = ("finite and > 0", lambda v: 0 < v < math.inf)
+
+
 def _check_positive_finite(behavior: BehaviorModel, name: str) -> None:
     value = as_real(name, getattr(behavior, name))
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+    check_limit(name, value, POSITIVE_FINITE)
     object.__setattr__(behavior, name, value)
 
 

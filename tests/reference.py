@@ -9,6 +9,7 @@ against them.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -16,15 +17,15 @@ from gridwatch.detection import DEFAULT_THRESHOLD, Label
 from gridwatch.errors import ConfigurationError
 
 
-def classify(corr: float | None, th: float = DEFAULT_THRESHOLD) -> Label:
+def classify(corr: float, th: float = DEFAULT_THRESHOLD) -> Label:
     """Threshold rule: corr >= th under-reporting, corr <= -th over-reporting.
 
-    Strictly inside (-th, th) is benign; an undefined correlation carries
+    Strictly inside (-th, th) is benign; an undefined correlation (NaN) carries
     no evidence and maps to INSUFFICIENT_DATA.
     """
     if not 0.0 < th <= 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1], got {th}")
-    if corr is None:
+    if math.isnan(corr):
         return Label.INSUFFICIENT_DATA
     if corr >= th:
         return Label.MALICIOUS_UNDER
@@ -34,10 +35,9 @@ def classify(corr: float | None, th: float = DEFAULT_THRESHOLD) -> Label:
 
 
 def cell(value) -> str:
-    if value is None:
-        return ""
+    """A float's ``repr``, NaN (undefined) as an empty cell; ``str`` of anything else."""
     if isinstance(value, float):
-        return repr(value)
+        return "" if math.isnan(value) else repr(value)
     return str(value)
 
 
@@ -49,6 +49,12 @@ def write_rows(path, header, rows):
         for row in rows:
             writer.writerow([cell(v) for v in row])
     return path
+
+
+def same_report(a, b) -> bool:
+    """Whether two `DetectionReport`s hold equal columns, a NaN correlation matching NaN."""
+    return (np.array_equal(a.counts, b.counts) and np.array_equal(a.corrs, b.corrs, equal_nan=True)
+            and np.array_equal(a.labels, b.labels))
 
 
 def benign_corr_std(report, attacker_ids) -> float:

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridwatch.cli import main
 from gridwatch.config import (
-    _FIELD_TYPES, _KEYS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
+    _FIELD_TYPES, _KEYS, _LIMITS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
 )
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
@@ -137,6 +138,59 @@ def test_error_message_is_exact(text, message):
     with pytest.raises(ConfigurationError) as exc:
         loads_config(text)
     assert str(exc.value) == message
+
+
+# Each limited key's values just outside its limit, and the values at its edges that it allows
+# (the nearest inside where an edge is open, none where a larger value would overflow a sum).
+LIMIT_EDGES = {
+    "periods_per_day": (["0"], ["1"]),
+    "usage_min": (["-5e-324"], ["0.0"]),
+    "threshold": (["0.0", "1.0000000000000002"], ["5e-324", "1.0"]),
+    "min_samples": (["1"], ["2"]),
+    "low_report_quantile": (["0.0", "1.0"], ["5e-324", "0.9999999999999999"]),
+    "tariff": (["-5e-324", "inf"], ["0.0"]),
+    "elasticity_factor": (["0.0", "inf"], ["5e-324"]),
+    "elasticity_level": (["-inf", "inf", "nan"], ["-1.7976931348623157e+308", "1.7976931348623157e+308"]),
+    "months": (["0"], ["1"]),
+    "repetitions": (["0"], ["1"]),
+    "master_seed": (["-1"], ["0"]),
+}
+# The numeric keys whose rules join them to other keys, checked outside `_LIMITS`:
+# at least 2 consumers and the size limits; the usage bounds finite and ordered.
+JOINED = ("consumers", "usage_max")
+
+
+def setting(key, raw):
+    """A config file that sets ``key`` to ``raw``, and each elasticity key's partner."""
+    section = next(name for name, keys in _KEYS.items() if key in keys)
+    partner = {"elasticity_factor": "elasticity_level = 1.0", "elasticity_level": "elasticity_factor = 0.8"}
+    return f"[{section}]\n{key} = {raw}\n{partner.get(key, '')}\n"
+
+
+def value_of(key, raw):
+    return int(raw) if _FIELD_TYPES[key] is int else float(raw)
+
+
+def test_every_numeric_key_is_limited_once():
+    # a new int or float key lands in `_LIMITS` (with its edges here) or joins another key
+    numeric = {key for key, kind in _FIELD_TYPES.items() if kind in (int, float, float | None)}
+    assert numeric == set(_LIMITS) | set(JOINED) and not set(_LIMITS) & set(JOINED)
+    assert set(LIMIT_EDGES) == set(_LIMITS)
+
+
+@pytest.mark.parametrize("key, raw", [(key, raw) for key, (outside, _) in LIMIT_EDGES.items() for raw in outside])
+def test_a_key_just_outside_its_limit_is_one_error_line(tmp_path, capsys, key, raw):
+    path = tmp_path / "bad.cfg"
+    path.write_text(setting(key, raw))
+    assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    rule = _LIMITS[key][0]
+    assert capsys.readouterr().err == f"gridwatch: error: {key} must be {rule}, got {value_of(key, raw)}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("key, raw", [(key, raw) for key, (_, edges) in LIMIT_EDGES.items() for raw in edges])
+def test_a_key_at_the_edge_of_its_limit_loads(key, raw):
+    assert getattr(loads_config(setting(key, raw)), key) == value_of(key, raw)
 
 
 def int_valued(low, high):

@@ -28,7 +28,7 @@ def oracle_pearson(x, y):
     vx = np.mean((x - x.mean()) ** 2)
     vy = np.mean((y - y.mean()) ** 2)
     if vx == 0 or vy == 0:
-        return None
+        return math.nan
     return cov / np.sqrt(vx * vy)
 
 
@@ -78,20 +78,20 @@ class TestPearson:
             assert pearson(x, y) == pytest.approx(expected, abs=1e-12)
 
     def test_undefined_cases(self, rng):
-        assert pearson([], []) is None
-        assert pearson([1.0], [2.0]) is None
-        assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
-        assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+        assert math.isnan(pearson([], []))
+        assert math.isnan(pearson([1.0], [2.0]))
+        assert math.isnan(pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
         # a constant whose mean rounds: x - x.mean() is not exactly zero
-        assert pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) is None
+        assert math.isnan(pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]))
 
     def test_overflow_is_undefined_not_a_correlation(self):
         # perfectly anti-correlated, but the centred sums overflow to inf;
         # clamping the NaN quotient used to report +1.0
-        assert pearson([0, 1e200, 2e200], [2e200, 1e200, 0]) is None
+        assert math.isnan(pearson([0, 1e200, 2e200], [2e200, 1e200, 0]))
         # only x overflows: the quotient is a finite 0.0, still no evidence
-        assert pearson([0, 1e200, 2e200], [0.0, 1.0, 2.0]) is None
-        assert pearson([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]) is None
+        assert math.isnan(pearson([0, 1e200, 2e200], [0.0, 1.0, 2.0]))
+        assert math.isnan(pearson([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
@@ -155,14 +155,13 @@ class TestClassify:
             (-0.49, Label.BENIGN),
             (-0.5, Label.MALICIOUS_OVER),
             (-1.0, Label.MALICIOUS_OVER),
-            (None, Label.INSUFFICIENT_DATA),
+            (math.nan, Label.INSUFFICIENT_DATA),
         ],
     )
     def test_threshold_branches(self, corr, label):
-        value = np.nan if corr is None else corr
-        report = detect_region(np.array([5]), np.array([value]), th=0.5, min_samples=5)
+        report = detect_region(np.array([5]), np.array([corr]), th=0.5, min_samples=5)
         assert report.labels.tolist() == [label]
-        assert np.array_equal(report.corrs, [value], equal_nan=True)
+        assert np.array_equal(report.corrs, [corr], equal_nan=True)
         assert classify(corr, th=0.5) == label
 
     @pytest.mark.parametrize("th", [0.0, -0.1, 1.1])
@@ -202,7 +201,7 @@ class TestCorrelate:
         assert list(counts) == [int(np.sum(pos == g)) for g in range(n)]
         for g in range(n):
             want = pearson(x[pos == g], y[pos == g])
-            if want is None:
+            if math.isnan(want):
                 assert math.isnan(corr[g]), g
             else:
                 assert abs(corr[g] - want) <= 1e-12, g
@@ -273,8 +272,8 @@ class TestDetectRegion:
         for pos in range(n):
             count, value = int(counts[pos]), float(corr[pos])
             evidence = count >= min_samples and not math.isnan(value)
-            want = value if evidence else None
-            assert np.array_equal(report.corrs[pos], np.nan if want is None else want, equal_nan=True)
+            want = value if evidence else math.nan
+            assert np.array_equal(report.corrs[pos], want, equal_nan=True)
             assert report.labels[pos] == classify(want, th)
             assert report.counts[pos] == count
 
@@ -292,8 +291,8 @@ class TestDetectRegion:
         series = series_from_arrays(pos, x, y, n)
         corr = low_report_correlations(series, 0.25, 5)
         for p, (r, l) in enumerate(data.values()):
-            want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else None
-            assert (math.isnan(corr[p]) if want is None else corr[p] == want)
+            want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else math.nan
+            assert np.array_equal(corr[p], want, equal_nan=True)
 
     @pytest.mark.parametrize("counts, corr", MISMATCHED, ids=MISMATCH_IDS)
     def test_mismatched_inputs_are_refused(self, counts, corr):
@@ -401,7 +400,7 @@ class TestLowReportFilter:
             l = c - r
             filtered = pearson(*low_report_filter(r, l, q=0.25))
             full = pearson(r, l)
-            if filtered is not None and filtered >= full:
+            if not math.isnan(filtered) and filtered >= full:
                 improved += 1
         assert improved >= 0.9 * trials
 

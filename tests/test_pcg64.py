@@ -143,6 +143,18 @@ def test_a_numpy_whose_draws_differ_fails_at_the_first_block(monkeypatch):
     assert _pcg64._checked
 
 
+@pytest.mark.parametrize("recorded", [0, 1], ids=["integers", "uniform"])
+def test_a_numpy_whose_integers_or_uniform_differ_fails_at_the_first_block(monkeypatch, recorded):
+    # the sampled positions and the random offsets come from these two methods, not from a read
+    draws = list(_pcg64._RECORDED_DRAWS)
+    draws[recorded] = draws[recorded][::-1]
+    monkeypatch.setattr(_pcg64, "_RECORDED_DRAWS", tuple(draws))
+    monkeypatch.setattr(_pcg64, "_checked", False)
+    with pytest.raises(GridwatchError, match=f"numpy {np.__version__}"):
+        _pcg64.UniformBlock(np.random.PCG64(3).state, 4, 2)
+    assert not _pcg64._checked
+
+
 def test_the_numpy_check_reads_the_last_column_and_holds_one_row(monkeypatch):
     # a 2,000 x 2,000 block: the check draws one row at a time, never the
     # (rows, n) matrix, and its entries reach the last in-row step

@@ -17,7 +17,9 @@ import pytest
 from conftest import make_config
 from gridwatch import _pcg64, harness
 from gridwatch.config import MOST_NEGATIVE_MODE, THRESHOLD_MODE
-from gridwatch.harness import STANDARD_DURATIONS, case_config, derive_trial_seed, run_trial
+from gridwatch.harness import (
+    STANDARD_DURATIONS, case_config, derive_trial_seed, run_billing, run_trial, simulate_window,
+)
 
 # Table 1's longest window, 12 months of 2,880 periods.
 T_12 = 12 * 2_880
@@ -98,6 +100,23 @@ def test_the_twelve_month_low_report_detect_window(products):
                       extra="[detection]\nlow_report_quantile = 0.25\n[experiment]\nmonths = 12\n")
     run_trial(cfg, derive_trial_seed(42, 0)).report
     assert sum(products) == row_starts(T_12) + 101 + 2 * T_12 == 107_877
+
+
+# The window commands' default region over 12 months: attacker 25 multiplies its usage by 0.1.
+TWELVE_MONTHS = "[experiment]\nmonths = 12\n"
+
+
+def test_the_twelve_month_simulate_window_and_records(products):
+    # the attacker's column and one sampled entry a period; the totals' chunked redraws make none
+    cfg = make_config(extra=TWELVE_MONTHS)
+    simulate_window(cfg, derive_trial_seed(42, 0)).to_records()
+    assert sum(products) == row_starts(T_12) + 101 + 2 * T_12 == 107_877
+
+
+def test_the_twelve_month_bill_window(products):
+    # the attacker's column alone: the bills accrue the chunked redraws of the reports
+    run_billing(make_config(extra=TWELVE_MONTHS), derive_trial_seed(42, 0))
+    assert sum(products) == row_starts(T_12) + 101 + T_12 == 73_317
 
 
 @pytest.mark.parametrize("mode, quantile, trial, report", [
