@@ -160,6 +160,7 @@ class RunManifest:
     python: str = platform.python_version()
     numpy: str = np.__version__
     cpu_count: int = dataclasses.field(default_factory=usable_cpus)
+    blas_threads: str | None = os.environ.get("OPENBLAS_NUM_THREADS")
     heap: str = "default"
 
     def to_json(self) -> str:

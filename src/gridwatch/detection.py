@@ -72,7 +72,11 @@ def pearson(x, y) -> float:
     Undefined means fewer than 2 points or no spread on either side (see
     `_has_spread`); with both centred sums of squares finite, the cross
     sum is finite too.  The result is clamped into [-1, 1]; rounding
-    overshoot never exceeds 1e-9 before clamping.
+    overshoot never exceeds 1e-9 before clamping.  Its sums are BLAS dot
+    products (``@``), so their last bits depend on the ``ddot`` kernel
+    OpenBLAS picks for the CPU, but not on the CPU count: importing
+    gridwatch runs OpenBLAS on one thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``.
     """
     x, y = _vector_pair("pearson", x, y)
     m = x.shape[0]

@@ -336,6 +336,8 @@ class TestCli:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
         assert manifest["cpu_count"] == usable_cpus() >= 1
+        # importing gridwatch set it, to 1 unless the caller had
+        assert manifest["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]
         glibc = platform.libc_ver()[0] == "glibc"
         assert manifest["heap"] == ("glibc thresholds set" if glibc else "default")
 
@@ -575,3 +577,24 @@ def test_no_command_imports_masked_arrays(tmp_path):
     result = subprocess.run(argv, env=python_env(), capture_output=True, text=True, timeout=300, check=True)
     calls, imported = result.stdout.split()
     assert int(calls) > 0 and imported == "False"
+
+
+def test_detect_writes_the_same_bytes_on_any_cpu_count(tmp_path):
+    # `pearson` takes each low-report correlation with three `@` (BLAS ddot), and
+    # OpenBLAS splits a ddot of more than 10,000 entries across its threads, one per
+    # CPU unless OPENBLAS_NUM_THREADS says otherwise, which changes the sum's last
+    # bits.  12 months of 2 consumers sample each about 17,280 times, and the 0.75
+    # quantile keeps about 13,000 low-report pairs of each: both groups are split.
+    config = tmp_path / "two_consumers.cfg"
+    config.write_text(
+        "[region]\nconsumers = 2\n[attackers]\n1 = fixed_offset 0.6 subtract\n"
+        "[detection]\nlow_report_quantile = 0.75\n[experiment]\nmonths = 12\n"
+    )
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    csvs = []
+    for name, environ in [("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})]:
+        argv = [sys.executable, "-m", "gridwatch.cli", "detect", "--config", str(config),
+                "--out-dir", str(tmp_path / name)]
+        subprocess.run(argv, env=python_env(environ), capture_output=True, timeout=120, check=True)
+        csvs.append((tmp_path / name / "detection.csv").read_bytes())
+    assert csvs[0] == csvs[1]

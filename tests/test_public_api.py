@@ -2,9 +2,12 @@
 edit of this list, not a side effect of a refactor; and the module layering."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gridwatch
 from conftest import python_env
@@ -66,13 +69,41 @@ def test_config_does_not_import_the_simulation():
     assert not [name for name in imported_names("config") if "harness" in name.split(".")]
 
 
+def fresh_process(probe: str, env: dict[str, str]) -> str:
+    """What ``probe`` prints in a new interpreter run with ``env``."""
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return result.stdout
+
+
 def test_the_cli_defers_numpy_random_and_numpy_ma():
     # a fresh process: importing numpy.random costs about 10 ms of start-up, and only the
     # first window or seed needs it; the low-report cutoff is computed without numpy.ma
     probe = "import sys, gridwatch.cli; print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", probe], env=python_env(), capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    assert fresh_process(probe, python_env()) == "[]\n"
+
+
+# The variable after `import gridwatch.cli`, and the threads of the process (- where
+# /proc/self/task does not exist).
+BLAS_PROBE = (
+    "import os, gridwatch.cli; tasks = '/proc/self/task'; "
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')"
+)
+
+
+@pytest.mark.parametrize("caller, pinned", [(None, "1"), ("3", "3")], ids=["unset", "set-by-caller"])
+def test_importing_gridwatch_runs_openblas_on_one_thread_unless_the_caller_says(caller, pinned):
+    # a fresh process: numpy's OpenBLAS would start one thread per CPU when it loads,
+    # which spins a core for about 0.13 s, and would split a long dot product across
+    # them, so results would depend on the CPU count.  The test process's variable is
+    # already set by its own import of gridwatch, so the child's is removed or replaced.
+    env = python_env({k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"})
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    value, threads = fresh_process(BLAS_PROBE, env).split()
+    assert value == pinned
+    if caller is None and threads != "-":
+        assert threads == "1"
 
 
 def test_config_reads_and_csvio_writes():

@@ -5,8 +5,9 @@ budget a formula in the window's periods ``T``, the consumer count ``n`` and the
 row chunk ``B = _pcg64._BLOCK``.  The row starts take two products a row for the
 first chunk and one for each later row; the in-row steps take ``n + 1``; every
 entry read takes one.  Correlation work is counted in calls of `correlate` and
-`low_report_correlations` through the names `harness` looks them up by.  A
-change that lowers a count lowers its budget here; one that raises it says why.
+`low_report_correlations` through the names `harness` looks them up by, and in
+the pairs each `correlate` call takes.  A change that lowers a count lowers its
+budget here; one that raises it says why.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 
 from conftest import make_config
 from gridwatch import _pcg64, harness
+from gridwatch._pcg64 import UniformBlock
 from gridwatch.config import MOST_NEGATIVE_MODE, THRESHOLD_MODE
 from gridwatch.harness import (
     STANDARD_DURATIONS, case_config, derive_trial_seed, run_billing, run_trial, simulate_window,
@@ -49,34 +51,46 @@ def products(monkeypatch):
 @pytest.fixture
 def calls(monkeypatch):
     """Calls of `correlate` and `low_report_correlations` through the names `harness`
-    looks them up by, by name."""
-    counts = {"correlate": 0, "low_report_correlations": 0}
-    for name in counts:
+    looks them up by, by name: one entry a call, the length of its first argument
+    (the pairs `correlate` takes, the groups `low_report_correlations` takes)."""
+    lengths = {"correlate": [], "low_report_correlations": []}
+    for name, seen in lengths.items():
         real = getattr(harness, name)
 
-        def counting(*args, name=name, real=real):
-            counts[name] += 1
+        def recording(*args, seen=seen, real=real):
+            seen.append(len(args[0]))
             return real(*args)
 
-        monkeypatch.setattr(harness, name, counting)
-    return counts
+        monkeypatch.setattr(harness, name, recording)
+    return lengths
+
+
+def call_counts(calls):
+    return tuple(len(seen) for seen in calls.values())
 
 
 # Case III's sampled entries over Table 1's durations: one a period of each full trial.
 SAMPLED = sum(2_880 * m for m in STANDARD_DURATIONS)
 
 
-@pytest.mark.parametrize("index", [0, 7])
-def test_a_table1_trial_index(products, calls, index):
+@pytest.mark.parametrize("index, pairs", [(0, 64_564), (7, 64_608)], ids=["0", "7"])
+def test_a_table1_trial_index(products, calls, index, pairs):
     # one shared block: its row starts and steps, the attacker's whole column
     # (read by the batched cases I and II), and case III's sampled entries; one
-    # `correlate` for the eight batched cells and one for each case III trial
+    # `correlate` for the eight batched cells and one for each case III trial.
+    # The batched cells correlate the rows of their window length's shared positions
+    # where the attacker is sampled, cases I and II alike; each case III trial every
+    # sampled pair.
     base = make_config()
     cells = [dataclasses.replace(case_config(base, case, 25), months=m)
              for case in ("I", "II", "III") for m in STANDARD_DURATIONS]
     harness._index_successes(cells, index)
     assert sum(products) == row_starts(T_12) + 101 + T_12 + SAMPLED == 136_677
-    assert calls["correlate"] == 1 + len(STANDARD_DURATIONS) == 5
+    assert len(calls["correlate"]) == 1 + len(STANDARD_DURATIONS) == 5
+    draws = UniformBlock.of_seed(derive_trial_seed(base.master_seed, index), T_12, 100)
+    periods = [2_880 * m for m in STANDARD_DURATIONS]
+    attacker_rows = sum(np.count_nonzero(draws.generator(p).integers(0, 100, size=p) == 25) for p in periods)
+    assert sum(calls["correlate"]) == SAMPLED + 2 * attacker_rows == pairs
 
 
 @pytest.mark.parametrize("index", [0, 7])
@@ -91,7 +105,7 @@ def test_a_threshold_duration_sweep_trial_index(products, calls, index, attacker
     cfg = make_config(f"25 = {attacker}")
     harness._index_successes([dataclasses.replace(cfg, months=m) for m in STANDARD_DURATIONS], index)
     assert sum(products) == row_starts(T_12) + 101 + T_12 + sampled == total
-    assert calls == {"correlate": correlates, "low_report_correlations": 0}
+    assert call_counts(calls) == (correlates, 0)
 
 
 def test_the_twelve_month_low_report_detect_window(products):
@@ -132,6 +146,6 @@ def test_each_correlation_pass_runs_once_and_only_where_read(calls, mode, quanti
     cfg = make_config("25 = fixed_offset 0.6 subtract",
                       extra=f"[detection]\nmode = {mode}\nlow_report_quantile = {quantile}\n")
     outcome = run_trial(cfg, derive_trial_seed(0, 0))
-    assert tuple(calls.values()) == trial
+    assert call_counts(calls) == trial
     outcome.report
-    assert tuple(calls.values()) == report
+    assert call_counts(calls) == report
