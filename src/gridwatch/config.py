@@ -1,12 +1,14 @@
 """Scenario configs: the one config object and its file format.
 
 `ScenarioConfig` holds a region and the experiment run on it, one field per
-config key, with the key's type (its annotation), default and limits; it is
-checked when it is built, before any draw.  The config format is an INI-style
+config key, which declares the key's type (its annotation), default, limit and
+file section, so adding a key is one field; `model.check_fields` reads and
+checks every key when the config is built, before any draw, and only the rules
+that join keys have their own code.  The config format is an INI-style
 key = value file with five sections: ``[region]``, ``[attackers]``,
 ``[detection]``, ``[billing]`` and ``[experiment]``.  Loading and writing both
-walk one key table, ``_KEYS``, which gives each key's section, so adding a key
-is one field and one ``_KEYS`` entry.  ``[attackers]`` holds free-form
+walk one key table, ``_KEYS``, derived from the fields' sections in file
+order.  ``[attackers]`` holds free-form
 ``<consumer id> = <behavior spec>`` entries; a spec is read and written by one
 behavior table, ``_BEHAVIORS``, which maps its name to its model, whose fields
 follow the name in order.  Unknown sections or keys are hard errors so typos
@@ -26,8 +28,8 @@ from typing import Mapping, get_type_hints
 
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD, DETECTOR_LIMITS
 from .errors import ConfigurationError
-from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset, as_integer, as_real
-from .model import POSITIVE_FINITE, check_limit
+from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset, as_integer
+from .model import POSITIVE_FINITE, check_fields, limited
 
 DAYS_PER_MONTH = 30
 # Size limits, checked when a config is built: one month's float64 usage block up to 1 GiB
@@ -36,54 +38,37 @@ MAX_PERIODS = 2**22
 
 THRESHOLD_MODE = "threshold"
 MOST_NEGATIVE_MODE = "most_negative"
-
-# Each numeric key's limit (see `check_limit`); an optional key left unset passes.  The
-# rules that join keys keep their own checks: `consumers` (at least 2, and the size
-# limits) and `usage_max` (the usage bounds finite and ordered).
-_LIMITS = {
-    "periods_per_day": ("> 0", lambda v: v > 0),
-    "usage_min": (">= 0", lambda v: v >= 0),
-    **DETECTOR_LIMITS,
-    "tariff": ("finite and >= 0", lambda v: 0 <= v < math.inf),
-    "elasticity_factor": POSITIVE_FINITE,
-    "elasticity_level": ("finite", math.isfinite),
-    "months": (">= 1", lambda v: v >= 1),
-    "repetitions": (">= 1", lambda v: v >= 1),
-    "master_seed": (">= 0", lambda v: v >= 0),
-}
+_MODE_LIMIT = ("'threshold' or 'most_negative'", lambda m: m in (THRESHOLD_MODE, MOST_NEGATIVE_MODE))
 
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """One aggregator's region and the experiment run on it; each field is the config key
-    of its name, in file order.  Consumer ids are positions ``0..consumers-1``, all draw
-    usage on one range, and ``attackers``, given as a mapping or as ``(id, behavior)``
-    pairs, is kept as pairs sorted by id, without the entries that report truthfully,
-    ``Multiplicative(1.0)``: every attacker left misreports."""
+    of its name, in file order, with its limit and file section.  Consumer ids are positions
+    ``0..consumers-1``, all draw usage on one range, and ``attackers``, given as a mapping
+    or as ``(id, behavior)`` pairs, is kept as pairs sorted by id, without the entries that
+    report truthfully, ``Multiplicative(1.0)``: every attacker left misreports."""
 
-    consumers: int = 100
-    periods_per_day: int = 96
-    usage_min: float = 0.5
-    usage_max: float = 1.5
-    attackers: tuple[tuple[int, BehaviorModel], ...] = ()
-    threshold: float = DEFAULT_THRESHOLD
-    min_samples: int = DEFAULT_MIN_SAMPLES
-    mode: str = THRESHOLD_MODE
-    low_report_quantile: float | None = None
-    tariff: float = 1.0
-    elasticity_factor: float | None = None
-    elasticity_level: float | None = None
-    months: int = 1
-    repetitions: int = 1000
-    master_seed: int = 0
+    consumers: int = limited((">= 2", lambda v: v >= 2), 100, section="region")
+    periods_per_day: int = limited(("> 0", lambda v: v > 0), 96, section="region")
+    usage_min: float = limited((">= 0 and finite", lambda v: 0 <= v < math.inf), 0.5, section="region")
+    usage_max: float = limited(("finite", math.isfinite), 1.5, section="region")
+    attackers: tuple[tuple[int, BehaviorModel], ...] = dataclasses.field(
+        default=(), metadata={"section": "attackers"})
+    threshold: float = limited(DETECTOR_LIMITS["threshold"], DEFAULT_THRESHOLD, section="detection")
+    min_samples: int = limited(DETECTOR_LIMITS["min_samples"], DEFAULT_MIN_SAMPLES, section="detection")
+    mode: str = limited(_MODE_LIMIT, THRESHOLD_MODE, section="detection")
+    low_report_quantile: float | None = limited(DETECTOR_LIMITS["low_report_quantile"], None,
+                                                section="detection")
+    tariff: float = limited(("finite and >= 0", lambda v: 0 <= v < math.inf), 1.0, section="billing")
+    elasticity_factor: float | None = limited(POSITIVE_FINITE, None, section="billing")
+    elasticity_level: float | None = limited(("finite", math.isfinite), None, section="billing")
+    months: int = limited((">= 1", lambda v: v >= 1), 1, section="experiment")
+    repetitions: int = limited((">= 1", lambda v: v >= 1), 1000, section="experiment")
+    master_seed: int = limited((">= 0", lambda v: v >= 0), 0, section="experiment")
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if kind is int:
-                object.__setattr__(self, name, as_integer(name, value))
-            elif kind is float or (kind == float | None and value is not None):
-                object.__setattr__(self, name, as_real(name, value))
+        check_fields(self)
         pairs = self.attackers.items() if isinstance(self.attackers, Mapping) else self.attackers
         try:
             if isinstance(pairs, (str, bytes)):  # "" would iterate to no pairs
@@ -94,8 +79,6 @@ class ScenarioConfig:
                 f"attackers must be a mapping or (id, behavior) pairs, got {self.attackers!r}"
             ) from None
         n, ids = self.consumers, [cid for cid, _ in pairs]
-        if n < 2:
-            raise ConfigurationError(f"a region needs at least 2 consumers, got {n}")
         if len(set(ids)) != len(ids):
             raise ConfigurationError("attacker ids must be unique within a region")
         for cid, behavior in pairs:
@@ -103,13 +86,6 @@ class ScenarioConfig:
                 raise ConfigurationError(f"[attackers] id {cid} is outside the region's 0..{n - 1} consumers")
             if not isinstance(behavior, BehaviorModel):
                 raise ConfigurationError(f"[attackers] id {cid} is not a behavior model: {behavior!r}")
-        if not (math.isfinite(self.usage_min) and math.isfinite(self.usage_max)):
-            raise ConfigurationError(
-                f"usage bounds must be finite, got [{self.usage_min}, {self.usage_max}]"
-            )
-        for name, limit in _LIMITS.items():
-            if getattr(self, name) is not None:
-                check_limit(name, getattr(self, name), limit)
         if not self.usage_min < self.usage_max:
             raise ConfigurationError(
                 f"usage_min ({self.usage_min}) must be < usage_max ({self.usage_max})"
@@ -121,8 +97,6 @@ class ScenarioConfig:
                                   (self.total_periods, "periods", MAX_PERIODS)):
             if size > limit:
                 raise ConfigurationError(f"the window has {size} {what}, above the limit of {limit}")
-        if self.mode not in (THRESHOLD_MODE, MOST_NEGATIVE_MODE):
-            raise ConfigurationError(f"unknown detection mode {self.mode!r}")
         if (self.elasticity_factor is None) != (self.elasticity_level is None):
             raise ConfigurationError(
                 "elasticity_factor and elasticity_level must be set together"
@@ -148,7 +122,7 @@ class ScenarioConfig:
         return max(high * factor, low + 1e-12) - low
 
 
-# Each field's type: `__post_init__` coerces by it, and `_parse` and `_format` read and write by it.
+# Each field's type: `_parse` and `_format` read and write by it.
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
@@ -181,13 +155,12 @@ def _check_sums_finite(config: ScenarioConfig) -> None:
             )
 
 
-# Every section's keys in file order; [attackers] is free-form: <consumer id> = <behavior spec>.
-_KEYS: dict[str, tuple[str, ...]] = {
-    "region": ("consumers", "periods_per_day", "usage_min", "usage_max"),
-    "attackers": (),
-    "detection": ("threshold", "min_samples", "mode", "low_report_quantile"),
-    "billing": ("tariff", "elasticity_factor", "elasticity_level"),
-    "experiment": ("months", "repetitions", "master_seed"),
+# Every section's keys in file order, from the fields; [attackers] is free-form:
+# <consumer id> = <behavior spec>.
+_FIELDS = dataclasses.fields(ScenarioConfig)
+_KEYS = {
+    section: [f.name for f in _FIELDS if f.metadata["section"] == section and f.name != "attackers"]
+    for section in dict.fromkeys(f.metadata["section"] for f in _FIELDS)
 }
 
 

@@ -1,5 +1,6 @@
-"""Reporting behaviors, and the checks that read a config value as an int or a float
-and hold it to its limit.
+"""Reporting behaviors, and the one field check: a `limited` dataclass field declares
+its limit, and `check_fields` reads each such field of a config or a behavior as its
+annotation's int or float and holds it to that limit.
 
 Every consumer's usage is i.i.d. uniform on the config's
 ``[usage_min, usage_max]`` per period (no temporal correlation, the
@@ -12,11 +13,12 @@ model and are clipped at zero so reports stay physical.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Literal, Union, get_type_hints
 
 import numpy as np
 
@@ -25,66 +27,17 @@ from .errors import ConfigurationError
 Direction = Literal["subtract", "add"]
 
 
-@dataclass(frozen=True)
-class Multiplicative:
-    """Reports a fixed fraction or multiple of actual usage.
-
-    ``alpha`` in (0, 1) under-reports, ``alpha`` > 1 over-reports;
-    ``alpha`` = 1 reports truthfully (a config's ``benign``), and a config drops it.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_positive_finite(self, "alpha")
-
-
-@dataclass(frozen=True)
-class FixedOffset:
-    """Adds or subtracts a fixed quantity ``eta``; subtraction clips at zero."""
-
-    eta: float
-    direction: Direction = "subtract"
-
-    def __post_init__(self):
-        _check_positive_finite(self, "eta")
-        _check_direction(self.direction)
-
-
-@dataclass(frozen=True)
-class RandomOffset:
-    """Adds or subtracts a fresh uniform(0, theta_max) draw each period.
-
-    The offset is drawn independently of the actual usage; subtraction
-    clips at zero.
-    """
-
-    theta_max: float
-    direction: Direction = "subtract"
-
-    def __post_init__(self):
-        _check_positive_finite(self, "theta_max")
-        _check_direction(self.direction)
-
-
-BehaviorModel = Union[Multiplicative, FixedOffset, RandomOffset]
-
-
 def check_limit(name: str, value, limit: tuple[str, Callable[[float], bool]]) -> None:
     """A limit is a rule as its error states it, and its test: unless ``value`` passes the
-    test, ``<name> must be <rule>, got <value>`` is a `ConfigurationError`."""
+    test, ``<name> must be <rule>, got <value>`` is a `ConfigurationError` (a ``str`` value
+    shown by its ``repr``)."""
     rule, test = limit
     if not test(value):
-        raise ConfigurationError(f"{name} must be {rule}, got {value}")
+        shown = repr(value) if isinstance(value, str) else value
+        raise ConfigurationError(f"{name} must be {rule}, got {shown}")
 
 
 POSITIVE_FINITE = ("finite and > 0", lambda v: 0 < v < math.inf)
-
-
-def _check_positive_finite(behavior: BehaviorModel, name: str) -> None:
-    value = as_real(name, getattr(behavior, name))
-    check_limit(name, value, POSITIVE_FINITE)
-    object.__setattr__(behavior, name, value)
 
 
 def as_integer(name: str, value) -> int:
@@ -109,11 +62,74 @@ def as_real(name: str, value) -> float:
     raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
-def _check_direction(direction: str) -> None:
-    if direction not in ("subtract", "add"):
-        raise ConfigurationError(
-            f"direction must be 'subtract' or 'add', got {direction!r}"
-        )
+def limited(limit: tuple[str, Callable], default=MISSING, **metadata):
+    """A dataclass field that `check_fields` holds to ``limit``; ``metadata`` rides along."""
+    return field(default=default, metadata={"limit": limit, **metadata})
+
+
+# Each dataclass's field types, its annotations resolved once.
+_field_types = functools.cache(get_type_hints)
+
+
+def check_fields(obj) -> None:
+    """Read each `limited` field of the frozen dataclass ``obj`` by its annotation (an
+    ``int`` by `as_integer`, a ``float`` by `as_real`; an unset ``float | None`` stays
+    ``None``) and hold it to its limit, in field order."""
+    kinds = _field_types(type(obj))
+    for f in fields(obj):
+        if "limit" not in f.metadata:
+            continue
+        value, kind = getattr(obj, f.name), kinds[f.name]
+        if kind is int:
+            value = as_integer(f.name, value)
+        elif kind is float or (kind == float | None and value is not None):
+            value = as_real(f.name, value)
+        if value is not None:
+            check_limit(f.name, value, f.metadata["limit"])
+        object.__setattr__(obj, f.name, value)
+
+
+_DIRECTION_LIMIT = ("'subtract' or 'add'", lambda d: d in ("subtract", "add"))
+
+
+@dataclass(frozen=True)
+class Multiplicative:
+    """Reports a fixed fraction or multiple of actual usage.
+
+    ``alpha`` in (0, 1) under-reports, ``alpha`` > 1 over-reports;
+    ``alpha`` = 1 reports truthfully (a config's ``benign``), and a config drops it.
+    """
+
+    alpha: float = limited(POSITIVE_FINITE)
+
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class FixedOffset:
+    """Adds or subtracts a fixed quantity ``eta``; subtraction clips at zero."""
+
+    eta: float = limited(POSITIVE_FINITE)
+    direction: Direction = limited(_DIRECTION_LIMIT, "subtract")
+
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class RandomOffset:
+    """Adds or subtracts a fresh uniform(0, theta_max) draw each period.
+
+    The offset is drawn independently of the actual usage; subtraction
+    clips at zero.
+    """
+
+    theta_max: float = limited(POSITIVE_FINITE)
+    direction: Direction = limited(_DIRECTION_LIMIT, "subtract")
+
+    __post_init__ = check_fields
+
+
+BehaviorModel = Union[Multiplicative, FixedOffset, RandomOffset]
 
 
 def apply_behavior(

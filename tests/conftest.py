@@ -1,10 +1,9 @@
 import os
 from pathlib import Path
 
+import gridwatch  # before numpy: its OpenBLAS thread pin holds only if set before numpy loads
 import numpy as np
 import pytest
-
-import gridwatch
 from gridwatch.config import loads_config
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gridwatch.cli import main
 from gridwatch.config import (
-    _FIELD_TYPES, _KEYS, _LIMITS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
+    _FIELD_TYPES, _KEYS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
 )
 from gridwatch.errors import ConfigurationError
 from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
@@ -107,7 +107,7 @@ def test_written_text_is_exact(text, expected):
     "text, message",
     [
         ("[region]\nconsumers = x\n", "[region] consumers = 'x' is not an integer"),
-        ("[region]\nconsumers = 1\n", "a region needs at least 2 consumers, got 1"),
+        ("[region]\nconsumers = 1\n", "consumers must be >= 2, got 1"),
         ("[region]\nconsumers = 1.5\n", "[region] consumers = '1.5' is not an integer"),
         ("[region]\nusage_min = abc\n", "[region] usage_min = 'abc' is not a number"),
         ("[detection]\nmin_samples = 1\n", "min_samples must be >= 2, got 1"),
@@ -117,15 +117,15 @@ def test_written_text_is_exact(text, expected):
         ("[billing]\ntariff = none\n", "[billing] tariff = 'none' is not a number"),
         ("[detection]\nlow_report_quantile = foo\n",
          "[detection] low_report_quantile = 'foo' is not a number"),
-        ("[detection]\nmode = weird\n", "unknown detection mode 'weird'"),
+        ("[detection]\nmode = weird\n", "mode must be 'threshold' or 'most_negative', got 'weird'"),
         ("[attackers]\nx = multiplicative 0.1\n", "[attackers] key 'x' is not a consumer id"),
         ("[attackers]\n-1 = multiplicative 0.1\n",
          "[attackers] id -1 is outside the region's 0..99 consumers"),
         ("[attackers]\n25 =\n", "empty behavior spec"),
         ("[attackers]\n25 = multiplicative abc\n",
          "bad behavior spec 'multiplicative abc': could not convert string to float: 'abc'"),
-        ("[region]\nusage_max = inf\n", "usage bounds must be finite, got [0.5, inf]"),
-        ("[region]\nusage_min = nan\n", "usage bounds must be finite, got [nan, 1.5]"),
+        ("[region]\nusage_max = inf\n", "usage_max must be finite, got inf"),
+        ("[region]\nusage_min = nan\n", "usage_min must be >= 0 and finite, got nan"),
         ("[detection]\nthresold = 0.5\n", "unknown key 'thresold' in section [detection]"),
         ("[region]\nregion_id = 0\n", "unknown key 'region_id' in section [region]"),
         ("[creds]\nuser = x\n", "unknown section [creds]"),
@@ -140,13 +140,17 @@ def test_error_message_is_exact(text, message):
     assert str(exc.value) == message
 
 
-# Each limited key's values just outside its limit, and the values at its edges that it allows
-# (the nearest inside where an edge is open, none where a larger value would overflow a sum).
+# Each key's values just outside its limit, and the values at its edges that it allows
+# (the nearest inside where an edge is open, none where a larger value would overflow a sum
+# or the edge joins another key).
 LIMIT_EDGES = {
+    "consumers": (["1"], ["2"]),
     "periods_per_day": (["0"], ["1"]),
     "usage_min": (["-5e-324"], ["0.0"]),
+    "usage_max": (["inf", "nan"], []),
     "threshold": (["0.0", "1.0000000000000002"], ["5e-324", "1.0"]),
     "min_samples": (["1"], ["2"]),
+    "mode": (["weird"], [THRESHOLD_MODE, MOST_NEGATIVE_MODE]),
     "low_report_quantile": (["0.0", "1.0"], ["5e-324", "0.9999999999999999"]),
     "tariff": (["-5e-324", "inf"], ["0.0"]),
     "elasticity_factor": (["0.0", "inf"], ["5e-324"]),
@@ -155,9 +159,8 @@ LIMIT_EDGES = {
     "repetitions": (["0"], ["1"]),
     "master_seed": (["-1"], ["0"]),
 }
-# The numeric keys whose rules join them to other keys, checked outside `_LIMITS`:
-# at least 2 consumers and the size limits; the usage bounds finite and ordered.
-JOINED = ("consumers", "usage_max")
+# Each key's limit, as its field declares it.
+LIMITS = {f.name: f.metadata.get("limit") for f in dataclasses.fields(ScenarioConfig)}
 
 
 def setting(key, raw):
@@ -168,14 +171,18 @@ def setting(key, raw):
 
 
 def value_of(key, raw):
-    return int(raw) if _FIELD_TYPES[key] is int else float(raw)
+    kind = _FIELD_TYPES[key]
+    return raw if kind is str else int(raw) if kind is int else float(raw)
 
 
 def test_every_numeric_key_is_limited_once():
-    # a new int or float key lands in `_LIMITS` (with its edges here) or joins another key
-    numeric = {key for key, kind in _FIELD_TYPES.items() if kind in (int, float, float | None)}
-    assert numeric == set(_LIMITS) | set(JOINED) and not set(_LIMITS) & set(JOINED)
-    assert set(LIMIT_EDGES) == set(_LIMITS)
+    # every key declares its section and limit in its field, `mode` among them, and only
+    # the free-form attackers declares none; every attack field declares its limit
+    keys = [f for f in dataclasses.fields(ScenarioConfig) if f.name != "attackers"]
+    assert all({"section", "limit"} <= set(f.metadata) for f in keys)
+    assert set(LIMIT_EDGES) == {f.name for f in keys}
+    for model in (Multiplicative, FixedOffset, RandomOffset):
+        assert all("limit" in f.metadata for f in dataclasses.fields(model)), model
 
 
 @pytest.mark.parametrize("key, raw", [(key, raw) for key, (outside, _) in LIMIT_EDGES.items() for raw in outside])
@@ -183,8 +190,9 @@ def test_a_key_just_outside_its_limit_is_one_error_line(tmp_path, capsys, key, r
     path = tmp_path / "bad.cfg"
     path.write_text(setting(key, raw))
     assert main(["detect", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
-    rule = _LIMITS[key][0]
-    assert capsys.readouterr().err == f"gridwatch: error: {key} must be {rule}, got {value_of(key, raw)}\n"
+    rule, value = LIMITS[key][0], value_of(key, raw)
+    shown = repr(value) if isinstance(value, str) else value
+    assert capsys.readouterr().err == f"gridwatch: error: {key} must be {rule}, got {shown}\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -247,7 +255,7 @@ def test_every_config_round_trips(config):
 
 
 def test_every_key_is_one_field_in_one_section():
-    # a key's type comes from its field, so adding a key is one field and one entry here;
+    # a key's type and section come from its field, so adding a key is one field;
     # every key is a field, and every field but the free-form attackers is in one section
     keys = [key for section in _KEYS.values() for key in section]
     fields = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "attackers"]

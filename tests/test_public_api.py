@@ -83,12 +83,13 @@ def test_the_cli_defers_numpy_random_and_numpy_ma():
     assert fresh_process(probe, python_env()) == "[]\n"
 
 
-# The variable after `import gridwatch.cli`, and the threads of the process (- where
-# /proc/self/task does not exist).
-BLAS_PROBE = (
-    "import os, gridwatch.cli; tasks = '/proc/self/task'; "
-    "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')"
-)
+def blas_probe(module: str) -> str:
+    """A probe that prints the variable after ``import <module>``, and the threads of the
+    process (- where /proc/self/task does not exist)."""
+    return (
+        f"import os, {module}; tasks = '/proc/self/task'; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir(tasks)) if os.path.isdir(tasks) else '-')"
+    )
 
 
 @pytest.mark.parametrize("caller, pinned", [(None, "1"), ("3", "3")], ids=["unset", "set-by-caller"])
@@ -100,10 +101,21 @@ def test_importing_gridwatch_runs_openblas_on_one_thread_unless_the_caller_says(
     env = python_env({k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"})
     if caller is not None:
         env["OPENBLAS_NUM_THREADS"] = caller
-    value, threads = fresh_process(BLAS_PROBE, env).split()
+    value, threads = fresh_process(blas_probe("gridwatch.cli"), env).split()
     assert value == pinned
     if caller is None and threads != "-":
         assert threads == "1"
+
+
+def test_the_test_process_runs_openblas_on_one_thread():
+    # a fresh process that loads this suite's conftest as pytest does, the variable removed:
+    # conftest imports gridwatch before numpy, so the pin holds in the test process too
+    env = python_env({k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"})
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+    _, threads = fresh_process(blas_probe("conftest"), env).split()
+    if threads == "-":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == "1"
 
 
 def test_config_reads_and_csvio_writes():

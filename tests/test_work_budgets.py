@@ -73,6 +73,14 @@ def call_counts(calls):
 SAMPLED = sum(2_880 * m for m in STANDARD_DURATIONS)
 
 
+def attacker_rows(config, index):
+    """The rows where attacker 25 is sampled in the shared positions of each of Table 1's
+    window lengths, summed, read from the shared block's ``generator(periods).integers(...)``."""
+    draws = UniformBlock.of_seed(derive_trial_seed(config.master_seed, index), T_12, 100)
+    periods = [2_880 * m for m in STANDARD_DURATIONS]
+    return sum(np.count_nonzero(draws.generator(p).integers(0, 100, size=p) == 25) for p in periods)
+
+
 @pytest.mark.parametrize("index, pairs", [(0, 64_564), (7, 64_608)], ids=["0", "7"])
 def test_a_table1_trial_index(products, calls, index, pairs):
     # one shared block: its row starts and steps, the attacker's whole column
@@ -87,25 +95,25 @@ def test_a_table1_trial_index(products, calls, index, pairs):
     harness._index_successes(cells, index)
     assert sum(products) == row_starts(T_12) + 101 + T_12 + SAMPLED == 136_677
     assert len(calls["correlate"]) == 1 + len(STANDARD_DURATIONS) == 5
-    draws = UniformBlock.of_seed(derive_trial_seed(base.master_seed, index), T_12, 100)
-    periods = [2_880 * m for m in STANDARD_DURATIONS]
-    attacker_rows = sum(np.count_nonzero(draws.generator(p).integers(0, 100, size=p) == 25) for p in periods)
-    assert sum(calls["correlate"]) == SAMPLED + 2 * attacker_rows == pairs
+    assert sum(calls["correlate"]) == SAMPLED + 2 * attacker_rows(base, index) == pairs
 
 
 @pytest.mark.parametrize("index", [0, 7])
-@pytest.mark.parametrize("attacker, sampled, total, correlates", [
-    ("multiplicative 0.1", 0, 73_317, 1),
-    ("random_offset 1.0 subtract", SAMPLED, 136_677, len(STANDARD_DURATIONS)),
+@pytest.mark.parametrize("attacker, sampled, total, correlates, pairs", [
+    ("multiplicative 0.1", 0, 73_317, 1, {0: 602, 7: 624}),
+    ("random_offset 1.0 subtract", SAMPLED, 136_677, len(STANDARD_DURATIONS), {0: SAMPLED, 7: SAMPLED}),
 ], ids=["batched", "full-trials"])
-def test_a_threshold_duration_sweep_trial_index(products, calls, index, attacker, sampled, total, correlates):
+def test_a_threshold_duration_sweep_trial_index(products, calls, index, attacker, sampled, total, correlates,
+                                                pairs):
     # a fig-duration-sweep group: an attacker that draws nothing is batched, one
-    # `correlate` for all four cells and no sampled entry read; a random offset
-    # runs each cell's full trial, reading every sampled entry
+    # `correlate` for all four cells and no sampled entry read, which correlates the
+    # rows of each window length's shared positions where the attacker is sampled; a
+    # random offset runs each cell's full trial, reading and correlating every sampled entry
     cfg = make_config(f"25 = {attacker}")
     harness._index_successes([dataclasses.replace(cfg, months=m) for m in STANDARD_DURATIONS], index)
     assert sum(products) == row_starts(T_12) + 101 + T_12 + sampled == total
     assert call_counts(calls) == (correlates, 0)
+    assert sum(calls["correlate"]) == (sampled or attacker_rows(cfg, index)) == pairs[index]
 
 
 def test_the_twelve_month_low_report_detect_window(products):
