@@ -24,12 +24,12 @@ import configparser
 import dataclasses
 import math
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import Mapping
 
 from .detection import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD, DETECTOR_LIMITS
 from .errors import ConfigurationError
 from .model import BehaviorModel, FixedOffset, Multiplicative, RandomOffset, as_integer
-from .model import POSITIVE_FINITE, check_fields, limited
+from .model import POSITIVE_FINITE, check_fields, field_types, limited
 
 DAYS_PER_MONTH = 30
 # Size limits, checked when a config is built: one month's float64 usage block up to 1 GiB
@@ -122,10 +122,6 @@ class ScenarioConfig:
         return max(high * factor, low + 1e-12) - low
 
 
-# Each field's type: `_parse` and `_format` read and write by it.
-_FIELD_TYPES = get_type_hints(ScenarioConfig)
-
-
 def _check_sums_finite(config: ScenarioConfig) -> None:
     """Reject values whose regional totals, monthly bills or correlation sums overflow.
 
@@ -166,7 +162,7 @@ _KEYS = {
 
 def _parse(section: str, name: str, raw: str):
     """One raw value as its field's type; the error names the section and key."""
-    kind = _FIELD_TYPES[name]
+    kind = field_types(ScenarioConfig)[name]
     if kind is str:
         return raw
     if kind == float | None and raw.lower() in ("none", "off", ""):
@@ -182,7 +178,7 @@ def _format(name: str, value) -> str:
     """A value as its field's type writes it: a float field as a float even when given an int."""
     if value is None:
         return "none"
-    return repr(float(value)) if _FIELD_TYPES[name] in (float, float | None) else str(value)
+    return repr(float(value)) if field_types(ScenarioConfig)[name] in (float, float | None) else str(value)
 
 
 # Every behavior spec's name and model; the model's fields follow the name in order

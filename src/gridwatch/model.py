@@ -67,25 +67,25 @@ def limited(limit: tuple[str, Callable], default=MISSING, **metadata):
     return field(default=default, metadata={"limit": limit, **metadata})
 
 
-# Each dataclass's field types, its annotations resolved once.
-_field_types = functools.cache(get_type_hints)
+# A dataclass's field types, its annotations resolved once.
+field_types = functools.cache(get_type_hints)
 
 
 def check_fields(obj) -> None:
     """Read each `limited` field of the frozen dataclass ``obj`` by its annotation (an
     ``int`` by `as_integer`, a ``float`` by `as_real`; an unset ``float | None`` stays
-    ``None``) and hold it to its limit, in field order."""
-    kinds = _field_types(type(obj))
+    ``None``, and a ``None`` in any other field is held to the limit) and hold it to its
+    limit, in field order."""
+    kinds = field_types(type(obj))
     for f in fields(obj):
-        if "limit" not in f.metadata:
-            continue
         value, kind = getattr(obj, f.name), kinds[f.name]
+        if "limit" not in f.metadata or (kind == float | None and value is None):
+            continue
         if kind is int:
             value = as_integer(f.name, value)
-        elif kind is float or (kind == float | None and value is not None):
+        elif kind in (float, float | None):
             value = as_real(f.name, value)
-        if value is not None:
-            check_limit(f.name, value, f.metadata["limit"])
+        check_limit(f.name, value, f.metadata["limit"])
         object.__setattr__(obj, f.name, value)
 
 

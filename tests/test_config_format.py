@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from gridwatch.cli import main
 from gridwatch.config import (
-    _FIELD_TYPES, _KEYS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
+    _KEYS, MOST_NEGATIVE_MODE, THRESHOLD_MODE, ScenarioConfig, dumps_config, loads_config,
 )
 from gridwatch.errors import ConfigurationError
-from gridwatch.model import FixedOffset, Multiplicative, RandomOffset
+from gridwatch.model import FixedOffset, Multiplicative, RandomOffset, field_types
 
 MINIMAL = "[attackers]\n25 = multiplicative 0.1\n"
 
@@ -171,7 +171,7 @@ def setting(key, raw):
 
 
 def value_of(key, raw):
-    kind = _FIELD_TYPES[key]
+    kind = field_types(ScenarioConfig)[key]
     return raw if kind is str else int(raw) if kind is int else float(raw)
 
 
@@ -266,7 +266,7 @@ def test_every_key_has_a_type_the_file_can_hold():
     # the types `_parse` and `_format` know; anything else would be written as str()
     for section in _KEYS.values():
         for key in section:
-            assert _FIELD_TYPES[key] in (int, float, str, float | None), key
+            assert field_types(ScenarioConfig)[key] in (int, float, str, float | None), key
 
 
 def scenario(**fields):
@@ -319,6 +319,19 @@ def test_a_float_field_takes_only_numbers(build):
     # no number the config file could hold
     with pytest.raises(ConfigurationError, match="must be a real number"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: scenario(mode=None), "mode must be 'threshold' or 'most_negative', got None"),
+    (lambda: FixedOffset(0.6, None), "direction must be 'subtract' or 'add', got None"),
+    (lambda: RandomOffset(1.0, None), "direction must be 'subtract' or 'add', got None"),
+], ids=["mode", "fixed_offset_direction", "random_offset_direction"])
+def test_none_is_held_to_the_limit_of_a_field_that_cannot_be_unset(build, message):
+    # only a `float | None` field may be left unset; a None mode would run threshold
+    # detection and a None direction would add its offset past the overflow check
+    with pytest.raises(ConfigurationError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("behavior", ["multiplicative 0.1", None, 0.1, Multiplicative],
