@@ -181,12 +181,11 @@ def low_report_correlations(series, q: float, min_samples: int) -> np.ndarray:
     """Each group's correlation over its low-report pairs only (NaN: undefined).
 
     ``series`` holds each group's ``(reports, leakages)``, as `series_from_arrays`
-    returns them; a group of fewer than ``min_samples`` pairs is left undefined.
+    returns them; a group that keeps fewer than ``min_samples`` low-report pairs is
+    left undefined (one of fewer pairs cannot keep enough, and is not filtered).
     """
-    return np.array([
-        pearson(*low_report_filter(reports, leakages, q)) if len(reports) >= min_samples else math.nan
-        for reports, leakages in series
-    ])
+    kept = [low_report_filter(r, l, q) if len(r) >= min_samples else ((), ()) for r, l in series]
+    return np.array([pearson(x, y) if len(x) >= min_samples else math.nan for x, y in kept])
 
 
 def has_evidence(counts: np.ndarray, corr: np.ndarray, min_samples: int) -> np.ndarray:

@@ -108,8 +108,9 @@ class WindowData:
 
     @cached_property
     def evidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(counts, corr)`` that threshold labels are taken on: `correlations`, or with
-        ``low_report_quantile`` set each consumer's correlation over its low-report pairs."""
+        """The ``(counts, corr)`` threshold labels are taken on: `correlations`, or with the
+        ``low_report_quantile`` set each consumer's correlation over the low-report pairs it
+        keeps, NaN where it keeps fewer than ``min_samples``."""
         c = self.config
         if c.low_report_quantile is None:
             return self.correlations
@@ -278,21 +279,16 @@ def _batch_successes(cells: Sequence[ScenarioConfig], draws: UniformBlock) -> li
     draws nothing: that attacker flagged.  Only the attacker's reports and leakage on the
     periods it is sampled are correlated, bit for bit those of `simulate_window`.  No
     cell's attack draws, so its positions are the first draw of `UniformBlock.generator`
-    past the usage rows: cells of one window length share one draw of them, and each
-    misreports only the attacker's sampled rows.  One `correlate` call takes one group
-    per cell and sums each group in period order, so a cell gets the bits a lone call
-    gives it; a cell with the low-report filter takes its low-report pairs with `pearson`."""
-    positions: dict[int, np.ndarray] = {}
-    rows: dict[tuple[int, int], np.ndarray] = {}
+    past the usage rows: one table holds that draw once per window length, and each cell
+    reads its attacker's sampled rows from its length's entry and misreports only those.
+    One `correlate` call takes one group per cell and sums each group in period order, so
+    a cell gets the bits a lone call gives it; a cell with the low-report filter takes its
+    low-report correlation from `low_report_correlations`, held to ``min_samples`` kept pairs."""
+    positions = {p: draws.generator(p).integers(0, draws.n, size=p) for p in {c.total_periods for c in cells}}
     pairs = []
     for c in cells:
         ((cid, behavior),) = c.attackers
-        periods = c.total_periods
-        if periods not in positions:
-            positions[periods] = draws.generator(periods).integers(0, draws.n, size=periods)
-        if (periods, cid) not in rows:
-            rows[periods, cid] = np.flatnonzero(positions[periods] == cid)
-        actual = _usage(c, draws.column(cid)[rows[periods, cid]])
+        actual = _usage(c, draws.column(cid)[np.flatnonzero(positions[c.total_periods] == cid)])
         reported = apply_behavior(behavior, actual, None)  # draws nothing
         pairs.append((reported, actual - reported))
     groups = np.repeat(np.arange(len(cells)), [len(reports) for reports, _ in pairs])

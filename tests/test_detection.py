@@ -287,12 +287,26 @@ class TestDetectRegion:
             for cid in range(4)
         }
         data[4] = ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # below min_samples
+        data[5] = (rng.uniform(0.5, 1.5, 12), rng.normal(size=12))  # keeps 3 of its 12 pairs
+        data[6] = ([0.1] + [0.3] * 5 + [1.0, 2.0], rng.normal(size=8))  # ties at the cutoff keep 6 of 8
+        data[7] = ([], [])
         n, pos, x, y = arrays_of(data)
         series = series_from_arrays(pos, x, y, n)
         corr = low_report_correlations(series, 0.25, 5)
         for p, (r, l) in enumerate(data.values()):
-            want = pearson(*low_report_filter(r, l, 0.25)) if len(r) >= 5 else math.nan
+            kept = low_report_filter(r, l, 0.25) if len(r) else ([], [])
+            want = pearson(*kept) if len(kept[0]) >= 5 else math.nan
             assert np.array_equal(corr[p], want, equal_nan=True)
+        assert np.isnan(corr[[4, 5, 7]]).all() and not np.isnan(corr[6])
+
+    def test_low_report_correlation_needs_min_samples_kept_pairs(self):
+        # 5 pairs keep 2 at q = 0.25, whose correlation would be -1 by construction
+        reports, leakages = np.array([0.1, 0.2, 0.3, 0.4, 0.5]), np.array([0.9, 0.8, 0.3, 0.1, 0.7])
+        assert len(low_report_filter(reports, leakages, 0.25)[0]) == 2
+        corr = low_report_correlations([(reports, leakages)], 0.25, 5)
+        assert np.isnan(corr).all()
+        report = detect_region(np.array([5]), corr, min_samples=5)
+        assert report.labels.tolist() == [Label.INSUFFICIENT_DATA]
 
     @pytest.mark.parametrize("counts, corr", MISMATCHED, ids=MISMATCH_IDS)
     def test_mismatched_inputs_are_refused(self, counts, corr):

@@ -247,6 +247,11 @@ TWO_MONTHS = "[experiment]\nmonths = 2\n"
     "[attackers]\n0 = multiplicative 0.1\n2 = fixed_offset 0.6\n",
     "[attackers]\n0 = fixed_offset 0.6\n[detection]\nmode = most_negative\n",
 ), 1))
+@example((group(  # a 1-month low-report cell whose attacker is sampled 8 times: 2 kept pairs, no evidence
+    "[region]\nconsumers = 4\nperiods_per_day = 2\n", 0,
+    "[attackers]\n1 = multiplicative 0.1\n[detection]\nlow_report_quantile = 0.25\n",
+    "[attackers]\n1 = multiplicative 0.1\n",
+), 1))
 @settings(max_examples=150, deadline=None)
 def test_monte_carlo_verdict_is_the_full_trial_verdict(cells_index):
     # each cell's verdict among the others of its trial index, on the block sized
