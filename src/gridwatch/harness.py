@@ -12,7 +12,9 @@ the region's usage range.
 Monte-Carlo repetitions use seeds derived injectively from
 ``(master_seed, trial_index)`` so they can run in any order or in parallel
 without changing the result; a pool runs at most `usable_cpus` workers, the
-CPUs this process may run on.  The cells (attack case and duration) of one
+CPUs this process may run on.  The pool class is imported only when a pool
+starts (`ProcessPoolExecutor`, a module attribute resolved on first access), so
+a serial run loads no pool module.  The cells (attack case and duration) of one
 estimate share the master seed and the consumer count, so trial ``i`` of every
 cell reads one shared usage block: its row starts and each column it is asked
 for are computed once, and every cell reads prefixes.  A cell reads only what
@@ -29,9 +31,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import signal
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -335,15 +336,17 @@ def _keep_freed_heap() -> bool:
 def _start_worker() -> None:
     """Pool initializer: keep the freed heap, and leave SIGINT to the parent, which
     stops the workers itself (`_estimate`)."""
+    import signal
+
     _keep_freed_heap()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _stop_workers(pool: ProcessPoolExecutor) -> None:
-    """Cancel ``pool``'s queued jobs and end its workers without waiting for the jobs they
-    hold, as Python 3.14's ``terminate_workers`` does, then wait for its manager thread.
-    The workers end once that thread has dropped the cancelled jobs: before 3.12 it
-    raises on a cancelled job when it finds a worker gone."""
+def _stop_workers(pool) -> None:
+    """Cancel the `ProcessPoolExecutor` ``pool``'s queued jobs and end its workers without
+    waiting for the jobs they hold, as Python 3.14's ``terminate_workers`` does, then wait
+    for its manager thread.  The workers end once that thread has dropped the cancelled
+    jobs: before 3.12 it raises on a cancelled job when it finds a worker gone."""
     workers, manager = list(pool._processes.values()), pool._executor_manager_thread
     pool.shutdown(wait=False, cancel_futures=True)
     while pool._cancel_pending_futures and manager is not None and manager.is_alive():
@@ -352,6 +355,18 @@ def _stop_workers(pool: ProcessPoolExecutor) -> None:
         worker.terminate()
     if manager is not None:
         manager.join()
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first access and kept in the module: only a
+    pooled `_estimate` needs it, so a serial command never loads the pool modules.  A
+    class set on the module in its place is the one `_estimate` builds."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def usable_cpus() -> int:
@@ -370,7 +385,8 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     would only queue, so ``threads`` is capped at `usable_cpus`.  Each worker
     keeps its freed heap (`_keep_freed_heap`), however it is started, and ignores
     SIGINT: on any exception out of the pool, an interrupt among them, the parent
-    stops the workers at once (`_stop_workers`) and re-raises."""
+    stops the workers at once (`_stop_workers`) and re-raises.  Only a pool reads the
+    module's ``ProcessPoolExecutor`` (`__getattr__`), so a class set there is the one built."""
     if len({(c.master_seed, c.consumers, c.repetitions) for c in configs}) > 1:
         raise ValueError("estimated configs must share the master seed, consumer count and repetitions")
     if not configs:
@@ -382,7 +398,8 @@ def _estimate(configs: Sequence[ScenarioConfig], threads: int) -> list[Probabili
     ranges = sorted(zip(bounds, bounds[1:]), key=lambda r: r[1] - r[0], reverse=True)
     jobs = [(tuple(configs), a, b) for a, b in ranges]
     if min(threads, len(jobs)) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)), initializer=_start_worker) as pool:
+        executor = sys.modules[__name__].ProcessPoolExecutor
+        with executor(max_workers=min(threads, len(jobs)), initializer=_start_worker) as pool:
             try:
                 counts = list(pool.map(_count_successes, jobs))
             except BaseException:

@@ -496,6 +496,34 @@ def test_a_repeated_table1_pass_faults_in_no_freed_heap(tmp_path):
     assert int(result.stdout) <= 500
 
 
+POOLED_TABLE1 = textwrap.dedent("""\
+    import json, sys
+    from gridwatch import cli, harness
+
+    harness.usable_cpus = lambda: 2  # two workers on any host
+    code = cli.main(["table1", "--config", sys.argv[1], "--out-dir", sys.argv[2], "--threads", sys.argv[3]])
+    stack = ("concurrent", "multiprocessing", "signal")
+    print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in stack)]))
+""")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_only_a_pooled_command_loads_the_pool_stack(tmp_path, threads):
+    # a fresh process: at --threads 1 the run starts no pool and loads none of
+    # concurrent.futures, multiprocessing and signal; at --threads 2 (3 repetitions, so 3
+    # jobs) the pool module is imported when the pool starts
+    config = tmp_path / "table1.cfg"
+    config.write_text(TINY)
+    argv = [sys.executable, "-c", POOLED_TABLE1, str(config), str(tmp_path), str(threads)]
+    result = subprocess.run(argv, env=python_env(), capture_output=True, text=True, timeout=300, check=True)
+    code, loaded = json.loads(result.stdout)
+    assert code == 0
+    if threads == 1:
+        assert loaded == []
+    else:
+        assert "concurrent.futures.process" in loaded
+
+
 INTERRUPTED_TABLE1 = textwrap.dedent("""\
     import multiprocessing, os, signal, sys, time
     from gridwatch import cli, harness

@@ -361,6 +361,56 @@ START_METHOD_TABLE = textwrap.dedent("""\
 """)
 
 
+SET_POOL_CLASS = textwrap.dedent("""\
+    import sys
+    from gridwatch import harness
+    from gridwatch.config import loads_config
+
+    class Inline:
+        # runs its jobs in this process; set on the module before the name is first read
+        built = []
+
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            Inline.built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    harness.ProcessPoolExecutor, harness.usable_cpus = Inline, lambda: 2  # two workers on any host
+    base = loads_config("[region]\\nconsumers = 10\\nperiods_per_day = 4\\n[experiment]\\nrepetitions = 4\\n")
+    tables = [harness.probability_table(base, 1, durations=(1, 2), threads=t) for t in (1, 2)]
+    assert tables[0] == tables[1], tables
+    print(Inline.built, "concurrent.futures.process" in sys.modules)
+""")
+
+
+def test_a_pool_class_set_on_the_module_is_the_one_built():
+    # a fresh process: the benchmark's tracer sets its own class at
+    # harness.ProcessPoolExecutor before any pool starts; the pooled estimate builds
+    # that class, and the real pool module is never imported
+    argv = [sys.executable, "-c", SET_POOL_CLASS]
+    result = subprocess.run(argv, env=python_env(), capture_output=True, text=True, timeout=300, check=True)
+    assert result.stdout == "[2] False\n"
+
+
+def test_every_harness_annotation_resolves_before_the_pool_class_loads():
+    # a fresh process: harness.ProcessPoolExecutor is imported on first access, so no
+    # annotation may name it
+    probe = ("import typing; from gridwatch import harness; "
+             "[typing.get_type_hints(f) for f in vars(harness).values() "
+             "if callable(f) and getattr(f, '__module__', None) == harness.__name__]; "
+             "print('ProcessPoolExecutor' in vars(harness))")
+    result = subprocess.run([sys.executable, "-c", probe], env=python_env(), capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "False\n"
+
+
 class TestEstimates:
     def test_probability_and_stderr(self):
         cfg = tiny_config(attackers="1 = multiplicative 0.1", periods_per_day=24)

@@ -76,10 +76,13 @@ def fresh_process(probe: str, env: dict[str, str]) -> str:
     return result.stdout
 
 
-def test_the_cli_defers_numpy_random_and_numpy_ma():
+def test_the_cli_defers_numpy_random_numpy_ma_and_the_pool_stack():
     # a fresh process: importing numpy.random costs about 10 ms of start-up, and only the
-    # first window or seed needs it; the low-report cutoff is computed without numpy.ma
-    probe = "import sys, gridwatch.cli; print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))"
+    # first window or seed needs it; the low-report cutoff is computed without numpy.ma;
+    # the process-pool stack costs about 17 ms and 2 MB, and a command at the default
+    # --threads 1 never starts a pool
+    deferred = {"numpy.random", "numpy.ma", "concurrent.futures", "multiprocessing", "signal"}
+    probe = f"import sys, gridwatch.cli; print(sorted({deferred!r} & set(sys.modules)))"
     assert fresh_process(probe, python_env()) == "[]\n"
 
 
